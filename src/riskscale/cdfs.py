@@ -1,8 +1,8 @@
 """Reference distribution functions used as goodness-of-fit oracles.
 
-These are the *checking* side of every sampler/CDF pair: samplers are built
-in-house, while the CDFs lean on scipy's incomplete gamma/beta routines so
-the two routes stay independent.
+These are the *checking* side of every sampler/CDF pair: variates come from
+numpy ``Generator`` kernels, while the CDFs lean on ``scipy.special``'s
+incomplete gamma/beta routines, so the two routes stay independent.
 """
 
 from __future__ import annotations
@@ -39,7 +39,3 @@ def beta_cdf(x, a, b):
     x = np.clip(np.asarray(x, dtype=float), 0.0, 1.0)
     return special.betainc(a, b, x)
 
-
-def pareto_cdf(x, index):
-    x = np.asarray(x, dtype=float)
-    return np.where(x <= 1.0, 0.0, 1.0 - np.maximum(x, 1.0) ** (-index))

@@ -6,8 +6,9 @@ with commands sample, premium, taildep, and verify. Results are CSV files
 check report. Identical configuration and seed produce byte-identical
 output. The RISKSCALE_THREADS environment variable caps the worker count.
 
-Exit status: 0 ok, 1 verification check failed, 2 usage or parse error,
-3 numeric/model error.
+Exit status: 0 ok, 1 verification check failed, 2 usage or parse error
+(including a RISKSCALE_THREADS that is not an integer), 3 numeric/model
+error.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from .dirichlet import (
 )
 from .errors import ConfigError, RiskscaleError
 from .radial import PointMass
-from .rng import RngStream
+from .rng import RngStream, resolve_workers
 from .tails import ClaytonSpec, MGB2Model, TailQuery, mgb2_sample, \
     scale_mixture_exp_sample, tail_convergence_table
 from .verify import builtin_verify_suite, render_report
@@ -162,7 +163,7 @@ def main(argv=None) -> int:
     try:
         config = parse_config(text, command=args.command, seed=args.seed,
                               output_path=args.out)
-        return run(config)
+        return run(config, workers=resolve_workers())
     except ConfigError as exc:
         print(f"riskscale: config error: {exc}", file=sys.stderr)
         return 2

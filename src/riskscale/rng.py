@@ -17,6 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import ConfigError
+
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 
@@ -79,7 +81,8 @@ def resolve_workers(workers: int | None = None) -> int:
             try:
                 workers = int(env)
             except ValueError:
-                raise ValueError(f"{THREADS_ENV} must be an integer, got {env!r}")
+                raise ConfigError(
+                    f"{THREADS_ENV} must be an integer, got {env!r}") from None
         else:
             workers = os.cpu_count() or 1
     return max(1, workers)

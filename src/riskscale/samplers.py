@@ -1,5 +1,12 @@
 """Seedable scalar/vector random variate generators.
 
+Variates come from numpy ``Generator`` kernels: every Gamma-based law
+(Gamma, Beta, inverse Gamma, the Y marginal, and through them the Dirichlet,
+radial and MGB2 samplers) draws through the single :func:`_std_gamma`
+kernel, ``Generator.standard_gamma``. The goodness-of-fit oracles in
+:mod:`riskscale.cdfs` use ``scipy.special`` instead, so samplers and oracles
+share no implementation.
+
 All samplers are pure functions of (parameters, rng state). ``rng`` may be
 a live ``numpy.random.Generator`` or an :class:`~riskscale.rng.RngStream`
 address (which is materialized once per call). ``size=None`` returns a
@@ -31,36 +38,9 @@ def _flat_count(size) -> int:
     return int(np.prod(size))
 
 
-def _marsaglia_tsang(shape: float, gen: np.random.Generator, count: int) -> np.ndarray:
-    """Standard Gamma(shape, 1) draws for shape >= 1 (squeeze/accept-reject)."""
-    d = shape - 1.0 / 3.0
-    c = 1.0 / np.sqrt(9.0 * d)
-    out = np.empty(count)
-    filled = 0
-    while filled < count:
-        m = count - filled
-        batch = m + (m >> 4) + 16  # ~6% headroom over the near-1 accept rate
-        x = gen.standard_normal(batch)
-        v = (1.0 + c * x) ** 3
-        u = gen.random(batch)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ok = v > 0.0
-            squeeze = u < 1.0 - 0.0331 * x**4
-            slow = np.log(u) < 0.5 * x**2 + d * (1.0 - v + np.log(np.where(ok, v, 1.0)))
-        accept = ok & (squeeze | slow)
-        take = min(int(accept.sum()), m)
-        out[filled:filled + take] = d * v[accept][:take]
-        filled += take
-    return out
-
-
 def _std_gamma(shape: float, gen: np.random.Generator, count: int) -> np.ndarray:
-    if shape >= 1.0:
-        return _marsaglia_tsang(shape, gen, count)
-    # shape < 1: boost from shape+1 and multiply by U^(1/shape)
-    g = _marsaglia_tsang(shape + 1.0, gen, count)
-    u = 1.0 - gen.random(count)  # in (0, 1], avoids log(0)
-    return g * u ** (1.0 / shape)
+    """Standard Gamma(shape, 1) draws: the one Gamma kernel behind every sampler."""
+    return gen.standard_gamma(shape, size=count)
 
 
 def gamma_sample(shape, rate, rng, size=None):

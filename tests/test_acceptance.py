@@ -105,8 +105,9 @@ def test_c13_breiman_tail_limit():
     _conclude(13, "joint tail ratio converges to the limit", report)
 
 
-def test_c14_verify_suite_determinism():
-    first = render_report(builtin_verify_suite(SEED, workers=1))
+def test_c14_verify_suite_determinism(verify_seed42):
+    # the shared session run is the first; the repeat and threaded runs are fresh
+    first = render_report(verify_seed42)
     second = render_report(builtin_verify_suite(SEED, workers=1))
     threaded = render_report(builtin_verify_suite(SEED, workers=4))
     identical = first == second == threaded
@@ -116,7 +117,6 @@ def test_c14_verify_suite_determinism():
     _conclude(14, "verify reports byte-identical across runs and workers", report)
 
 
-def test_full_suite_overall_pass():
-    result = builtin_verify_suite(SEED, workers=1)
-    assert result.overall_pass
-    assert len(result.checks) == 14
+def test_full_suite_overall_pass(verify_seed42):
+    assert verify_seed42.overall_pass
+    assert len(verify_seed42.checks) == 14

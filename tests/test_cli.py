@@ -134,6 +134,23 @@ t_grid = 1000000
     assert "exceedances" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, text", [
+    ("sample", LP_SAMPLE),
+    ("premium", SCALAR_PREMIUM),
+    ("verify", "command = verify\nseed = 42\n"),
+])
+@pytest.mark.parametrize("threads", ["abc", ""])
+def test_bad_thread_count_exit_code(tmp_path, capsys, monkeypatch, command, text, threads):
+    monkeypatch.setenv("RISKSCALE_THREADS", threads)
+    config = _write(tmp_path, "run.cfg", text)
+    out = tmp_path / "out.csv"
+    assert main([command, "--config", config, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "RISKSCALE_THREADS" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def test_stdout_default(tmp_path, capsys):
     config = _write(tmp_path, "premium.cfg", SCALAR_PREMIUM)
     assert main(["premium", "--config", config]) == 0

@@ -4,7 +4,8 @@ import pytest
 from riskscale.cdfs import exponential_cdf, gamma_cdf, halfnormal_cdf
 from riskscale.errors import ParameterError
 from riskscale.gof import ks_one_sample
-from riskscale.rng import RngStream
+from riskscale.radial import InvGamma
+from riskscale.rng import BLOCK_ROWS, RngStream
 from riskscale.samplers import (
     bernoulli_pm1,
     beta_sample,
@@ -14,6 +15,7 @@ from riskscale.samplers import (
     pareto_sample,
     y_marginal_sample,
 )
+from riskscale.tails import MGB2Model, mgb2_sample
 
 
 class TestGamma:
@@ -27,9 +29,19 @@ class TestGamma:
         assert rep.passed
 
     def test_small_shape_variance(self):
-        # exercises the shape < 1 boost branch
+        # exercises the kernel's shape < 1 branch
         x = gamma_sample(0.3, 1.0, RngStream(13), size=10**5)
         assert abs(x.var() - 0.3) < 0.02
+
+    # shapes the workloads draw (0.5 and 2.5 as angular alphas, 4.0 as the
+    # Gamma-Dirichlet radius shape) plus one large shape
+    @pytest.mark.parametrize("shape,rate,seed", [
+        (0.5, 1.0, 17), (2.5, 1.0, 18), (4.0, 0.5, 19), (50.0, 2.0, 20),
+    ])
+    def test_ks_against_gamma_cdf(self, shape, rate, seed):
+        x = gamma_sample(shape, rate, RngStream(seed), size=10**4)
+        rep = ks_one_sample(x, lambda v: gamma_cdf(v, shape, rate), level=0.01)
+        assert rep.passed, rep
 
     def test_positive_support(self):
         x = gamma_sample(0.2, 2.0, RngStream(14), size=10**4)
@@ -149,3 +161,13 @@ def test_bitwise_reproducibility():
     assert np.array_equal(draws[0], draws[1])
     pair = [y_marginal_sample(0.4, 1.5, RngStream(72), size=64) for _ in range(2)]
     assert np.array_equal(pair[0], pair[1])
+
+
+def test_mgb2_bytes_independent_of_worker_count():
+    # 3 full blocks + 1 row, with one Gamma shape below 1 and one above
+    model = MGB2Model(a=(2.0, 1.5), b=(1.0, 2.0), p=(0.7, 1.5), theta_law=InvGamma(2.0))
+    n = 3 * BLOCK_ROWS + 1
+    one = mgb2_sample(model, n, RngStream(81), workers=1)
+    two = mgb2_sample(model, n, RngStream(81), workers=2)
+    assert one.shape == (n, 2)
+    assert one.tobytes() == two.tobytes()

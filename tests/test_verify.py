@@ -3,32 +3,27 @@ import numpy as np
 import riskscale.samplers as samplers
 from riskscale.verify import (
     CHECKS,
-    builtin_verify_suite,
     check_beta_marginals,
     render_report,
 )
 
 
-def test_report_line_count_matches_criteria():
-    result = builtin_verify_suite(seed=42, workers=1)
-    lines = render_report(result).strip().splitlines()
+def test_report_line_count_matches_criteria(verify_seed42):
+    lines = render_report(verify_seed42).strip().splitlines()
     assert len(lines) == len(CHECKS) == 14
 
 
-def test_default_seed_passes_every_check():
-    result = builtin_verify_suite(seed=42, workers=1)
-    failing = [c.test_name for c in result.checks if not c.passed]
-    assert result.overall_pass, f"failing checks: {failing}"
+def test_default_seed_passes_every_check(verify_seed42):
+    failing = [c.test_name for c in verify_seed42.checks if not c.passed]
+    assert verify_seed42.overall_pass, f"failing checks: {failing}"
 
 
-def test_overall_pass_reflects_each_check():
-    result = builtin_verify_suite(seed=42, workers=1)
-    assert result.overall_pass == all(c.passed for c in result.checks)
+def test_overall_pass_reflects_each_check(verify_seed42):
+    assert verify_seed42.overall_pass == all(c.passed for c in verify_seed42.checks)
 
 
-def test_render_format_parses_back():
-    result = builtin_verify_suite(seed=42, workers=1)
-    for line, check in zip(render_report(result).splitlines(), result.checks):
+def test_render_format_parses_back(verify_seed42):
+    for line, check in zip(render_report(verify_seed42).splitlines(), verify_seed42.checks):
         name, stat, threshold, passed = line.split(",")
         assert name == check.test_name
         assert float(stat) == check.statistic
@@ -37,13 +32,13 @@ def test_render_format_parses_back():
 
 
 def test_corrupted_small_shape_gamma_trips_beta_marginal_check(monkeypatch):
-    # sensitivity smoke test: drop the shape < 1 correction from the Gamma
-    # sampler and the Beta-marginal verification must catch it
+    # sensitivity smoke test: draw shape < 1 as Gamma(shape + 1) without the
+    # U^(1/shape) boost and the Beta-marginal verification must catch it
     original = samplers._std_gamma
 
     def corrupted(shape, gen, count):
         if shape < 1.0:
-            return samplers._marsaglia_tsang(shape + 1.0, gen, count)  # no boost
+            return gen.standard_gamma(shape + 1.0, size=count)  # no boost
         return original(shape, gen, count)
 
     monkeypatch.setattr(samplers, "_std_gamma", corrupted)
