@@ -4,16 +4,22 @@ Usage: ``riskscale <command> --config <path> [--seed N] [--out <path>]``
 with commands sample, premium, taildep, and verify. Results are CSV files
 (17 significant digits, '.' decimal separator) or, for verify, a line-per-
 check report. Identical configuration and seed produce byte-identical
-output. The RISKSCALE_THREADS environment variable caps the worker count.
+output. CSVs are streamed BLOCK_ROWS rows at a time, each block formatted
+by one ``%`` call, so memory does not grow with the formatted text. The
+output is opened only once the results are computed, so a failed run
+leaves no file. The RISKSCALE_THREADS environment variable caps the worker
+count. Thresholds that ``taildep`` drops for too few exceedances are named
+on stderr.
 
 Exit status: 0 ok, 1 verification check failed, 2 usage or parse error
-(including a RISKSCALE_THREADS that is not an integer), 3 numeric/model
-error.
+(including a RISKSCALE_THREADS that is not an integer) or an output that
+cannot be written, 3 numeric/model error.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
 
 import numpy as np
@@ -33,9 +39,9 @@ from .dirichlet import (
     random_p_sample,
     weighted_sample,
 )
-from .errors import ConfigError, RiskscaleError
+from .errors import ConfigError, OutputError, RiskscaleError
 from .radial import PointMass
-from .rng import RngStream, resolve_workers
+from .rng import BLOCK_ROWS, RngStream, resolve_workers
 from .tails import ClaytonSpec, MGB2Model, TailQuery, mgb2_sample, \
     scale_mixture_exp_sample, tail_convergence_table
 from .verify import builtin_verify_suite, render_report
@@ -43,25 +49,36 @@ from .verify import builtin_verify_suite, render_report
 SPHERE_AUDIT_TOL = 1e-12
 
 
-def _fmt(value: float) -> str:
-    return format(float(value), ".17g")
+@contextlib.contextmanager
+def _output(path: str | None):
+    """Text stream for the run's output; I/O failures become OutputError."""
+    try:
+        if path is None:
+            yield sys.stdout
+            sys.stdout.flush()
+        else:
+            with open(path, "w", encoding="ascii", newline="\n") as fh:
+                yield fh
+    except OSError as exc:
+        raise OutputError(f"cannot write output: {exc}") from exc
 
 
-def _write(path: str | None, text: str) -> None:
-    if path is None:
-        sys.stdout.write(text)
-    else:
-        with open(path, "w", encoding="ascii", newline="\n") as fh:
-            fh.write(text)
+def _write_csv(path: str | None, header: list[str], rows: np.ndarray) -> None:
+    """Write header and rows, BLOCK_ROWS rows per formatted string.
+
+    "%.17g" gives the same text as format(float(v), ".17g") for every
+    double, nan, inf and -0.0 included, so doubles round-trip losslessly.
+    """
+    line = ",".join(["%.17g"] * len(header)) + "\n"
+    with _output(path) as fh:
+        fh.write(",".join(header) + "\n")
+        for lo in range(0, len(rows), BLOCK_ROWS):
+            block = rows[lo:lo + BLOCK_ROWS]
+            fh.write(line * len(block) % tuple(block.ravel().tolist()))
 
 
-def _csv(header: list[str], rows: list[list[float]]) -> str:
-    lines = [",".join(header)]
-    lines += [",".join(_fmt(v) for v in row) for row in rows]
-    return "\n".join(lines) + "\n"
-
-
-def _run_sample(config: RunConfig, stream: RngStream, workers) -> str:
+def _run_sample(config: RunConfig, stream: RngStream,
+                workers) -> tuple[list[str], np.ndarray]:
     model = config.model
     if isinstance(model, tuple):  # Dirichlet kinds carry (spec, radial law)
         spec, radial = model
@@ -79,8 +96,7 @@ def _run_sample(config: RunConfig, stream: RngStream, workers) -> str:
     else:
         assert isinstance(model, ClaytonSpec)
         rows = scale_mixture_exp_sample(model, config.n, stream, workers=workers)
-    header = [f"x{i + 1}" for i in range(rows.shape[1])]
-    return _csv(header, rows.tolist())
+    return [f"x{i + 1}" for i in range(rows.shape[1])], rows
 
 
 def _sphere_audit(spec, radial: PointMass, rows: np.ndarray) -> None:
@@ -94,23 +110,27 @@ def _sphere_audit(spec, radial: PointMass, rows: np.ndarray) -> None:
         )
 
 
-def _run_premium(config: RunConfig) -> str:
+def _run_premium(config: RunConfig) -> tuple[list[str], np.ndarray]:
     if isinstance(config.model, GaussianShiftModel):
         value = premium_gaussian(config.model, config.x)
     else:
         assert isinstance(config.model, EllipticalShiftModel)
         value = premium_elliptical(config.model, config.x)
-    header = [f"p{i + 1}" for i in range(value.size)]
-    return _csv(header, [list(value)])
+    return [f"p{i + 1}" for i in range(value.size)], np.reshape(value, (1, -1))
 
 
-def _run_taildep(config: RunConfig, stream: RngStream, workers) -> str:
+def _run_taildep(config: RunConfig, stream: RngStream,
+                 workers) -> tuple[list[str], np.ndarray]:
     query = TailQuery(c1=config.c1, c2=config.c2, t_grid=config.t_grid, n=config.n)
     rows = tail_convergence_table(config.model, query, stream, workers=workers)
+    kept = {r["t"] for r in rows}
+    dropped = [t for t in config.t_grid if t not in kept]
+    if dropped:
+        print("riskscale: taildep dropped t = "
+              + ", ".join(format(t, "g") for t in dropped)
+              + " (too few exceedances)", file=sys.stderr)
     header = ["t", "empirical_ratio", "stderr", "limit_estimate", "limit_stderr"]
-    table = [[r["t"], r["empirical_ratio"], r["stderr"],
-              r["limit_estimate"], r["limit_stderr"]] for r in rows]
-    return _csv(header, table)
+    return header, np.array([[r[key] for key in header] for r in rows])
 
 
 def run(config: RunConfig, workers: int | None = None) -> int:
@@ -118,15 +138,16 @@ def run(config: RunConfig, workers: int | None = None) -> int:
     stream = RngStream(config.seed)
     if config.command == "verify":
         result = builtin_verify_suite(config.seed, workers=workers)
-        _write(config.output_path, render_report(result))
+        with _output(config.output_path) as fh:
+            fh.write(render_report(result))
         return 0 if result.overall_pass else 1
     if config.command == "sample":
-        text = _run_sample(config, stream, workers)
+        header, rows = _run_sample(config, stream, workers)
     elif config.command == "premium":
-        text = _run_premium(config)
+        header, rows = _run_premium(config)
     else:
-        text = _run_taildep(config, stream, workers)
-    _write(config.output_path, text)
+        header, rows = _run_taildep(config, stream, workers)
+    _write_csv(config.output_path, header, rows)
     return 0
 
 
@@ -166,6 +187,9 @@ def main(argv=None) -> int:
         return run(config, workers=resolve_workers())
     except ConfigError as exc:
         print(f"riskscale: config error: {exc}", file=sys.stderr)
+        return 2
+    except OutputError as exc:
+        print(f"riskscale: {exc}", file=sys.stderr)
         return 2
     except RiskscaleError as exc:
         print(f"riskscale: {exc}", file=sys.stderr)

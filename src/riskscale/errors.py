@@ -34,3 +34,7 @@ class UnsupportedModelError(RiskscaleError):
 
 class ConfigError(RiskscaleError, ValueError):
     """A run configuration file failed to parse or validate."""
+
+
+class OutputError(RiskscaleError):
+    """The run's output file or stream could not be opened or written."""

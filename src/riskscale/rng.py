@@ -88,6 +88,11 @@ def resolve_workers(workers: int | None = None) -> int:
     return max(1, workers)
 
 
+def pool_size(workers: int | None, blocks: int) -> int:
+    """Threads to start for ``blocks`` blocks: never more than there are blocks."""
+    return max(1, min(resolve_workers(workers), blocks))
+
+
 def map_blocks(stream: RngStream, n: int, fill, ncols: int | None = None,
                workers: int | None = None) -> np.ndarray:
     """Fill an (n,) or (n, ncols) array block by block.
@@ -105,13 +110,13 @@ def map_blocks(stream: RngStream, n: int, fill, ncols: int | None = None,
         return out
     ranges = [(b, lo, min(lo + BLOCK_ROWS, n))
               for b, lo in enumerate(range(0, n, BLOCK_ROWS))]
-    nworkers = resolve_workers(workers)
+    nworkers = pool_size(workers, len(ranges))
 
     def run(task):
         b, lo, hi = task
         out[lo:hi] = fill(stream.child(b), lo, hi)
 
-    if nworkers == 1 or len(ranges) == 1:
+    if nworkers == 1:
         for task in ranges:
             run(task)
     else:

@@ -1,7 +1,11 @@
 import numpy as np
 import pytest
 
+import riskscale.cli as cli
+import riskscale.verify as verify
 from riskscale.cli import main
+from riskscale.gof import GofReport
+from riskscale.rng import BLOCK_ROWS
 
 SCALAR_PREMIUM = """
 command = premium
@@ -22,6 +26,20 @@ model.kind = lp_dirichlet
 model.alphas = 1,1,2
 model.p = 2
 model.radial = point_mass:1
+"""
+
+TAILDEP = """
+command = taildep
+seed = 3
+n = 200000
+model.kind = mgb2
+model.a = 1,1
+model.b = 1,1
+model.p = 1,1
+model.theta = pareto:1
+c1 = 1
+c2 = 1
+t_grid = 2,4
 """
 
 
@@ -83,19 +101,7 @@ def test_csv_roundtrips_doubles(tmp_path):
 
 
 def test_taildep_table(tmp_path):
-    config = _write(tmp_path, "taildep.cfg", """
-command = taildep
-seed = 3
-n = 200000
-model.kind = mgb2
-model.a = 1,1
-model.b = 1,1
-model.p = 1,1
-model.theta = pareto:1
-c1 = 1
-c2 = 1
-t_grid = 2,4
-""")
+    config = _write(tmp_path, "taildep.cfg", TAILDEP)
     out = tmp_path / "taildep.csv"
     assert main(["taildep", "--config", config, "--out", str(out)]) == 0
     lines = out.read_text().splitlines()
@@ -181,9 +187,6 @@ x = 3
 
 
 def test_verify_command_reports_and_exit_codes(tmp_path, monkeypatch):
-    import riskscale.verify as verify
-    from riskscale.gof import GofReport
-
     calls = {}
 
     def fake_pass(seed, workers=None):
@@ -204,3 +207,74 @@ def test_verify_command_reports_and_exit_codes(tmp_path, monkeypatch):
     monkeypatch.setattr(verify, "CHECKS", (fake_pass, fake_fail))
     assert main(["verify", "--config", config, "--out", str(out)]) == 1
     assert "stub_fail,2,1,false" in out.read_text()
+
+
+def test_csv_writer_matches_per_value_format(tmp_path):
+    # the last block holds one row; the oracle is the one-value-at-a-time rule
+    gen = np.random.default_rng(0)
+    rows = np.column_stack([
+        gen.integers(0, 2**64, BLOCK_ROWS + 1, dtype=np.uint64).view(np.float64),
+        gen.standard_normal(BLOCK_ROWS + 1) * 10.0 ** gen.integers(-300, 300, BLOCK_ROWS + 1),
+        gen.random(BLOCK_ROWS + 1),
+    ])
+    rows[BLOCK_ROWS - 3:] = [[np.nan, np.inf, -np.inf],
+                             [-0.0, 5e-324, -2.2250738585072009e-308],
+                             [1e17, 1e16, -1e17],
+                             [0.1, 1.0, 0.0]]
+    out = tmp_path / "rows.csv"
+    cli._write_csv(str(out), ["a", "b", "c"], rows)
+    expected = "a,b,c\n" + "".join(
+        ",".join(format(float(v), ".17g") for v in row) + "\n" for row in rows.tolist())
+    assert out.read_bytes() == expected.encode("ascii")
+
+
+def test_sample_stdout_and_out_file_bytes_match(tmp_path, capsysbinary):
+    config = _write(tmp_path, "sample.cfg", LP_SAMPLE)
+    out = tmp_path / "sample.csv"
+    assert main(["sample", "--config", config, "--out", str(out)]) == 0
+    assert main(["sample", "--config", config]) == 0
+    assert capsysbinary.readouterr().out == out.read_bytes()
+
+
+def test_failed_sphere_audit_leaves_no_file(tmp_path, monkeypatch, capsys):
+    def off_sphere(spec, radial, n, stream, workers=None):
+        return np.full((n, 3), 2.0)
+
+    monkeypatch.setattr(cli, "lp_dirichlet_sample", off_sphere)
+    config = _write(tmp_path, "sample.cfg", LP_SAMPLE)
+    out = tmp_path / "sample.csv"
+    assert main(["sample", "--config", config, "--out", str(out)]) == 3
+    assert "sphere self-audit failed" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, text", [
+    ("sample", LP_SAMPLE),
+    ("premium", SCALAR_PREMIUM),
+    ("taildep", TAILDEP),
+    ("verify", "command = verify\nseed = 42\n"),
+])
+def test_unwritable_output_exit_code(tmp_path, capsys, monkeypatch, command, text):
+    monkeypatch.setattr(verify, "CHECKS",
+                        (lambda seed, workers=None: GofReport("stub", 0.0, 1.0, True, 1),))
+    config = _write(tmp_path, "run.cfg", text)
+    out = tmp_path / "missing" / "out.csv"
+    assert main([command, "--config", config, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("riskscale: cannot write output: ")
+    assert "Traceback" not in err
+
+
+def test_taildep_names_dropped_thresholds(tmp_path, capsys):
+    out, out_kept = tmp_path / "all.csv", tmp_path / "kept.csv"
+    config = _write(tmp_path, "all.cfg", TAILDEP.replace("t_grid = 2,4", "t_grid = 2,4,1e9"))
+    assert main(["taildep", "--config", config, "--out", str(out)]) == 0
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    named = [float(v) for v in err.split("t = ")[1].split(" (")[0].split(", ")]
+    assert named == [1e9]
+    config = _write(tmp_path, "kept.cfg", TAILDEP)
+    assert main(["taildep", "--config", config, "--out", str(out_kept)]) == 0
+    assert capsys.readouterr().err == ""
+    assert len(out.read_text().splitlines()) == 3
+    assert out.read_bytes() == out_kept.read_bytes()

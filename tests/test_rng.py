@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from riskscale.rng import BLOCK_ROWS, RngStream, as_generator, map_blocks, resolve_workers
+from riskscale.rng import (BLOCK_ROWS, RngStream, as_generator, map_blocks, pool_size,
+                           resolve_workers)
 
 
 def test_same_address_replays_identical_sequence():
@@ -65,3 +66,14 @@ def test_resolve_workers_env(monkeypatch):
     monkeypatch.setenv("RISKSCALE_THREADS", "zebra")
     with pytest.raises(ValueError):
         resolve_workers()
+
+
+def test_pool_size_never_exceeds_block_count(monkeypatch):
+    # the computed count only: no pool of this size is ever started
+    assert pool_size(10**6, 3) == 3
+    assert pool_size(2, 3) == 2
+    assert pool_size(4, 1) == 1
+    assert pool_size(0, 5) == 1
+    monkeypatch.setenv("RISKSCALE_THREADS", str(10**6))
+    assert pool_size(None, 30518) == 30518
+    assert pool_size(None, 31) == 31
