@@ -13,7 +13,7 @@ on stderr.
 
 Exit status: 0 ok, 1 verification check failed, 2 usage or parse error
 (including a RISKSCALE_THREADS that is not an integer) or an output that
-cannot be written, 3 numeric/model error.
+cannot be written, 3 numeric/model error or out of memory.
 """
 
 from __future__ import annotations
@@ -193,6 +193,9 @@ def main(argv=None) -> int:
         return 2
     except RiskscaleError as exc:
         print(f"riskscale: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError:
+        print(f"riskscale: out of memory running {args.command}", file=sys.stderr)
         return 3
 
 

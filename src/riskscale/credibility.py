@@ -4,8 +4,9 @@ A shift model represents the observation as X = Theta + Y with noise Y
 independent of the prior Theta; the premium is the posterior mean
 E[Theta | X = x]. Closed forms are available for Gaussian and elliptical
 specifications; ``premium_mc`` estimates the generic density-weighted form
-by Monte Carlo. Premium formulas follow the row-vector convention
-(row vector times matrix on the right).
+by Monte Carlo, reducing per-block ratio-of-means moments so that its
+memory does not grow with the number of draws. Premium formulas follow the
+row-vector convention (row vector times matrix on the right).
 """
 
 from __future__ import annotations
@@ -25,8 +26,9 @@ from .linalg import (
     mat_block,
     mat_inverse,
 )
+from .moments import RatioMoments
 from .radial import RadialLaw
-from .rng import RngStream, map_blocks
+from .rng import RngStream, map_blocks, reduce_blocks
 from .samplers import _require_positive
 
 
@@ -208,7 +210,9 @@ def premium_mc(model: GenericShiftModel, x, n: int, stream: RngStream,
     Estimates x -+ E[Y h(x -+ Y)] / E[h(x -+ Y)] with a self-normalized
     ratio over one stream of noise draws (numerator and denominator share
     draws, which correlates them and reduces variance). Standard errors
-    come from the delta method on the ratio. Raises
+    come from the delta method on the ratio. The draws are never held: each
+    block is reduced to its ratio-of-means moments and its count of
+    mass-carrying draws, merged in block order. Raises
     DegenerateDenominatorError when fewer than 50 draws land where the
     prior density exceeds 1e-300 (x far in the prior's tail).
     """
@@ -227,27 +231,21 @@ def premium_mc(model: GenericShiftModel, x, n: int, stream: RngStream,
         if y.shape != (m, d):
             raise ShapeError(f"noise_sampler returned {y.shape}, expected ({m}, {d})")
         h = np.asarray(model.prior_density(x[None, :] + sign * y), dtype=float)
-        return np.hstack([y * h[:, None], h[:, None]])
+        return RatioMoments.of(y * h[:, None], h), np.count_nonzero(h > _DENSITY_FLOOR)
 
-    packed = map_blocks(stream, n, fill, ncols=d + 1, workers=workers)
-    yh = packed[:, :d]
-    h = packed[:, d]
-    if int((h > _DENSITY_FLOOR).sum()) < _MIN_LIVE_DRAWS:
+    def combine(left, right):
+        return left[0].merge(right[0]), left[1] + right[1]
+
+    moments, live = reduce_blocks(stream, n, fill, combine, workers=workers)
+    if live < _MIN_LIVE_DRAWS:
         raise DegenerateDenominatorError(
             "fewer than 50 draws carry prior mass at x; the query point is "
             "too far in the prior's tail for this sample size"
         )
-    denom = h.mean()
-    if denom <= 0.0:
+    if moments.mean_v <= 0.0:
         raise DegenerateDenominatorError("denominator estimate is not positive")
-    numer = yh.mean(axis=0)
-    ratio = numer / denom
     # delta method on the ratio of means, per coordinate
-    s_uu = yh.var(axis=0)
-    s_vv = h.var()
-    s_uv = (yh * h[:, None]).mean(axis=0) - numer * denom
-    var_ratio = (s_uu - 2.0 * ratio * s_uv + ratio**2 * s_vv) / (n * denom**2)
-    se = np.sqrt(np.maximum(var_ratio, 0.0))
+    ratio, se = moments.estimate()
     return x + sign * ratio, se
 
 

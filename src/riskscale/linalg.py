@@ -1,4 +1,4 @@
-"""Small dense matrix helpers: multiply, block selection, LU inversion.
+"""Small dense matrix helpers: validation, block selection, LU inversion.
 
 Matrices are plain 2-D float arrays validated by :func:`as_matrix`. The
 dimensions here are tiny (covariance and mixing matrices), so the solver is
@@ -36,14 +36,6 @@ def as_vector(x, name: str = "vector") -> np.ndarray:
     if not np.isfinite(arr).all():
         raise ParameterError(f"{name} contains non-finite entries")
     return arr
-
-
-def mat_mul(a, b) -> np.ndarray:
-    a = as_matrix(a, "left factor")
-    b = as_matrix(b, "right factor")
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"cannot multiply {a.shape} by {b.shape}")
-    return a @ b
 
 
 def mat_block(a, rows, cols) -> np.ndarray:

@@ -7,10 +7,15 @@ statistically independent ones. Large sample runs are generated in
 fixed-size row blocks, each block on its own child stream, so the output
 depends only on the stream address and the row count -- never on how many
 worker threads happened to process the blocks.
+
+:func:`map_blocks` assembles the blocks into one array; :func:`reduce_blocks`
+keeps only a small partial result per block (moments, counts) and combines
+the partials in block order, so its memory is bounded at any row count.
 """
 
 from __future__ import annotations
 
+import functools
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -93,6 +98,28 @@ def pool_size(workers: int | None, blocks: int) -> int:
     return max(1, min(resolve_workers(workers), blocks))
 
 
+def _run_blocks(stream: RngStream, n: int, task, workers: int | None):
+    """Yield ``task(stream.child(b), lo, hi)`` for every block b, in block order.
+
+    The one block driver behind :func:`map_blocks` and :func:`reduce_blocks`:
+    block b covers rows [b * BLOCK_ROWS, min((b + 1) * BLOCK_ROWS, n)) and
+    runs on ``stream.child(b)``; ``pool_size`` threads share the blocks.
+    """
+    ranges = [(b, lo, min(lo + BLOCK_ROWS, n))
+              for b, lo in enumerate(range(0, n, BLOCK_ROWS))]
+    nworkers = pool_size(workers, len(ranges))
+
+    def run(task_range):
+        b, lo, hi = task_range
+        return task(stream.child(b), lo, hi)
+
+    if nworkers == 1:
+        yield from map(run, ranges)
+    else:
+        with ThreadPoolExecutor(max_workers=nworkers) as pool:
+            yield from pool.map(run, ranges)
+
+
 def map_blocks(stream: RngStream, n: int, fill, ncols: int | None = None,
                workers: int | None = None) -> np.ndarray:
     """Fill an (n,) or (n, ncols) array block by block.
@@ -104,22 +131,28 @@ def map_blocks(stream: RngStream, n: int, fill, ncols: int | None = None,
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    shape = (n,) if ncols is None else (n, ncols)
-    out = np.empty(shape)
-    if n == 0:
-        return out
-    ranges = [(b, lo, min(lo + BLOCK_ROWS, n))
-              for b, lo in enumerate(range(0, n, BLOCK_ROWS))]
-    nworkers = pool_size(workers, len(ranges))
+    out = np.empty((n,) if ncols is None else (n, ncols))
 
-    def run(task):
-        b, lo, hi = task
-        out[lo:hi] = fill(stream.child(b), lo, hi)
+    def put(block, lo, hi):
+        out[lo:hi] = fill(block, lo, hi)
 
-    if nworkers == 1:
-        for task in ranges:
-            run(task)
-    else:
-        with ThreadPoolExecutor(max_workers=nworkers) as pool:
-            list(pool.map(run, ranges))
+    for _ in _run_blocks(stream, n, put, workers):
+        pass
     return out
+
+
+def reduce_blocks(stream: RngStream, n: int, fill, combine,
+                  workers: int | None = None):
+    """Reduce per-block partial results without materializing the n rows.
+
+    ``fill(block_stream, lo, hi)`` returns a small partial result for the
+    rows [lo, hi), drawing only from ``block_stream`` exactly as a
+    :func:`map_blocks` fill would. The partials are combined left to right
+    in block order, ``combine(combine(p0, p1), p2) ...``, so the result is a
+    pure function of (stream, n) at any worker count even when ``combine``
+    is not associative in floating point. Needs n >= 1.
+    """
+    if n < 1:
+        raise ValueError("reduce_blocks needs n >= 1")
+    partials = _run_blocks(stream, n, fill, workers)
+    return functools.reduce(combine, partials)

@@ -7,6 +7,12 @@ empirical/limit comparison of the joint tail ratio
 P(X_1 > c_1 t, X_2 > c_2 t) / P(X_1 > t), whose limit under a regularly
 varying mixer is I(c_1, c_2) = E[min(W_1/c_1, W_2/c_2)^(aq)] / E[W_1^(aq)]
 (Breiman's lemma).
+
+The tail estimators stream: ``tail_dependence_limit`` reduces per-block
+ratio-of-means moments and ``tail_convergence_table`` reduces per-block
+exceedance counts (``rng.reduce_blocks``), so their memory is bounded at
+any sample size n while drawing exactly the random numbers that
+``mgb2_sample`` would.
 """
 
 from __future__ import annotations
@@ -21,8 +27,9 @@ from .errors import (
     UnsupportedModelError,
 )
 from .gof import GofReport, report
+from .moments import RatioMoments
 from .radial import RadialLaw, regular_variation_index
-from .rng import RngStream, map_blocks
+from .rng import RngStream, map_blocks, reduce_blocks
 from .samplers import _require_positive, gamma_sample
 
 
@@ -108,16 +115,20 @@ def _w_factors(model: MGB2Model, gen, m) -> np.ndarray:
     return np.column_stack(cols)
 
 
+def _mgb2_rows(model: MGB2Model, block: RngStream, m: int) -> np.ndarray:
+    """The m rows that block stream ``block`` gives in :func:`mgb2_sample`."""
+    theta = np.asarray(model.theta_law.sample(block.child(0), size=m))
+    w = _w_factors(model, block.child(1).generator(), m)
+    powers = np.array([1.0 / ai for ai in model.a])
+    return theta[:, None] ** powers[None, :] * w
+
+
 def mgb2_sample(model: MGB2Model, n: int, stream: RngStream,
                 workers=None) -> np.ndarray:
     """Scale-mixture route: rows (Theta^(1/a_1) W_1, ..., Theta^(1/a_k) W_k)."""
 
     def fill(block, lo, hi):
-        m = hi - lo
-        theta = np.asarray(model.theta_law.sample(block.child(0), size=m))
-        w = _w_factors(model, block.child(1).generator(), m)
-        powers = np.array([1.0 / ai for ai in model.a])
-        return theta[:, None] ** powers[None, :] * w
+        return _mgb2_rows(model, block, hi - lo)
 
     return map_blocks(stream, n, fill, ncols=model.dim, workers=workers)
 
@@ -174,6 +185,32 @@ MIN_EXCEEDANCES = 20
 JUDGE_EXCEEDANCES = 1000
 
 
+def _exceedance_counts(x: np.ndarray, c1: float, c2: float, t_grid
+                       ) -> np.ndarray:
+    """Per threshold t, the counts of the joint event {X_1 > c_1 t, X_2 > c_2 t},
+    the base event {X_1 > t} and both: an int64 array of shape (len(t_grid), 3)."""
+    x1, x2 = x[:, 0], x[:, 1]
+    counts = np.empty((len(t_grid), 3), dtype=np.int64)
+    for i, t in enumerate(t_grid):
+        joint = (x1 > c1 * t) & (x2 > c2 * t)
+        base = x1 > t
+        counts[i] = (np.count_nonzero(joint), np.count_nonzero(base),
+                     np.count_nonzero(joint & base))
+    return counts
+
+
+def _ratio_from_counts(n: int, counts, t: float) -> tuple[float, float]:
+    """Ratio of the joint to the base exceedance frequency, with its
+    delta-method standard error, from one row of :func:`_exceedance_counts`."""
+    joint, base, both = counts
+    if base < MIN_EXCEEDANCES:
+        raise InsufficientTailDataError(
+            f"only {base} exceedances of t={t:g}; need at least {MIN_EXCEEDANCES}"
+        )
+    ratio, se = RatioMoments.of_indicators(n, joint, base, both).estimate()
+    return float(ratio), float(se)
+
+
 def tail_ratio_empirical(samples, c1: float, c2: float, t: float
                          ) -> tuple[float, float]:
     """Empirical P(X_1 > c_1 t, X_2 > c_2 t) / P(X_1 > t) with its standard error.
@@ -188,22 +225,8 @@ def tail_ratio_empirical(samples, c1: float, c2: float, t: float
     c1 = _require_positive("c1", c1)
     c2 = _require_positive("c2", c2)
     t = _require_positive("t", t)
-    x1, x2 = samples[:, 0], samples[:, 1]
-    n = samples.shape[0]
-    joint = (x1 > c1 * t) & (x2 > c2 * t)
-    base = x1 > t
-    k = int(joint.sum())
-    m = int(base.sum())
-    if m < MIN_EXCEEDANCES:
-        raise InsufficientTailDataError(
-            f"only {m} exceedances of t={t:g}; need at least {MIN_EXCEEDANCES}"
-        )
-    pa, pb = k / n, m / n
-    pab = int((joint & base).sum()) / n
-    ratio = pa / pb
-    var = (pa * (1 - pa) - 2 * ratio * (pab - pa * pb)
-           + ratio**2 * pb * (1 - pb)) / (n * pb**2)
-    return ratio, float(np.sqrt(max(var, 0.0)))
+    counts = _exceedance_counts(samples, c1, c2, (t,))
+    return _ratio_from_counts(samples.shape[0], counts[0], t)
 
 
 def _check_limit_regime(model: MGB2Model) -> tuple[float, float]:
@@ -227,7 +250,8 @@ def tail_dependence_limit(model: MGB2Model, c1: float, c2: float, n: int,
     Requires a_1 = a_2 and a regularly varying mixing law (Pareto or
     inverse-Gamma), whose index q enters the moment exponent. The W factors
     are Gamma powers, so every moment used here is finite. Standard error by
-    the delta method on the ratio of means.
+    the delta method on the ratio of means, whose moments are reduced block
+    by block (memory does not grow with n).
     """
     a, q = _check_limit_regime(model)
     c1 = _require_positive("c1", c1)
@@ -235,45 +259,45 @@ def tail_dependence_limit(model: MGB2Model, c1: float, c2: float, n: int,
     aq = a * q
 
     def fill(block, lo, hi):
-        m = hi - lo
-        w = _w_factors(model, block.generator(), m)
+        w = _w_factors(model, block.generator(), hi - lo)
         num = np.minimum(w[:, 0] / c1, w[:, 1] / c2) ** aq
-        den = w[:, 0] ** aq
-        return np.column_stack([num, den])
+        return RatioMoments.of(num, w[:, 0] ** aq)
 
-    vals = map_blocks(stream, int(n), fill, ncols=2, workers=workers)
-    num, den = vals[:, 0], vals[:, 1]
-    nn = num.size
-    ratio = num.mean() / den.mean()
-    s_uu = num.var()
-    s_vv = den.var()
-    s_uv = (num * den).mean() - num.mean() * den.mean()
-    var = (s_uu - 2 * ratio * s_uv + ratio**2 * s_vv) / (nn * den.mean() ** 2)
-    return float(ratio), float(np.sqrt(max(var, 0.0)))
+    moments = reduce_blocks(stream, int(n), fill, RatioMoments.merge,
+                            workers=workers)
+    ratio, se = moments.estimate()
+    return float(ratio), float(se)
 
 
 def tail_convergence_table(model: MGB2Model, query: TailQuery, stream: RngStream,
                            workers=None) -> list[dict]:
     """Per-threshold comparison rows of empirical ratio vs the limit estimate.
 
-    One sample matrix is shared by all thresholds (shared random numbers),
-    so the empirical column is monotone-comparable across the grid.
+    All thresholds share one MGB2 sample on ``stream.child(0)`` (shared
+    random numbers), so the empirical column is monotone-comparable across
+    the grid. The sample is never held: each block of the rows
+    :func:`mgb2_sample` would draw is reduced to exact per-threshold joint,
+    base and joint-and-base exceedance counts, so memory is bounded in n.
     Thresholds whose exceedance count falls below the minimum are skipped.
     """
     _check_limit_regime(model)
-    samples = mgb2_sample(model, query.n, stream.child(0), workers=workers)
+
+    def fill(block, lo, hi):
+        x = _mgb2_rows(model, block, hi - lo)
+        return _exceedance_counts(x, query.c1, query.c2, query.t_grid)
+
+    counts = reduce_blocks(stream.child(0), query.n, fill, np.add, workers=workers)
     limit, limit_se = tail_dependence_limit(model, query.c1, query.c2, query.n,
                                             stream.child(1), workers=workers)
     rows = []
-    for t in query.t_grid:
+    for t, row_counts in zip(query.t_grid, counts):
         try:
-            ratio, se = tail_ratio_empirical(samples, query.c1, query.c2, t)
+            ratio, se = _ratio_from_counts(query.n, row_counts, t)
         except InsufficientTailDataError:
             continue
-        exceed = int((samples[:, 0] > t).sum())
         rows.append({"t": t, "empirical_ratio": ratio, "stderr": se,
                      "limit_estimate": limit, "limit_stderr": limit_se,
-                     "exceedances": exceed})
+                     "exceedances": int(row_counts[1])})
     if not rows:
         raise InsufficientTailDataError(
             "no threshold in the grid kept enough exceedances"

@@ -248,6 +248,20 @@ def test_failed_sphere_audit_leaves_no_file(tmp_path, monkeypatch, capsys):
     assert not out.exists()
 
 
+def test_out_of_memory_exit_code(tmp_path, monkeypatch, capsys):
+    def exhausted(spec, radial, n, stream, workers=None):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "lp_dirichlet_sample", exhausted)
+    config = _write(tmp_path, "sample.cfg", LP_SAMPLE)
+    out = tmp_path / "sample.csv"
+    assert main(["sample", "--config", config, "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("riskscale: out of memory")
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command, text", [
     ("sample", LP_SAMPLE),
     ("premium", SCALAR_PREMIUM),

@@ -1,6 +1,9 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from riskscale.config import RunConfig, parse_config
+from riskscale.config import (COMMANDS, PREMIUM_KINDS, SAMPLE_KINDS, TAILDEP_KINDS,
+                              RunConfig, parse_config)
 from riskscale.credibility import EllipticalShiftModel, GaussianShiftModel
 from riskscale.dirichlet import LpSpec, RandomPSpec, WeightedSpec
 from riskscale.errors import ConfigError
@@ -239,3 +242,69 @@ def test_runconfig_is_frozen():
     assert isinstance(config, RunConfig)
     with pytest.raises(AttributeError):
         config.seed = 9
+
+
+# valid documents, one per command and model kind, for the fuzzer to perturb
+_TEMPLATES = (
+    {"command": "sample", "seed": "7", "n": "100", "audit": "true",
+     "model.kind": "lp_dirichlet", "model.alphas": "1,1", "model.p": "2",
+     "model.radial": "point_mass:1"},
+    {"command": "sample", "seed": "7", "n": "100", "model.kind": "weighted_dirichlet",
+     "model.alphas": "0.5,0.5", "model.p": "2", "model.qs": "0.5,1",
+     "model.radial": "chi_square_sqrt:2"},
+    {"command": "sample", "seed": "7", "n": "100", "model.kind": "random_p_dirichlet",
+     "model.alphas": "1,2", "model.p_law": "pareto:2",
+     "model.radial": "gamma_power:3,0.5,0.5"},
+    {"command": "sample", "seed": "7", "n": "100", "model.kind": "clayton",
+     "model.theta_shape": "1.5", "model.d": "3"},
+    {"command": "taildep", "seed": "3", "n": "1000", "model.kind": "mgb2",
+     "model.a": "1,1", "model.b": "1,1", "model.p": "1,1", "model.theta": "pareto:1",
+     "c1": "1", "c2": "1", "t_grid": "2,4,8"},
+    {"command": "premium", "seed": "1", "model.kind": "gaussian_shift",
+     "model.mu": "0,0", "model.sigma": "1,0;0,1", "model.sigma0": "2,0.5;0.5,1",
+     "x": "1,1"},
+    {"command": "premium", "seed": "1", "model.kind": "elliptical_shift",
+     "model.c": "1,0;0,1", "model.nu": "0,2", "model.radial": "point_mass:1", "x": "3"},
+    {"command": "verify", "seed": "42", "out": "report.txt"},
+)
+_KEYS = tuple(sorted({key for doc in _TEMPLATES for key in doc}))
+_NUMBER = st.one_of(st.integers(-10**6, 10**6).map(str),
+                    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+                    st.sampled_from(["1e400", "-0", "0x10", "1_0", "9" * 5000, "", " "]))
+_VALUE = st.one_of(
+    st.sampled_from(COMMANDS + SAMPLE_KINDS + PREMIUM_KINDS + TAILDEP_KINDS),
+    st.sampled_from(["true", "no", "point_mass:1", "pareto:0.5", "inv_gamma:2",
+                     "gamma_power:1,2,3", "chi_square_sqrt:-1", "pareto:", ":",
+                     "1,0;0,1", "1,2;3", "0,0,1,1", "1,1,2", "1,0;0,0"]),
+    st.lists(_NUMBER, min_size=1, max_size=4).map(",".join),
+    st.lists(st.lists(_NUMBER, min_size=1, max_size=3).map(",".join),
+             min_size=1, max_size=3).map(";".join),
+    st.text(max_size=20),
+)
+_LINE = st.one_of(st.builds("{} = {}".format, st.sampled_from(_KEYS), _VALUE),
+                  st.text(max_size=30))
+
+
+@st.composite
+def _config_text(draw):
+    """A valid template with values replaced or dropped and lines added."""
+    lines = []
+    for key, value in draw(st.sampled_from(_TEMPLATES)).items():
+        action = draw(st.sampled_from(("keep", "keep", "replace", "drop")))
+        if action == "replace":
+            value = draw(_VALUE)
+        if action != "drop":
+            lines.append(f"{key} = {value}")
+    lines += draw(st.lists(_LINE, max_size=3))
+    return "\n".join(draw(st.permutations(lines)))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(text=st.one_of(_config_text(), st.lists(_LINE, max_size=8).map("\n".join)),
+       command=st.sampled_from((None,) + COMMANDS))
+def test_arbitrary_text_raises_only_config_error(text, command):
+    try:
+        config = parse_config(text, command=command)
+    except ConfigError:
+        return
+    assert isinstance(config, RunConfig)

@@ -19,7 +19,7 @@ from riskscale.errors import (
     SingularMatrixError,
 )
 from riskscale.radial import ChiSquareSqrt, Pareto, PointMass
-from riskscale.rng import RngStream
+from riskscale.rng import BLOCK_ROWS, RngStream, map_blocks
 
 
 def _gaussian_density(mu, tau2):
@@ -321,6 +321,34 @@ class TestPremiumMC:
         second = premium_mc(model, [4.0], 10**4, RngStream(214), workers=4)
         assert np.array_equal(first[0], second[0])
         assert np.array_equal(first[1], second[1])
+
+    def test_streamed_moments_match_two_pass_formula(self):
+        # reference: hold every draw (map_blocks, same block streams) and
+        # apply the delta method with two-pass central moments
+        chol = np.array([[1.0, 0.0], [0.5, 1.2]])
+        h = _gaussian_density(0.5, 2.0)
+        model = GenericShiftModel(
+            prior_density=h,
+            noise_sampler=lambda gen, m: gen.standard_normal((m, 2)) @ chol.T,
+        )
+        x = np.array([2.0, -1.0])
+        n = 3 * BLOCK_ROWS + 5000
+
+        def fill(block, lo, hi):
+            y = model.noise_sampler(block.generator(), hi - lo)
+            hy = h(x[None, :] - y)
+            return np.column_stack([y * hy[:, None], hy])
+
+        packed = map_blocks(RngStream(215), n, fill, ncols=3, workers=1)
+        u, v = packed[:, :2], packed[:, 2]
+        ratio = u.mean(axis=0) / v.mean()
+        du, dv = u - u.mean(axis=0), v - v.mean()
+        var = ((du**2).mean(axis=0) - 2 * ratio * (du * dv[:, None]).mean(axis=0)
+               + ratio**2 * (dv**2).mean()) / (n * v.mean() ** 2)
+        for workers in (1, 2):
+            est, se = premium_mc(model, x, n, RngStream(215), workers=workers)
+            np.testing.assert_allclose(est, x - ratio, rtol=1e-12)
+            np.testing.assert_allclose(se, np.sqrt(var), rtol=1e-12)
 
 
 class TestShiftJointSample:

@@ -8,7 +8,6 @@ from riskscale.linalg import (
     lu_factor,
     mat_block,
     mat_inverse,
-    mat_mul,
 )
 from riskscale.rng import RngStream
 
@@ -27,7 +26,7 @@ def test_inverse_roundtrip_random():
     gen = RngStream(101).generator()
     for _ in range(10):
         a = _well_conditioned(gen, 4)
-        prod = mat_mul(a, mat_inverse(a))
+        prod = a @ mat_inverse(a)
         assert np.abs(prod - np.eye(4)).max() < 1e-10
 
 
@@ -50,11 +49,6 @@ def test_block_selection():
 def test_block_out_of_range():
     with pytest.raises(ParameterError):
         mat_block(np.eye(3), [0, 3], [0])
-
-
-def test_mat_mul_shape_error():
-    with pytest.raises(ShapeError):
-        mat_mul(np.eye(3), np.eye(4))
 
 
 def test_singular_matrix_raises():

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+from riskscale import rng
 from riskscale.rng import (BLOCK_ROWS, RngStream, as_generator, map_blocks, pool_size,
-                           resolve_workers)
+                           reduce_blocks, resolve_workers)
 
 
 def test_same_address_replays_identical_sequence():
@@ -77,3 +78,58 @@ def test_pool_size_never_exceeds_block_count(monkeypatch):
     monkeypatch.setenv("RISKSCALE_THREADS", str(10**6))
     assert pool_size(None, 30518) == 30518
     assert pool_size(None, 31) == 31
+
+
+def _block_mean(block, lo, hi):
+    return block.generator().random(hi - lo).mean()
+
+
+def test_reduce_blocks_worker_invariance():
+    # a floating-point sum is not associative: only the block order fixes the bits
+    n = 3 * BLOCK_ROWS + 1
+    one = reduce_blocks(RngStream(11), n, _block_mean, lambda a, b: a * 0.75 + b,
+                        workers=1)
+    four = reduce_blocks(RngStream(11), n, _block_mean, lambda a, b: a * 0.75 + b,
+                         workers=4)
+    assert one == four
+
+
+def test_reduce_blocks_combines_in_block_order():
+    # tuple concatenation does not commute: the result lists the blocks as combined
+    n = 3 * BLOCK_ROWS + 1
+    for workers in (1, 4):
+        got = reduce_blocks(RngStream(12), n, lambda block, lo, hi: ((lo, hi),),
+                            lambda a, b: a + b, workers=workers)
+        assert got == ((0, BLOCK_ROWS), (BLOCK_ROWS, 2 * BLOCK_ROWS),
+                       (2 * BLOCK_ROWS, 3 * BLOCK_ROWS), (3 * BLOCK_ROWS, n))
+
+
+def test_reduce_blocks_draws_what_map_blocks_draws():
+    def fill(block, lo, hi):
+        return block.generator().random((hi - lo, 2))
+
+    n = 3 * BLOCK_ROWS + 1
+    rows = map_blocks(RngStream(13), n, fill, ncols=2, workers=1)
+    parts = reduce_blocks(RngStream(13), n, lambda block, lo, hi: (fill(block, lo, hi),),
+                          lambda a, b: a + b, workers=4)
+    assert len(parts) == 4 and np.array_equal(np.vstack(parts), rows)
+
+
+def test_reduce_blocks_pool_size(monkeypatch):
+    # the pool is sized through pool_size; record the request, start no thread
+    asked = []
+
+    def spy(workers, blocks):
+        asked.append((workers, blocks))
+        return 1
+
+    monkeypatch.setattr(rng, "pool_size", spy)
+    reduce_blocks(RngStream(14), 3 * BLOCK_ROWS + 1, lambda block, lo, hi: hi - lo,
+                  lambda a, b: a + b, workers=10**6)
+    assert asked == [(10**6, 4)]
+    assert pool_size(10**6, 4) == 4
+
+
+def test_reduce_blocks_rejects_empty():
+    with pytest.raises(ValueError):
+        reduce_blocks(RngStream(15), 0, _block_mean, lambda a, b: a + b)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,12 +12,13 @@ from riskscale.errors import (
 )
 from riskscale.gof import ks_one_sample, ks_two_sample
 from riskscale.radial import GammaPower, InvGamma, Pareto, PointMass
-from riskscale.rng import RngStream
+from riskscale.rng import BLOCK_ROWS, RngStream, map_blocks
 from riskscale.samplers import gamma_sample
 from riskscale.tails import (
     ClaytonSpec,
     MGB2Model,
     TailQuery,
+    _w_factors,
     archimedean_survival,
     breiman_convergence_check,
     judge_convergence,
@@ -200,6 +202,31 @@ class TestTailDependenceLimit:
         est, se = tail_dependence_limit(_exp_model(), 2.0, 0.5, 10**5, RngStream(317))
         assert est - 3.0 * se <= 2.0 ** -1.0
 
+    def test_streamed_moments_match_two_pass_formula(self):
+        # reference: hold every (num, den) pair (map_blocks, same block
+        # streams) and apply the delta method with two-pass central moments
+        model = MGB2Model(a=(2.0, 2.0), b=(1.0, 1.5), p=(1.5, 0.7),
+                          theta_law=InvGamma(1.5))
+        aq, c1, c2 = 3.0, 0.8, 1.3
+        n = 3 * BLOCK_ROWS + 5000
+
+        def fill(block, lo, hi):
+            w = _w_factors(model, block.generator(), hi - lo)
+            return np.column_stack([np.minimum(w[:, 0] / c1, w[:, 1] / c2) ** aq,
+                                    w[:, 0] ** aq])
+
+        vals = map_blocks(RngStream(325), n, fill, ncols=2, workers=1)
+        u, v = vals[:, 0], vals[:, 1]
+        ratio = u.mean() / v.mean()
+        du, dv = u - u.mean(), v - v.mean()
+        var = ((du**2).mean() - 2 * ratio * (du * dv).mean()
+               + ratio**2 * (dv**2).mean()) / (n * v.mean() ** 2)
+        for workers in (1, 2):
+            est, se = tail_dependence_limit(model, c1, c2, n, RngStream(325),
+                                            workers=workers)
+            assert est == pytest.approx(ratio, rel=1e-12)
+            assert se == pytest.approx(math.sqrt(var), rel=1e-12)
+
     def test_inv_gamma_mixer_accepted(self):
         est, _ = tail_dependence_limit(_exp_model(InvGamma(2.0)), 1.0, 1.0,
                                        10**4, RngStream(318))
@@ -244,6 +271,33 @@ class TestConvergenceCheck:
         assert rows
         with pytest.raises(InsufficientTailDataError):
             judge_convergence(rows, query.n)
+
+    def test_streamed_table_matches_materialised_sample(self):
+        # the table never holds the sample; its counts must be those of the
+        # rows mgb2_sample draws on stream.child(0), block for block
+        n = 3 * BLOCK_ROWS + 5000
+        query = TailQuery(c1=0.7, c2=1.4, t_grid=(1.0, 3.0, 8.0, 30.0), n=n)
+        s = RngStream(326)
+        samples = mgb2_sample(_exp_model(), n, s.child(0))
+        for workers in (1, 2):
+            rows = tail_convergence_table(_exp_model(), query, s, workers=workers)
+            assert [r["t"] for r in rows] == list(query.t_grid)
+            for row in rows:
+                ratio, se = tail_ratio_empirical(samples, query.c1, query.c2, row["t"])
+                assert row["empirical_ratio"] == ratio
+                assert row["stderr"] == se
+                assert row["exceedances"] == int((samples[:, 0] > row["t"]).sum())
+
+    def test_table_memory_is_bounded_in_n(self):
+        # a materialised 2e6-row run holds two 2e6 x 2 float matrices (64 MB)
+        query = TailQuery(c1=1.0, c2=1.0, t_grid=(5.0, 10.0, 20.0), n=2 * 10**6)
+        tracemalloc.start()
+        try:
+            tail_convergence_table(_exp_model(), query, RngStream(327), workers=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
 
     def test_query_validation(self):
         with pytest.raises(ParameterError):
