@@ -14,9 +14,16 @@ from dataclasses import dataclass, field
 
 from .credibility import EllipticalShiftModel, GaussianShiftModel
 from .dirichlet import LpSpec, RandomPSpec, WeightedSpec
-from .errors import ConfigError, RiskscaleError
+from .errors import ConfigError, ParameterError, RiskscaleError, UnsupportedModelError
 from .radial import ChiSquareSqrt, GammaPower, InvGamma, Pareto, PointMass, RadialLaw
-from .tails import ClaytonSpec, MGB2Model
+from .samplers import _require_positive
+from .tails import (
+    ClaytonSpec,
+    MGB2Model,
+    TailQuery,
+    _check_limit_regime,
+    _check_limit_shape,
+)
 
 COMMANDS = ("sample", "premium", "taildep", "verify")
 
@@ -219,6 +226,27 @@ def _build_model(doc: _Doc, command: str):
     raise ConfigError(f"unhandled model kind {kind!r}")  # pragma: no cover
 
 
+def _check_taildep(doc: _Doc, model: MGB2Model, c1: float, c2: float,
+                   t_grid: tuple[float, ...], n: int) -> None:
+    """Fail on the offending line unless the model is in the joint tail
+    limit's regime and (c1, c2, t_grid, n) builds a :class:`TailQuery`."""
+    for key, check in (("model.a", _check_limit_shape),
+                       ("model.theta", _check_limit_regime)):
+        try:
+            check(model)
+        except UnsupportedModelError as exc:
+            doc.fail(key, str(exc))
+    for key, value in (("c1", c1), ("c2", c2)):
+        try:
+            _require_positive(key, value)
+        except ParameterError as exc:
+            doc.fail(key, str(exc))
+    try:
+        TailQuery(c1=c1, c2=c2, t_grid=t_grid, n=n)
+    except ParameterError as exc:  # c1, c2 and n passed: the grid is at fault
+        doc.fail("t_grid", str(exc))
+
+
 def parse_config(text: str, command: str | None = None,
                  seed: int | None = None, output_path: str | None = None) -> RunConfig:
     """Parse and validate a configuration document.
@@ -276,6 +304,7 @@ def parse_config(text: str, command: str | None = None,
         c1 = _parse_float(doc, "c1")
         c2 = _parse_float(doc, "c2")
         t_grid = _parse_floats(doc, "t_grid")
+        _check_taildep(doc, model, c1, c2, t_grid, n)
 
     doc.reject_unused()
     return RunConfig(command=command, seed=seed, model=model, n=n,

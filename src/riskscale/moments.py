@@ -36,9 +36,12 @@ class RatioMoments:
         mean_v = v.mean()
         du = u - mean_u
         dv = (v - mean_v).reshape((-1,) + (1,) * (u.ndim - 1))
-        # elementwise products: a BLAS dot here would start its own threads
-        return cls(v.size, mean_u, mean_v, (du * du).sum(axis=0),
-                   (dv * dv).sum(), (du * dv).sum(axis=0))
+        # elementwise products: a BLAS dot here would start its own threads;
+        # the squares go in place into du and dv once the cross term is done
+        c_uv = (du * dv).sum(axis=0)
+        m2_u = np.multiply(du, du, out=du).sum(axis=0)
+        m2_v = np.multiply(dv, dv, out=dv).sum()
+        return cls(v.size, mean_u, mean_v, m2_u, m2_v, c_uv)
 
     @classmethod
     def of_indicators(cls, n: int, k_u: int, k_v: int, k_uv: int) -> "RatioMoments":

@@ -10,7 +10,9 @@ share no implementation.
 All samplers are pure functions of (parameters, rng state). ``rng`` may be
 a live ``numpy.random.Generator`` or an :class:`~riskscale.rng.RngStream`
 address (which is materialized once per call). ``size=None`` returns a
-single float; an int or tuple returns an array.
+single float; an int or tuple returns an array. In-place ufuncs write only
+into the array the sampler has just drawn, with the bits of the operator
+forms (``x / rate``, ``u ** e``).
 """
 
 from __future__ import annotations
@@ -48,7 +50,8 @@ def gamma_sample(shape, rate, rng, size=None):
     shape = _require_positive("shape", shape)
     rate = _require_positive("rate", rate)
     gen = as_generator(rng)
-    out = _std_gamma(shape, gen, _flat_count(size)) / rate
+    out = _std_gamma(shape, gen, _flat_count(size))
+    np.divide(out, rate, out=out)
     if size is not None:
         out = out.reshape(size)
     return _unwrap(out, size)
@@ -72,8 +75,9 @@ def pareto_sample(index, rng, size=None):
     """Pareto draw with survival P(X > x) = x^(-index) for x >= 1."""
     index = _require_positive("index", index)
     gen = as_generator(rng)
-    u = 1.0 - gen.random(_flat_count(size))  # in (0, 1]
-    out = u ** (-1.0 / index)
+    out = gen.random(_flat_count(size))
+    np.subtract(1.0, out, out=out)  # in (0, 1]
+    np.power(out, -1.0 / index, out=out)
     if size is not None:
         out = out.reshape(size)
     return _unwrap(out, size)

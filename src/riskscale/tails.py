@@ -13,6 +13,15 @@ ratio-of-means moments and ``tail_convergence_table`` reduces per-block
 exceedance counts (``rng.reduce_blocks``), so their memory is bounded at
 any sample size n while drawing exactly the random numbers that
 ``mgb2_sample`` would.
+
+Per block, the MGB2 code works on the d components as separate contiguous
+columns; only ``mgb2_sample`` stacks them into the (m, d) rows it returns.
+Every elementwise step applies the same floating-point operation to the
+same operands as the plain operator form (``theta[:, None] ** powers * w``
+and so on), so the output bits are those of that form: the exponent of
+Theta^(1/a_i) is a full-length array, never a scalar (see
+:func:`_mgb2_columns`), and in-place ufuncs write only into arrays the
+function has just allocated.
 """
 
 from __future__ import annotations
@@ -109,18 +118,32 @@ class MGB2Model:
         return len(self.a)
 
 
-def _w_factors(model: MGB2Model, gen, m) -> np.ndarray:
-    cols = [model.b[i] * gamma_sample(model.p[i], 1.0, gen, size=m) ** (1.0 / model.a[i])
-            for i in range(model.dim)]
-    return np.column_stack(cols)
+def _w_factors(model: MGB2Model, gen, m) -> list[np.ndarray]:
+    """The d columns W_i = b_i * G_i^(1/a_i), G_i ~ Gamma(p_i, 1), drawn in
+    component order from ``gen``; each is a new contiguous array."""
+    cols = []
+    for i in range(model.dim):
+        w = gamma_sample(model.p[i], 1.0, gen, size=m)
+        np.power(w, 1.0 / model.a[i], out=w)
+        np.multiply(model.b[i], w, out=w)
+        cols.append(w)
+    return cols
 
 
-def _mgb2_rows(model: MGB2Model, block: RngStream, m: int) -> np.ndarray:
-    """The m rows that block stream ``block`` gives in :func:`mgb2_sample`."""
+def _mgb2_columns(model: MGB2Model, block: RngStream, m: int) -> list[np.ndarray]:
+    """The d columns of the m rows that block stream ``block`` gives in
+    :func:`mgb2_sample`."""
     theta = np.asarray(model.theta_law.sample(block.child(0), size=m))
-    w = _w_factors(model, block.child(1).generator(), m)
-    powers = np.array([1.0 / ai for ai in model.a])
-    return theta[:, None] ** powers[None, :] * w
+    cols = _w_factors(model, block.child(1).generator(), m)
+    for a_i, w in zip(model.a, cols):
+        # The exponent must be an array as long as theta: with a scalar
+        # exponent numpy's power loop takes its sqrt/square/reciprocal fast
+        # paths, which for 1/a_i = 0.5, 2 or -1 differ in the last bit from
+        # the general pow of the operator form theta[:, None] ** powers.
+        scale = np.full(m, 1.0 / a_i)
+        np.power(theta, scale, out=scale)
+        np.multiply(scale, w, out=w)
+    return cols
 
 
 def mgb2_sample(model: MGB2Model, n: int, stream: RngStream,
@@ -128,7 +151,7 @@ def mgb2_sample(model: MGB2Model, n: int, stream: RngStream,
     """Scale-mixture route: rows (Theta^(1/a_1) W_1, ..., Theta^(1/a_k) W_k)."""
 
     def fill(block, lo, hi):
-        return _mgb2_rows(model, block, hi - lo)
+        return np.column_stack(_mgb2_columns(model, block, hi - lo))
 
     return map_blocks(stream, n, fill, ncols=model.dim, workers=workers)
 
@@ -185,11 +208,10 @@ MIN_EXCEEDANCES = 20
 JUDGE_EXCEEDANCES = 1000
 
 
-def _exceedance_counts(x: np.ndarray, c1: float, c2: float, t_grid
-                       ) -> np.ndarray:
+def _exceedance_counts(x1: np.ndarray, x2: np.ndarray, c1: float, c2: float,
+                       t_grid) -> np.ndarray:
     """Per threshold t, the counts of the joint event {X_1 > c_1 t, X_2 > c_2 t},
     the base event {X_1 > t} and both: an int64 array of shape (len(t_grid), 3)."""
-    x1, x2 = x[:, 0], x[:, 1]
     counts = np.empty((len(t_grid), 3), dtype=np.int64)
     for i, t in enumerate(t_grid):
         joint = (x1 > c1 * t) & (x2 > c2 * t)
@@ -225,22 +247,30 @@ def tail_ratio_empirical(samples, c1: float, c2: float, t: float
     c1 = _require_positive("c1", c1)
     c2 = _require_positive("c2", c2)
     t = _require_positive("t", t)
-    counts = _exceedance_counts(samples, c1, c2, (t,))
+    counts = _exceedance_counts(samples[:, 0], samples[:, 1], c1, c2, (t,))
     return _ratio_from_counts(samples.shape[0], counts[0], t)
 
 
-def _check_limit_regime(model: MGB2Model) -> tuple[float, float]:
+def _check_limit_shape(model: MGB2Model) -> float:
+    """The common shape a = a_1 = a_2 of a model with at least 2 components."""
     if model.dim < 2:
         raise UnsupportedModelError("the joint tail limit needs at least 2 components")
     if model.a[0] != model.a[1]:
         raise UnsupportedModelError(
             f"the tail limit assumes a_1 = a_2, got {model.a[0]} and {model.a[1]}"
         )
+    return model.a[0]
+
+
+def _check_limit_regime(model: MGB2Model) -> tuple[float, float]:
+    """(a, q) of a model the joint tail limit covers: the shape check of
+    :func:`_check_limit_shape`, then a regularly varying mixer of index q."""
+    a = _check_limit_shape(model)
     try:
         q = regular_variation_index(model.theta_law)
     except ParameterError as exc:
         raise UnsupportedModelError(str(exc)) from exc
-    return model.a[0], q
+    return a, q
 
 
 def tail_dependence_limit(model: MGB2Model, c1: float, c2: float, n: int,
@@ -259,9 +289,11 @@ def tail_dependence_limit(model: MGB2Model, c1: float, c2: float, n: int,
     aq = a * q
 
     def fill(block, lo, hi):
-        w = _w_factors(model, block.generator(), hi - lo)
-        num = np.minimum(w[:, 0] / c1, w[:, 1] / c2) ** aq
-        return RatioMoments.of(num, w[:, 0] ** aq)
+        w1, w2 = _w_factors(model, block.generator(), hi - lo)[:2]
+        den = w1 ** aq  # before w1 is overwritten with w1 / c1
+        num = np.divide(w1, c1, out=w1)
+        np.minimum(num, np.divide(w2, c2, out=w2), out=num)
+        return RatioMoments.of(np.power(num, aq, out=num), den)
 
     moments = reduce_blocks(stream, int(n), fill, RatioMoments.merge,
                             workers=workers)
@@ -283,8 +315,8 @@ def tail_convergence_table(model: MGB2Model, query: TailQuery, stream: RngStream
     _check_limit_regime(model)
 
     def fill(block, lo, hi):
-        x = _mgb2_rows(model, block, hi - lo)
-        return _exceedance_counts(x, query.c1, query.c2, query.t_grid)
+        x1, x2 = _mgb2_columns(model, block, hi - lo)[:2]
+        return _exceedance_counts(x1, x2, query.c1, query.c2, query.t_grid)
 
     counts = reduce_blocks(stream.child(0), query.n, fill, np.add, workers=workers)
     limit, limit_se = tail_dependence_limit(model, query.c1, query.c2, query.n,

@@ -140,6 +140,26 @@ t_grid = 1000000
     assert "exceedances" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("old, new, key", [
+    ("c1 = 1", "c1 = -1", "c1"),
+    ("c1 = 1", "c1 = nan", "c1"),
+    ("t_grid = 2,4", "t_grid = 20,10", "t_grid"),
+    ("model.a = 1,1", "model.a = 1,2", "model.a"),
+    ("model.theta = pareto:1", "model.theta = point_mass:1", "model.theta"),
+    ("model.a = 1,1\nmodel.b = 1,1\nmodel.p = 1,1",
+     "model.a = 1\nmodel.b = 1\nmodel.p = 1", "model.a"),
+])
+def test_bad_taildep_parameters_exit_2_on_their_line(tmp_path, capsys, old, new, key):
+    text = TAILDEP.replace(old, new)
+    lineno = next(i for i, line in enumerate(text.splitlines(), start=1)
+                  if line.startswith(key + " ="))
+    config = _write(tmp_path, "bad.cfg", text)
+    assert main(["taildep", "--config", config]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"riskscale: config error: line {lineno}: {key}: ")
+    assert err.count("\n") == 1
+
+
 @pytest.mark.parametrize("command, text", [
     ("sample", LP_SAMPLE),
     ("premium", SCALAR_PREMIUM),

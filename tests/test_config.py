@@ -8,7 +8,7 @@ from riskscale.credibility import EllipticalShiftModel, GaussianShiftModel
 from riskscale.dirichlet import LpSpec, RandomPSpec, WeightedSpec
 from riskscale.errors import ConfigError
 from riskscale.radial import GammaPower, Pareto, PointMass
-from riskscale.tails import ClaytonSpec, MGB2Model
+from riskscale.tails import ClaytonSpec, MGB2Model, TailQuery, _check_limit_regime
 
 MINIMAL_SAMPLE = """
 command = sample
@@ -240,6 +240,9 @@ def test_output_path_sources():
 def test_runconfig_is_frozen():
     config = parse_config(MINIMAL_SAMPLE)
     assert isinstance(config, RunConfig)
+    if config.command == "taildep":  # parsed means runnable up to the data
+        _check_limit_regime(config.model)
+        TailQuery(c1=config.c1, c2=config.c2, t_grid=config.t_grid, n=config.n)
     with pytest.raises(AttributeError):
         config.seed = 9
 
@@ -308,3 +311,6 @@ def test_arbitrary_text_raises_only_config_error(text, command):
     except ConfigError:
         return
     assert isinstance(config, RunConfig)
+    if config.command == "taildep":  # parsed means runnable up to the data
+        _check_limit_regime(config.model)
+        TailQuery(c1=config.c1, c2=config.c2, t_grid=config.t_grid, n=config.n)

@@ -171,3 +171,22 @@ def test_mgb2_bytes_independent_of_worker_count():
     two = mgb2_sample(model, n, RngStream(81), workers=2)
     assert one.shape == (n, 2)
     assert one.tobytes() == two.tobytes()
+
+
+class TestOperatorFormBits:
+    """The in-place samplers give the bits of the operator forms they replace,
+    computed here from the same generator draws."""
+
+    M = BLOCK_ROWS + 7
+
+    @pytest.mark.parametrize("shape", [0.5, 2.5])
+    def test_gamma_matches_division(self, shape):
+        new = gamma_sample(shape, 2.5, RngStream(91), size=self.M)
+        old = RngStream(91).generator().standard_gamma(shape, size=self.M) / 2.5
+        assert new.tobytes() == old.tobytes()
+
+    @pytest.mark.parametrize("index", [1.0, 2.5])
+    def test_pareto_matches_power(self, index):
+        new = pareto_sample(index, RngStream(92), size=self.M)
+        old = (1.0 - RngStream(92).generator().random(self.M)) ** (-1.0 / index)
+        assert new.tobytes() == old.tobytes()

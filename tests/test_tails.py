@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -11,8 +12,10 @@ from riskscale.errors import (
     UnsupportedModelError,
 )
 from riskscale.gof import ks_one_sample, ks_two_sample
-from riskscale.radial import GammaPower, InvGamma, Pareto, PointMass
-from riskscale.rng import BLOCK_ROWS, RngStream, map_blocks
+from riskscale.moments import RatioMoments
+from riskscale.radial import GammaPower, InvGamma, Pareto, PointMass, \
+    regular_variation_index
+from riskscale.rng import BLOCK_ROWS, RngStream, map_blocks, reduce_blocks
 from riskscale.samplers import gamma_sample
 from riskscale.tails import (
     ClaytonSpec,
@@ -212,8 +215,8 @@ class TestTailDependenceLimit:
 
         def fill(block, lo, hi):
             w = _w_factors(model, block.generator(), hi - lo)
-            return np.column_stack([np.minimum(w[:, 0] / c1, w[:, 1] / c2) ** aq,
-                                    w[:, 0] ** aq])
+            return np.column_stack([np.minimum(w[0] / c1, w[1] / c2) ** aq,
+                                    w[0] ** aq])
 
         vals = map_blocks(RngStream(325), n, fill, ncols=2, workers=1)
         u, v = vals[:, 0], vals[:, 1]
@@ -306,3 +309,122 @@ class TestConvergenceCheck:
             TailQuery(c1=-1.0, c2=1.0, t_grid=(1.0,), n=100)
         with pytest.raises(ParameterError):
             TailQuery(c1=1.0, c2=1.0, t_grid=(), n=100)
+
+
+# -- bit identity with the operator forms -----------------------------------
+#
+# The references below are the plain operator forms the block code used to
+# run (a broadcast theta[:, None] ** powers, stacked W columns, strided
+# column reads, out-of-place squares), drawing from the same block streams.
+# The per-block code must reproduce them bit for bit. Nothing here pins
+# absolute bits: numpy's pow differs between CPUs (SVML on AVX-512 hosts).
+
+_BIT_N = 3 * BLOCK_ROWS + 7
+_BIT_MODELS = [
+    MGB2Model(a=a, b=(1.0, 2.0), p=(1.5, 0.5), theta_law=law)
+    for a in ((2.0, 3.0), (1.0, 1.0), (0.5, 4.0))
+    for law in (InvGamma(2.0), Pareto(1.0))
+]
+
+
+def _ref_theta(law, stream, m):
+    gen = stream.generator()
+    if isinstance(law, Pareto):
+        return (1.0 - gen.random(m)) ** (-1.0 / law.index)
+    return 1.0 / gen.standard_gamma(law.shape, size=m)
+
+
+def _ref_w(model, gen, m):
+    return np.column_stack([
+        model.b[i] * (gen.standard_gamma(model.p[i], size=m) / 1.0)
+        ** (1.0 / model.a[i]) for i in range(model.dim)])
+
+
+def _ref_rows(model, block, m):
+    theta = _ref_theta(model.theta_law, block.child(0), m)
+    w = _ref_w(model, block.child(1).generator(), m)
+    powers = np.array([1.0 / ai for ai in model.a])
+    return theta[:, None] ** powers[None, :] * w
+
+
+def _ref_moments(u, v):
+    du, dv = u - u.mean(axis=0), v - v.mean()
+    dv = dv.reshape((-1,) + (1,) * (u.ndim - 1))
+    return RatioMoments(v.size, u.mean(axis=0), v.mean(), (du * du).sum(axis=0),
+                        (dv * dv).sum(), (du * dv).sum(axis=0))
+
+
+def _ref_limit(model, c1, c2, n, stream):
+    aq = model.a[0] * regular_variation_index(model.theta_law)
+
+    def fill(block, lo, hi):
+        w = _ref_w(model, block.generator(), hi - lo)
+        return _ref_moments(np.minimum(w[:, 0] / c1, w[:, 1] / c2) ** aq,
+                            w[:, 0] ** aq)
+
+    ratio, se = reduce_blocks(stream, n, fill, RatioMoments.merge,
+                              workers=1).estimate()
+    return float(ratio), float(se)
+
+
+class TestOperatorFormBits:
+    @pytest.mark.parametrize("model", _BIT_MODELS, ids=lambda m: (
+        f"a={m.a[0]:g},{m.a[1]:g}-{type(m.theta_law).__name__}"))
+    def test_mgb2_sample_matches_broadcast_power(self, model):
+        s = RngStream(331)
+        ref = map_blocks(s, _BIT_N, lambda b, lo, hi: _ref_rows(model, b, hi - lo),
+                         ncols=2, workers=1)
+        for workers in (1, 2):
+            assert mgb2_sample(model, _BIT_N, s, workers=workers).tobytes() \
+                == ref.tobytes()
+
+    @pytest.mark.parametrize("a,law,c1,c2", [
+        ((1.0, 1.0), Pareto(1.0), 1.0, 1.0),      # aq = 1, the verify case
+        ((2.0, 2.0), InvGamma(1.5), 0.8, 1.3),    # aq = 3
+        ((0.5, 0.5), Pareto(1.0), 1.0, 0.5),      # aq = 0.5
+        ((1.0, 1.0), InvGamma(2.0), 2.0, 1.0),    # aq = 2
+    ])
+    def test_tail_dependence_limit_matches_operator_form(self, a, law, c1, c2):
+        model = MGB2Model(a=a + (3.0,), b=(1.0, 1.5, 2.0), p=(1.5, 0.7, 2.0),
+                          theta_law=law)
+        ref = _ref_limit(model, c1, c2, _BIT_N, RngStream(332))
+        for workers in (1, 2):
+            assert tail_dependence_limit(model, c1, c2, _BIT_N, RngStream(332),
+                                         workers=workers) == ref
+
+    @pytest.mark.parametrize("model", [_exp_model(), MGB2Model(
+        a=(2.0, 2.0), b=(1.0, 1.5), p=(1.5, 0.7), theta_law=InvGamma(1.5))])
+    def test_tail_convergence_table_matches_operator_form(self, model):
+        query = TailQuery(c1=0.7, c2=1.4, t_grid=(0.5, 1.0, 3.0, 8.0), n=_BIT_N)
+        s = RngStream(333)
+        rows = map_blocks(s.child(0), _BIT_N,
+                          lambda b, lo, hi: _ref_rows(model, b, hi - lo),
+                          ncols=2, workers=1)
+        limit = _ref_limit(model, query.c1, query.c2, _BIT_N, s.child(1))
+        x1, x2 = rows[:, 0], rows[:, 1]
+        expected = []
+        for t in query.t_grid:
+            joint = (x1 > query.c1 * t) & (x2 > query.c2 * t)
+            base = x1 > t
+            if base.sum() < 20:
+                continue
+            ratio, se = RatioMoments.of_indicators(
+                _BIT_N, joint.sum(), base.sum(), (joint & base).sum()).estimate()
+            expected.append({"t": t, "empirical_ratio": float(ratio),
+                             "stderr": float(se), "limit_estimate": limit[0],
+                             "limit_stderr": limit[1],
+                             "exceedances": int(base.sum())})
+        assert expected
+        for workers in (1, 2):
+            assert tail_convergence_table(model, query, s, workers=workers) == expected
+
+    def test_ratio_moments_match_out_of_place_squares(self):
+        gen = RngStream(334).generator()
+        v = gen.standard_gamma(1.5, size=1001)
+        for u in (gen.standard_gamma(0.7, size=1001),
+                  gen.standard_gamma(2.0, size=(1001, 3))):
+            u_before = u.copy()
+            new, ref = RatioMoments.of(u, v), _ref_moments(u, v)
+            assert [np.asarray(f).tobytes() for f in astuple(new)] \
+                == [np.asarray(f).tobytes() for f in astuple(ref)]
+            assert u.tobytes() == u_before.tobytes()  # the input is not written
