@@ -4,16 +4,21 @@ Usage: ``riskscale <command> --config <path> [--seed N] [--out <path>]``
 with commands sample, premium, taildep, and verify. Results are CSV files
 (17 significant digits, '.' decimal separator) or, for verify, a line-per-
 check report. Identical configuration and seed produce byte-identical
-output. CSVs are streamed BLOCK_ROWS rows at a time, each block formatted
-by one ``%`` call, so memory does not grow with the formatted text. The
-output is opened only once the results are computed, so a failed run
-leaves no file. The RISKSCALE_THREADS environment variable caps the worker
-count. Thresholds that ``taildep`` drops for too few exceedances are named
-on stderr.
+output. CSV values are formatted by :func:`csvfmt.format_rows`, which gives
+exactly the text of ``"%.17g"`` from whole-array numpy passes (exact
+digits by Dekker's two-product; ``%`` itself only for nan, inf, zero and
+the scientific range). The rows go in CSV_CHUNK_ROWS-row chunks through the
+worker pool of ``rng.ordered_map`` and are written in chunk order, so the
+bytes do not depend on the worker count and memory does not grow with the
+formatted text. The output is opened only once the results are computed, so
+a failed run leaves no file. The RISKSCALE_THREADS environment variable
+caps the worker count. Thresholds that ``taildep`` drops for too few
+exceedances are named on stderr.
 
 Exit status: 0 ok, 1 verification check failed, 2 usage or parse error
 (including a RISKSCALE_THREADS that is not an integer) or an output that
-cannot be written, 3 numeric/model error or out of memory.
+cannot be written, 3 numeric/model error, out of memory, or any other
+exception (an internal error, reported on one line without a traceback).
 """
 
 from __future__ import annotations
@@ -31,6 +36,7 @@ from .credibility import (
     premium_elliptical,
     premium_gaussian,
 )
+from .csvfmt import format_rows
 from .dirichlet import (
     LpSpec,
     RandomPSpec,
@@ -41,40 +47,55 @@ from .dirichlet import (
 )
 from .errors import ConfigError, OutputError, RiskscaleError
 from .radial import PointMass
-from .rng import BLOCK_ROWS, RngStream, resolve_workers
+from .rng import BLOCK_ROWS, RngStream, ordered_map, resolve_workers
 from .tails import ClaytonSpec, MGB2Model, TailQuery, mgb2_sample, \
     scale_mixture_exp_sample, tail_convergence_table
 from .verify import builtin_verify_suite, render_report
 
 SPHERE_AUDIT_TOL = 1e-12
 
+#: Rows per formatted CSV chunk. Small, so that the numpy temporaries of the
+#: chunks in flight add little to peak memory.
+CSV_CHUNK_ROWS = 4096
+
 
 @contextlib.contextmanager
 def _output(path: str | None):
-    """Text stream for the run's output; I/O failures become OutputError."""
+    """``write(bytes)`` for the run's output; I/O failures become OutputError.
+
+    Standard output is written through its binary buffer, or as ASCII text
+    where it has none (say, under ``contextlib.redirect_stdout``).
+    """
     try:
         if path is None:
-            yield sys.stdout
             sys.stdout.flush()
+            buffer = getattr(sys.stdout, "buffer", None)
+            if buffer is None:
+                yield lambda data: sys.stdout.write(data.decode("ascii"))
+                sys.stdout.flush()
+            else:
+                yield buffer.write
+                buffer.flush()
         else:
-            with open(path, "w", encoding="ascii", newline="\n") as fh:
-                yield fh
+            with open(path, "wb") as fh:
+                yield fh.write
     except OSError as exc:
         raise OutputError(f"cannot write output: {exc}") from exc
 
 
-def _write_csv(path: str | None, header: list[str], rows: np.ndarray) -> None:
-    """Write header and rows, BLOCK_ROWS rows per formatted string.
+def _write_csv(path: str | None, header: list[str], rows: np.ndarray,
+               workers: int | None = None) -> None:
+    """Write the header and the rows, one "%.17g" text per value.
 
     "%.17g" gives the same text as format(float(v), ".17g") for every
     double, nan, inf and -0.0 included, so doubles round-trip losslessly.
+    Chunks are formatted on up to ``workers`` threads and written in order.
     """
-    line = ",".join(["%.17g"] * len(header)) + "\n"
-    with _output(path) as fh:
-        fh.write(",".join(header) + "\n")
-        for lo in range(0, len(rows), BLOCK_ROWS):
-            block = rows[lo:lo + BLOCK_ROWS]
-            fh.write(line * len(block) % tuple(block.ravel().tolist()))
+    chunks = [rows[lo:lo + CSV_CHUNK_ROWS] for lo in range(0, len(rows), CSV_CHUNK_ROWS)]
+    with _output(path) as write:
+        write((",".join(header) + "\n").encode("ascii"))
+        for text in ordered_map(format_rows, chunks, workers):
+            write(text)
 
 
 def _run_sample(config: RunConfig, stream: RngStream,
@@ -99,15 +120,25 @@ def _run_sample(config: RunConfig, stream: RngStream,
     return [f"x{i + 1}" for i in range(rows.shape[1])], rows
 
 
-def _sphere_audit(spec, radial: PointMass, rows: np.ndarray) -> None:
+def _sphere_audit(spec, radial: PointMass, rows: np.ndarray) -> float:
+    """Max over rows of | ||row / r||_p^p - 1 |, BLOCK_ROWS rows at a time.
+
+    Returns the deviation; raises RiskscaleError when it exceeds the
+    tolerance or is nan.
+    """
     base = spec.base if isinstance(spec, WeightedSpec) else spec
-    scaled = np.abs(rows) / radial.value
-    deviation = float(np.abs((scaled ** base.p).sum(axis=1) - 1.0).max())
-    if deviation > SPHERE_AUDIT_TOL:
+    deviation = -np.inf
+    for lo in range(0, len(rows), BLOCK_ROWS):
+        scaled = np.abs(rows[lo:lo + BLOCK_ROWS]) / radial.value
+        block = np.abs((scaled ** base.p).sum(axis=1) - 1.0).max()
+        deviation = np.maximum(deviation, block)  # a nan row makes it nan
+    deviation = float(deviation)
+    if not deviation <= SPHERE_AUDIT_TOL:  # nan fails too
         raise RiskscaleError(
             f"sphere self-audit failed: max deviation {deviation:.3e} "
             f"exceeds {SPHERE_AUDIT_TOL:g}"
         )
+    return deviation
 
 
 def _run_premium(config: RunConfig) -> tuple[list[str], np.ndarray]:
@@ -138,8 +169,8 @@ def run(config: RunConfig, workers: int | None = None) -> int:
     stream = RngStream(config.seed)
     if config.command == "verify":
         result = builtin_verify_suite(config.seed, workers=workers)
-        with _output(config.output_path) as fh:
-            fh.write(render_report(result))
+        with _output(config.output_path) as write:
+            write(render_report(result).encode("ascii"))
         return 0 if result.overall_pass else 1
     if config.command == "sample":
         header, rows = _run_sample(config, stream, workers)
@@ -147,7 +178,7 @@ def run(config: RunConfig, workers: int | None = None) -> int:
         header, rows = _run_premium(config)
     else:
         header, rows = _run_taildep(config, stream, workers)
-    _write_csv(config.output_path, header, rows)
+    _write_csv(config.output_path, header, rows, workers)
     return 0
 
 
@@ -196,6 +227,11 @@ def main(argv=None) -> int:
         return 3
     except MemoryError:
         print(f"riskscale: out of memory running {args.command}", file=sys.stderr)
+        return 3
+    except Exception as exc:  # a bug, or a user hook or callback that raised
+        message = " ".join(str(exc).split())
+        print(f"riskscale: internal error: {type(exc).__name__}: {message}",
+              file=sys.stderr)
         return 3
 
 

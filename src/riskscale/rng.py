@@ -11,10 +11,13 @@ worker threads happened to process the blocks.
 :func:`map_blocks` assembles the blocks into one array; :func:`reduce_blocks`
 keeps only a small partial result per block (moments, counts) and combines
 the partials in block order, so its memory is bounded at any row count.
+Both run on :func:`ordered_map`, the package's one thread-pool driver,
+which the CSV writer also uses to format its chunks.
 """
 
 from __future__ import annotations
 
+import collections
 import functools
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -98,26 +101,48 @@ def pool_size(workers: int | None, blocks: int) -> int:
     return max(1, min(resolve_workers(workers), blocks))
 
 
+def ordered_map(fn, items, workers: int | None = None):
+    """Yield ``fn(item)`` for every item of the sequence ``items``, in order.
+
+    ``pool_size(workers, len(items))`` threads make the calls. At most twice
+    that many calls are in flight (submitted and not yet yielded), so a slow
+    consumer holds back the workers instead of letting results pile up.
+    With one worker, ``fn`` runs in the calling thread and no pool starts.
+    The package's one thread-pool driver.
+    """
+    nworkers = pool_size(workers, len(items))
+    if nworkers == 1:
+        yield from map(fn, items)
+        return
+    with ThreadPoolExecutor(max_workers=nworkers) as pool:
+        pending = collections.deque()
+        try:
+            for item in items:
+                if len(pending) == 2 * nworkers:
+                    yield pending.popleft().result()
+                pending.append(pool.submit(fn, item))
+            while pending:
+                yield pending.popleft().result()
+        finally:
+            for future in pending:
+                future.cancel()
+
+
 def _run_blocks(stream: RngStream, n: int, task, workers: int | None):
     """Yield ``task(stream.child(b), lo, hi)`` for every block b, in block order.
 
-    The one block driver behind :func:`map_blocks` and :func:`reduce_blocks`:
+    The block driver behind :func:`map_blocks` and :func:`reduce_blocks`:
     block b covers rows [b * BLOCK_ROWS, min((b + 1) * BLOCK_ROWS, n)) and
-    runs on ``stream.child(b)``; ``pool_size`` threads share the blocks.
+    runs on ``stream.child(b)``; :func:`ordered_map` shares the blocks out.
     """
     ranges = [(b, lo, min(lo + BLOCK_ROWS, n))
               for b, lo in enumerate(range(0, n, BLOCK_ROWS))]
-    nworkers = pool_size(workers, len(ranges))
 
     def run(task_range):
         b, lo, hi = task_range
         return task(stream.child(b), lo, hi)
 
-    if nworkers == 1:
-        yield from map(run, ranges)
-    else:
-        with ThreadPoolExecutor(max_workers=nworkers) as pool:
-            yield from pool.map(run, ranges)
+    yield from ordered_map(run, ranges, workers)
 
 
 def map_blocks(stream: RngStream, n: int, fill, ncols: int | None = None,

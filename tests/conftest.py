@@ -1,3 +1,5 @@
+from concurrent.futures import Future
+
 import pytest
 
 from riskscale.verify import builtin_verify_suite
@@ -11,3 +13,41 @@ def verify_seed42():
     result; the report is frozen, so no test can alter it for the next.
     """
     return builtin_verify_suite(seed=42, workers=1)
+
+
+class InlinePool:
+    """Stands in for ThreadPoolExecutor: runs each call when it is submitted.
+
+    Records the pool sizes asked for and counts submissions, so a test can
+    check the thread count and the calls in flight without starting a thread.
+    """
+
+    def __init__(self):
+        self.sizes = []
+        self.submitted = 0
+
+    def __call__(self, max_workers):
+        self.sizes.append(max_workers)
+        return self
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        return False
+
+    def submit(self, fn, *args):
+        self.submitted += 1
+        future = Future()
+        future.set_result(fn(*args))
+        return future
+
+
+@pytest.fixture
+def inline_pool(monkeypatch):
+    """Replace rng's thread pool by an InlinePool and return it."""
+    from riskscale import rng
+
+    pool = InlinePool()
+    monkeypatch.setattr(rng, "ThreadPoolExecutor", pool)
+    return pool

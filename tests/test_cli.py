@@ -1,10 +1,16 @@
+import contextlib
+import io
+
 import numpy as np
 import pytest
 
 import riskscale.cli as cli
 import riskscale.verify as verify
-from riskscale.cli import main
+from riskscale.cli import CSV_CHUNK_ROWS, main
+from riskscale.dirichlet import LpSpec, WeightedSpec
+from riskscale.errors import RiskscaleError
 from riskscale.gof import GofReport
+from riskscale.radial import PointMass
 from riskscale.rng import BLOCK_ROWS
 
 SCALAR_PREMIUM = """
@@ -268,6 +274,20 @@ def test_failed_sphere_audit_leaves_no_file(tmp_path, monkeypatch, capsys):
     assert not out.exists()
 
 
+def test_sphere_audit_rejects_nan_rows(tmp_path, monkeypatch, capsys):
+    def nan_rows(spec, radial, n, stream, workers=None):
+        rows = np.full((n, 3), np.sqrt(1 / 3))
+        rows[n // 2, 1] = np.nan
+        return rows
+
+    monkeypatch.setattr(cli, "lp_dirichlet_sample", nan_rows)
+    config = _write(tmp_path, "sample.cfg", LP_SAMPLE)
+    out = tmp_path / "sample.csv"
+    assert main(["sample", "--config", config, "--out", str(out)]) == 3
+    assert "max deviation nan exceeds" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_out_of_memory_exit_code(tmp_path, monkeypatch, capsys):
     def exhausted(spec, radial, n, stream, workers=None):
         raise MemoryError
@@ -312,3 +332,130 @@ def test_taildep_names_dropped_thresholds(tmp_path, capsys):
     assert capsys.readouterr().err == ""
     assert len(out.read_text().splitlines()) == 3
     assert out.read_bytes() == out_kept.read_bytes()
+
+
+def _per_value_text(header, rows):
+    return (",".join(header) + "\n" + "".join(
+        ",".join(format(float(v), ".17g") for v in row) + "\n"
+        for row in rows.tolist())).encode("ascii")
+
+
+def _rows_with_fallback_chunk():
+    # three chunks; the second holds only values that "%" formats itself
+    gen = np.random.default_rng(5)
+    rows = gen.standard_normal((3 * CSV_CHUNK_ROWS - 7, 3)) * 10.0 ** gen.integers(
+        -6, 19, (3 * CSV_CHUNK_ROWS - 7, 3))
+    special = np.array([np.nan, np.inf, -np.inf, 0.0, -0.0, 5e-324, -3e-5, 2e17, -1e300])
+    rows[CSV_CHUNK_ROWS:2 * CSV_CHUNK_ROWS] = np.resize(special, (CSV_CHUNK_ROWS, 3))
+    return rows
+
+
+@pytest.mark.parametrize("threads", [1, 2, 4])
+def test_csv_writer_bytes_at_any_thread_count(tmp_path, threads):
+    rows = _rows_with_fallback_chunk()
+    out = tmp_path / "rows.csv"
+    cli._write_csv(str(out), ["a", "b", "c"], rows, workers=threads)
+    assert out.read_bytes() == _per_value_text(["a", "b", "c"], rows)
+
+
+@pytest.mark.parametrize("command, text", [
+    ("sample", LP_SAMPLE.replace("n = 200", f"n = {BLOCK_ROWS + 3 * CSV_CHUNK_ROWS + 5}")),
+    ("taildep", TAILDEP),
+])
+def test_same_bytes_at_1_2_and_4_threads(tmp_path, monkeypatch, command, text):
+    config = _write(tmp_path, "run.cfg", text)
+    outputs = []
+    for threads in ("1", "2", "4"):
+        monkeypatch.setenv("RISKSCALE_THREADS", threads)
+        out = tmp_path / f"out{threads}.csv"
+        assert main([command, "--config", config, "--out", str(out)]) == 0
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1] == outputs[2]
+    assert outputs[0].count(b"\n") > 2
+
+
+@pytest.mark.parametrize("workers, chunks", [(2, 10), (10**6, 3)])
+def test_csv_chunks_in_flight_are_bounded(monkeypatch, inline_pool, workers, chunks):
+    written = []
+
+    @contextlib.contextmanager
+    def collect(path):
+        yield written.append
+
+    in_flight = []
+    format_rows = cli.format_rows
+
+    def spy(chunk):
+        # the pool runs a call when it is submitted; written[0] is the header
+        in_flight.append(inline_pool.submitted - (len(written) - 1))
+        return format_rows(chunk)
+
+    monkeypatch.setattr(cli, "_output", collect)
+    monkeypatch.setattr(cli, "format_rows", spy)
+    rows = np.arange(chunks * CSV_CHUNK_ROWS * 2, dtype=np.float64).reshape(-1, 2) / 7
+    cli._write_csv(None, ["a", "b"], rows, workers=workers)
+    pool = min(workers, chunks)
+    assert inline_pool.sizes == [pool]
+    assert len(in_flight) == chunks and max(in_flight) == min(2 * pool, chunks)
+    assert b"".join(written) == _per_value_text(["a", "b"], rows)
+
+
+def test_stdout_without_binary_buffer(tmp_path):
+    config = _write(tmp_path, "premium.cfg", SCALAR_PREMIUM)
+    text = io.StringIO()
+    with contextlib.redirect_stdout(text):
+        assert main(["premium", "--config", config]) == 0
+    assert text.getvalue() == "p1\n3\n"
+
+
+def test_unexpected_exception_in_sampler_exits_3(tmp_path, monkeypatch, capsys):
+    def broken(spec, radial, n, stream, workers=None):
+        return 1 / 0
+
+    monkeypatch.setattr(cli, "lp_dirichlet_sample", broken)
+    config = _write(tmp_path, "sample.cfg", LP_SAMPLE)
+    out = tmp_path / "sample.csv"
+    assert main(["sample", "--config", config, "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err == "riskscale: internal error: ZeroDivisionError: division by zero\n"
+    assert not out.exists()
+
+
+def test_unexpected_exception_in_check_exits_3_not_1(tmp_path, monkeypatch, capsys):
+    def broken(seed, workers=None):
+        raise KeyError("missing\nkey")
+
+    monkeypatch.setattr(verify, "CHECKS",
+                        (lambda seed, workers=None: GofReport("stub", 0.0, 1.0, True, 1),
+                         broken))
+    config = _write(tmp_path, "verify.cfg", "command = verify\nseed = 42\n")
+    out = tmp_path / "report.txt"
+    assert main(["verify", "--config", config, "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err == "riskscale: internal error: KeyError: 'missing\\nkey'\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("spec, radius", [
+    (LpSpec((1.0, 1.0, 2.0), 2.0), 1.0),
+    (LpSpec((0.5, 2.0, 1.0), 3.0), 2.5),
+    (WeightedSpec(LpSpec((1.0, 2.0, 1.5), 1.5), (1.0, 0.25, 0.5)), 1.0),
+])
+def test_sphere_audit_streams_blocks_with_the_same_max(spec, radius):
+    base = spec.base if isinstance(spec, WeightedSpec) else spec
+    gen = np.random.default_rng(3)
+    n = 2 * BLOCK_ROWS + 5
+    direction = np.abs(gen.standard_normal((n, 3))) + 0.1
+    direction /= (direction ** base.p).sum(axis=1, keepdims=True) ** (1 / base.p)
+    rows = radius * direction * np.where(gen.random((n, 3)) < 0.5, -1.0, 1.0)
+
+    def whole_array(rows):
+        return float(np.abs(((np.abs(rows) / radius) ** base.p).sum(axis=1) - 1.0).max())
+
+    deviation = cli._sphere_audit(spec, PointMass(radius), rows)
+    assert deviation == whole_array(rows) and 0.0 < deviation <= cli.SPHERE_AUDIT_TOL
+
+    rows[-1] *= 1.0 + 1e-9  # the largest deviation now sits in the last block
+    with pytest.raises(RiskscaleError) as excinfo:
+        cli._sphere_audit(spec, PointMass(radius), rows)
+    assert f"max deviation {whole_array(rows):.3e} exceeds" in str(excinfo.value)

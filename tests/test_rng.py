@@ -1,9 +1,12 @@
+import sys
+import time
+
 import numpy as np
 import pytest
 
 from riskscale import rng
-from riskscale.rng import (BLOCK_ROWS, RngStream, as_generator, map_blocks, pool_size,
-                           reduce_blocks, resolve_workers)
+from riskscale.rng import (BLOCK_ROWS, RngStream, as_generator, map_blocks, ordered_map,
+                           pool_size, reduce_blocks, resolve_workers)
 
 
 def test_same_address_replays_identical_sequence():
@@ -133,3 +136,45 @@ def test_reduce_blocks_pool_size(monkeypatch):
 def test_reduce_blocks_rejects_empty():
     with pytest.raises(ValueError):
         reduce_blocks(RngStream(15), 0, _block_mean, lambda a, b: a + b)
+
+
+def test_ordered_map_bounds_calls_in_flight(inline_pool):
+    # each call runs at submission, so submitted - yielded is what is in flight
+    in_flight = []
+    for yielded, value in enumerate(ordered_map(lambda i: i * i, range(50), workers=3)):
+        assert value == yielded * yielded
+        in_flight.append(inline_pool.submitted - yielded)
+    assert inline_pool.sizes == [3]
+    assert max(in_flight) == 2 * 3 and inline_pool.submitted == 50
+
+
+def test_ordered_map_clamps_threads_to_items(inline_pool):
+    assert list(ordered_map(str, range(3), workers=10**6)) == ["0", "1", "2"]
+    assert list(ordered_map(str, range(5), workers=1)) == [str(i) for i in range(5)]
+    assert list(ordered_map(str, [], workers=4)) == []
+    assert inline_pool.sizes == [3]
+
+
+def test_ordered_map_keeps_order_on_real_threads():
+    # more workers than cores and frequent thread switches
+    def slow_first(i):
+        if i == 0:
+            time.sleep(0.05)
+        return i
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        assert list(ordered_map(slow_first, range(200), workers=8)) == list(range(200))
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_ordered_map_raises_the_call_error():
+    def fail_on_three(i):
+        if i == 3:
+            raise ZeroDivisionError("three")
+        return i
+
+    with pytest.raises(ZeroDivisionError, match="three"):
+        list(ordered_map(fail_on_three, range(10), workers=2))
