@@ -40,7 +40,8 @@ by a boolean mask per value from a table keyed by (X, kept fraction
 digits, sign), and one boolean compaction per chunk yields the text. Values
 outside the window (nan, +-inf, +-0.0, |x| < 1e-4 and the scientific
 notation of |x| >= 1e17) are formatted one at a time by ``%`` and written
-into their record instead.
+into their record instead; a chunk with no value in the window skips the
+digit and record steps and is formatted by one ``%`` call.
 """
 
 from __future__ import annotations
@@ -153,6 +154,9 @@ def format_rows(rows: np.ndarray) -> bytes:
     values = rows.ravel()
     mag = np.abs(values)
     fallback = ~((mag >= 1e-4) & (mag < 1e17))  # nan compares false
+    if fallback.all():  # nothing for the digit pipeline: one "%" call
+        line = ",".join(["%.17g"] * rows.shape[1]) + "\n"
+        return ((line * rows.shape[0]) % tuple(values.tolist())).encode("ascii")
     x, n = _digits(np.where(fallback, 1.0, mag))
 
     top = n // 10 ** 8

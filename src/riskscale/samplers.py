@@ -13,6 +13,12 @@ address (which is materialized once per call). ``size=None`` returns a
 single float; an int or tuple returns an array. In-place ufuncs write only
 into the array the sampler has just drawn, with the bits of the operator
 forms (``x / rate``, ``u ** e``).
+
+Identity steps are skipped: :func:`_scale` makes no pass for a factor or
+divisor of exactly 1 and :func:`_power` none for an exponent of exactly 1
+(so ``gamma_sample`` at rate 1 returns the kernel's draws as they are).
+x * 1, x / 1 and pow(x, 1) are x bit for bit, so the output bits are
+those of the operator forms either way.
 """
 
 from __future__ import annotations
@@ -40,6 +46,32 @@ def _flat_count(size) -> int:
     return int(np.prod(size))
 
 
+def _scale(x: np.ndarray, factor: float, op=np.multiply) -> np.ndarray:
+    """``op(x, factor)`` written over x; no pass when ``factor`` is exactly 1
+    (x * 1 and x / 1 are x bit for bit). Returns x."""
+    if factor != 1.0:
+        op(x, factor, out=x)
+    return x
+
+
+def _power(x: np.ndarray, exponent: float, out=None) -> np.ndarray:
+    """``x ** exponent`` written over x, or into ``out`` with the exponent
+    filled in as an array; x itself, with no pass, when ``exponent`` is
+    exactly 1 (pow(x, 1) is x bit for bit).
+
+    A scalar exponent may take numpy's sqrt/square/reciprocal fast paths,
+    which for 0.5, 2 or -1 differ in the last bit from the general pow that
+    an array exponent gets, so each caller picks the form of the operator
+    expression it stands for.
+    """
+    if exponent == 1.0:
+        return x
+    if out is None:
+        return np.power(x, exponent, out=x)
+    out.fill(exponent)
+    return np.power(x, out, out=out)
+
+
 def _std_gamma(shape: float, gen: np.random.Generator, count: int) -> np.ndarray:
     """Standard Gamma(shape, 1) draws: the one Gamma kernel behind every sampler."""
     return gen.standard_gamma(shape, size=count)
@@ -50,8 +82,7 @@ def gamma_sample(shape, rate, rng, size=None):
     shape = _require_positive("shape", shape)
     rate = _require_positive("rate", rate)
     gen = as_generator(rng)
-    out = _std_gamma(shape, gen, _flat_count(size))
-    np.divide(out, rate, out=out)
+    out = _scale(_std_gamma(shape, gen, _flat_count(size)), rate, np.divide)
     if size is not None:
         out = out.reshape(size)
     return _unwrap(out, size)

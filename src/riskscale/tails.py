@@ -8,11 +8,14 @@ P(X_1 > c_1 t, X_2 > c_2 t) / P(X_1 > t), whose limit under a regularly
 varying mixer is I(c_1, c_2) = E[min(W_1/c_1, W_2/c_2)^(aq)] / E[W_1^(aq)]
 (Breiman's lemma).
 
-The tail estimators stream: ``tail_dependence_limit`` reduces per-block
+The tail estimators stream: ``tail_dependence_limits`` reduces per-block
 ratio-of-means moments and ``tail_convergence_table`` reduces per-block
 exceedance counts (``rng.reduce_blocks``), so their memory is bounded at
 any sample size n while drawing exactly the random numbers that
-``mgb2_sample`` would.
+``mgb2_sample`` would. ``tail_dependence_limits`` gives the limit for
+several (c_1, c_2) pairs from one pass over the same W draws, and the tail
+estimators draw only W_1 and W_2 (the columns they read): W_3..W_d come
+after them from the same generator, so leaving them out changes no bit.
 
 Per block, the MGB2 code works on the d components as separate contiguous
 columns; only ``mgb2_sample`` stacks them into the (m, d) rows it returns.
@@ -21,7 +24,11 @@ same operands as the plain operator form (``theta[:, None] ** powers * w``
 and so on), so the output bits are those of that form: the exponent of
 Theta^(1/a_i) is a full-length array, never a scalar (see
 :func:`_mgb2_columns`), and in-place ufuncs write only into arrays the
-function has just allocated.
+function has just allocated. Steps by a factor, divisor or exponent of
+exactly 1 (b_i = 1, a_i = 1, c = 1, aq = 1, a unit Gamma rate) are skipped
+through ``samplers._scale`` and ``samplers._power``: x * 1, x / 1 and
+pow(x, 1) are x bit for bit, so skipping them leaves the output bits as
+they were.
 """
 
 from __future__ import annotations
@@ -39,7 +46,7 @@ from .gof import GofReport, report
 from .moments import RatioMoments
 from .radial import RadialLaw, regular_variation_index
 from .rng import RngStream, map_blocks, reduce_blocks
-from .samplers import _require_positive, gamma_sample
+from .samplers import _power, _require_positive, _scale, gamma_sample
 
 
 @dataclass(frozen=True)
@@ -118,31 +125,31 @@ class MGB2Model:
         return len(self.a)
 
 
-def _w_factors(model: MGB2Model, gen, m) -> list[np.ndarray]:
-    """The d columns W_i = b_i * G_i^(1/a_i), G_i ~ Gamma(p_i, 1), drawn in
-    component order from ``gen``; each is a new contiguous array."""
+def _w_factors(model: MGB2Model, gen, m, count=None) -> list[np.ndarray]:
+    """The first ``count`` (default: all d) columns W_i = b_i * G_i^(1/a_i),
+    G_i ~ Gamma(p_i, 1), drawn in component order from ``gen``; each is a
+    new contiguous array."""
     cols = []
-    for i in range(model.dim):
+    for i in range(model.dim if count is None else count):
         w = gamma_sample(model.p[i], 1.0, gen, size=m)
-        np.power(w, 1.0 / model.a[i], out=w)
-        np.multiply(model.b[i], w, out=w)
-        cols.append(w)
+        cols.append(_scale(_power(w, 1.0 / model.a[i]), model.b[i]))
     return cols
 
 
-def _mgb2_columns(model: MGB2Model, block: RngStream, m: int) -> list[np.ndarray]:
-    """The d columns of the m rows that block stream ``block`` gives in
-    :func:`mgb2_sample`."""
+def _mgb2_columns(model: MGB2Model, block: RngStream, m: int,
+                  count=None) -> list[np.ndarray]:
+    """The first ``count`` (default: all d) columns of the m rows that block
+    stream ``block`` gives in :func:`mgb2_sample`."""
     theta = np.asarray(model.theta_law.sample(block.child(0), size=m))
-    cols = _w_factors(model, block.child(1).generator(), m)
+    cols = _w_factors(model, block.child(1).generator(), m, count)
+    scale = np.empty(m)
     for a_i, w in zip(model.a, cols):
-        # The exponent must be an array as long as theta: with a scalar
-        # exponent numpy's power loop takes its sqrt/square/reciprocal fast
-        # paths, which for 1/a_i = 0.5, 2 or -1 differ in the last bit from
-        # the general pow of the operator form theta[:, None] ** powers.
-        scale = np.full(m, 1.0 / a_i)
-        np.power(theta, scale, out=scale)
-        np.multiply(scale, w, out=w)
+        # The exponent goes to pow as an array as long as theta (filled into
+        # ``scale``), like the operator form theta[:, None] ** powers: with
+        # a scalar exponent numpy's power loop takes its sqrt/square/
+        # reciprocal fast paths, which for 1/a_i = 0.5, 2 or -1 differ in
+        # the last bit. At a_i = 1 the factor is theta itself.
+        np.multiply(_power(theta, 1.0 / a_i, out=scale), w, out=w)
     return cols
 
 
@@ -273,32 +280,58 @@ def _check_limit_regime(model: MGB2Model) -> tuple[float, float]:
     return a, q
 
 
-def tail_dependence_limit(model: MGB2Model, c1: float, c2: float, n: int,
-                          stream: RngStream, workers=None) -> tuple[float, float]:
-    """Monte Carlo estimate of I(c_1, c_2) = E[min(W_1/c_1, W_2/c_2)^(aq)] / E[W_1^(aq)].
+def _min_ratio_power(w1, w2, c1: float, c2: float, aq: float) -> np.ndarray:
+    """min(w1 / c1, w2 / c2) ** aq, written over w1 and w2."""
+    num = _scale(w1, c1, np.divide)
+    np.minimum(num, _scale(w2, c2, np.divide), out=num)
+    return _power(num, aq)
 
-    Requires a_1 = a_2 and a regularly varying mixing law (Pareto or
-    inverse-Gamma), whose index q enters the moment exponent. The W factors
-    are Gamma powers, so every moment used here is finite. Standard error by
-    the delta method on the ratio of means, whose moments are reduced block
-    by block (memory does not grow with n).
+
+def _merge_each(left: list, right: list) -> list:
+    """Merge two blocks' per-pair moments, pair by pair."""
+    return [a.merge(b) for a, b in zip(left, right)]
+
+
+def tail_dependence_limits(model: MGB2Model, pairs, n: int, stream: RngStream,
+                           workers=None) -> list[tuple[float, float]]:
+    """Monte Carlo estimates of I(c_1, c_2) = E[min(W_1/c_1, W_2/c_2)^(aq)] / E[W_1^(aq)]
+    with their standard errors, one per (c_1, c_2) pair of ``pairs``.
+
+    All pairs share one pass over the same n draws of (W_1, W_2), so each
+    estimate has exactly the bits that :func:`tail_dependence_limit` gives
+    for its pair alone on the same stream. Requires a_1 = a_2 and a
+    regularly varying mixing law (Pareto or inverse-Gamma), whose index q
+    enters the moment exponent. The W factors are Gamma powers, so every
+    moment used here is finite. Standard errors by the delta method on the
+    ratio of means, whose moments are reduced block by block (memory does
+    not grow with n).
     """
     a, q = _check_limit_regime(model)
-    c1 = _require_positive("c1", c1)
-    c2 = _require_positive("c2", c2)
+    pairs = [(_require_positive("c1", c1), _require_positive("c2", c2))
+             for c1, c2 in pairs]
+    if not pairs:
+        raise ParameterError("pairs must name at least one (c1, c2)")
     aq = a * q
+    *first, last = pairs
 
     def fill(block, lo, hi):
-        w1, w2 = _w_factors(model, block.generator(), hi - lo)[:2]
-        den = w1 ** aq  # before w1 is overwritten with w1 / c1
-        num = np.divide(w1, c1, out=w1)
-        np.minimum(num, np.divide(w2, c2, out=w2), out=num)
-        return RatioMoments.of(np.power(num, aq, out=num), den)
+        w1, w2 = _w_factors(model, block.generator(), hi - lo, 2)
+        den = w1 ** aq  # a new array even at aq = 1: the last pair writes w1
+        moments = [RatioMoments.of(_min_ratio_power(w1.copy(), w2.copy(),
+                                                    c1, c2, aq), den)
+                   for c1, c2 in first]
+        moments.append(RatioMoments.of(_min_ratio_power(w1, w2, *last, aq), den))
+        return moments
 
-    moments = reduce_blocks(stream, int(n), fill, RatioMoments.merge,
-                            workers=workers)
-    ratio, se = moments.estimate()
-    return float(ratio), float(se)
+    moments = reduce_blocks(stream, int(n), fill, _merge_each, workers=workers)
+    return [tuple(float(v) for v in m.estimate()) for m in moments]
+
+
+def tail_dependence_limit(model: MGB2Model, c1: float, c2: float, n: int,
+                          stream: RngStream, workers=None) -> tuple[float, float]:
+    """Monte Carlo estimate of I(c_1, c_2) and its standard error: the
+    one-pair case of :func:`tail_dependence_limits`."""
+    return tail_dependence_limits(model, [(c1, c2)], n, stream, workers=workers)[0]
 
 
 def tail_convergence_table(model: MGB2Model, query: TailQuery, stream: RngStream,
@@ -315,7 +348,7 @@ def tail_convergence_table(model: MGB2Model, query: TailQuery, stream: RngStream
     _check_limit_regime(model)
 
     def fill(block, lo, hi):
-        x1, x2 = _mgb2_columns(model, block, hi - lo)[:2]
+        x1, x2 = _mgb2_columns(model, block, hi - lo, 2)
         return _exceedance_counts(x1, x2, query.c1, query.c2, query.t_grid)
 
     counts = reduce_blocks(stream.child(0), query.n, fill, np.add, workers=workers)

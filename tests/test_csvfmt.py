@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import riskscale.csvfmt as csvfmt
 from riskscale.csvfmt import format_rows
 
 
@@ -68,10 +69,20 @@ def test_signs_zeros_subnormals_and_non_finite():
     _assert_same_text(values)
 
 
-def test_chunk_where_every_value_falls_back():
+def test_chunk_where_every_value_falls_back(monkeypatch):
     values = np.array([np.nan, np.inf, -np.inf, 0.0, -0.0, 5e-324, -2.5e-300, 1e-5,
                        -9.9e-5, 1e17, -3.5e200, 1.7976931348623157e308])
     _assert_same_text(np.tile(values, 50), ncols=4)
+
+    # such a chunk never enters the digit pipeline; one value in the
+    # window sends the whole chunk through it
+    def no_digits(a):
+        raise AssertionError("digit pipeline ran")
+
+    monkeypatch.setattr(csvfmt, "_digits", no_digits)
+    _assert_same_text(np.zeros(4096 * 3), ncols=3)
+    with pytest.raises(AssertionError, match="digit pipeline ran"):
+        format_rows(np.append(values, 0.5).reshape(-1, 1))
 
 
 def test_integers_and_decimal_fractions():

@@ -185,6 +185,13 @@ class TestOperatorFormBits:
         old = RngStream(91).generator().standard_gamma(shape, size=self.M) / 2.5
         assert new.tobytes() == old.tobytes()
 
+    @pytest.mark.parametrize("shape", [0.5, 1.0, 2.5])
+    def test_gamma_at_unit_rate_matches_division(self, shape):
+        # rate 1 skips the division; x / 1 is x, so the bits are the same
+        new = gamma_sample(shape, 1.0, RngStream(93), size=self.M)
+        old = RngStream(93).generator().standard_gamma(shape, size=self.M) / 1.0
+        assert new.tobytes() == old.tobytes()
+
     @pytest.mark.parametrize("index", [1.0, 2.5])
     def test_pareto_matches_power(self, index):
         new = pareto_sample(index, RngStream(92), size=self.M)

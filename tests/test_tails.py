@@ -30,6 +30,7 @@ from riskscale.tails import (
     scale_mixture_exp_sample,
     tail_convergence_table,
     tail_dependence_limit,
+    tail_dependence_limits,
     tail_ratio_empirical,
 )
 
@@ -230,6 +231,28 @@ class TestTailDependenceLimit:
             assert est == pytest.approx(ratio, rel=1e-12)
             assert se == pytest.approx(math.sqrt(var), rel=1e-12)
 
+    @pytest.mark.parametrize("model,pairs", [
+        (_exp_model(), ((1.0, 1.0), (2.0, 2.0), (0.5, 3.0))),
+        (MGB2Model(a=(2.0, 2.0, 3.0), b=(1.0, 1.5, 2.0), p=(1.5, 0.7, 2.0),
+                   theta_law=InvGamma(1.5)), ((0.8, 1.3), (1.0, 1.0))),
+    ])
+    def test_fused_pairs_match_one_pair_calls(self, model, pairs):
+        # one pass over shared W draws gives each pair the bits of its own run
+        n = 2 * BLOCK_ROWS + 99
+        s = RngStream(328)
+        expected = [tail_dependence_limit(model, c1, c2, n, s, workers=1)
+                    for c1, c2 in pairs]
+        for workers in (1, 2):
+            assert tail_dependence_limits(model, pairs, n, s, workers=workers) \
+                == expected
+
+    def test_fused_pairs_validation(self):
+        with pytest.raises(ParameterError):
+            tail_dependence_limits(_exp_model(), (), 100, RngStream(329))
+        with pytest.raises(ParameterError):
+            tail_dependence_limits(_exp_model(), ((1.0, 1.0), (0.0, 1.0)), 100,
+                                   RngStream(329))
+
     def test_inv_gamma_mixer_accepted(self):
         est, _ = tail_dependence_limit(_exp_model(InvGamma(2.0)), 1.0, 1.0,
                                        10**4, RngStream(318))
@@ -393,13 +416,15 @@ class TestOperatorFormBits:
                                          workers=workers) == ref
 
     @pytest.mark.parametrize("model", [_exp_model(), MGB2Model(
-        a=(2.0, 2.0), b=(1.0, 1.5), p=(1.5, 0.7), theta_law=InvGamma(1.5))])
+        a=(2.0, 2.0), b=(1.0, 1.5), p=(1.5, 0.7), theta_law=InvGamma(1.5)),
+        MGB2Model(a=(2.0, 2.0, 3.0), b=(1.0, 1.5, 2.0), p=(1.5, 0.7, 2.0),
+                  theta_law=InvGamma(1.5))])  # d = 3: W_3 is never drawn
     def test_tail_convergence_table_matches_operator_form(self, model):
         query = TailQuery(c1=0.7, c2=1.4, t_grid=(0.5, 1.0, 3.0, 8.0), n=_BIT_N)
         s = RngStream(333)
         rows = map_blocks(s.child(0), _BIT_N,
                           lambda b, lo, hi: _ref_rows(model, b, hi - lo),
-                          ncols=2, workers=1)
+                          ncols=model.dim, workers=1)
         limit = _ref_limit(model, query.c1, query.c2, _BIT_N, s.child(1))
         x1, x2 = rows[:, 0], rows[:, 1]
         expected = []
@@ -417,6 +442,16 @@ class TestOperatorFormBits:
         assert expected
         for workers in (1, 2):
             assert tail_convergence_table(model, query, s, workers=workers) == expected
+
+    @pytest.mark.parametrize("b", [(1.0, 1.0), (0.5, 2.0)])
+    @pytest.mark.parametrize("a,p", [((1.0, 1.0), (1.0, 1.0)),
+                                     ((2.0, 0.5), (1.5, 0.7))])
+    def test_w_factors_match_operator_form(self, a, p, b):
+        # b_i = 1 and a_i = 1 skip their steps; b_i, a_i != 1 run them
+        model = MGB2Model(a=a, b=b, p=p, theta_law=Pareto(1.0))
+        new = _w_factors(model, RngStream(335).generator(), BLOCK_ROWS + 7)
+        ref = _ref_w(model, RngStream(335).generator(), BLOCK_ROWS + 7)
+        assert np.column_stack(new).tobytes() == ref.tobytes()
 
     def test_ratio_moments_match_out_of_place_squares(self):
         gen = RngStream(334).generator()

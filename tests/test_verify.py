@@ -1,9 +1,15 @@
+import math
+
 import numpy as np
 
 import riskscale.samplers as samplers
+import riskscale.verify as verify
+from riskscale.gof import report
 from riskscale.verify import (
     CHECKS,
     check_beta_marginals,
+    check_breiman_limit,
+    check_weighted_gaussian,
     render_report,
 )
 
@@ -51,3 +57,33 @@ def test_checks_are_deterministic():
     b = check_beta_marginals(7)
     assert a == b
     assert np.isfinite(a.statistic)
+
+
+# A nan sub-statistic must fail its check. Python's max(worst, nan) keeps
+# worst, so before margins were aggregated with nan propagation a
+# degenerate sub-test passed silently. One case per aggregation style.
+
+def test_nan_correlation_fails_weighted_gaussian(monkeypatch):
+    # running maximum over the KS margins, then the correlation margin
+    monkeypatch.setattr(verify, "_max_offdiag_corr", lambda columns: math.nan)
+    rep = check_weighted_gaussian(42)
+    assert not rep.passed
+    assert math.isnan(rep.statistic)
+
+
+def test_nan_later_margin_fails_breiman_tail_limit(monkeypatch):
+    # list of margins whose last entry (the judged threshold) is nan; the
+    # estimators are replaced by passing values, so nothing is sampled
+    monkeypatch.setattr(verify, "tail_dependence_limits",
+                        lambda *args, **kwargs: [(0.5, 0.001), (0.25, 0.0005)])
+    monkeypatch.setattr(verify, "tail_convergence_table",
+                        lambda *args, **kwargs: [{
+                            "t": 20.0, "empirical_ratio": 0.5, "stderr": 0.01,
+                            "limit_estimate": 0.5, "limit_stderr": 0.001,
+                            "exceedances": 5000}])
+    monkeypatch.setattr(verify, "judge_convergence",
+                        lambda rows, n: report("breiman_tail_limit", math.nan,
+                                               0.05, n))
+    rep = check_breiman_limit(42)
+    assert not rep.passed
+    assert math.isnan(rep.statistic)
