@@ -59,7 +59,6 @@ from .tails import (
     MGB2Model,
     TailQuery,
     archimedean_survival,
-    breiman_convergence_check,
     judge_convergence,
     mgb2_conditional_sample,
     mgb2_sample,

@@ -5,6 +5,7 @@ from dataclasses import astuple
 import numpy as np
 import pytest
 
+from riskscale import tails
 from riskscale.cdfs import exponential_cdf, gamma_cdf
 from riskscale.errors import (
     InsufficientTailDataError,
@@ -23,7 +24,6 @@ from riskscale.tails import (
     TailQuery,
     _w_factors,
     archimedean_survival,
-    breiman_convergence_check,
     judge_convergence,
     mgb2_conditional_sample,
     mgb2_sample,
@@ -274,7 +274,8 @@ class TestTailDependenceLimit:
 class TestConvergenceCheck:
     def test_exponential_case_passes(self):
         query = TailQuery(c1=1.0, c2=1.0, t_grid=(3.0, 5.0, 8.0), n=10**6)
-        rep = breiman_convergence_check(_exp_model(), query, RngStream(321))
+        rep = judge_convergence(
+            tail_convergence_table(_exp_model(), query, RngStream(321)), query.n)
         assert rep.passed
         assert rep.test_name == "breiman_tail_limit"
 
@@ -287,8 +288,24 @@ class TestConvergenceCheck:
     def test_refuses_point_mass_mixer(self):
         query = TailQuery(c1=1.0, c2=1.0, t_grid=(2.0,), n=10**4)
         with pytest.raises(UnsupportedModelError):
-            breiman_convergence_check(_exp_model(PointMass(2.0)), query,
-                                      RngStream(323))
+            judge_convergence(tail_convergence_table(
+                _exp_model(PointMass(2.0)), query, RngStream(323)), query.n)
+
+    @pytest.mark.parametrize("numerator", [
+        lambda w1, w2, c1, c2, aq: (w1 / c1) ** aq,
+        lambda w1, w2, c1, c2, aq: np.maximum(w1 / c1, w2 / c2) ** aq,
+    ], ids=["min-dropped", "max-for-min"])
+    def test_judgment_trips_on_a_wrong_limit_numerator(self, monkeypatch,
+                                                       numerator):
+        # the README taildep model at n = 1e6: the limit the table takes from
+        # its own W draws must still be able to fail the judgment (a true
+        # limit of 1/2 becomes 1 or 3/2)
+        query = TailQuery(c1=1.0, c2=1.0, t_grid=(5.0, 10.0, 20.0), n=10**6)
+        rows = tail_convergence_table(_exp_model(), query, RngStream(3))
+        assert judge_convergence(rows, query.n).passed
+        monkeypatch.setattr(tails, "_min_ratio_power", numerator)
+        rows = tail_convergence_table(_exp_model(), query, RngStream(3))
+        assert not judge_convergence(rows, query.n).passed
 
     def test_needs_enough_exceedances_to_judge(self):
         # between 20 and 1000 exceedances: table rows exist, judgment refuses
@@ -377,11 +394,12 @@ def _ref_moments(u, v):
                         (dv * dv).sum(), (du * dv).sum(axis=0))
 
 
-def _ref_limit(model, c1, c2, n, stream):
+def _ref_limit(model, c1, c2, n, stream, w_stream=lambda block: block):
+    # W is drawn from w_stream(block) of each block of stream
     aq = model.a[0] * regular_variation_index(model.theta_law)
 
     def fill(block, lo, hi):
-        w = _ref_w(model, block.generator(), hi - lo)
+        w = _ref_w(model, w_stream(block).generator(), hi - lo)
         return _ref_moments(np.minimum(w[:, 0] / c1, w[:, 1] / c2) ** aq,
                             w[:, 0] ** aq)
 
@@ -420,28 +438,35 @@ class TestOperatorFormBits:
         MGB2Model(a=(2.0, 2.0, 3.0), b=(1.0, 1.5, 2.0), p=(1.5, 0.7, 2.0),
                   theta_law=InvGamma(1.5))])  # d = 3: W_3 is never drawn
     def test_tail_convergence_table_matches_operator_form(self, model):
-        query = TailQuery(c1=0.7, c2=1.4, t_grid=(0.5, 1.0, 3.0, 8.0), n=_BIT_N)
+        # c1 < 1 counts joint & base; c1 = 1 reuses the base event; c1 > 1
+        # takes the joint count for both
         s = RngStream(333)
         rows = map_blocks(s.child(0), _BIT_N,
                           lambda b, lo, hi: _ref_rows(model, b, hi - lo),
                           ncols=model.dim, workers=1)
-        limit = _ref_limit(model, query.c1, query.c2, _BIT_N, s.child(1))
         x1, x2 = rows[:, 0], rows[:, 1]
-        expected = []
-        for t in query.t_grid:
-            joint = (x1 > query.c1 * t) & (x2 > query.c2 * t)
-            base = x1 > t
-            if base.sum() < 20:
-                continue
-            ratio, se = RatioMoments.of_indicators(
-                _BIT_N, joint.sum(), base.sum(), (joint & base).sum()).estimate()
-            expected.append({"t": t, "empirical_ratio": float(ratio),
-                             "stderr": float(se), "limit_estimate": limit[0],
-                             "limit_stderr": limit[1],
-                             "exceedances": int(base.sum())})
-        assert expected
-        for workers in (1, 2):
-            assert tail_convergence_table(model, query, s, workers=workers) == expected
+        for c1 in (0.7, 1.0, 1.5):
+            query = TailQuery(c1=c1, c2=1.4, t_grid=(0.5, 1.0, 3.0, 8.0), n=_BIT_N)
+            # the limit comes from the table's own W draws, before Theta:
+            # block.child(1) of each block of s.child(0)
+            limit = _ref_limit(model, query.c1, query.c2, _BIT_N, s.child(0),
+                               lambda block: block.child(1))
+            expected = []
+            for t in query.t_grid:
+                joint = (x1 > query.c1 * t) & (x2 > query.c2 * t)
+                base = x1 > t
+                if base.sum() < 20:
+                    continue
+                ratio, se = RatioMoments.of_indicators(
+                    _BIT_N, joint.sum(), base.sum(), (joint & base).sum()).estimate()
+                expected.append({"t": t, "empirical_ratio": float(ratio),
+                                 "stderr": float(se), "limit_estimate": limit[0],
+                                 "limit_stderr": limit[1],
+                                 "exceedances": int(base.sum())})
+            assert expected
+            for workers in (1, 2):
+                assert tail_convergence_table(model, query, s, workers=workers) \
+                    == expected
 
     @pytest.mark.parametrize("b", [(1.0, 1.0), (0.5, 2.0)])
     @pytest.mark.parametrize("a,p", [((1.0, 1.0), (1.0, 1.0)),
