@@ -29,27 +29,12 @@ import sys
 
 import numpy as np
 
-from .config import RunConfig, parse_config
-from .credibility import (
-    EllipticalShiftModel,
-    GaussianShiftModel,
-    premium_elliptical,
-    premium_gaussian,
-)
+from .config import KINDS, RunConfig, parse_config
 from .csvfmt import format_rows
-from .dirichlet import (
-    LpSpec,
-    RandomPSpec,
-    WeightedSpec,
-    lp_dirichlet_sample,
-    random_p_sample,
-    weighted_sample,
-)
 from .errors import ConfigError, OutputError, RiskscaleError
 from .radial import PointMass
 from .rng import BLOCK_ROWS, RngStream, ordered_map, resolve_workers
-from .tails import ClaytonSpec, MGB2Model, TailQuery, mgb2_sample, \
-    scale_mixture_exp_sample, tail_convergence_table
+from .tails import tail_convergence_table
 from .verify import builtin_verify_suite, render_report
 
 SPHERE_AUDIT_TOL = 1e-12
@@ -98,39 +83,17 @@ def _write_csv(path: str | None, header: list[str], rows: np.ndarray,
             write(text)
 
 
-def _run_sample(config: RunConfig, stream: RngStream,
-                workers) -> tuple[list[str], np.ndarray]:
-    model = config.model
-    if isinstance(model, tuple):  # Dirichlet kinds carry (spec, radial law)
-        spec, radial = model
-        if isinstance(spec, LpSpec):
-            rows = lp_dirichlet_sample(spec, radial, config.n, stream, workers=workers)
-        elif isinstance(spec, WeightedSpec):
-            rows = weighted_sample(spec, radial, config.n, stream, workers=workers)
-        else:
-            assert isinstance(spec, RandomPSpec)
-            rows = random_p_sample(spec, radial, config.n, stream, workers=workers)
-        if config.audit:
-            _sphere_audit(spec, radial, rows)
-    elif isinstance(model, MGB2Model):
-        rows = mgb2_sample(model, config.n, stream, workers=workers)
-    else:
-        assert isinstance(model, ClaytonSpec)
-        rows = scale_mixture_exp_sample(model, config.n, stream, workers=workers)
-    return [f"x{i + 1}" for i in range(rows.shape[1])], rows
-
-
 def _sphere_audit(spec, radial: PointMass, rows: np.ndarray) -> float:
-    """Max over rows of | ||row / r||_p^p - 1 |, BLOCK_ROWS rows at a time.
+    """Max over rows of | ||row / r||_p^p - 1 |, BLOCK_ROWS rows at a time,
+    with p = ``spec.p``, the fixed exponent of an LpSpec or WeightedSpec.
 
     Returns the deviation; raises RiskscaleError when it exceeds the
     tolerance or is nan.
     """
-    base = spec.base if isinstance(spec, WeightedSpec) else spec
     deviation = -np.inf
     for lo in range(0, len(rows), BLOCK_ROWS):
         scaled = np.abs(rows[lo:lo + BLOCK_ROWS]) / radial.value
-        block = np.abs((scaled ** base.p).sum(axis=1) - 1.0).max()
+        block = np.abs((scaled ** spec.p).sum(axis=1) - 1.0).max()
         deviation = np.maximum(deviation, block)  # a nan row makes it nan
     deviation = float(deviation)
     if not deviation <= SPHERE_AUDIT_TOL:  # nan fails too
@@ -141,21 +104,11 @@ def _sphere_audit(spec, radial: PointMass, rows: np.ndarray) -> float:
     return deviation
 
 
-def _run_premium(config: RunConfig) -> tuple[list[str], np.ndarray]:
-    if isinstance(config.model, GaussianShiftModel):
-        value = premium_gaussian(config.model, config.x)
-    else:
-        assert isinstance(config.model, EllipticalShiftModel)
-        value = premium_elliptical(config.model, config.x)
-    return [f"p{i + 1}" for i in range(value.size)], np.reshape(value, (1, -1))
-
-
 def _run_taildep(config: RunConfig, stream: RngStream,
                  workers) -> tuple[list[str], np.ndarray]:
-    query = TailQuery(c1=config.c1, c2=config.c2, t_grid=config.t_grid, n=config.n)
-    rows = tail_convergence_table(config.model, query, stream, workers=workers)
+    rows = tail_convergence_table(config.model, config.query, stream, workers=workers)
     kept = {r["t"] for r in rows}
-    dropped = [t for t in config.t_grid if t not in kept]
+    dropped = [t for t in config.query.t_grid if t not in kept]
     if dropped:
         print("riskscale: taildep dropped t = "
               + ", ".join(format(t, "g") for t in dropped)
@@ -172,12 +125,14 @@ def run(config: RunConfig, workers: int | None = None) -> int:
         with _output(config.output_path) as write:
             write(render_report(result).encode("ascii"))
         return 0 if result.overall_pass else 1
-    if config.command == "sample":
-        header, rows = _run_sample(config, stream, workers)
-    elif config.command == "premium":
-        header, rows = _run_premium(config)
-    else:
+    if config.command == "taildep":
         header, rows = _run_taildep(config, stream, workers)
+    else:
+        rows = KINDS[config.kind].run(config, stream, workers)
+        if config.audit:
+            _sphere_audit(config.model.spec, config.model.radial, rows)
+        prefix = "x" if config.command == "sample" else "p"
+        header = [f"{prefix}{i + 1}" for i in range(rows.shape[1])]
     _write_csv(config.output_path, header, rows, workers)
     return 0
 

@@ -11,7 +11,11 @@ every diagnostic names the offending key and line.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
 
+import numpy as np
+
+from . import credibility, dirichlet, tails
 from .credibility import EllipticalShiftModel, GaussianShiftModel
 from .dirichlet import LpSpec, RandomPSpec, WeightedSpec
 from .errors import ConfigError, ParameterError, RiskscaleError, UnsupportedModelError
@@ -27,11 +31,6 @@ from .tails import (
 
 COMMANDS = ("sample", "premium", "taildep", "verify")
 
-SAMPLE_KINDS = ("lp_dirichlet", "weighted_dirichlet", "random_p_dirichlet",
-                "mgb2", "clayton")
-PREMIUM_KINDS = ("gaussian_shift", "elliptical_shift")
-TAILDEP_KINDS = ("mgb2",)
-
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -39,14 +38,21 @@ class RunConfig:
 
     command: str
     seed: int
+    kind: str | None = None
     model: object | None = None
     n: int | None = None
     output_path: str | None = None
     x: tuple[float, ...] | None = None
-    c1: float | None = None
-    c2: float | None = None
-    t_grid: tuple[float, ...] | None = None
+    query: TailQuery | None = None
     audit: bool = False
+
+
+@dataclass(frozen=True)
+class DirichletModel:
+    """An angular law and the independent radial law R that scales it."""
+
+    spec: LpSpec | WeightedSpec | RandomPSpec
+    radial: RadialLaw
 
 
 @dataclass
@@ -180,56 +186,97 @@ def _parse_law(doc: _Doc, key: str) -> RadialLaw:
         doc.fail(key, str(exc))
 
 
-def _build_model(doc: _Doc, command: str):
-    if command == "verify":
-        return None
+def _parse_lp(doc: _Doc) -> LpSpec:
+    return LpSpec(alphas=_parse_floats(doc, "model.alphas"),
+                  p=_parse_float(doc, "model.p"))
+
+
+def _dirichlet(parse_spec: Callable[[_Doc], object]) -> Callable[[_Doc], DirichletModel]:
+    return lambda doc: DirichletModel(parse_spec(doc), _parse_law(doc, "model.radial"))
+
+
+@dataclass(frozen=True)
+class Kind:
+    """A model kind: the commands it serves, ``parse(doc)`` building its model
+    from the ``model.*`` keys, ``run(config, stream, workers)`` giving the
+    rows that ``sample`` or ``premium`` writes (``taildep`` tabulates the
+    model itself), and whether ``sample`` can audit its rows on the sphere.
+    Each ``run`` reads its function from that function's module at call
+    time, so a wrapper or test double put there is the one that runs.
+    """
+
+    commands: tuple[str, ...]
+    parse: Callable[[_Doc], object]
+    run: Callable[..., np.ndarray]
+    audit: bool = False
+
+
+KINDS = {
+    "lp_dirichlet": Kind(
+        ("sample",), _dirichlet(_parse_lp),
+        lambda c, s, w: dirichlet.lp_dirichlet_sample(c.model.spec, c.model.radial,
+                                                      c.n, s, w),
+        audit=True),
+    "weighted_dirichlet": Kind(
+        ("sample",),
+        _dirichlet(lambda doc: WeightedSpec(base=_parse_lp(doc),
+                                            qs=_parse_floats(doc, "model.qs"))),
+        lambda c, s, w: dirichlet.weighted_sample(c.model.spec, c.model.radial, c.n, s, w),
+        audit=True),
+    "random_p_dirichlet": Kind(
+        ("sample",),
+        _dirichlet(lambda doc: RandomPSpec(alphas=_parse_floats(doc, "model.alphas"),
+                                           p_law=_parse_law(doc, "model.p_law"))),
+        lambda c, s, w: dirichlet.random_p_sample(c.model.spec, c.model.radial, c.n, s, w)),
+    "mgb2": Kind(
+        ("sample", "taildep"),
+        lambda doc: MGB2Model(a=_parse_floats(doc, "model.a"),
+                              b=_parse_floats(doc, "model.b"),
+                              p=_parse_floats(doc, "model.p"),
+                              theta_law=_parse_law(doc, "model.theta")),
+        lambda c, s, w: tails.mgb2_sample(c.model, c.n, s, w)),
+    "clayton": Kind(
+        ("sample",),
+        lambda doc: ClaytonSpec(theta_shape=_parse_float(doc, "model.theta_shape"),
+                                d=_parse_int(doc, "model.d")),
+        lambda c, s, w: tails.scale_mixture_exp_sample(c.model, c.n, s, w)),
+    "gaussian_shift": Kind(
+        ("premium",),
+        lambda doc: GaussianShiftModel(mu=_parse_floats(doc, "model.mu"),
+                                       sigma=_parse_matrix(doc, "model.sigma"),
+                                       sigma0=_parse_matrix(doc, "model.sigma0")),
+        lambda c, s, w: np.atleast_2d(credibility.premium_gaussian(c.model, c.x))),
+    "elliptical_shift": Kind(
+        ("premium",),
+        lambda doc: EllipticalShiftModel(c=_parse_matrix(doc, "model.c"),
+                                         nu=_parse_floats(doc, "model.nu"),
+                                         radial=_parse_law(doc, "model.radial")),
+        lambda c, s, w: np.atleast_2d(credibility.premium_elliptical(c.model, c.x))),
+}
+
+
+def _build_model(doc: _Doc, command: str) -> tuple[str, object]:
+    """The kind named by ``model.kind`` and its model, checked to serve ``command``."""
     kind = doc.take("model.kind")
-    allowed = {"sample": SAMPLE_KINDS, "premium": PREMIUM_KINDS,
-               "taildep": TAILDEP_KINDS}[command]
+    allowed = tuple(name for name, entry in KINDS.items() if command in entry.commands)
     if kind not in allowed:
         doc.fail("model.kind",
                  f"kind {kind!r} is not valid for {command!r}; choose from {allowed}")
     try:
-        if kind == "lp_dirichlet":
-            spec = LpSpec(alphas=_parse_floats(doc, "model.alphas"),
-                          p=_parse_float(doc, "model.p"))
-            return spec, _parse_law(doc, "model.radial")
-        if kind == "weighted_dirichlet":
-            base = LpSpec(alphas=_parse_floats(doc, "model.alphas"),
-                          p=_parse_float(doc, "model.p"))
-            spec = WeightedSpec(base=base, qs=_parse_floats(doc, "model.qs"))
-            return spec, _parse_law(doc, "model.radial")
-        if kind == "random_p_dirichlet":
-            spec = RandomPSpec(alphas=_parse_floats(doc, "model.alphas"),
-                               p_law=_parse_law(doc, "model.p_law"))
-            return spec, _parse_law(doc, "model.radial")
-        if kind == "mgb2":
-            return MGB2Model(a=_parse_floats(doc, "model.a"),
-                             b=_parse_floats(doc, "model.b"),
-                             p=_parse_floats(doc, "model.p"),
-                             theta_law=_parse_law(doc, "model.theta"))
-        if kind == "clayton":
-            return ClaytonSpec(theta_shape=_parse_float(doc, "model.theta_shape"),
-                               d=_parse_int(doc, "model.d"))
-        if kind == "gaussian_shift":
-            return GaussianShiftModel(mu=_parse_floats(doc, "model.mu"),
-                                      sigma=_parse_matrix(doc, "model.sigma"),
-                                      sigma0=_parse_matrix(doc, "model.sigma0"))
-        if kind == "elliptical_shift":
-            return EllipticalShiftModel(c=_parse_matrix(doc, "model.c"),
-                                        nu=_parse_floats(doc, "model.nu"),
-                                        radial=_parse_law(doc, "model.radial"))
+        return kind, KINDS[kind].parse(doc)
     except ConfigError:
         raise
     except RiskscaleError as exc:
         raise ConfigError(f"model: {exc}") from exc
-    raise ConfigError(f"unhandled model kind {kind!r}")  # pragma: no cover
 
 
-def _check_taildep(doc: _Doc, model: MGB2Model, c1: float, c2: float,
-                   t_grid: tuple[float, ...], n: int) -> None:
-    """Fail on the offending line unless the model is in the joint tail
-    limit's regime and (c1, c2, t_grid, n) builds a :class:`TailQuery`."""
+def _parse_query(doc: _Doc, model: MGB2Model, n: int) -> TailQuery:
+    """The taildep query of c1, c2, t_grid and n; fails on the offending line
+    unless the model is in the joint tail limit's regime and the values
+    build a :class:`TailQuery`."""
+    c1 = _parse_float(doc, "c1")
+    c2 = _parse_float(doc, "c2")
+    t_grid = _parse_floats(doc, "t_grid")
     for key, check in (("model.a", _check_limit_shape),
                        ("model.theta", _check_limit_regime)):
         try:
@@ -242,7 +289,7 @@ def _check_taildep(doc: _Doc, model: MGB2Model, c1: float, c2: float,
         except ParameterError as exc:
             doc.fail(key, str(exc))
     try:
-        TailQuery(c1=c1, c2=c2, t_grid=t_grid, n=n)
+        return TailQuery(c1=c1, c2=c2, t_grid=t_grid, n=n)
     except ParameterError as exc:  # c1, c2 and n passed: the grid is at fault
         doc.fail("t_grid", str(exc))
 
@@ -253,6 +300,7 @@ def parse_config(text: str, command: str | None = None,
 
     ``command``, ``seed``, and ``output_path`` may be supplied by the caller
     (the command line); file keys must agree with a caller-supplied command.
+    A seed from either source must lie in [0, 2**64).
     """
     doc = _Doc(text)
 
@@ -268,8 +316,12 @@ def parse_config(text: str, command: str | None = None,
         raise ConfigError(f"unknown command {command!r}; choose from {COMMANDS}")
 
     file_seed = _parse_int(doc, "seed", required=False)
+    if file_seed is not None and not 0 <= file_seed < 2**64:
+        doc.fail("seed", f"must lie in [0, 2**64), got {file_seed}")
     if seed is None:
         seed = file_seed
+    elif not 0 <= seed < 2**64:
+        raise ConfigError(f"seed must lie in [0, 2**64), got {seed}")
     if seed is None:
         raise ConfigError("missing required key 'seed'")
 
@@ -277,36 +329,28 @@ def parse_config(text: str, command: str | None = None,
     if output_path is not None:
         out = output_path
 
-    model = _build_model(doc, command)
-
-    n = x = c1 = c2 = t_grid = None
+    kind = model = n = x = query = None
     audit = False
-    if command == "sample":
+    if command != "verify":
+        kind, model = _build_model(doc, command)
+    if command in ("sample", "taildep"):
         n = _parse_int(doc, "n")
         if n < 1:
             doc.fail("n", f"must be >= 1, got {n}")
+    if command == "sample":
         audit = _parse_bool(doc, "audit")
-        if audit:
-            kind_ok = isinstance(model, tuple) and isinstance(model[1], PointMass) \
-                and isinstance(model[0], (LpSpec, WeightedSpec))
-            if not kind_ok:
-                doc.fail("audit", "sphere audit needs a fixed-exponent Dirichlet "
-                                  "kind with a point_mass radial law")
+        if audit and not (KINDS[kind].audit and isinstance(model.radial, PointMass)):
+            doc.fail("audit", "sphere audit needs a fixed-exponent Dirichlet "
+                              "kind with a point_mass radial law")
     elif command == "premium":
         x = _parse_floats(doc, "x")
-        dim = model.dim
-        if len(x) != dim:
-            doc.fail("x", f"length {len(x)} does not match model dimension {dim}")
+        if not np.isfinite(x).all():
+            doc.fail("x", f"entries must be finite numbers, got {x}")
+        if len(x) != model.dim:
+            doc.fail("x", f"length {len(x)} does not match model dimension {model.dim}")
     elif command == "taildep":
-        n = _parse_int(doc, "n")
-        if n < 1:
-            doc.fail("n", f"must be >= 1, got {n}")
-        c1 = _parse_float(doc, "c1")
-        c2 = _parse_float(doc, "c2")
-        t_grid = _parse_floats(doc, "t_grid")
-        _check_taildep(doc, model, c1, c2, t_grid, n)
+        query = _parse_query(doc, model, n)
 
     doc.reject_unused()
-    return RunConfig(command=command, seed=seed, model=model, n=n,
-                     output_path=out, x=x, c1=c1, c2=c2, t_grid=t_grid,
-                     audit=audit)
+    return RunConfig(command=command, seed=seed, kind=kind, model=model, n=n,
+                     output_path=out, x=x, query=query, audit=audit)

@@ -22,8 +22,6 @@ from .linalg import (
     as_vector,
     assert_positive_definite,
     assert_positive_semidefinite,
-    lu_factor,
-    mat_block,
     mat_inverse,
 )
 from .moments import RatioMoments
@@ -106,21 +104,16 @@ def premium_gaussian(model: GaussianShiftModel, x, method: str = "sum_inverse") 
 def build_cstar(c) -> np.ndarray:
     """Mixing matrix of (Theta + Y, Theta) given the mixing matrix of (Y, Theta).
 
-    For the 2d x 2d matrix C with index blocks I = first d, J = last d:
-    the first d columns become C[:, I] + C[:, J] and the last d stay C[:, J].
+    For the 2d x 2d matrix C the first d columns become C[:, :d] + C[:, d:]
+    and the last d stay C[:, d:].
     """
     c = as_matrix(c, "C")
     n = c.shape[0]
     if c.shape[1] != n or n % 2 != 0:
         raise ShapeError(f"C must be square with even dimension, got {c.shape}")
-    d = n // 2
-    i_idx = list(range(d))
-    j_idx = list(range(d, n))
-    top = np.hstack([mat_block(c, i_idx, i_idx) + mat_block(c, i_idx, j_idx),
-                     mat_block(c, i_idx, j_idx)])
-    bottom = np.hstack([mat_block(c, j_idx, i_idx) + mat_block(c, j_idx, j_idx),
-                        mat_block(c, j_idx, j_idx)])
-    return np.vstack([top, bottom])
+    cstar = c.copy()
+    cstar[:, :n // 2] += c[:, n // 2:]
+    return cstar
 
 
 @dataclass(frozen=True)
@@ -139,20 +132,16 @@ class EllipticalShiftModel:
 
     def __post_init__(self):
         c = as_matrix(self.c, "C")
+        cstar = build_cstar(c)  # C must be square with even dimension
         nu = as_vector(self.nu, "nu")
         n = c.shape[0]
-        if c.shape[1] != n or n % 2 != 0:
-            raise ShapeError(f"C must be square with even dimension, got {c.shape}")
         if nu.size != n:
             raise ShapeError(f"nu has length {nu.size}, expected {n}")
-        d = n // 2
-        if np.any(nu[:d] != 0.0):
+        if np.any(nu[:n // 2] != 0.0):
             raise ParameterError("nu must be exactly zero on its first d coordinates")
         if not isinstance(self.radial, RadialLaw):
             raise ParameterError("radial must be a RadialLaw")
-        cstar = build_cstar(c)
-        b = cstar.T @ cstar
-        lu_factor(b)  # raises SingularMatrixError when B is rank-deficient
+        mat_inverse(cstar.T @ cstar)  # raises SingularMatrixError when B is rank-deficient
         _frozen_array(self, "c", c)
         _frozen_array(self, "nu", nu)
 
@@ -166,18 +155,15 @@ class EllipticalShiftModel:
 
 
 def premium_elliptical(model: EllipticalShiftModel, x) -> np.ndarray:
-    """Posterior mean mu + (x - mu) B_II^-1 B_IJ with B = (C*)^T C*, mu = nu_J."""
+    """Posterior mean mu + (x - mu) B_II^-1 B_IJ with B = (C*)^T C*, mu = nu_J,
+    where I indexes the first d coordinates and J the last d."""
     x = as_vector(x, "x")
     d = model.dim
     if x.size != d:
         raise ShapeError(f"x has length {x.size}, expected {d}")
     b = model.b_matrix()
-    i_idx = list(range(d))
-    j_idx = list(range(d, 2 * d))
-    b_ii = mat_block(b, i_idx, i_idx)
-    b_ij = mat_block(b, i_idx, j_idx)
     mu = model.nu[d:]
-    return mu + (x - mu) @ mat_inverse(b_ii) @ b_ij
+    return mu + (x - mu) @ mat_inverse(b[:d, :d]) @ b[:d, d:]
 
 
 @dataclass(frozen=True)

@@ -75,6 +75,11 @@ class WeightedSpec:
                 raise ParameterError(f"qs[{i}] must lie in (0, 1], got {q}")
         object.__setattr__(self, "qs", qs)
 
+    @property
+    def p(self) -> float:
+        """The exponent of the base law: the signs keep rows on its sphere."""
+        return self.base.p
+
 
 @dataclass(frozen=True)
 class RandomPSpec:

@@ -9,13 +9,21 @@ import numpy as np
 import pytest
 
 import riskscale.cli as cli
+import riskscale.dirichlet as dirichlet
 import riskscale.verify as verify
 from riskscale.cli import CSV_CHUNK_ROWS, main
-from riskscale.dirichlet import LpSpec, WeightedSpec
+from riskscale.config import KINDS, parse_config
+from riskscale.credibility import (EllipticalShiftModel, GaussianShiftModel,
+                                   premium_elliptical, premium_gaussian)
+from riskscale.csvfmt import format_rows
+from riskscale.dirichlet import (LpSpec, RandomPSpec, WeightedSpec, lp_dirichlet_sample,
+                                 random_p_sample, weighted_sample)
 from riskscale.errors import RiskscaleError
 from riskscale.gof import GofReport
-from riskscale.radial import PointMass
-from riskscale.rng import BLOCK_ROWS
+from riskscale.radial import GammaPower, InvGamma, Pareto, PointMass
+from riskscale.rng import BLOCK_ROWS, RngStream
+from riskscale.tails import (ClaytonSpec, MGB2Model, TailQuery, mgb2_sample,
+                             scale_mixture_exp_sample, tail_convergence_table)
 
 SCALAR_PREMIUM = """
 command = premium
@@ -99,10 +107,6 @@ def test_csv_roundtrips_doubles(tmp_path):
     config = _write(tmp_path, "sample.cfg", LP_SAMPLE.replace("audit = true", ""))
     out = tmp_path / "sample.csv"
     main(["sample", "--config", config, "--out", str(out)])
-    from riskscale.dirichlet import LpSpec, lp_dirichlet_sample
-    from riskscale.radial import PointMass
-    from riskscale.rng import RngStream
-
     direct = lp_dirichlet_sample(LpSpec((1.0, 1.0, 2.0), 2.0), PointMass(1.0),
                                  200, RngStream(7))
     lines = out.read_text().splitlines()[1:]
@@ -160,14 +164,69 @@ t_grid = 1000000
      "model.a = 1\nmodel.b = 1\nmodel.p = 1", "model.a"),
 ])
 def test_bad_taildep_parameters_exit_2_on_their_line(tmp_path, capsys, old, new, key):
-    text = TAILDEP.replace(old, new)
+    _assert_exit_2_on_line(tmp_path, capsys, "taildep", TAILDEP.replace(old, new), key)
+
+
+def _assert_exit_2_on_line(tmp_path, capsys, command, text, key, argv=()):
     lineno = next(i for i, line in enumerate(text.splitlines(), start=1)
                   if line.startswith(key + " ="))
     config = _write(tmp_path, "bad.cfg", text)
-    assert main(["taildep", "--config", config]) == 2
+    out = tmp_path / "out.csv"
+    assert main([command, "--config", config, "--out", str(out), *argv]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"riskscale: config error: line {lineno}: {key}: ")
     assert err.count("\n") == 1
+    assert not out.exists()
+
+
+GAUSSIAN_2D = """
+command = premium
+seed = 1
+model.kind = gaussian_shift
+model.mu = 0,1
+model.sigma = 1,0.3;0.3,2
+model.sigma0 = 2,0.5;0.5,1
+x = 1,3
+"""
+
+
+@pytest.mark.parametrize("text, new", [
+    (GAUSSIAN_2D, "x = nan,1"),
+    (GAUSSIAN_2D, "x = 1,-inf"),
+    (SCALAR_PREMIUM, "x = inf"),
+    (SCALAR_PREMIUM, "x = 4,4"),
+])
+def test_bad_premium_x_exits_2_on_its_line(tmp_path, capsys, text, new):
+    old = next(line for line in text.splitlines() if line.startswith("x ="))
+    _assert_exit_2_on_line(tmp_path, capsys, "premium", text.replace(old, new), "x")
+
+
+@pytest.mark.parametrize("seed", ["-1", str(2**64)])
+def test_seed_key_outside_64_bits_exits_2_on_its_line(tmp_path, capsys, seed):
+    text = LP_SAMPLE.replace("seed = 7", f"seed = {seed}")
+    _assert_exit_2_on_line(tmp_path, capsys, "sample", text, "seed")
+    # a valid --seed does not excuse the bad line
+    _assert_exit_2_on_line(tmp_path, capsys, "sample", text, "seed", ["--seed", "7"])
+
+
+@pytest.mark.parametrize("seed", ["-1", str(2**64), str(-2**64)])
+def test_seed_option_outside_64_bits_exits_2(tmp_path, capsys, seed):
+    config = _write(tmp_path, "sample.cfg", LP_SAMPLE)
+    out = tmp_path / "out.csv"
+    assert main(["sample", "--config", config, f"--seed={seed}", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"riskscale: config error: seed must lie in [0, 2**64), got {seed}\n"
+    assert not out.exists()
+
+
+def test_seed_bounds_are_inclusive_of_0_and_2_to_64_minus_1(tmp_path):
+    outputs = []
+    for seed in ("0", str(2**64 - 1)):
+        config = _write(tmp_path, "sample.cfg", LP_SAMPLE.replace("seed = 7", f"seed = {seed}"))
+        out = tmp_path / f"{seed}.csv"
+        assert main(["sample", "--config", config, "--out", str(out)]) == 0
+        outputs.append(out.read_bytes())
+    assert outputs[0] != outputs[1]
 
 
 @pytest.mark.parametrize("command, text", [
@@ -270,7 +329,7 @@ def test_failed_sphere_audit_leaves_no_file(tmp_path, monkeypatch, capsys):
     def off_sphere(spec, radial, n, stream, workers=None):
         return np.full((n, 3), 2.0)
 
-    monkeypatch.setattr(cli, "lp_dirichlet_sample", off_sphere)
+    monkeypatch.setattr(dirichlet, "lp_dirichlet_sample", off_sphere)
     config = _write(tmp_path, "sample.cfg", LP_SAMPLE)
     out = tmp_path / "sample.csv"
     assert main(["sample", "--config", config, "--out", str(out)]) == 3
@@ -284,7 +343,7 @@ def test_sphere_audit_rejects_nan_rows(tmp_path, monkeypatch, capsys):
         rows[n // 2, 1] = np.nan
         return rows
 
-    monkeypatch.setattr(cli, "lp_dirichlet_sample", nan_rows)
+    monkeypatch.setattr(dirichlet, "lp_dirichlet_sample", nan_rows)
     config = _write(tmp_path, "sample.cfg", LP_SAMPLE)
     out = tmp_path / "sample.csv"
     assert main(["sample", "--config", config, "--out", str(out)]) == 3
@@ -296,7 +355,7 @@ def test_out_of_memory_exit_code(tmp_path, monkeypatch, capsys):
     def exhausted(spec, radial, n, stream, workers=None):
         raise MemoryError
 
-    monkeypatch.setattr(cli, "lp_dirichlet_sample", exhausted)
+    monkeypatch.setattr(dirichlet, "lp_dirichlet_sample", exhausted)
     config = _write(tmp_path, "sample.cfg", LP_SAMPLE)
     out = tmp_path / "sample.csv"
     assert main(["sample", "--config", config, "--out", str(out)]) == 3
@@ -416,7 +475,7 @@ def test_unexpected_exception_in_sampler_exits_3(tmp_path, monkeypatch, capsys):
     def broken(spec, radial, n, stream, workers=None):
         return 1 / 0
 
-    monkeypatch.setattr(cli, "lp_dirichlet_sample", broken)
+    monkeypatch.setattr(dirichlet, "lp_dirichlet_sample", broken)
     config = _write(tmp_path, "sample.cfg", LP_SAMPLE)
     out = tmp_path / "sample.csv"
     assert main(["sample", "--config", config, "--out", str(out)]) == 3
@@ -476,3 +535,98 @@ def test_cli_import_leaves_scipy_stats_out():
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                          text=True, timeout=60, check=True)
     assert out.stdout.strip() == "[]"
+
+
+_TAILDEP_COLUMNS = ["t", "empirical_ratio", "stderr", "limit_estimate", "limit_stderr"]
+
+
+def _taildep_direct(stream):
+    model = MGB2Model(a=(1.0, 1.0), b=(1.0, 1.0), p=(1.0, 1.0), theta_law=Pareto(1.0))
+    query = TailQuery(c1=1.0, c2=1.0, t_grid=(2.0, 4.0), n=200000)
+    rows = tail_convergence_table(model, query, stream)
+    return _TAILDEP_COLUMNS, np.array([[r[key] for key in _TAILDEP_COLUMNS] for r in rows])
+
+
+def _columns(prefix, rows):
+    return [f"{prefix}{i + 1}" for i in range(rows.shape[1])], rows
+
+
+# (kind, command, config text, the library call the run must equal on the
+# config's RngStream); the calls are spelled out here, not read from KINDS
+_DISPATCH = [
+    ("lp_dirichlet", "sample", LP_SAMPLE, lambda s: _columns("x", lp_dirichlet_sample(
+        LpSpec((1.0, 1.0, 2.0), 2.0), PointMass(1.0), 200, s))),
+    ("weighted_dirichlet", "sample", """
+command = sample
+seed = 5
+n = 300
+audit = true
+model.kind = weighted_dirichlet
+model.alphas = 0.5,0.5,2
+model.p = 1.5
+model.qs = 0.5,1,0.25
+model.radial = point_mass:2
+""", lambda s: _columns("x", weighted_sample(
+        WeightedSpec(LpSpec((0.5, 0.5, 2.0), 1.5), (0.5, 1.0, 0.25)), PointMass(2.0), 300, s))),
+    ("random_p_dirichlet", "sample", """
+command = sample
+seed = 6
+n = 300
+model.kind = random_p_dirichlet
+model.alphas = 1,2
+model.p_law = pareto:2
+model.radial = gamma_power:3,0.5,0.5
+""", lambda s: _columns("x", random_p_sample(
+        RandomPSpec((1.0, 2.0), Pareto(2.0)), GammaPower(3.0, 0.5, 0.5), 300, s))),
+    ("mgb2", "sample", """
+command = sample
+seed = 8
+n = 300
+model.kind = mgb2
+model.a = 2,0.5,1
+model.b = 1,2,1
+model.p = 1,1.5,0.5
+model.theta = inv_gamma:2
+""", lambda s: _columns("x", mgb2_sample(
+        MGB2Model((2.0, 0.5, 1.0), (1.0, 2.0, 1.0), (1.0, 1.5, 0.5), InvGamma(2.0)), 300, s))),
+    ("mgb2", "taildep", TAILDEP, _taildep_direct),
+    ("clayton", "sample", """
+command = sample
+seed = 9
+n = 300
+model.kind = clayton
+model.theta_shape = 1.5
+model.d = 3
+""", lambda s: _columns("x", scale_mixture_exp_sample(ClaytonSpec(1.5, 3), 300, s))),
+    ("gaussian_shift", "premium", GAUSSIAN_2D, lambda s: _columns("p", np.atleast_2d(
+        premium_gaussian(GaussianShiftModel((0.0, 1.0), [[1.0, 0.3], [0.3, 2.0]],
+                                            [[2.0, 0.5], [0.5, 1.0]]), (1.0, 3.0))))),
+    ("elliptical_shift", "premium", """
+command = premium
+seed = 1
+model.kind = elliptical_shift
+model.c = 1,0.2,0,0;0.1,1,0,0;0.3,0,1,0.2;0,0.4,0.1,1
+model.nu = 0,0,2,1
+model.radial = point_mass:1
+x = 3,0.5
+""", lambda s: _columns("p", np.atleast_2d(premium_elliptical(EllipticalShiftModel(
+        [[1.0, 0.2, 0.0, 0.0], [0.1, 1.0, 0.0, 0.0], [0.3, 0.0, 1.0, 0.2],
+         [0.0, 0.4, 0.1, 1.0]], (0.0, 0.0, 2.0, 1.0), PointMass(1.0)), (3.0, 0.5))))),
+]
+
+
+def test_dispatch_cases_cover_every_kind_and_command():
+    served = {(kind, command) for kind, entry in KINDS.items() for command in entry.commands}
+    assert sorted((kind, command) for kind, command, _, _ in _DISPATCH) == sorted(served)
+
+
+@pytest.mark.parametrize("kind, command, text, direct", _DISPATCH,
+                         ids=[f"{kind}-{command}" for kind, command, _, _ in _DISPATCH])
+def test_each_kind_writes_its_library_call(tmp_path, kind, command, text, direct):
+    out = tmp_path / "out.csv"
+    run_config = parse_config(text, output_path=str(out))
+    assert (run_config.kind, run_config.command) == (kind, command)
+    assert cli.run(run_config, workers=1) == 0
+    header, rows = direct(RngStream(run_config.seed))
+    assert rows.shape[0] >= 1
+    assert out.read_bytes() == (",".join(header) + "\n").encode("ascii") + format_rows(rows)

@@ -2,8 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from riskscale.config import (COMMANDS, PREMIUM_KINDS, SAMPLE_KINDS, TAILDEP_KINDS,
-                              RunConfig, parse_config)
+from riskscale.config import COMMANDS, KINDS, DirichletModel, RunConfig, parse_config
 from riskscale.credibility import EllipticalShiftModel, GaussianShiftModel
 from riskscale.dirichlet import LpSpec, RandomPSpec, WeightedSpec
 from riskscale.errors import ConfigError
@@ -26,9 +25,8 @@ def test_minimal_sample_config():
     assert config.command == "sample"
     assert config.seed == 7
     assert config.n == 100
-    spec, radial = config.model
-    assert spec == LpSpec((1.0, 1.0), 2.0)
-    assert radial == PointMass(1.0)
+    assert config.kind == "lp_dirichlet"
+    assert config.model == DirichletModel(LpSpec((1.0, 1.0), 2.0), PointMass(1.0))
 
 
 def test_zero_alpha_rejected_with_pinpointed_message():
@@ -100,8 +98,7 @@ model.p = 2
 model.qs = 0.5,1
 model.radial = chi_square_sqrt:2
 """)
-    spec, _ = weighted.model
-    assert isinstance(spec, WeightedSpec)
+    assert isinstance(weighted.model.spec, WeightedSpec)
 
     random_p = parse_config("""
 command = sample
@@ -112,10 +109,8 @@ model.alphas = 1,2
 model.p_law = pareto:2
 model.radial = gamma_power:3,0.5,0.5
 """)
-    spec, radial = random_p.model
-    assert isinstance(spec, RandomPSpec)
-    assert spec.p_law == Pareto(2.0)
-    assert radial == GammaPower(3.0, 0.5, 0.5)
+    assert random_p.model == DirichletModel(RandomPSpec((1.0, 2.0), Pareto(2.0)),
+                                            GammaPower(3.0, 0.5, 0.5))
 
 
 def test_clayton_and_mgb2_kinds():
@@ -143,8 +138,7 @@ c2 = 0.5
 t_grid = 2,4,8
 """)
     assert isinstance(taildep.model, MGB2Model)
-    assert taildep.c1 == 1.0 and taildep.c2 == 0.5
-    assert taildep.t_grid == (2.0, 4.0, 8.0)
+    assert taildep.query == TailQuery(c1=1.0, c2=0.5, t_grid=(2.0, 4.0, 8.0), n=1000)
 
 
 def test_premium_configs():
@@ -237,12 +231,22 @@ def test_output_path_sources():
     assert parse_config(MINIMAL_SAMPLE, output_path="b.csv").output_path == "b.csv"
 
 
+def _assert_runnable(config):
+    """Parsed means runnable up to the data: the kind's table entry serves
+    the command, and a taildep model is in the tail limit's regime."""
+    assert isinstance(config, RunConfig)
+    if config.command == "verify":
+        assert config.kind is None and config.model is None
+        return
+    assert config.command in KINDS[config.kind].commands
+    if config.command == "taildep":
+        _check_limit_regime(config.model)
+        assert isinstance(config.query, TailQuery) and config.query.n == config.n
+
+
 def test_runconfig_is_frozen():
     config = parse_config(MINIMAL_SAMPLE)
-    assert isinstance(config, RunConfig)
-    if config.command == "taildep":  # parsed means runnable up to the data
-        _check_limit_regime(config.model)
-        TailQuery(c1=config.c1, c2=config.c2, t_grid=config.t_grid, n=config.n)
+    _assert_runnable(config)
     with pytest.raises(AttributeError):
         config.seed = 9
 
@@ -275,7 +279,7 @@ _NUMBER = st.one_of(st.integers(-10**6, 10**6).map(str),
                     st.floats(allow_nan=True, allow_infinity=True).map(repr),
                     st.sampled_from(["1e400", "-0", "0x10", "1_0", "9" * 5000, "", " "]))
 _VALUE = st.one_of(
-    st.sampled_from(COMMANDS + SAMPLE_KINDS + PREMIUM_KINDS + TAILDEP_KINDS),
+    st.sampled_from(COMMANDS + tuple(KINDS)),
     st.sampled_from(["true", "no", "point_mass:1", "pareto:0.5", "inv_gamma:2",
                      "gamma_power:1,2,3", "chi_square_sqrt:-1", "pareto:", ":",
                      "1,0;0,1", "1,2;3", "0,0,1,1", "1,1,2", "1,0;0,0"]),
@@ -310,7 +314,4 @@ def test_arbitrary_text_raises_only_config_error(text, command):
         config = parse_config(text, command=command)
     except ConfigError:
         return
-    assert isinstance(config, RunConfig)
-    if config.command == "taildep":  # parsed means runnable up to the data
-        _check_limit_regime(config.model)
-        TailQuery(c1=config.c1, c2=config.c2, t_grid=config.t_grid, n=config.n)
+    _assert_runnable(config)

@@ -5,8 +5,6 @@ from riskscale.errors import ParameterError, ShapeError, SingularMatrixError
 from riskscale.linalg import (
     as_matrix,
     assert_positive_definite,
-    lu_factor,
-    mat_block,
     mat_inverse,
 )
 from riskscale.rng import RngStream
@@ -37,20 +35,6 @@ def test_double_inverse_is_identity_map():
         assert np.abs(mat_inverse(mat_inverse(a)) - a).max() < 1e-9
 
 
-def test_block_selection():
-    a = np.arange(16, dtype=float).reshape(4, 4)
-    upper_right = mat_block(a, [0, 1], [2, 3])
-    assert np.array_equal(upper_right, a[:2, 2:])
-    # order of indices is preserved
-    swapped = mat_block(a, [1, 0], [3, 2])
-    assert np.array_equal(swapped, a[np.ix_([1, 0], [3, 2])])
-
-
-def test_block_out_of_range():
-    with pytest.raises(ParameterError):
-        mat_block(np.eye(3), [0, 3], [0])
-
-
 def test_singular_matrix_raises():
     with pytest.raises(SingularMatrixError):
         mat_inverse(np.zeros((3, 3)))
@@ -61,9 +45,18 @@ def test_singular_matrix_raises():
         mat_inverse([[1.0, 1.0], [1.0, 1.0 + 1e-14]])
 
 
-def test_lu_factor_requires_square():
+def test_mat_inverse_requires_square():
     with pytest.raises(ShapeError):
-        lu_factor(np.ones((2, 3)))
+        mat_inverse(np.ones((2, 3)))
+
+
+def test_singularity_guard_is_scale_free():
+    for scale in (1e-20, 1e20):
+        a = scale * np.eye(3)
+        assert np.array_equal(mat_inverse(a), np.eye(3) / scale)
+        # the nearly singular case stays singular at any scale
+        with pytest.raises(SingularMatrixError):
+            mat_inverse(scale * np.array([[1.0, 1.0], [1.0, 1.0 + 1e-14]]))
 
 
 def test_as_matrix_validation():
