@@ -267,6 +267,11 @@ def _build_model(doc: _Doc, command: str) -> tuple[str, object]:
     except ConfigError:
         raise
     except RiskscaleError as exc:
+        # an error pinned on one parameter fails on its model.* key's line
+        param = getattr(exc, "param", None)
+        key = {"theta_law": "model.theta", "C": "model.c"}.get(param, f"model.{param}")
+        if param is not None and key in doc.entries:
+            doc.fail(key, str(exc))
         raise ConfigError(f"model: {exc}") from exc
 
 

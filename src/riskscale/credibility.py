@@ -138,7 +138,8 @@ class EllipticalShiftModel:
         if nu.size != n:
             raise ShapeError(f"nu has length {nu.size}, expected {n}")
         if np.any(nu[:n // 2] != 0.0):
-            raise ParameterError("nu must be exactly zero on its first d coordinates")
+            raise ParameterError("nu must be exactly zero on its first d coordinates",
+                                 "nu")
         if not isinstance(self.radial, RadialLaw):
             raise ParameterError("radial must be a RadialLaw")
         mat_inverse(cstar.T @ cstar)  # raises SingularMatrixError when B is rank-deficient
@@ -173,14 +174,10 @@ class GenericShiftModel:
     ``prior_density`` maps an (m, d) array of points to (m,) nonnegative
     values and must integrate to one (caller contract, not checked).
     ``noise_sampler(generator, m)`` returns (m, d) i.i.d. noise draws.
-    Set ``symmetric_noise`` when Y and -Y share a law; the estimator then
-    uses the plus-sign form of the premium (mathematically identical,
-    exposed for sign-convention testing).
     """
 
     prior_density: Callable
     noise_sampler: Callable
-    symmetric_noise: bool = False
 
 
 #: Draws with prior density below this level count as carrying no mass.
@@ -193,7 +190,7 @@ def premium_mc(model: GenericShiftModel, x, n: int, stream: RngStream,
                workers=None) -> tuple[np.ndarray, np.ndarray]:
     """Monte Carlo premium estimate and per-coordinate standard errors.
 
-    Estimates x -+ E[Y h(x -+ Y)] / E[h(x -+ Y)] with a self-normalized
+    Estimates x - E[Y h(x - Y)] / E[h(x - Y)] with a self-normalized
     ratio over one stream of noise draws (numerator and denominator share
     draws, which correlates them and reduces variance). Standard errors
     come from the delta method on the ratio. The draws are never held: each
@@ -207,16 +204,13 @@ def premium_mc(model: GenericShiftModel, x, n: int, stream: RngStream,
     if n < 1000:
         raise ParameterError(f"premium_mc needs n >= 1000, got {n}")
     d = x.size
-    sign = 1.0 if model.symmetric_noise else -1.0
 
     def fill(block, lo, hi):
         m = hi - lo
         y = np.asarray(model.noise_sampler(block.generator(), m), dtype=float)
-        if y.ndim == 1:
-            y = y[:, None]
         if y.shape != (m, d):
             raise ShapeError(f"noise_sampler returned {y.shape}, expected ({m}, {d})")
-        h = np.asarray(model.prior_density(x[None, :] + sign * y), dtype=float)
+        h = np.asarray(model.prior_density(x[None, :] - y), dtype=float)
         return RatioMoments.of(y * h[:, None], h), np.count_nonzero(h > _DENSITY_FLOOR)
 
     def combine(left, right):
@@ -232,7 +226,7 @@ def premium_mc(model: GenericShiftModel, x, n: int, stream: RngStream,
         raise DegenerateDenominatorError("denominator estimate is not positive")
     # delta method on the ratio of means, per coordinate
     ratio, se = moments.estimate()
-    return x + sign * ratio, se
+    return x - ratio, se
 
 
 def shift_joint_sample(prior_sampler: Callable, noise_sampler: Callable, n: int,

@@ -28,17 +28,13 @@ from .cdfs import beta_cdf
 from .errors import ParameterError
 from .radial import RadialLaw
 from .rng import RngStream, as_generator, map_blocks
-from .samplers import _require_positive, bernoulli_pm1, beta_sample, gamma_sample
-
-
-def _positive_tuple(values, name: str) -> tuple[float, ...]:
-    out = tuple(float(v) for v in values)
-    if len(out) < 1:
-        raise ParameterError(f"{name} must be non-empty")
-    for i, v in enumerate(out):
-        if not np.isfinite(v) or v <= 0.0:
-            raise ParameterError(f"{name}[{i}] must be > 0, got {v}")
-    return out
+from .samplers import (
+    _positive_tuple,
+    _require_positive,
+    bernoulli_pm1,
+    beta_sample,
+    gamma_sample,
+)
 
 
 @dataclass(frozen=True)
@@ -68,11 +64,11 @@ class WeightedSpec:
         qs = tuple(float(q) for q in self.qs)
         if len(qs) != self.base.dim:
             raise ParameterError(
-                f"qs has length {len(qs)}, expected {self.base.dim}"
+                f"qs has length {len(qs)}, expected {self.base.dim}", "qs"
             )
         for i, q in enumerate(qs):
             if not 0.0 < q <= 1.0:
-                raise ParameterError(f"qs[{i}] must lie in (0, 1], got {q}")
+                raise ParameterError(f"qs[{i}] must lie in (0, 1], got {q}", "qs")
         object.__setattr__(self, "qs", qs)
 
     @property
@@ -104,13 +100,10 @@ def _gamma_simplex(alphas, rate, gen, m) -> np.ndarray:
     return g / g.sum(axis=1, keepdims=True)
 
 
-def angular_sample(spec: LpSpec, rng, size=None):
-    """Draws on the unit L_p sphere; (d,) for size=None, else (size, d)."""
-    gen = as_generator(rng)
-    m = 1 if size is None else int(size)
-    w = _gamma_simplex(spec.alphas, 1.0 / spec.p, gen, m)
-    o = w ** (1.0 / spec.p)
-    return o[0] if size is None else o
+def angular_sample(spec: LpSpec, rng, size: int) -> np.ndarray:
+    """(size, d) draws on the unit L_p sphere."""
+    w = _gamma_simplex(spec.alphas, 1.0 / spec.p, as_generator(rng), size)
+    return w ** (1.0 / spec.p)
 
 
 def angular_marginal_cdf(spec: LpSpec, i: int, x):
@@ -139,7 +132,7 @@ def lp_dirichlet_sample(spec: LpSpec, radial: RadialLaw, n: int,
     def fill(block, lo, hi):
         m = hi - lo
         o = angular_sample(spec, block.child(0), size=m)
-        r = np.asarray(radial.sample(block.child(1), size=m))
+        r = radial.sample(block.child(1), size=m)
         return r[:, None] * o
 
     return map_blocks(stream, n, fill, ncols=spec.dim, workers=workers)
@@ -153,7 +146,7 @@ def weighted_sample(spec: WeightedSpec, radial: RadialLaw, n: int,
     def fill(block, lo, hi):
         m = hi - lo
         o = angular_sample(base, block.child(0), size=m)
-        r = np.asarray(radial.sample(block.child(1), size=m))
+        r = radial.sample(block.child(1), size=m)
         sign_gen = block.child(2).generator()
         signs = np.column_stack(
             [bernoulli_pm1(q, sign_gen, size=m) for q in spec.qs]
@@ -175,11 +168,11 @@ def random_p_sample(spec: RandomPSpec, radial: RadialLaw, n: int,
 
     def fill(block, lo, hi):
         m = hi - lo
-        p = np.asarray(spec.p_law.sample(block.child(0), size=m))
+        p = spec.p_law.sample(block.child(0), size=m)
         gen = block.child(1).generator()
         w = _gamma_simplex(spec.alphas, 1.0, gen, m)
         o = w ** (1.0 / p[:, None])
-        r = np.asarray(radial.sample(block.child(2), size=m))
+        r = radial.sample(block.child(2), size=m)
         return np.hstack([r[:, None] * o, p[:, None]])
 
     packed = map_blocks(stream, n, fill, ncols=spec.dim + 1, workers=workers)
@@ -207,7 +200,7 @@ def random_scale_sequence_sample(alpha: float, p: float, s_law: RadialLaw,
         m = hi - lo
         gen = block.child(0).generator()
         y = (gamma_sample(alpha, 1.0 / p, gen, size=(m, d))) ** (1.0 / p)
-        s = np.asarray(s_law.sample(block.child(1), size=m))
+        s = s_law.sample(block.child(1), size=m)
         return s[:, None] * y
 
     return map_blocks(stream, n, fill, ncols=d, workers=workers)

@@ -6,7 +6,12 @@ class RiskscaleError(Exception):
 
 
 class ParameterError(RiskscaleError, ValueError):
-    """A scalar or vector parameter violates its domain (e.g. shape <= 0)."""
+    """A scalar or vector parameter violates its domain (e.g. shape <= 0);
+    ``param`` names the parameter at fault when one alone is."""
+
+    def __init__(self, message: str, param: str | None = None):
+        super().__init__(message)
+        self.param = param
 
 
 class ShapeError(RiskscaleError, ValueError):

@@ -35,11 +35,13 @@ def report(test_name: str, statistic: float, threshold: float, n: int) -> GofRep
 
 
 def as_sample(values, name: str = "sample") -> np.ndarray:
+    """``values`` as a 1-D float array of finite values, at least the 10 that
+    a KS test needs."""
     arr = np.asarray(values, dtype=float).reshape(-1)
-    if arr.size < 1:
-        raise ParameterError(f"{name} must contain at least one value")
     if not np.isfinite(arr).all():
         raise ParameterError(f"{name} contains non-finite values")
+    if arr.size < 10:
+        raise ParameterError(f"KS test needs n >= 10, got n={arr.size}")
     return arr
 
 
@@ -50,17 +52,9 @@ def ks_critical(level: float) -> float:
     return float(np.sqrt(-np.log(level / 2.0) / 2.0))
 
 
-def _check_level_and_size(x: np.ndarray, level: float) -> None:
-    if x.size < 10:
-        raise ParameterError(f"KS test needs n >= 10, got n={x.size}")
-    if not 0.0 < level < 1.0:
-        raise ParameterError(f"level must lie in (0, 1), got {level}")
-
-
-def ks_one_sample(x, cdf, level: float = 0.01, name: str = "ks_one_sample") -> GofReport:
+def ks_one_sample(x, cdf, level: float = 0.01) -> GofReport:
     """One-sample KS test of ``x`` against a vectorized CDF callable."""
     x = as_sample(x)
-    _check_level_and_size(x, level)
     n = x.size
     xs = np.sort(x)
     f = np.asarray(cdf(xs), dtype=float)
@@ -69,15 +63,13 @@ def ks_one_sample(x, cdf, level: float = 0.01, name: str = "ks_one_sample") -> G
     d_minus = np.max(f - (grid - 1.0 / n))
     stat = max(float(d_plus), float(d_minus))
     threshold = ks_critical(level) / np.sqrt(n)
-    return report(name, stat, threshold, n)
+    return report("ks_one_sample", stat, threshold, n)
 
 
-def ks_two_sample(x, y, level: float = 0.01, name: str = "ks_two_sample") -> GofReport:
+def ks_two_sample(x, y, level: float = 0.01) -> GofReport:
     """Two-sample KS test with asymptotic critical value."""
     x = as_sample(x, "first sample")
     y = as_sample(y, "second sample")
-    _check_level_and_size(x, level)
-    _check_level_and_size(y, level)
     n, m = x.size, y.size
     xs, ys = np.sort(x), np.sort(y)
     pooled = np.concatenate([xs, ys])
@@ -85,4 +77,4 @@ def ks_two_sample(x, y, level: float = 0.01, name: str = "ks_two_sample") -> Gof
     cdf_y = np.searchsorted(ys, pooled, side="right") / m
     stat = float(np.max(np.abs(cdf_x - cdf_y)))
     threshold = ks_critical(level) * np.sqrt((n + m) / (n * m))
-    return report(name, stat, threshold, n)
+    return report("ks_two_sample", stat, threshold, n)

@@ -27,7 +27,7 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
     if arr.shape[0] < 1 or arr.shape[1] < 1:
         raise ShapeError(f"{name} must have positive dimensions, got {arr.shape}")
     if not np.isfinite(arr).all():
-        raise ParameterError(f"{name} contains non-finite entries")
+        raise ParameterError(f"{name} contains non-finite entries", name)
     return arr
 
 
@@ -37,7 +37,7 @@ def as_vector(x, name: str = "vector") -> np.ndarray:
     if arr.size < 1:
         raise ShapeError(f"{name} must be non-empty")
     if not np.isfinite(arr).all():
-        raise ParameterError(f"{name} contains non-finite entries")
+        raise ParameterError(f"{name} contains non-finite entries", name)
     return arr
 
 
@@ -55,32 +55,33 @@ def mat_inverse(a) -> np.ndarray:
     return np.linalg.inv(a)
 
 
-def is_symmetric(a, rtol: float = 1e-9) -> bool:
+def is_symmetric(a) -> bool:
+    """Square, with |a - a^T| at most 1e-9 times max(1, max |a|)."""
     a = as_matrix(a)
     if a.shape[0] != a.shape[1]:
         return False
     scale = max(1.0, float(np.abs(a).max()))
-    return bool(np.abs(a - a.T).max() <= rtol * scale)
+    return bool(np.abs(a - a.T).max() <= 1e-9 * scale)
 
 
 def assert_positive_semidefinite(a, name: str = "matrix") -> None:
     """Symmetric PSD check via eigenvalues (tolerant to round-off)."""
     a = as_matrix(a, name)
     if not is_symmetric(a):
-        raise ParameterError(f"{name} must be symmetric")
+        raise ParameterError(f"{name} must be symmetric", name)
     floor = -1e-10 * max(1.0, float(np.abs(a).max()))
     if np.linalg.eigvalsh(a)[0] < floor:
-        raise ParameterError(f"{name} must be positive semidefinite")
+        raise ParameterError(f"{name} must be positive semidefinite", name)
 
 
-def assert_positive_definite(a, name: str = "matrix", margin: float = 1e-10) -> None:
-    """Require the smallest eigenvalue to exceed ``margin`` (Cholesky probe)."""
+def assert_positive_definite(a, name: str = "matrix") -> None:
+    """Require the smallest eigenvalue to exceed 1e-10 (Cholesky probe)."""
     a = as_matrix(a, name)
     if not is_symmetric(a):
-        raise ParameterError(f"{name} must be symmetric")
+        raise ParameterError(f"{name} must be symmetric", name)
     try:
-        np.linalg.cholesky(a - margin * np.eye(a.shape[0]))
+        np.linalg.cholesky(a - 1e-10 * np.eye(a.shape[0]))
     except np.linalg.LinAlgError:
         raise SingularMatrixError(
-            f"{name} must be positive definite (smallest eigenvalue > {margin:g})"
+            f"{name} must be positive definite (smallest eigenvalue > 1e-10)"
         )

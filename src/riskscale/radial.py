@@ -26,7 +26,7 @@ from .samplers import (
 class RadialLaw:
     """Base class for positive scaling laws."""
 
-    def sample(self, rng, size=None):
+    def sample(self, rng, size):
         raise NotImplementedError
 
 
@@ -41,7 +41,7 @@ class GammaPower(RadialLaw):
         _require_positive("rate", self.rate)
         _require_positive("power", self.power)
 
-    def sample(self, rng, size=None):
+    def sample(self, rng, size):
         g = gamma_sample(self.shape, self.rate, rng, size=size)
         return g ** self.power
 
@@ -55,7 +55,7 @@ class ChiSquareSqrt(RadialLaw):
     def __post_init__(self):
         _require_positive("df", self.df)
 
-    def sample(self, rng, size=None):
+    def sample(self, rng, size):
         return gamma_sample(self.df / 2.0, 0.5, rng, size=size) ** 0.5
 
 
@@ -68,7 +68,7 @@ class Pareto(RadialLaw):
     def __post_init__(self):
         _require_positive("index", self.index)
 
-    def sample(self, rng, size=None):
+    def sample(self, rng, size):
         return pareto_sample(self.index, rng, size=size)
 
 
@@ -81,7 +81,7 @@ class InvGamma(RadialLaw):
     def __post_init__(self):
         _require_positive("shape", self.shape)
 
-    def sample(self, rng, size=None):
+    def sample(self, rng, size):
         return inv_gamma_sample(self.shape, rng, size=size)
 
 
@@ -92,9 +92,7 @@ class PointMass(RadialLaw):
     def __post_init__(self):
         _require_positive("value", self.value)
 
-    def sample(self, rng, size=None):
-        if size is None:
-            return self.value
+    def sample(self, rng, size):
         return np.full(size, self.value)
 
 
@@ -104,12 +102,12 @@ class ExternalHook(RadialLaw):
 
     fn: Callable
 
-    def sample(self, rng, size=None):
+    def sample(self, rng, size):
         gen = as_generator(rng)
-        draws = np.asarray(self.fn(gen, 1 if size is None else size), dtype=float)
+        draws = np.asarray(self.fn(gen, size), dtype=float)
         if not (np.isfinite(draws).all() and (draws > 0.0).all()):
             raise ParameterError("external radial hook produced non-positive draws")
-        return float(draws.reshape(-1)[0]) if size is None else draws
+        return draws
 
 
 def regular_variation_index(law: RadialLaw) -> float:

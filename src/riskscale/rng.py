@@ -19,13 +19,14 @@ from __future__ import annotations
 
 import collections
 import functools
+import operator
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, ParameterError
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -53,22 +54,27 @@ class RngStream:
     The address is the state: ``generator()`` always materializes a fresh
     generator positioned at the start of the stream, so two calls with the
     same address replay the same sequence. Use ``child(k)`` to derive
-    non-overlapping substreams for parallel or structured sampling.
+    non-overlapping substreams for parallel or structured sampling. Both
+    parts of the address must lie in [0, 2**64), the Philox key's range.
     """
 
     seed: int
     stream_id: int = 0
 
+    def __post_init__(self):
+        for name in ("seed", "stream_id"):
+            value = operator.index(getattr(self, name))
+            if not 0 <= value <= _MASK64:
+                raise ParameterError(f"{name} must lie in [0, 2**64), got {value}", name)
+
     def generator(self) -> np.random.Generator:
         """A fresh Philox generator keyed by (seed, stream_id)."""
-        key = np.array(
-            [self.seed & _MASK64, self.stream_id & _MASK64], dtype=np.uint64
-        )
+        key = np.array([self.seed, self.stream_id], dtype=np.uint64)
         return np.random.Generator(np.random.Philox(key=key))
 
     def child(self, index: int) -> "RngStream":
         """Derive the index-th substream of this stream."""
-        mixed = _mix64(((self.stream_id & _MASK64) * _GOLDEN + index + 1) & _MASK64)
+        mixed = _mix64((self.stream_id * _GOLDEN + index + 1) & _MASK64)
         return RngStream(self.seed, mixed)
 
 

@@ -9,10 +9,10 @@ share no implementation.
 
 All samplers are pure functions of (parameters, rng state). ``rng`` may be
 a live ``numpy.random.Generator`` or an :class:`~riskscale.rng.RngStream`
-address (which is materialized once per call). ``size=None`` returns a
-single float; an int or tuple returns an array. In-place ufuncs write only
-into the array the sampler has just drawn, with the bits of the operator
-forms (``x / rate``, ``u ** e``).
+address (which is materialized once per call). ``size``, an int or a
+tuple, is the shape of the array returned. In-place ufuncs write only into
+the array the sampler has just drawn, with the bits of the operator forms
+(``x / rate``, ``u ** e``).
 
 Identity steps are skipped: :func:`_scale` makes no pass for a factor or
 divisor of exactly 1 and :func:`_power` none for an exponent of exactly 1
@@ -32,18 +32,18 @@ from .rng import as_generator
 def _require_positive(name: str, value) -> float:
     value = float(value)
     if not np.isfinite(value) or value <= 0.0:
-        raise ParameterError(f"{name} must be a positive finite number, got {value}")
+        raise ParameterError(f"{name} must be a positive finite number, got {value}", name)
     return value
 
 
-def _unwrap(arr: np.ndarray, size):
-    return float(arr[0]) if size is None else arr
-
-
-def _flat_count(size) -> int:
-    if size is None:
-        return 1
-    return int(np.prod(size))
+def _positive_tuple(values, name: str) -> tuple[float, ...]:
+    out = tuple(float(v) for v in values)
+    if len(out) < 1:
+        raise ParameterError(f"{name} must be non-empty", name)
+    for i, v in enumerate(out):
+        if not np.isfinite(v) or v <= 0.0:
+            raise ParameterError(f"{name}[{i}] must be > 0, got {v}", name)
+    return out
 
 
 def _scale(x: np.ndarray, factor: float, op=np.multiply) -> np.ndarray:
@@ -72,59 +72,47 @@ def _power(x: np.ndarray, exponent: float, out=None) -> np.ndarray:
     return np.power(x, out, out=out)
 
 
-def _std_gamma(shape: float, gen: np.random.Generator, count: int) -> np.ndarray:
+def _std_gamma(shape: float, gen: np.random.Generator, size) -> np.ndarray:
     """Standard Gamma(shape, 1) draws: the one Gamma kernel behind every sampler."""
-    return gen.standard_gamma(shape, size=count)
+    return gen.standard_gamma(shape, size=size)
 
 
-def gamma_sample(shape, rate, rng, size=None):
+def gamma_sample(shape, rate, rng, size):
     """Gamma draw with density rate^shape x^(shape-1) e^(-rate x) / Gamma(shape)."""
     shape = _require_positive("shape", shape)
     rate = _require_positive("rate", rate)
     gen = as_generator(rng)
-    out = _scale(_std_gamma(shape, gen, _flat_count(size)), rate, np.divide)
-    if size is not None:
-        out = out.reshape(size)
-    return _unwrap(out, size)
+    return _scale(_std_gamma(shape, gen, size), rate, np.divide)
 
 
-def beta_sample(a, b, rng, size=None):
+def beta_sample(a, b, rng, size):
     """Beta(a, b) draw realized as G_a / (G_a + G_b) with independent Gammas."""
     a = _require_positive("a", a)
     b = _require_positive("b", b)
     gen = as_generator(rng)
-    count = _flat_count(size)
-    ga = _std_gamma(a, gen, count)
-    gb = _std_gamma(b, gen, count)
-    out = ga / (ga + gb)
-    if size is not None:
-        out = out.reshape(size)
-    return _unwrap(out, size)
+    ga = _std_gamma(a, gen, size)
+    gb = _std_gamma(b, gen, size)
+    return ga / (ga + gb)
 
 
-def pareto_sample(index, rng, size=None):
+def pareto_sample(index, rng, size):
     """Pareto draw with survival P(X > x) = x^(-index) for x >= 1."""
     index = _require_positive("index", index)
     gen = as_generator(rng)
-    out = gen.random(_flat_count(size))
+    out = gen.random(size)
     np.subtract(1.0, out, out=out)  # in (0, 1]
     np.power(out, -1.0 / index, out=out)
-    if size is not None:
-        out = out.reshape(size)
-    return _unwrap(out, size)
+    return out
 
 
-def inv_gamma_sample(shape, rng, size=None):
+def inv_gamma_sample(shape, rng, size):
     """Inverse-Gamma draw: 1/G with G ~ Gamma(shape, 1)."""
     shape = _require_positive("shape", shape)
     gen = as_generator(rng)
-    out = 1.0 / _std_gamma(shape, gen, _flat_count(size))
-    if size is not None:
-        out = out.reshape(size)
-    return _unwrap(out, size)
+    return 1.0 / _std_gamma(shape, gen, size)
 
 
-def y_marginal_sample(alpha, p, rng, size=None):
+def y_marginal_sample(alpha, p, rng, size):
     """Draw Y = G^(1/p) with G ~ Gamma(alpha, 1/p).
 
     Y has density p^(1-alpha)/Gamma(alpha) * x^(p*alpha - 1) * exp(-x^p/p),
@@ -133,29 +121,19 @@ def y_marginal_sample(alpha, p, rng, size=None):
     alpha = _require_positive("alpha", alpha)
     p = _require_positive("p", p)
     gen = as_generator(rng)
-    g = _std_gamma(alpha, gen, _flat_count(size)) * p  # rate 1/p
-    out = g ** (1.0 / p)
-    if size is not None:
-        out = out.reshape(size)
-    return _unwrap(out, size)
+    g = _std_gamma(alpha, gen, size) * p  # rate 1/p
+    return g ** (1.0 / p)
 
 
-def normal_sample(rng, size=None):
+def normal_sample(rng, size):
     """Standard normal draw (numpy's ziggurat)."""
-    gen = as_generator(rng)
-    out = gen.standard_normal(_flat_count(size))
-    if size is not None:
-        out = out.reshape(size)
-    return _unwrap(out, size)
+    return as_generator(rng).standard_normal(size)
 
 
-def bernoulli_pm1(q, rng, size=None):
+def bernoulli_pm1(q, rng, size):
     """Sign draw in {-1, +1} with P(+1) = q, q in (0, 1]."""
     q = float(q)
     if not 0.0 < q <= 1.0:
         raise ParameterError(f"q must lie in (0, 1], got {q}")
     gen = as_generator(rng)
-    out = np.where(gen.random(_flat_count(size)) < q, 1.0, -1.0)
-    if size is not None:
-        out = out.reshape(size)
-    return _unwrap(out, size)
+    return np.where(gen.random(size) < q, 1.0, -1.0)

@@ -51,7 +51,7 @@ from .gof import GofReport, report
 from .moments import RatioMoments
 from .radial import RadialLaw, regular_variation_index
 from .rng import RngStream, map_blocks, reduce_blocks
-from .samplers import _power, _require_positive, _scale, gamma_sample
+from .samplers import _positive_tuple, _power, _require_positive, _scale, gamma_sample
 
 
 @dataclass(frozen=True)
@@ -66,7 +66,7 @@ class ClaytonSpec:
                            _require_positive("theta_shape", self.theta_shape))
         d = int(self.d)
         if d < 1:
-            raise ParameterError(f"d must be >= 1, got {d}")
+            raise ParameterError(f"d must be >= 1, got {d}", "d")
         object.__setattr__(self, "d", d)
 
 
@@ -110,17 +110,13 @@ class MGB2Model:
     theta_law: RadialLaw
 
     def __post_init__(self):
-        a = tuple(float(v) for v in self.a)
-        b = tuple(float(v) for v in self.b)
-        p = tuple(float(v) for v in self.p)
-        if not (len(a) == len(b) == len(p)) or len(a) < 1:
-            raise ParameterError("a, b, p must be non-empty lists of equal length")
-        for name, vals in (("a", a), ("b", b), ("p", p)):
-            for i, v in enumerate(vals):
-                if not np.isfinite(v) or v <= 0.0:
-                    raise ParameterError(f"{name}[{i}] must be > 0, got {v}")
+        a = _positive_tuple(self.a, "a")
+        b = _positive_tuple(self.b, "b")
+        p = _positive_tuple(self.p, "p")
+        if not len(a) == len(b) == len(p):
+            raise ParameterError("a, b, p must be lists of equal length")
         if not isinstance(self.theta_law, RadialLaw):
-            raise ParameterError("theta_law must be a RadialLaw")
+            raise ParameterError("theta_law must be a RadialLaw", "theta_law")
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "p", p)
@@ -145,7 +141,7 @@ def _mgb2_draws(model: MGB2Model, block: RngStream, m: int,
                 count=None) -> tuple[np.ndarray, list[np.ndarray]]:
     """Theta and the first ``count`` (default: all d) unscaled columns W_i
     of the m rows that block stream ``block`` gives in :func:`mgb2_sample`."""
-    theta = np.asarray(model.theta_law.sample(block.child(0), size=m))
+    theta = model.theta_law.sample(block.child(0), size=m)
     return theta, _w_factors(model, block.child(1).generator(), m, count)
 
 
@@ -182,7 +178,7 @@ def mgb2_conditional_sample(model: MGB2Model, n: int, stream: RngStream,
 
     def fill(block, lo, hi):
         m = hi - lo
-        theta = np.asarray(model.theta_law.sample(block.child(0), size=m))
+        theta = model.theta_law.sample(block.child(0), size=m)
         gen = block.child(1).generator()
         cols = []
         for i in range(model.dim):
@@ -205,12 +201,7 @@ class TailQuery:
     def __post_init__(self):
         object.__setattr__(self, "c1", _require_positive("c1", self.c1))
         object.__setattr__(self, "c2", _require_positive("c2", self.c2))
-        grid = tuple(float(t) for t in self.t_grid)
-        if len(grid) < 1:
-            raise ParameterError("t_grid must be non-empty")
-        for t in grid:
-            if not np.isfinite(t) or t <= 0.0:
-                raise ParameterError(f"thresholds must be positive, got {t}")
+        grid = _positive_tuple(self.t_grid, "t_grid")
         if any(b <= a for a, b in zip(grid, grid[1:])):
             raise ParameterError("t_grid must be strictly increasing")
         object.__setattr__(self, "t_grid", grid)

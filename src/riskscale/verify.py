@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cdfs import beta_cdf, normal_cdf
+from .cdfs import normal_cdf
 from .credibility import (
     EllipticalShiftModel,
     GaussianShiftModel,
@@ -29,6 +29,7 @@ from .dirichlet import (
     LpSpec,
     RandomPSpec,
     WeightedSpec,
+    angular_marginal_cdf,
     angular_sample,
     beta_gamma_sample,
     lp_dirichlet_sample,
@@ -150,17 +151,17 @@ def check_sphere_constraint(seed: int, workers=None) -> GofReport:
 
 
 def check_beta_marginals(seed: int, workers=None) -> GofReport:
-    """Each O_i^p follows Beta(alpha_i, sum of the others), for two exponents."""
+    """Each O_i^p follows Beta(alpha_i, sum of the others), for two exponents:
+    KS of O_i against :func:`angular_marginal_cdf`."""
     n = 10**4
-    total = sum(_ALPHAS)
     margins = []
     stream = _stream(seed, 5)
     for k, p in enumerate((1.0, 2.7)):
         spec = LpSpec(alphas=_ALPHAS, p=p)
         o = angular_sample(spec, stream.child(k), size=n)
-        for i, alpha in enumerate(_ALPHAS):
-            rep = ks_one_sample(o[:, i] ** p,
-                                lambda v, a=alpha: beta_cdf(v, a, total - a),
+        for i in range(spec.dim):
+            rep = ks_one_sample(o[:, i],
+                                lambda v, i=i: angular_marginal_cdf(spec, i, v),
                                 level=KS_LEVEL)
             margins.append(_ks_margin(rep))
     return report("beta_marginals", _worst(margins), 1.0, n)

@@ -630,3 +630,56 @@ def test_each_kind_writes_its_library_call(tmp_path, kind, command, text, direct
     header, rows = direct(RngStream(run_config.seed))
     assert rows.shape[0] >= 1
     assert out.read_bytes() == (",".join(header) + "\n").encode("ascii") + format_rows(rows)
+
+
+# One bad value per numeric model.* key of each kind, on the _DISPATCH configs.
+_SERVED_TEXTS = {kind: text for kind, command, text, _ in _DISPATCH if command != "taildep"}
+_BAD_MODEL_VALUES = [
+    ("lp_dirichlet", "model.alphas", "1,0,2"),
+    ("lp_dirichlet", "model.p", "nan"),
+    ("weighted_dirichlet", "model.alphas", "0.5,-1,2"),
+    ("weighted_dirichlet", "model.p", "0"),
+    ("weighted_dirichlet", "model.qs", "0.5,2,0.25"),
+    ("weighted_dirichlet", "model.qs", "0.5,1"),
+    ("random_p_dirichlet", "model.alphas", "1,inf"),
+    ("mgb2", "model.a", "2,0,1"),
+    ("mgb2", "model.b", "1,-2,1"),
+    ("mgb2", "model.p", "1,nan,0.5"),
+    ("clayton", "model.theta_shape", "0"),
+    ("clayton", "model.d", "0"),
+    ("gaussian_shift", "model.mu", "0,nan"),
+    ("gaussian_shift", "model.sigma", "1,0.3;0.3,inf"),
+    ("gaussian_shift", "model.sigma0", "2,0.5;0.6,1"),
+    ("elliptical_shift", "model.c", "1,0.2,0,0;0.1,1,0,0;0.3,0,nan,0.2;0,0.4,0.1,1"),
+    ("elliptical_shift", "model.nu", "1,0,2,1"),
+]
+
+
+def test_bad_model_values_cover_every_kind():
+    assert {kind for kind, _, _ in _BAD_MODEL_VALUES} == set(KINDS)
+
+
+@pytest.mark.parametrize("kind, key, value", _BAD_MODEL_VALUES,
+                         ids=[f"{kind}-{key}={value}" for kind, key, value in _BAD_MODEL_VALUES])
+def test_bad_model_value_exits_2_on_its_line(tmp_path, capsys, kind, key, value):
+    text = _SERVED_TEXTS[kind]
+    old = next(line for line in text.splitlines() if line.startswith(key + " ="))
+    command = KINDS[kind].commands[0]
+    _assert_exit_2_on_line(tmp_path, capsys, command, text.replace(old, f"{key} = {value}"),
+                           key)
+
+
+@pytest.mark.parametrize("kind, edits, message", [
+    ("gaussian_shift", {"model.sigma = 1,0.3;0.3,2": "model.sigma = 1,0;0,0",
+                        "model.sigma0 = 2,0.5;0.5,1": "model.sigma0 = 1,0;0,0"},
+     "sigma + sigma0 must be positive definite"),
+    ("mgb2", {"model.b = 1,2,1": "model.b = 1,2"}, "a, b, p must be lists of equal length"),
+])
+def test_model_error_of_no_single_key_keeps_model_prefix(tmp_path, capsys, kind, edits,
+                                                         message):
+    text = _SERVED_TEXTS[kind]
+    for old, new in edits.items():
+        text = text.replace(old, new)
+    config = _write(tmp_path, "bad.cfg", text)
+    assert main([KINDS[kind].commands[0], "--config", config]) == 2
+    assert capsys.readouterr().err.startswith(f"riskscale: config error: model: {message}")

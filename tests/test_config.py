@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -315,3 +317,17 @@ def test_arbitrary_text_raises_only_config_error(text, command):
     except ConfigError:
         return
     _assert_runnable(config)
+
+
+def test_theta_law_error_fails_on_the_model_theta_line(monkeypatch):
+    # parse_config always builds a RadialLaw, so a parse that hands MGB2Model
+    # something else stands in for a theta_law error of the model itself
+    def parse(doc):
+        doc.take("model.theta")
+        return MGB2Model(a=(1.0,), b=(1.0,), p=(1.0,), theta_law="pareto:1")
+
+    monkeypatch.setitem(KINDS, "mgb2", dataclasses.replace(KINDS["mgb2"], parse=parse))
+    text = "command = sample\nseed = 1\nn = 5\nmodel.kind = mgb2\nmodel.theta = pareto:1\n"
+    with pytest.raises(ConfigError,
+                       match=r"^line 5: model\.theta: theta_law must be a RadialLaw$"):
+        parse_config(text)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from riskscale.cdfs import normal_cdf
+from riskscale.cdfs import beta_cdf, normal_cdf
 from riskscale.dirichlet import (
     LpSpec,
     RandomPSpec,
@@ -19,6 +19,7 @@ from riskscale.gof import ks_one_sample, ks_two_sample
 from riskscale.radial import ChiSquareSqrt, GammaPower, Pareto, PointMass
 from riskscale.rng import RngStream
 from riskscale.samplers import gamma_sample, y_marginal_sample
+from riskscale.verify import _ALPHAS
 
 KS_LEVEL = 0.01
 N = 10**4
@@ -46,8 +47,8 @@ class TestAngular:
         assert rep.passed
 
     def test_single_draw_shape(self):
-        o = angular_sample(LpSpec((1.0, 1.0, 1.0), 2.0), RngStream(5))
-        assert o.shape == (3,)
+        o = angular_sample(LpSpec((1.0, 1.0, 1.0), 2.0), RngStream(5), size=1)
+        assert o.shape == (1, 3)
         assert abs((o ** 2).sum() - 1.0) < 1e-12
 
     def test_spec_validation(self):
@@ -82,6 +83,24 @@ class TestAngularMarginalCdf:
                                 lambda v, i=i: angular_marginal_cdf(spec, i, v),
                                 level=KS_LEVEL)
             assert rep.passed, f"component {i}: {rep}"
+
+    @pytest.mark.parametrize("p", [1.0, 2.7])
+    def test_is_the_beta_cdf_of_the_p_th_power_bit_for_bit(self, p):
+        # the verify beta_marginals check tests O_i against this oracle; its
+        # line keeps its bytes because, inside (0, 1), the oracle is exactly
+        # beta_cdf(x ** p, alpha_i, rest) and KS does not see the map x -> x^p
+        spec = LpSpec(_ALPHAS, p)
+        o = angular_sample(spec, RngStream(31), size=2000)
+        uniform = RngStream(32).generator().random(2000)
+        total = sum(_ALPHAS)
+        for i, alpha in enumerate(_ALPHAS):
+            for x in (o[:, i], uniform[uniform > 0.0]):
+                assert ((0.0 < x) & (x < 1.0)).all()
+                got = angular_marginal_cdf(spec, i, x)
+                want = beta_cdf(x ** p, alpha, total - alpha)
+                assert got.tobytes() == want.tobytes()
+            assert (ks_one_sample(o[:, i], lambda v, i=i: angular_marginal_cdf(spec, i, v))
+                    == ks_one_sample(o[:, i] ** p, lambda v, a=alpha: beta_cdf(v, a, total - a)))
 
     def test_d1_step(self):
         spec = LpSpec((2.0,), 3.0)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from riskscale import rng
+from riskscale.errors import ParameterError
 from riskscale.rng import (BLOCK_ROWS, RngStream, as_generator, map_blocks, ordered_map,
                            pool_size, reduce_blocks, resolve_workers)
 
@@ -13,6 +14,20 @@ def test_same_address_replays_identical_sequence():
     a = RngStream(123, 5).generator().random(1000)
     b = RngStream(123, 5).generator().random(1000)
     assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("seed, stream_id", [(-1, 0), (2**64, 0), (0, -1), (0, 2**64)])
+def test_address_outside_64_bits_is_rejected(seed, stream_id):
+    with pytest.raises(ParameterError, match=r"must lie in \[0, 2\*\*64\)"):
+        RngStream(seed, stream_id)
+
+
+def test_address_bounds_are_inclusive_of_0_and_2_to_64_minus_1():
+    top = RngStream(2**64 - 1, 2**64 - 1)
+    draws = top.generator().random(4)
+    assert np.array_equal(draws, top.generator().random(4))
+    assert not np.array_equal(draws, RngStream(0, 0).generator().random(4))
+    assert top.child(3).generator().random(4).shape == (4,)
 
 
 def test_distinct_streams_differ():

@@ -1,14 +1,18 @@
 import math
 
 import numpy as np
+import pytest
 
 import riskscale.samplers as samplers
 import riskscale.verify as verify
+from riskscale.errors import ParameterError
 from riskscale.gof import report
 from riskscale.verify import (
     CHECKS,
+    builtin_verify_suite,
     check_beta_marginals,
     check_breiman_limit,
+    check_clayton_identity,
     check_weighted_gaussian,
     render_report,
 )
@@ -87,3 +91,11 @@ def test_nan_later_margin_fails_breiman_tail_limit(monkeypatch):
     rep = check_breiman_limit(42)
     assert not rep.passed
     assert math.isnan(rep.statistic)
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64])
+def test_seed_outside_64_bits_is_rejected_not_aliased(seed):
+    with pytest.raises(ParameterError, match="seed must lie in"):
+        builtin_verify_suite(seed)
+    with pytest.raises(ParameterError, match="seed must lie in"):
+        check_clayton_identity(seed)
