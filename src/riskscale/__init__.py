@@ -16,7 +16,6 @@ from .dirichlet import (
     LpSpec,
     RandomPSpec,
     WeightedSpec,
-    angular_marginal_cdf,
     angular_sample,
     beta_gamma_sample,
     lp_dirichlet_sample,
@@ -67,6 +66,5 @@ from .tails import (
     tail_dependence_limit,
     tail_ratio_empirical,
 )
-from .verify import VerifyReport, builtin_verify_suite, render_report
 
 __version__ = "0.1.0"

@@ -13,7 +13,9 @@ bytes do not depend on the worker count and memory does not grow with the
 formatted text. The output is opened only once the results are computed, so
 a failed run leaves no file. The RISKSCALE_THREADS environment variable
 caps the worker count. Thresholds that ``taildep`` drops for too few
-exceedances are named on stderr.
+exceedances are named on stderr. The module imports numpy only: for the
+verify command, ``parse_config`` loads ``verify`` and its ``scipy.special``
+oracles, so ``sample``, ``premium`` and ``taildep`` never import scipy.
 
 Exit status: 0 ok, 1 verification check failed, 2 usage or parse error
 (including a RISKSCALE_THREADS that is not an integer) or an output that
@@ -35,7 +37,6 @@ from .errors import ConfigError, OutputError, RiskscaleError
 from .radial import PointMass
 from .rng import BLOCK_ROWS, RngStream, ordered_map, resolve_workers
 from .tails import tail_convergence_table
-from .verify import builtin_verify_suite, render_report
 
 SPHERE_AUDIT_TOL = 1e-12
 
@@ -121,9 +122,11 @@ def run(config: RunConfig, workers: int | None = None) -> int:
     """Execute a validated configuration; returns the process exit status."""
     stream = RngStream(config.seed)
     if config.command == "verify":
-        result = builtin_verify_suite(config.seed, workers=workers)
+        from . import verify  # loaded by parse_config; only verify needs scipy
+
+        result = verify.builtin_verify_suite(config.seed, workers=workers)
         with _output(config.output_path) as write:
-            write(render_report(result).encode("ascii"))
+            write(verify.render_report(result).encode("ascii"))
         return 0 if result.overall_pass else 1
     if config.command == "taildep":
         header, rows = _run_taildep(config, stream, workers)

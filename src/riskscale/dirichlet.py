@@ -24,7 +24,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cdfs import beta_cdf
 from .errors import ParameterError
 from .radial import RadialLaw
 from .rng import RngStream, as_generator, map_blocks
@@ -104,25 +103,6 @@ def angular_sample(spec: LpSpec, rng, size: int) -> np.ndarray:
     """(size, d) draws on the unit L_p sphere."""
     w = _gamma_simplex(spec.alphas, 1.0 / spec.p, as_generator(rng), size)
     return w ** (1.0 / spec.p)
-
-
-def angular_marginal_cdf(spec: LpSpec, i: int, x):
-    """P(O_i <= x): Beta CDF of x^p with parameters (alpha_i, sum of the rest).
-
-    ``i`` is a 0-based component index. For d = 1 the component is the
-    constant 1 and the CDF is a step there.
-    """
-    if not 0 <= i < spec.dim:
-        raise ParameterError(f"component index {i} out of range for d={spec.dim}")
-    x = np.asarray(x, dtype=float)
-    if spec.dim == 1:
-        out = np.where(x >= 1.0, 1.0, 0.0)
-        return float(out) if out.ndim == 0 else out
-    rest = sum(spec.alphas) - spec.alphas[i]
-    inside = np.clip(x, 0.0, 1.0) ** spec.p
-    out = np.where(x <= 0.0, 0.0, np.where(x >= 1.0, 1.0,
-                   beta_cdf(inside, spec.alphas[i], rest)))
-    return float(out) if out.ndim == 0 else out
 
 
 def lp_dirichlet_sample(spec: LpSpec, radial: RadialLaw, n: int,

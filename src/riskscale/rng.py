@@ -88,7 +88,8 @@ def as_generator(rng) -> np.random.Generator:
 
 
 def resolve_workers(workers: int | None = None) -> int:
-    """Worker-thread count: explicit argument, else RISKSCALE_THREADS, else CPUs."""
+    """Worker-thread count: explicit argument, else RISKSCALE_THREADS, else the
+    CPUs this process may run on (its affinity mask, where the platform has one)."""
     if workers is None:
         env = os.environ.get(THREADS_ENV)
         if env is not None:
@@ -98,7 +99,8 @@ def resolve_workers(workers: int | None = None) -> int:
                 raise ConfigError(
                     f"{THREADS_ENV} must be an integer, got {env!r}") from None
         else:
-            workers = os.cpu_count() or 1
+            workers = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                       else (os.cpu_count() or 1))
     return max(1, workers)
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cdfs import normal_cdf
+from .cdfs import angular_marginal_cdf, normal_cdf
 from .credibility import (
     EllipticalShiftModel,
     GaussianShiftModel,
@@ -29,7 +29,6 @@ from .dirichlet import (
     LpSpec,
     RandomPSpec,
     WeightedSpec,
-    angular_marginal_cdf,
     angular_sample,
     beta_gamma_sample,
     lp_dirichlet_sample,

@@ -1,9 +1,5 @@
 import contextlib
 import io
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -522,19 +518,6 @@ def test_sphere_audit_streams_blocks_with_the_same_max(spec, radius):
     with pytest.raises(RiskscaleError) as excinfo:
         cli._sphere_audit(spec, PointMass(radius), rows)
     assert f"max deviation {whole_array(rows):.3e} exceeds" in str(excinfo.value)
-
-
-def test_cli_import_leaves_scipy_stats_out():
-    # every command pays its imports: scipy.stats costs ~1 s on top of the
-    # scipy.special routines the oracles use, so it must not be imported
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-    probe = ("import sys, riskscale.cli; "
-             "print(sorted(m for m in sys.modules if m.startswith('scipy.stats')))")
-    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
-                         text=True, timeout=60, check=True)
-    assert out.stdout.strip() == "[]"
 
 
 _TAILDEP_COLUMNS = ["t", "empirical_ratio", "stderr", "limit_estimate", "limit_stderr"]

@@ -1,12 +1,11 @@
 import numpy as np
 import pytest
 
-from riskscale.cdfs import beta_cdf, normal_cdf
+from riskscale.cdfs import angular_marginal_cdf, beta_cdf, normal_cdf
 from riskscale.dirichlet import (
     LpSpec,
     RandomPSpec,
     WeightedSpec,
-    angular_marginal_cdf,
     angular_sample,
     beta_gamma_sample,
     lp_dirichlet_sample,

@@ -1,10 +1,14 @@
 import numpy as np
 import pytest
 
-from riskscale.cdfs import normal_cdf, uniform_cdf
+from riskscale.cdfs import normal_cdf
 from riskscale.errors import ParameterError
 from riskscale.gof import GofReport, ks_critical, ks_one_sample, ks_two_sample
 from riskscale.rng import RngStream
+
+
+def uniform_cdf(x):
+    return np.clip(np.asarray(x, dtype=float), 0.0, 1.0)
 
 
 def test_critical_constants():

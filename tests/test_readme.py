@@ -1,7 +1,12 @@
 """The configuration examples in README.md parse, and the small ones run as
-the README says they do."""
+the README says they do. The simulation side of those examples, in a fresh
+interpreter, loads no scipy module."""
 
+import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +15,20 @@ import riskscale.cli as cli
 from riskscale.config import parse_config
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+
+#: Python statement giving the sorted names of the loaded scipy modules.
+SCIPY_LOADED = "sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy')"
+
+
+def _fresh_python(code: str, *args: str) -> str:
+    """Stdout of ``code`` run with ``args`` in a new interpreter on this riskscale."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, RISKSCALE_THREADS="2", PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    out = subprocess.run([sys.executable, "-c", code, *args], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    return out.stdout
 
 
 def _config_blocks() -> dict[str, str]:
@@ -44,3 +63,57 @@ def test_premium_example_writes_3(tmp_path):
     assert cli.run(config, workers=1) == 0
     header, value = out.read_text().splitlines()
     assert header == "p1" and float(value) == 3.0
+
+
+def test_simulation_commands_load_no_scipy(tmp_path):
+    # scipy.special costs ~0.3 s of set-up; only the verify command needs it
+    blocks = _config_blocks()
+    blocks["taildep"] = re.sub(r"^n = .*$", "n = 200000", blocks["taildep"], flags=re.M)
+    args = []
+    for command in ("sample", "premium", "taildep"):
+        config = tmp_path / f"{command}.cfg"
+        config.write_text(blocks[command])
+        args += [command, str(config), str(tmp_path / f"{command}.csv")]
+    probe = f"""
+import json, sys
+import riskscale, riskscale.cli
+loaded = {{"import": {SCIPY_LOADED}}}
+for command, config, out in zip(*[iter(sys.argv[1:])] * 3):
+    status = riskscale.cli.main([command, "--config", config, "--out", out])
+    loaded[command] = [status, {SCIPY_LOADED}]
+print(json.dumps(loaded))
+"""
+    loaded = json.loads(_fresh_python(probe, *args))
+    assert loaded == {"import": [], "sample": [0, []], "premium": [0, []],
+                      "taildep": [0, []]}
+    assert len((tmp_path / "taildep.csv").read_text().splitlines()) == 4  # header + 3 t
+
+
+def test_verify_config_loads_the_suite_in_parse_config():
+    # the benchmark times parse_config as set-up and cli.run as the run: the
+    # scipy.special import belongs to the first
+    probe = f"""
+import json, sys
+from riskscale.config import parse_config
+before = ["riskscale.verify" in sys.modules, {SCIPY_LOADED}]
+parse_config("command = verify\\nseed = 42\\n")
+print(json.dumps([before, ["riskscale.verify" in sys.modules, "scipy.special" in sys.modules]]))
+"""
+    assert json.loads(_fresh_python(probe)) == [[False, []], [True, True]]
+
+
+def test_library_use_blocks_run_and_only_the_checking_side_loads_scipy():
+    blocks = re.findall(r"^```python\n(.*?)^```",
+                        README.read_text().partition("## Library use")[2], re.M | re.S)
+    assert len(blocks) == 2, "the simulation example and the checking example"
+    probe = f"""
+import json, sys
+exec(sys.argv[1])
+print(json.dumps({SCIPY_LOADED}))
+assert x.shape == (10_000, 3) and np.allclose(premium, [2.0, 2.0 / 3.0])
+exec(sys.argv[2])
+assert marginal.passed
+"""
+    out = _fresh_python(probe, *blocks).splitlines()
+    assert out[0] == "[]"
+    assert len(out[1:]) == 14 and all(line.endswith(",true") for line in out[1:])

@@ -87,6 +87,27 @@ def test_resolve_workers_env(monkeypatch):
         resolve_workers()
 
 
+def test_resolve_workers_default_counts_the_cpus_this_process_may_run_on(monkeypatch):
+    # os.cpu_count() counts every CPU of the machine, even those outside the
+    # process's affinity mask (say, under taskset -c 0)
+    monkeypatch.delenv("RISKSCALE_THREADS", raising=False)
+    monkeypatch.setattr(rng.os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(rng.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert resolve_workers() == 1
+    monkeypatch.setattr(rng.os, "sched_getaffinity", lambda pid: {0, 3, 5}, raising=False)
+    assert resolve_workers() == 3
+
+
+def test_resolve_workers_default_falls_back_to_cpu_count(monkeypatch):
+    # platforms without sched_getaffinity (macOS, Windows)
+    monkeypatch.delenv("RISKSCALE_THREADS", raising=False)
+    monkeypatch.delattr(rng.os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(rng.os, "cpu_count", lambda: 6)
+    assert resolve_workers() == 6
+    monkeypatch.setattr(rng.os, "cpu_count", lambda: None)  # undeterminable
+    assert resolve_workers() == 1
+
+
 def test_pool_size_never_exceeds_block_count(monkeypatch):
     # the computed count only: no pool of this size is ever started
     assert pool_size(10**6, 3) == 3

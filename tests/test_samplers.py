@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
+from scipy import special
 
-from riskscale.cdfs import exponential_cdf, gamma_cdf, halfnormal_cdf
 from riskscale.errors import ParameterError
 from riskscale.gof import ks_one_sample
 from riskscale.radial import InvGamma
@@ -16,6 +16,21 @@ from riskscale.samplers import (
     y_marginal_sample,
 )
 from riskscale.tails import MGB2Model, mgb2_sample
+
+
+def halfnormal_cdf(x):
+    x = np.asarray(x, dtype=float)
+    return np.where(x <= 0.0, 0.0, special.erf(x / np.sqrt(2.0)))
+
+
+def exponential_cdf(x, mean=1.0):
+    x = np.asarray(x, dtype=float)
+    return np.where(x <= 0.0, 0.0, -np.expm1(-x / mean))
+
+
+def gamma_cdf(x, shape, rate=1.0):
+    x = np.asarray(x, dtype=float)
+    return np.where(x <= 0.0, 0.0, special.gammainc(shape, rate * np.maximum(x, 0.0)))
 
 
 class TestGamma:

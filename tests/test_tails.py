@@ -4,9 +4,9 @@ from dataclasses import astuple
 
 import numpy as np
 import pytest
+from scipy import special
 
 from riskscale import tails
-from riskscale.cdfs import exponential_cdf, gamma_cdf
 from riskscale.errors import (
     InsufficientTailDataError,
     ParameterError,
@@ -35,6 +35,16 @@ from riskscale.tails import (
 )
 
 KS_LEVEL = 0.01
+
+
+def exponential_cdf(x, mean=1.0):
+    x = np.asarray(x, dtype=float)
+    return np.where(x <= 0.0, 0.0, -np.expm1(-x / mean))
+
+
+def gamma_cdf(x, shape, rate=1.0):
+    x = np.asarray(x, dtype=float)
+    return np.where(x <= 0.0, 0.0, special.gammainc(shape, rate * np.maximum(x, 0.0)))
 
 
 def _exp_model(theta_law=Pareto(1.0)):
