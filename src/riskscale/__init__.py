@@ -5,7 +5,6 @@ from .credibility import (
     EllipticalShiftModel,
     GaussianShiftModel,
     GenericShiftModel,
-    build_cstar,
     premium_elliptical,
     premium_gaussian,
     premium_mc,
@@ -33,7 +32,7 @@ from .errors import (
     SingularMatrixError,
     UnsupportedModelError,
 )
-from .gof import GofReport, ks_critical, ks_one_sample, ks_two_sample
+from .gof import GofReport, ks_one_sample, ks_two_sample
 from .radial import (
     ChiSquareSqrt,
     ExternalHook,

@@ -11,8 +11,10 @@ the scientific range). The rows go in CSV_CHUNK_ROWS-row chunks through the
 worker pool of ``rng.ordered_map`` and are written in chunk order, so the
 bytes do not depend on the worker count and memory does not grow with the
 formatted text. The output is opened only once the results are computed, so
-a failed run leaves no file. The RISKSCALE_THREADS environment variable
-caps the worker count. Thresholds that ``taildep`` drops for too few
+a failed run leaves no file. The worker count is set by the
+RISKSCALE_THREADS environment variable alone (``rng.resolve_workers``);
+:func:`run` takes none. The config file is read as UTF-8, a leading
+byte-order mark ignored. Thresholds that ``taildep`` drops for too few
 exceedances are named on stderr. The module imports numpy only: for the
 verify command, ``parse_config`` loads ``verify`` and its ``scipy.special``
 oracles, so ``sample``, ``premium`` and ``taildep`` never import scipy.
@@ -69,18 +71,17 @@ def _output(path: str | None):
         raise OutputError(f"cannot write output: {exc}") from exc
 
 
-def _write_csv(path: str | None, header: list[str], rows: np.ndarray,
-               workers: int | None = None) -> None:
+def _write_csv(path: str | None, header: list[str], rows: np.ndarray) -> None:
     """Write the header and the rows, one "%.17g" text per value.
 
     "%.17g" gives the same text as format(float(v), ".17g") for every
     double, nan, inf and -0.0 included, so doubles round-trip losslessly.
-    Chunks are formatted on up to ``workers`` threads and written in order.
+    Chunks are formatted on the worker pool and written in order.
     """
     chunks = [rows[lo:lo + CSV_CHUNK_ROWS] for lo in range(0, len(rows), CSV_CHUNK_ROWS)]
     with _output(path) as write:
         write((",".join(header) + "\n").encode("ascii"))
-        for text in ordered_map(format_rows, chunks, workers):
+        for text in ordered_map(format_rows, chunks):
             write(text)
 
 
@@ -105,9 +106,8 @@ def _sphere_audit(spec, radial: PointMass, rows: np.ndarray) -> float:
     return deviation
 
 
-def _run_taildep(config: RunConfig, stream: RngStream,
-                 workers) -> tuple[list[str], np.ndarray]:
-    rows = tail_convergence_table(config.model, config.query, stream, workers=workers)
+def _run_taildep(config: RunConfig, stream: RngStream) -> tuple[list[str], np.ndarray]:
+    rows = tail_convergence_table(config.model, config.query, stream)
     kept = {r["t"] for r in rows}
     dropped = [t for t in config.query.t_grid if t not in kept]
     if dropped:
@@ -118,25 +118,25 @@ def _run_taildep(config: RunConfig, stream: RngStream,
     return header, np.array([[r[key] for key in header] for r in rows])
 
 
-def run(config: RunConfig, workers: int | None = None) -> int:
+def run(config: RunConfig) -> int:
     """Execute a validated configuration; returns the process exit status."""
     stream = RngStream(config.seed)
     if config.command == "verify":
         from . import verify  # loaded by parse_config; only verify needs scipy
 
-        result = verify.builtin_verify_suite(config.seed, workers=workers)
+        result = verify.builtin_verify_suite(config.seed)
         with _output(config.output_path) as write:
             write(verify.render_report(result).encode("ascii"))
         return 0 if result.overall_pass else 1
     if config.command == "taildep":
-        header, rows = _run_taildep(config, stream, workers)
+        header, rows = _run_taildep(config, stream)
     else:
-        rows = KINDS[config.kind].run(config, stream, workers)
+        rows = KINDS[config.kind].run(config, stream)
         if config.audit:
             _sphere_audit(config.model.spec, config.model.radial, rows)
         prefix = "x" if config.command == "sample" else "p"
         header = [f"{prefix}{i + 1}" for i in range(rows.shape[1])]
-    _write_csv(config.output_path, header, rows, workers)
+    _write_csv(config.output_path, header, rows)
     return 0
 
 
@@ -165,7 +165,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        with open(args.config, encoding="utf-8") as fh:
+        with open(args.config, encoding="utf-8-sig") as fh:
             text = fh.read()
     except OSError as exc:
         print(f"riskscale: cannot read config: {exc}", file=sys.stderr)
@@ -173,7 +173,8 @@ def main(argv=None) -> int:
     try:
         config = parse_config(text, command=args.command, seed=args.seed,
                               output_path=args.out)
-        return run(config, workers=resolve_workers())
+        resolve_workers()  # a bad RISKSCALE_THREADS fails before any output opens
+        return run(config)
     except ConfigError as exc:
         print(f"riskscale: config error: {exc}", file=sys.stderr)
         return 2

@@ -18,16 +18,9 @@ import numpy as np
 from . import credibility, dirichlet, tails
 from .credibility import EllipticalShiftModel, GaussianShiftModel
 from .dirichlet import LpSpec, RandomPSpec, WeightedSpec
-from .errors import ConfigError, ParameterError, RiskscaleError, UnsupportedModelError
+from .errors import ConfigError, RiskscaleError
 from .radial import ChiSquareSqrt, GammaPower, InvGamma, Pareto, PointMass, RadialLaw
-from .samplers import _require_positive
-from .tails import (
-    ClaytonSpec,
-    MGB2Model,
-    TailQuery,
-    _check_limit_regime,
-    _check_limit_shape,
-)
+from .tails import ClaytonSpec, MGB2Model, TailQuery, _check_limit_regime
 
 COMMANDS = ("sample", "premium", "taildep", "verify")
 
@@ -198,11 +191,12 @@ def _dirichlet(parse_spec: Callable[[_Doc], object]) -> Callable[[_Doc], Dirichl
 @dataclass(frozen=True)
 class Kind:
     """A model kind: the commands it serves, ``parse(doc)`` building its model
-    from the ``model.*`` keys, ``run(config, stream, workers)`` giving the
-    rows that ``sample`` or ``premium`` writes (``taildep`` tabulates the
-    model itself), and whether ``sample`` can audit its rows on the sphere.
+    from the ``model.*`` keys, ``run(config, stream)`` giving the rows that
+    ``sample`` or ``premium`` writes (``taildep`` tabulates the model
+    itself), and whether ``sample`` can audit its rows on the sphere.
     Each ``run`` reads its function from that function's module at call
-    time, so a wrapper or test double put there is the one that runs.
+    time, so a wrapper or test double put there is the one that runs. The
+    samplers take their worker count from RISKSCALE_THREADS.
     """
 
     commands: tuple[str, ...]
@@ -214,45 +208,59 @@ class Kind:
 KINDS = {
     "lp_dirichlet": Kind(
         ("sample",), _dirichlet(_parse_lp),
-        lambda c, s, w: dirichlet.lp_dirichlet_sample(c.model.spec, c.model.radial,
-                                                      c.n, s, w),
+        lambda c, s: dirichlet.lp_dirichlet_sample(c.model.spec, c.model.radial, c.n, s),
         audit=True),
     "weighted_dirichlet": Kind(
         ("sample",),
         _dirichlet(lambda doc: WeightedSpec(base=_parse_lp(doc),
                                             qs=_parse_floats(doc, "model.qs"))),
-        lambda c, s, w: dirichlet.weighted_sample(c.model.spec, c.model.radial, c.n, s, w),
+        lambda c, s: dirichlet.weighted_sample(c.model.spec, c.model.radial, c.n, s),
         audit=True),
     "random_p_dirichlet": Kind(
         ("sample",),
         _dirichlet(lambda doc: RandomPSpec(alphas=_parse_floats(doc, "model.alphas"),
                                            p_law=_parse_law(doc, "model.p_law"))),
-        lambda c, s, w: dirichlet.random_p_sample(c.model.spec, c.model.radial, c.n, s, w)),
+        lambda c, s: dirichlet.random_p_sample(c.model.spec, c.model.radial, c.n, s)[0]),
     "mgb2": Kind(
         ("sample", "taildep"),
         lambda doc: MGB2Model(a=_parse_floats(doc, "model.a"),
                               b=_parse_floats(doc, "model.b"),
                               p=_parse_floats(doc, "model.p"),
                               theta_law=_parse_law(doc, "model.theta")),
-        lambda c, s, w: tails.mgb2_sample(c.model, c.n, s, w)),
+        lambda c, s: tails.mgb2_sample(c.model, c.n, s)),
     "clayton": Kind(
         ("sample",),
         lambda doc: ClaytonSpec(theta_shape=_parse_float(doc, "model.theta_shape"),
                                 d=_parse_int(doc, "model.d")),
-        lambda c, s, w: tails.scale_mixture_exp_sample(c.model, c.n, s, w)),
+        lambda c, s: tails.scale_mixture_exp_sample(c.model, c.n, s)),
     "gaussian_shift": Kind(
         ("premium",),
         lambda doc: GaussianShiftModel(mu=_parse_floats(doc, "model.mu"),
                                        sigma=_parse_matrix(doc, "model.sigma"),
                                        sigma0=_parse_matrix(doc, "model.sigma0")),
-        lambda c, s, w: np.atleast_2d(credibility.premium_gaussian(c.model, c.x))),
+        lambda c, s: np.atleast_2d(credibility.premium_gaussian(c.model, c.x))),
     "elliptical_shift": Kind(
         ("premium",),
         lambda doc: EllipticalShiftModel(c=_parse_matrix(doc, "model.c"),
                                          nu=_parse_floats(doc, "model.nu"),
                                          radial=_parse_law(doc, "model.radial")),
-        lambda c, s, w: np.atleast_2d(credibility.premium_elliptical(c.model, c.x))),
+        lambda c, s: np.atleast_2d(credibility.premium_elliptical(c.model, c.x))),
 }
+
+
+# the file keys of the parameters not named model.<param>
+_PARAM_KEYS = {"theta_law": "model.theta", "C": "model.c",
+               "c1": "c1", "c2": "c2", "t_grid": "t_grid"}
+
+
+def _fail_on_param(doc: _Doc, exc: RiskscaleError):
+    """Re-raise ``exc`` as a ConfigError on the line of the key its ``param``
+    names (a model parameter's ``model.*`` key, or a taildep query key), or
+    as a ``model:`` error when no single key of the file owns it."""
+    key = _PARAM_KEYS.get(exc.param, f"model.{exc.param}")
+    if exc.param is not None and key in doc.entries:
+        doc.fail(key, str(exc))
+    raise ConfigError(f"model: {exc}") from exc
 
 
 def _build_model(doc: _Doc, command: str) -> tuple[str, object]:
@@ -267,12 +275,7 @@ def _build_model(doc: _Doc, command: str) -> tuple[str, object]:
     except ConfigError:
         raise
     except RiskscaleError as exc:
-        # an error pinned on one parameter fails on its model.* key's line
-        param = getattr(exc, "param", None)
-        key = {"theta_law": "model.theta", "C": "model.c"}.get(param, f"model.{param}")
-        if param is not None and key in doc.entries:
-            doc.fail(key, str(exc))
-        raise ConfigError(f"model: {exc}") from exc
+        _fail_on_param(doc, exc)
 
 
 def _parse_query(doc: _Doc, model: MGB2Model, n: int) -> TailQuery:
@@ -282,21 +285,11 @@ def _parse_query(doc: _Doc, model: MGB2Model, n: int) -> TailQuery:
     c1 = _parse_float(doc, "c1")
     c2 = _parse_float(doc, "c2")
     t_grid = _parse_floats(doc, "t_grid")
-    for key, check in (("model.a", _check_limit_shape),
-                       ("model.theta", _check_limit_regime)):
-        try:
-            check(model)
-        except UnsupportedModelError as exc:
-            doc.fail(key, str(exc))
-    for key, value in (("c1", c1), ("c2", c2)):
-        try:
-            _require_positive(key, value)
-        except ParameterError as exc:
-            doc.fail(key, str(exc))
     try:
+        _check_limit_regime(model)
         return TailQuery(c1=c1, c2=c2, t_grid=t_grid, n=n)
-    except ParameterError as exc:  # c1, c2 and n passed: the grid is at fault
-        doc.fail("t_grid", str(exc))
+    except RiskscaleError as exc:
+        _fail_on_param(doc, exc)
 
 
 def parse_config(text: str, command: str | None = None,

@@ -137,13 +137,13 @@ def weighted_sample(spec: WeightedSpec, radial: RadialLaw, n: int,
 
 
 def random_p_sample(spec: RandomPSpec, radial: RadialLaw, n: int,
-                    stream: RngStream, workers=None, return_exponents=False):
-    """Rows of R * O where each row draws its own exponent P.
+                    stream: RngStream, workers=None) -> tuple[np.ndarray, np.ndarray]:
+    """``(rows, exponents)``: n rows of R * O where each row draws its own
+    exponent P, and the n values of P.
 
     Per row: P ~ p_law, then Y_i with Y_i^P ~ Gamma(alpha_i, 1) (rate 1 in
-    this family), normalized so that sum_i O_i^P = 1 for that row's P.
-    With ``return_exponents`` the per-row P values come back as a second
-    array, so callers can audit the row-wise sphere constraint.
+    this family), normalized so that sum_i O_i^P = 1 for that row's P; the
+    exponents let callers audit that row-wise sphere constraint.
     """
 
     def fill(block, lo, hi):
@@ -156,10 +156,7 @@ def random_p_sample(spec: RandomPSpec, radial: RadialLaw, n: int,
         return np.hstack([r[:, None] * o, p[:, None]])
 
     packed = map_blocks(stream, n, fill, ncols=spec.dim + 1, workers=workers)
-    rows, exponents = packed[:, :spec.dim], packed[:, spec.dim]
-    if return_exponents:
-        return rows, exponents
-    return rows
+    return packed[:, :spec.dim], packed[:, spec.dim]
 
 
 def random_scale_sequence_sample(alpha: float, p: float, s_law: RadialLaw,

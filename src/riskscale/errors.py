@@ -2,16 +2,16 @@
 
 
 class RiskscaleError(Exception):
-    """Base class for all errors raised by this package."""
-
-
-class ParameterError(RiskscaleError, ValueError):
-    """A scalar or vector parameter violates its domain (e.g. shape <= 0);
-    ``param`` names the parameter at fault when one alone is."""
+    """Base class for all errors raised by this package; ``param`` names the
+    parameter at fault when one alone is."""
 
     def __init__(self, message: str, param: str | None = None):
         super().__init__(message)
         self.param = param
+
+
+class ParameterError(RiskscaleError, ValueError):
+    """A scalar or vector parameter violates its domain (e.g. shape <= 0)."""
 
 
 class ShapeError(RiskscaleError, ValueError):

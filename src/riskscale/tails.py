@@ -203,11 +203,11 @@ class TailQuery:
         object.__setattr__(self, "c2", _require_positive("c2", self.c2))
         grid = _positive_tuple(self.t_grid, "t_grid")
         if any(b <= a for a, b in zip(grid, grid[1:])):
-            raise ParameterError("t_grid must be strictly increasing")
+            raise ParameterError("t_grid must be strictly increasing", "t_grid")
         object.__setattr__(self, "t_grid", grid)
         n = int(self.n)
         if n < 1:
-            raise ParameterError(f"n must be >= 1, got {n}")
+            raise ParameterError(f"n must be >= 1, got {n}", "n")
         object.__setattr__(self, "n", n)
 
 
@@ -266,26 +266,22 @@ def tail_ratio_empirical(samples, c1: float, c2: float, t: float
     return _ratio_from_counts(samples.shape[0], counts[0], t)
 
 
-def _check_limit_shape(model: MGB2Model) -> float:
-    """The common shape a = a_1 = a_2 of a model with at least 2 components."""
+def _check_limit_regime(model: MGB2Model) -> tuple[float, float]:
+    """(a, q) of a model the joint tail limit covers: at least 2 components
+    with a common shape a = a_1 = a_2, then a regularly varying mixer of
+    index q. The error's ``param`` is ``a`` or ``theta_law``."""
     if model.dim < 2:
-        raise UnsupportedModelError("the joint tail limit needs at least 2 components")
+        raise UnsupportedModelError("the joint tail limit needs at least 2 components",
+                                    "a")
     if model.a[0] != model.a[1]:
         raise UnsupportedModelError(
-            f"the tail limit assumes a_1 = a_2, got {model.a[0]} and {model.a[1]}"
+            f"the tail limit assumes a_1 = a_2, got {model.a[0]} and {model.a[1]}", "a"
         )
-    return model.a[0]
-
-
-def _check_limit_regime(model: MGB2Model) -> tuple[float, float]:
-    """(a, q) of a model the joint tail limit covers: the shape check of
-    :func:`_check_limit_shape`, then a regularly varying mixer of index q."""
-    a = _check_limit_shape(model)
     try:
         q = regular_variation_index(model.theta_law)
     except ParameterError as exc:
-        raise UnsupportedModelError(str(exc)) from exc
-    return a, q
+        raise UnsupportedModelError(str(exc), "theta_law") from exc
+    return model.a[0], q
 
 
 def _min_ratio_power(w1, w2, c1: float, c2: float, aq: float) -> np.ndarray:

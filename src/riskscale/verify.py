@@ -7,6 +7,10 @@ sub-statistic to sub-tolerance) against a threshold of 1, so a line passes
 exactly when every sub-assertion holds. Worst values are taken by
 :func:`_worst`, which is nan when any sub-statistic is nan, so a degenerate
 sub-test fails its check instead of being dropped by the maximum.
+
+The checks take no worker count: the samplers they call take it from
+RISKSCALE_THREADS, and the bytes of a report do not depend on it.
+:func:`check_determinism` alone passes explicit counts, to compare them.
 """
 
 from __future__ import annotations
@@ -85,7 +89,7 @@ def _gaussian_prior_density(tau2: float):
     return h
 
 
-def check_scalar_premium_mc(seed: int, workers=None) -> GofReport:
+def check_scalar_premium_mc(seed: int) -> GofReport:
     """Monte Carlo premium against the scalar closed form (d = 1 Gaussian)."""
     mu, sigma2, tau2, x = 0.0, 1.0, 3.0, 4.0
     n = 10**6
@@ -93,7 +97,7 @@ def check_scalar_premium_mc(seed: int, workers=None) -> GofReport:
         prior_density=_gaussian_prior_density(tau2),
         noise_sampler=lambda gen, m: gen.standard_normal((m, 1)),
     )
-    est, se = premium_mc(model, [x], n, _stream(seed, 1), workers=workers)
+    est, se = premium_mc(model, [x], n, _stream(seed, 1))
     exact = premium_scalar(mu, sigma2, tau2, x)
     return report("scalar_premium_mc", abs(est[0] - exact), 3.0 * se[0], n)
 
@@ -103,7 +107,7 @@ def _random_pd(gen, d: int) -> np.ndarray:
     return a.T @ a + 0.5 * np.eye(d)
 
 
-def check_gaussian_premium_forms(seed: int, workers=None) -> GofReport:
+def check_gaussian_premium_forms(seed: int) -> GofReport:
     """Agreement of the two closed-form Gaussian premium expressions."""
     gen = _stream(seed, 2).generator()
     d, reps = 3, 20
@@ -119,7 +123,7 @@ def check_gaussian_premium_forms(seed: int, workers=None) -> GofReport:
     return report("gaussian_premium_forms", _worst(diffs), 1e-10, reps)
 
 
-def check_elliptical_reduction(seed: int, workers=None) -> GofReport:
+def check_elliptical_reduction(seed: int) -> GofReport:
     """Block-diagonal elliptical model reproduces the Gaussian premium."""
     gen = _stream(seed, 3).generator()
     d, reps = 3, 20
@@ -140,7 +144,7 @@ def check_elliptical_reduction(seed: int, workers=None) -> GofReport:
     return report("elliptical_reduction", _worst(diffs), 1e-9, reps)
 
 
-def check_sphere_constraint(seed: int, workers=None) -> GofReport:
+def check_sphere_constraint(seed: int) -> GofReport:
     """Angular draws stay on the unit L_p sphere to 1e-12."""
     spec = LpSpec(alphas=_ALPHAS, p=3.0)
     n = 10**5
@@ -149,7 +153,7 @@ def check_sphere_constraint(seed: int, workers=None) -> GofReport:
     return report("sphere_constraint", float(dev), 1e-12, n)
 
 
-def check_beta_marginals(seed: int, workers=None) -> GofReport:
+def check_beta_marginals(seed: int) -> GofReport:
     """Each O_i^p follows Beta(alpha_i, sum of the others), for two exponents:
     KS of O_i against :func:`angular_marginal_cdf`."""
     n = 10**4
@@ -166,7 +170,7 @@ def check_beta_marginals(seed: int, workers=None) -> GofReport:
     return report("beta_marginals", _worst(margins), 1.0, n)
 
 
-def check_factorization(seed: int, workers=None) -> GofReport:
+def check_factorization(seed: int) -> GofReport:
     """With the Gamma-power radius, scaled angular components are independent
     with the Y marginals: per-margin KS plus pairwise correlation of p-powers."""
     n = 10**4
@@ -174,7 +178,7 @@ def check_factorization(seed: int, workers=None) -> GofReport:
     spec = LpSpec(alphas=_ALPHAS, p=p)
     radial = GammaPower(sum(_ALPHAS), 1.0 / p, 1.0 / p)
     stream = _stream(seed, 6)
-    x = lp_dirichlet_sample(spec, radial, n, stream.child(20), workers=workers)
+    x = lp_dirichlet_sample(spec, radial, n, stream.child(20))
     margins = []
     for i, alpha in enumerate(_ALPHAS):
         y = y_marginal_sample(alpha, p, stream.child(i + 10), size=n)
@@ -183,31 +187,29 @@ def check_factorization(seed: int, workers=None) -> GofReport:
     return report("gamma_dirichlet_factorization", _worst(margins), 1.0, n)
 
 
-def check_scale_cancellation(seed: int, workers=None) -> GofReport:
+def check_scale_cancellation(seed: int) -> GofReport:
     """The law of X_1/X_2 does not depend on the common scale law."""
     n = 10**4
     stream = _stream(seed, 7)
-    a = random_scale_sequence_sample(0.5, 2.0, PointMass(1.0), 2, n,
-                                     stream.child(0), workers=workers)
-    b = random_scale_sequence_sample(0.5, 2.0, Pareto(3.0), 2, n,
-                                     stream.child(1), workers=workers)
+    a = random_scale_sequence_sample(0.5, 2.0, PointMass(1.0), 2, n, stream.child(0))
+    b = random_scale_sequence_sample(0.5, 2.0, Pareto(3.0), 2, n, stream.child(1))
     rep = ks_two_sample(a[:, 0] / a[:, 1], b[:, 0] / b[:, 1], level=KS_LEVEL)
     return report("scale_cancellation", rep.statistic, rep.threshold, n)
 
 
-def check_beta_gamma_algebra(seed: int, workers=None) -> GofReport:
+def check_beta_gamma_algebra(seed: int) -> GofReport:
     """(T E)^(1/p) with Beta/exponential factors matches the Y marginal."""
     n = 10**4
     stream = _stream(seed, 8)
     margins = []
     for k, (alpha, p) in enumerate(((0.5, 1.0), (0.5, 2.0), (0.2, 3.0))):
-        x = beta_gamma_sample(alpha, p, n, stream.child(2 * k), workers=workers)
+        x = beta_gamma_sample(alpha, p, n, stream.child(2 * k))
         y = y_marginal_sample(alpha, p, stream.child(2 * k + 1), size=n)
         margins.append(_ks_margin(ks_two_sample(x, y, level=KS_LEVEL)))
     return report("beta_gamma_algebra", _worst(margins), 1.0, n)
 
 
-def check_weighted_gaussian(seed: int, workers=None) -> GofReport:
+def check_weighted_gaussian(seed: int) -> GofReport:
     """Symmetric signs, alpha_i = 1/2, p = 2, chi(d) radius give i.i.d. N(0,1).
 
     Note alpha_i = 1/2: the squared marginal factor must be chi-square with
@@ -216,32 +218,30 @@ def check_weighted_gaussian(seed: int, workers=None) -> GofReport:
     """
     d, n = 4, 10**4
     spec = WeightedSpec(base=LpSpec(alphas=(0.5,) * d, p=2.0), qs=(0.5,) * d)
-    x = weighted_sample(spec, ChiSquareSqrt(float(d)), n, _stream(seed, 9),
-                        workers=workers)
+    x = weighted_sample(spec, ChiSquareSqrt(float(d)), n, _stream(seed, 9))
     margins = [_ks_margin(ks_one_sample(x[:, i], normal_cdf, level=KS_LEVEL))
                for i in range(d)]
     margins.append(_max_offdiag_corr(x) / (3.0 / np.sqrt(n)))
     return report("weighted_gaussian", _worst(margins), 1.0, n)
 
 
-def check_random_p_sphere(seed: int, workers=None) -> GofReport:
+def check_random_p_sphere(seed: int) -> GofReport:
     """Each row of the random-exponent sampler satisfies its own sphere identity."""
     n = 10**4
     spec = RandomPSpec(alphas=(0.5, 1.0, 1.5), p_law=Pareto(2.0))
-    rows, exponents = random_p_sample(spec, PointMass(1.0), n, _stream(seed, 10),
-                                      workers=workers, return_exponents=True)
+    rows, exponents = random_p_sample(spec, PointMass(1.0), n, _stream(seed, 10))
     dev = np.abs((rows ** exponents[:, None]).sum(axis=1) - 1.0).max()
     return report("random_p_sphere", float(dev), 1e-12, n)
 
 
-def check_mgb2_equivalence(seed: int, workers=None) -> GofReport:
+def check_mgb2_equivalence(seed: int) -> GofReport:
     """Scale-mixture and conditional MGB2 samplers agree in law."""
     n = 10**4
     model = MGB2Model(a=(2.0, 3.0), b=(1.0, 2.0), p=(1.5, 0.5),
                       theta_law=InvGamma(2.0))
     stream = _stream(seed, 11)
-    x = mgb2_sample(model, n, stream.child(0), workers=workers)
-    y = mgb2_conditional_sample(model, n, stream.child(1), workers=workers)
+    x = mgb2_sample(model, n, stream.child(0))
+    y = mgb2_conditional_sample(model, n, stream.child(1))
     margins = [_ks_margin(ks_two_sample(x[:, i], y[:, i], level=KS_LEVEL))
                for i in range(model.dim)]
     margins.append(_ks_margin(ks_two_sample(x.min(axis=1), y.min(axis=1),
@@ -249,12 +249,12 @@ def check_mgb2_equivalence(seed: int, workers=None) -> GofReport:
     return report("mgb2_equivalence", _worst(margins), 1.0, n)
 
 
-def check_clayton_identity(seed: int, workers=None) -> GofReport:
+def check_clayton_identity(seed: int) -> GofReport:
     """Empirical joint survival of the exponential scale mixture matches
     (1 + x_1 + x_2)^(-a) on a 3 x 3 grid."""
     n = 10**5
     spec = ClaytonSpec(theta_shape=1.0, d=2)
-    sample = scale_mixture_exp_sample(spec, n, _stream(seed, 12), workers=workers)
+    sample = scale_mixture_exp_sample(spec, n, _stream(seed, 12))
     diffs = []
     for x1 in (0.25, 0.5, 1.0):
         for x2 in (0.25, 0.5, 1.0):
@@ -263,7 +263,7 @@ def check_clayton_identity(seed: int, workers=None) -> GofReport:
     return report("clayton_identity", _worst(diffs), 0.01, n)
 
 
-def check_breiman_limit(seed: int, workers=None) -> GofReport:
+def check_breiman_limit(seed: int) -> GofReport:
     """Joint-tail limit in the exponential case: value 1/2, prelimit at t = 20,
     positivity, and exact homogeneity under shared draws."""
     model = MGB2Model(a=(1.0, 1.0), b=(1.0, 1.0), p=(1.0, 1.0),
@@ -273,13 +273,13 @@ def check_breiman_limit(seed: int, workers=None) -> GofReport:
 
     # both pairs from one pass over the same W draws
     (est, se), (est2, _) = tail_dependence_limits(
-        model, ((1.0, 1.0), (2.0, 2.0)), 10**6, stream.child(0), workers=workers)
+        model, ((1.0, 1.0), (2.0, 2.0)), 10**6, stream.child(0))
     margins.append(abs(est - 0.5) / 0.01)          # within 2% of 1/2
     margins.append(3.0 * se / est)                 # positivity: est - 3 se > 0
     margins.append(abs(est2 - 0.5 * est) / 1e-12)  # homogeneity, shared draws
 
     query = TailQuery(c1=1.0, c2=1.0, t_grid=(5.0, 10.0, 20.0), n=10**7)
-    rows = tail_convergence_table(model, query, stream.child(1), workers=workers)
+    rows = tail_convergence_table(model, query, stream.child(1))
     at_20 = next(r for r in rows if r["t"] == 20.0)
     margins.append(abs(at_20["empirical_ratio"] - 0.5) / 0.05)  # within 10% of 1/2
 
@@ -289,7 +289,7 @@ def check_breiman_limit(seed: int, workers=None) -> GofReport:
     return report("breiman_tail_limit", _worst(margins), 1.0, query.n)
 
 
-def check_determinism(seed: int, workers=None) -> GofReport:
+def check_determinism(seed: int) -> GofReport:
     """Repeat runs and worker counts reproduce bit-identical output."""
     n = 3 * 32768 + 101  # spans several generation blocks
     spec = LpSpec(alphas=(1.0, 2.0), p=2.0)
@@ -343,9 +343,9 @@ class VerifyReport:
         return all(c.passed for c in self.checks)
 
 
-def builtin_verify_suite(seed: int = 42, workers=None) -> VerifyReport:
+def builtin_verify_suite(seed: int = 42) -> VerifyReport:
     """Run every acceptance check on substreams of ``seed``."""
-    return VerifyReport(tuple(check(seed, workers=workers) for check in CHECKS))
+    return VerifyReport(tuple(check(seed) for check in CHECKS))
 
 
 def render_report(result: VerifyReport) -> str:

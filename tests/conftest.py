@@ -12,7 +12,9 @@ def verify_seed42():
     Run once per session and shared by every test that only inspects the
     result; the report is frozen, so no test can alter it for the next.
     """
-    return builtin_verify_suite(seed=42, workers=1)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setenv("RISKSCALE_THREADS", "1")
+        return builtin_verify_suite(seed=42)
 
 
 class InlinePool:

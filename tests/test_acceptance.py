@@ -105,11 +105,13 @@ def test_c13_breiman_tail_limit():
     _conclude(13, "joint tail ratio converges to the limit", report)
 
 
-def test_c14_verify_suite_determinism(verify_seed42):
+def test_c14_verify_suite_determinism(verify_seed42, monkeypatch):
     # the shared session run is the first; the repeat and threaded runs are fresh
     first = render_report(verify_seed42)
-    second = render_report(builtin_verify_suite(SEED, workers=1))
-    threaded = render_report(builtin_verify_suite(SEED, workers=4))
+    monkeypatch.setenv("RISKSCALE_THREADS", "1")
+    second = render_report(builtin_verify_suite(SEED))
+    monkeypatch.setenv("RISKSCALE_THREADS", "4")
+    threaded = render_report(builtin_verify_suite(SEED))
     identical = first == second == threaded
     report = GofReport("verify_suite_determinism", 0.0 if identical else 1.0,
                        0.0, identical, len(first))

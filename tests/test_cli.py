@@ -1,3 +1,4 @@
+import codecs
 import contextlib
 import io
 
@@ -271,14 +272,28 @@ x = 3
     assert float(out.read_text().splitlines()[1]) == 2.5
 
 
+def test_config_with_byte_order_mark_runs(tmp_path):
+    # an editor may save UTF-8 with a leading BOM; the first key must still parse
+    text = SCALAR_PREMIUM.lstrip("\n").encode("utf-8")
+    plain, marked = tmp_path / "plain.cfg", tmp_path / "bom.cfg"
+    plain.write_bytes(text)
+    marked.write_bytes(codecs.BOM_UTF8 + text)
+    outputs = []
+    for config in (plain, marked):
+        out = tmp_path / f"{config.stem}.csv"
+        assert main(["premium", "--config", str(config), "--out", str(out)]) == 0
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1] == b"p1\n3\n"
+
+
 def test_verify_command_reports_and_exit_codes(tmp_path, monkeypatch):
     calls = {}
 
-    def fake_pass(seed, workers=None):
+    def fake_pass(seed):
         calls["seed"] = seed
         return GofReport("stub_pass", 0.0, 1.0, True, 10)
 
-    def fake_fail(seed, workers=None):
+    def fake_fail(seed):
         return GofReport("stub_fail", 2.0, 1.0, False, 10)
 
     config = _write(tmp_path, "verify.cfg", "command = verify\nseed = 42\n")
@@ -369,7 +384,7 @@ def test_out_of_memory_exit_code(tmp_path, monkeypatch, capsys):
 ])
 def test_unwritable_output_exit_code(tmp_path, capsys, monkeypatch, command, text):
     monkeypatch.setattr(verify, "CHECKS",
-                        (lambda seed, workers=None: GofReport("stub", 0.0, 1.0, True, 1),))
+                        (lambda seed: GofReport("stub", 0.0, 1.0, True, 1),))
     config = _write(tmp_path, "run.cfg", text)
     out = tmp_path / "missing" / "out.csv"
     assert main([command, "--config", config, "--out", str(out)]) == 2
@@ -410,10 +425,11 @@ def _rows_with_fallback_chunk():
 
 
 @pytest.mark.parametrize("threads", [1, 2, 4])
-def test_csv_writer_bytes_at_any_thread_count(tmp_path, threads):
+def test_csv_writer_bytes_at_any_thread_count(tmp_path, monkeypatch, threads):
+    monkeypatch.setenv("RISKSCALE_THREADS", str(threads))
     rows = _rows_with_fallback_chunk()
     out = tmp_path / "rows.csv"
-    cli._write_csv(str(out), ["a", "b", "c"], rows, workers=threads)
+    cli._write_csv(str(out), ["a", "b", "c"], rows)
     assert out.read_bytes() == _per_value_text(["a", "b", "c"], rows)
 
 
@@ -451,8 +467,9 @@ def test_csv_chunks_in_flight_are_bounded(monkeypatch, inline_pool, workers, chu
 
     monkeypatch.setattr(cli, "_output", collect)
     monkeypatch.setattr(cli, "format_rows", spy)
+    monkeypatch.setenv("RISKSCALE_THREADS", str(workers))
     rows = np.arange(chunks * CSV_CHUNK_ROWS * 2, dtype=np.float64).reshape(-1, 2) / 7
-    cli._write_csv(None, ["a", "b"], rows, workers=workers)
+    cli._write_csv(None, ["a", "b"], rows)
     pool = min(workers, chunks)
     assert inline_pool.sizes == [pool]
     assert len(in_flight) == chunks and max(in_flight) == min(2 * pool, chunks)
@@ -481,11 +498,11 @@ def test_unexpected_exception_in_sampler_exits_3(tmp_path, monkeypatch, capsys):
 
 
 def test_unexpected_exception_in_check_exits_3_not_1(tmp_path, monkeypatch, capsys):
-    def broken(seed, workers=None):
+    def broken(seed):
         raise KeyError("missing\nkey")
 
     monkeypatch.setattr(verify, "CHECKS",
-                        (lambda seed, workers=None: GofReport("stub", 0.0, 1.0, True, 1),
+                        (lambda seed: GofReport("stub", 0.0, 1.0, True, 1),
                          broken))
     config = _write(tmp_path, "verify.cfg", "command = verify\nseed = 42\n")
     out = tmp_path / "report.txt"
@@ -560,7 +577,7 @@ model.alphas = 1,2
 model.p_law = pareto:2
 model.radial = gamma_power:3,0.5,0.5
 """, lambda s: _columns("x", random_p_sample(
-        RandomPSpec((1.0, 2.0), Pareto(2.0)), GammaPower(3.0, 0.5, 0.5), 300, s))),
+        RandomPSpec((1.0, 2.0), Pareto(2.0)), GammaPower(3.0, 0.5, 0.5), 300, s)[0])),
     ("mgb2", "sample", """
 command = sample
 seed = 8
@@ -605,11 +622,13 @@ def test_dispatch_cases_cover_every_kind_and_command():
 
 @pytest.mark.parametrize("kind, command, text, direct", _DISPATCH,
                          ids=[f"{kind}-{command}" for kind, command, _, _ in _DISPATCH])
-def test_each_kind_writes_its_library_call(tmp_path, kind, command, text, direct):
+def test_each_kind_writes_its_library_call(tmp_path, monkeypatch, kind, command, text,
+                                           direct):
+    monkeypatch.setenv("RISKSCALE_THREADS", "1")
     out = tmp_path / "out.csv"
     run_config = parse_config(text, output_path=str(out))
     assert (run_config.kind, run_config.command) == (kind, command)
-    assert cli.run(run_config, workers=1) == 0
+    assert cli.run(run_config) == 0
     header, rows = direct(RngStream(run_config.seed))
     assert rows.shape[0] >= 1
     assert out.read_bytes() == (",".join(header) + "\n").encode("ascii") + format_rows(rows)

@@ -193,7 +193,7 @@ class TestRandomP:
         alphas, p = (0.5, 1.0, 1.5), 2.0
         radial = ChiSquareSqrt(2.0)
         s = RngStream(14)
-        xr = random_p_sample(RandomPSpec(alphas, PointMass(p)), radial, N, s.child(0))
+        xr, _ = random_p_sample(RandomPSpec(alphas, PointMass(p)), radial, N, s.child(0))
         xf = lp_dirichlet_sample(LpSpec(alphas, p), radial, N, s.child(1))
         for i in range(len(alphas)):
             assert ks_two_sample(xr[:, i], xf[:, i], level=KS_LEVEL).passed
@@ -207,14 +207,13 @@ class TestRandomP:
 
     def test_per_row_sphere_identity(self):
         spec = RandomPSpec((0.5, 1.0, 1.5), Pareto(2.0))
-        rows, expo = random_p_sample(spec, PointMass(1.0), N, RngStream(16),
-                                     return_exponents=True)
+        rows, expo = random_p_sample(spec, PointMass(1.0), N, RngStream(16))
         sums = (rows ** expo[:, None]).sum(axis=1)
         assert np.abs(sums - 1.0).max() < 1e-12
 
     def test_d1_angular_part_is_one(self):
         spec = RandomPSpec((1.0,), Pareto(3.0))
-        rows = random_p_sample(spec, PointMass(4.0), 200, RngStream(17))
+        rows, _ = random_p_sample(spec, PointMass(4.0), 200, RngStream(17))
         assert np.array_equal(rows, np.full((200, 1), 4.0))
 
 

@@ -48,19 +48,21 @@ def test_every_config_block_parses():
     assert taildep.n == 10**7  # parsed only: the 1e7-row table is not run here
 
 
-def test_sample_example_writes_1000_audited_rows(tmp_path):
+def test_sample_example_writes_1000_audited_rows(tmp_path, monkeypatch):
+    monkeypatch.setenv("RISKSCALE_THREADS", "1")
     out = tmp_path / "sphere.csv"
     config = parse_config(_config_blocks()["sample"], output_path=str(out))
     assert (config.n, config.audit) == (1000, True)
-    assert cli.run(config, workers=1) == 0
+    assert cli.run(config) == 0
     rows = np.loadtxt(out, delimiter=",", skiprows=1)
     assert rows.shape == (1000, len(config.model.spec.alphas))
 
 
-def test_premium_example_writes_3(tmp_path):
+def test_premium_example_writes_3(tmp_path, monkeypatch):
+    monkeypatch.setenv("RISKSCALE_THREADS", "1")
     out = tmp_path / "premium.csv"
     config = parse_config(_config_blocks()["premium"], output_path=str(out))
-    assert cli.run(config, workers=1) == 0
+    assert cli.run(config) == 0
     header, value = out.read_text().splitlines()
     assert header == "p1" and float(value) == 3.0
 

@@ -352,13 +352,32 @@ class TestConvergenceCheck:
             tracemalloc.stop()
         assert peak < 8 * 2**20
 
-    def test_query_validation(self):
-        with pytest.raises(ParameterError):
-            TailQuery(c1=1.0, c2=1.0, t_grid=(3.0, 2.0), n=100)
-        with pytest.raises(ParameterError):
-            TailQuery(c1=-1.0, c2=1.0, t_grid=(1.0,), n=100)
-        with pytest.raises(ParameterError):
-            TailQuery(c1=1.0, c2=1.0, t_grid=(), n=100)
+
+_QUERY = {"c1": 1.0, "c2": 1.0, "t_grid": (1.0, 2.0), "n": 100}
+
+
+# the config reports each of these errors on the line of the key it names
+@pytest.mark.parametrize("field, value", [
+    ("c1", -1.0), ("c1", math.nan), ("c2", 0.0), ("c2", math.inf),
+    ("t_grid", (1.0, -2.0)), ("t_grid", ()), ("t_grid", (3.0, 2.0)), ("t_grid", (2.0, 2.0)),
+    ("n", 0),
+])
+def test_bad_query_field_is_named(field, value):
+    with pytest.raises(ParameterError) as info:
+        TailQuery(**{**_QUERY, field: value})
+    assert info.value.param == field
+
+
+@pytest.mark.parametrize("model, param", [
+    (MGB2Model(a=(1.0,), b=(1.0,), p=(1.0,), theta_law=Pareto(1.0)), "a"),
+    (MGB2Model(a=(1.0, 2.0), b=(1.0, 1.0), p=(1.0, 1.0), theta_law=Pareto(1.0)), "a"),
+    (_exp_model(PointMass(1.0)), "theta_law"),
+    (_exp_model(GammaPower(2.0, 1.0, 1.0)), "theta_law"),
+])
+def test_limit_regime_error_is_named(model, param):
+    with pytest.raises(UnsupportedModelError) as info:
+        tails._check_limit_regime(model)
+    assert info.value.param == param
 
 
 # -- bit identity with the operator forms -----------------------------------
