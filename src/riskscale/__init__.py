@@ -32,10 +32,8 @@ from .errors import (
     SingularMatrixError,
     UnsupportedModelError,
 )
-from .gof import GofReport, ks_one_sample, ks_two_sample
 from .radial import (
     ChiSquareSqrt,
-    ExternalHook,
     GammaPower,
     InvGamma,
     Pareto,
@@ -57,7 +55,6 @@ from .tails import (
     MGB2Model,
     TailQuery,
     archimedean_survival,
-    judge_convergence,
     mgb2_conditional_sample,
     mgb2_sample,
     scale_mixture_exp_sample,

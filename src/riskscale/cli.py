@@ -14,10 +14,11 @@ formatted text. The output is opened only once the results are computed, so
 a failed run leaves no file. The worker count is set by the
 RISKSCALE_THREADS environment variable alone (``rng.resolve_workers``);
 :func:`run` takes none. The config file is read as UTF-8, a leading
-byte-order mark ignored. Thresholds that ``taildep`` drops for too few
-exceedances are named on stderr. The module imports numpy only: for the
-verify command, ``parse_config`` loads ``verify`` and its ``scipy.special``
-oracles, so ``sample``, ``premium`` and ``taildep`` never import scipy.
+byte-order mark ignored; a file that cannot be read or decoded exits 2.
+Thresholds that ``taildep`` drops for too few exceedances are named on
+stderr. The module imports numpy only: for the verify command,
+``parse_config`` loads ``verify`` and its ``scipy.special`` oracles, so
+``sample``, ``premium`` and ``taildep`` never import scipy.
 
 Exit status: 0 ok, 1 verification check failed, 2 usage or parse error
 (including a RISKSCALE_THREADS that is not an integer) or an output that
@@ -167,7 +168,7 @@ def main(argv=None) -> int:
     try:
         with open(args.config, encoding="utf-8-sig") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"riskscale: cannot read config: {exc}", file=sys.stderr)
         return 2
     try:
@@ -187,7 +188,7 @@ def main(argv=None) -> int:
     except MemoryError:
         print(f"riskscale: out of memory running {args.command}", file=sys.stderr)
         return 3
-    except Exception as exc:  # a bug, or a user hook or callback that raised
+    except Exception as exc:  # a bug
         message = " ".join(str(exc).split())
         print(f"riskscale: internal error: {type(exc).__name__}: {message}",
               file=sys.stderr)

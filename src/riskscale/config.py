@@ -11,6 +11,7 @@ every diagnostic names the offending key and line.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -98,54 +99,42 @@ class _Doc:
                 raise ConfigError(f"line {entry.line}: unknown key {key!r}")
 
 
-def _parse_float(doc: _Doc, key: str, required=True) -> float | None:
+def _read(doc: _Doc, key: str, convert: Callable[[str], object], expected: str,
+          required: bool = True):
+    """``convert`` of the value of ``key``, or None when an optional key is
+    missing; a ValueError from ``convert`` fails on the key's line."""
     raw = doc.take(key, required)
     if raw is None:
         return None
     try:
-        return float(raw)
+        return convert(raw)
     except ValueError:
-        doc.fail(key, f"expected a number, got {raw!r}")
+        doc.fail(key, f"expected {expected}, got {raw!r}")
 
 
-def _parse_int(doc: _Doc, key: str, required=True) -> int | None:
-    raw = doc.take(key, required)
-    if raw is None:
-        return None
-    try:
-        return int(raw)
-    except ValueError:
-        doc.fail(key, f"expected an integer, got {raw!r}")
-
-
-def _parse_bool(doc: _Doc, key: str) -> bool:
-    raw = doc.take(key, required=False)
-    if raw is None:
-        return False
+def _to_bool(raw: str) -> bool:
     lowered = raw.lower()
-    if lowered in ("true", "yes", "1"):
-        return True
-    if lowered in ("false", "no", "0"):
-        return False
-    doc.fail(key, f"expected true/false, got {raw!r}")
+    if lowered not in ("true", "yes", "1", "false", "no", "0"):
+        raise ValueError(raw)
+    return lowered in ("true", "yes", "1")
 
 
-def _parse_floats(doc: _Doc, key: str, required=True) -> tuple[float, ...] | None:
-    raw = doc.take(key, required)
-    if raw is None:
-        return None
-    try:
-        return tuple(float(part) for part in raw.split(","))
-    except ValueError:
-        doc.fail(key, f"expected comma-separated numbers, got {raw!r}")
+def _to_floats(raw: str) -> tuple[float, ...]:
+    return tuple(float(part) for part in raw.split(","))
+
+
+def _to_matrix(raw: str) -> list[list[float]]:
+    return [[float(v) for v in row.split(",")] for row in raw.split(";")]
+
+
+_parse_float = partial(_read, convert=float, expected="a number")
+_parse_int = partial(_read, convert=int, expected="an integer")
+_parse_bool = partial(_read, convert=_to_bool, expected="true/false")
+_parse_floats = partial(_read, convert=_to_floats, expected="comma-separated numbers")
 
 
 def _parse_matrix(doc: _Doc, key: str) -> list[list[float]]:
-    raw = doc.take(key)
-    try:
-        rows = [[float(v) for v in row.split(",")] for row in raw.split(";")]
-    except ValueError:
-        doc.fail(key, f"expected rows like '1,0;0,1', got {raw!r}")
+    rows = _read(doc, key, _to_matrix, "rows like '1,0;0,1'")
     if len({len(r) for r in rows}) != 1:
         doc.fail(key, "rows have unequal lengths")
     return rows
@@ -339,7 +328,7 @@ def parse_config(text: str, command: str | None = None,
         if n < 1:
             doc.fail("n", f"must be >= 1, got {n}")
     if command == "sample":
-        audit = _parse_bool(doc, "audit")
+        audit = bool(_parse_bool(doc, "audit", required=False))
         if audit and not (KINDS[kind].audit and isinstance(model.radial, PointMass)):
             doc.fail("audit", "sphere audit needs a fixed-exponent Dirichlet "
                               "kind with a point_mass radial law")

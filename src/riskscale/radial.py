@@ -9,12 +9,10 @@ independent as well as chi-style radii via :class:`ChiSquareSqrt`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
 from .errors import ParameterError
-from .rng import as_generator
 from .samplers import (
     _require_positive,
     gamma_sample,
@@ -24,7 +22,8 @@ from .samplers import (
 
 
 class RadialLaw:
-    """Base class for positive scaling laws."""
+    """Base class for positive scaling laws. A custom law subclasses it and
+    defines ``sample(rng, size)``, returning strictly positive draws."""
 
     def sample(self, rng, size):
         raise NotImplementedError
@@ -94,20 +93,6 @@ class PointMass(RadialLaw):
 
     def sample(self, rng, size):
         return np.full(size, self.value)
-
-
-@dataclass(frozen=True)
-class ExternalHook(RadialLaw):
-    """User-supplied sampler ``fn(generator, size) -> positive draws``."""
-
-    fn: Callable
-
-    def sample(self, rng, size):
-        gen = as_generator(rng)
-        draws = np.asarray(self.fn(gen, size), dtype=float)
-        if not (np.isfinite(draws).all() and (draws > 0.0).all()):
-            raise ParameterError("external radial hook produced non-positive draws")
-        return draws
 
 
 def regular_variation_index(law: RadialLaw) -> float:

@@ -17,7 +17,7 @@ only ``stream.child(0)``: each block draws exactly the random numbers that
 (the limit depends on W alone), then scales them by Theta^(1/a_i) and
 counts the exceedances, so one pass gives both columns. Sharing the draws
 correlates the two columns positively, which makes the combined standard
-error of ``judge_convergence`` an overstatement, so its verdict stays
+error of ``verify.judge_convergence`` an overstatement, so its verdict stays
 conservative. The tail estimators draw only W_1 and W_2 (the columns
 they read): W_3..W_d come after them from the same generator, so leaving
 them out changes no bit.
@@ -47,7 +47,6 @@ from .errors import (
     ParameterError,
     UnsupportedModelError,
 )
-from .gof import GofReport, report
 from .moments import RatioMoments
 from .radial import RadialLaw, regular_variation_index
 from .rng import RngStream, map_blocks, reduce_blocks
@@ -213,8 +212,6 @@ class TailQuery:
 
 #: Minimum exceedances of {X_1 > t} for any ratio estimate.
 MIN_EXCEEDANCES = 20
-#: Exceedances required before a threshold counts as converged enough to judge.
-JUDGE_EXCEEDANCES = 1000
 
 
 def _exceedance_counts(x1: np.ndarray, x2: np.ndarray, c1: float, c2: float,
@@ -364,8 +361,9 @@ def tail_convergence_table(model: MGB2Model, query: TailQuery, stream: RngStream
     The empirical ratio and the limit estimate share their W draws, so their
     errors are positively correlated (0.2-0.5 across replicates at n = 1e5
     in the README model); the combined standard error hypot(stderr,
-    limit_stderr) of :func:`judge_convergence` then overstates the spread of
-    their difference, and its verdict stays conservative.
+    limit_stderr) of :func:`riskscale.verify.judge_convergence` then
+    overstates the spread of their difference, and its verdict stays
+    conservative.
     """
     a, q = _check_limit_regime(model)
     pairs = [(query.c1, query.c2)]
@@ -394,21 +392,3 @@ def tail_convergence_table(model: MGB2Model, query: TailQuery, stream: RngStream
             "no threshold in the grid kept enough exceedances"
         )
     return rows
-
-
-def judge_convergence(rows: list[dict], n: int) -> GofReport:
-    """Verdict over a convergence table: the largest threshold holding at
-    least 1000 exceedances (bounded relative error) must agree with the limit
-    within max(10% of the limit, 3 combined standard errors)."""
-    judged = [r for r in rows if r["exceedances"] >= JUDGE_EXCEEDANCES]
-    if not judged:
-        raise InsufficientTailDataError(
-            f"no threshold reached {JUDGE_EXCEEDANCES} exceedances; "
-            "increase n or lower the grid"
-        )
-    row = judged[-1]
-    stat = abs(row["empirical_ratio"] - row["limit_estimate"])
-    combined_se = float(np.hypot(row["stderr"], row["limit_stderr"]))
-    threshold = max(0.1 * abs(row["limit_estimate"]), 3.0 * combined_se)
-    return report("breiman_tail_limit", stat, threshold, n)
-

@@ -40,6 +40,7 @@ from .dirichlet import (
     random_scale_sequence_sample,
     weighted_sample,
 )
+from .errors import InsufficientTailDataError
 from .gof import GofReport, ks_one_sample, ks_two_sample, report
 from .radial import ChiSquareSqrt, GammaPower, InvGamma, Pareto, PointMass
 from .rng import RngStream
@@ -49,7 +50,6 @@ from .tails import (
     MGB2Model,
     TailQuery,
     archimedean_survival,
-    judge_convergence,
     mgb2_conditional_sample,
     mgb2_sample,
     scale_mixture_exp_sample,
@@ -61,6 +61,9 @@ from .tails import (
 _ALPHAS = (0.5, 1.0, 1.5, 2.0, 2.5)
 
 KS_LEVEL = 0.01
+
+#: Exceedances required before a threshold counts as converged enough to judge.
+JUDGE_EXCEEDANCES = 1000
 
 
 def _stream(seed: int, check_index: int) -> RngStream:
@@ -261,6 +264,23 @@ def check_clayton_identity(seed: int) -> GofReport:
             emp = float(((sample[:, 0] > x1) & (sample[:, 1] > x2)).mean())
             diffs.append(abs(emp - archimedean_survival(spec, (x1, x2))))
     return report("clayton_identity", _worst(diffs), 0.01, n)
+
+
+def judge_convergence(rows: list[dict], n: int) -> GofReport:
+    """Verdict over a convergence table: the largest threshold holding at
+    least 1000 exceedances (bounded relative error) must agree with the limit
+    within max(10% of the limit, 3 combined standard errors)."""
+    judged = [r for r in rows if r["exceedances"] >= JUDGE_EXCEEDANCES]
+    if not judged:
+        raise InsufficientTailDataError(
+            f"no threshold reached {JUDGE_EXCEEDANCES} exceedances; "
+            "increase n or lower the grid"
+        )
+    row = judged[-1]
+    stat = abs(row["empirical_ratio"] - row["limit_estimate"])
+    combined_se = float(np.hypot(row["stderr"], row["limit_stderr"]))
+    threshold = max(0.1 * abs(row["limit_estimate"]), 3.0 * combined_se)
+    return report("breiman_tail_limit", stat, threshold, n)
 
 
 def check_breiman_limit(seed: int) -> GofReport:

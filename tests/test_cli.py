@@ -286,6 +286,18 @@ def test_config_with_byte_order_mark_runs(tmp_path):
     assert outputs[0] == outputs[1] == b"p1\n3\n"
 
 
+def test_config_not_utf8_exits_2(tmp_path, capsys):
+    # a Latin-1 comment is a config that cannot be read, not a failed check
+    config = tmp_path / "latin1.cfg"
+    config.write_bytes("# café\n".encode("latin-1") + SCALAR_PREMIUM.encode("ascii"))
+    out = tmp_path / "premium.csv"
+    assert main(["premium", "--config", str(config), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("riskscale: cannot read config: ") and err.count("\n") == 1
+    assert "codec can't decode" in err
+    assert not out.exists()
+
+
 def test_verify_command_reports_and_exit_codes(tmp_path, monkeypatch):
     calls = {}
 

@@ -4,7 +4,6 @@ import pytest
 from riskscale.errors import ParameterError
 from riskscale.radial import (
     ChiSquareSqrt,
-    ExternalHook,
     GammaPower,
     InvGamma,
     Pareto,
@@ -30,15 +29,6 @@ def test_gamma_power_is_powered_gamma():
     # power 1/2 of a Gamma(3, 1): second moment is E[G] = 3
     draws = GammaPower(3.0, 1.0, 0.5).sample(RngStream(3), size=10**5)
     assert abs((draws ** 2).mean() - 3.0) < 0.05
-
-
-def test_external_hook_positivity_enforced():
-    good = ExternalHook(lambda gen, size: gen.random(size) + 1.0)
-    draws = good.sample(RngStream(4), size=100)
-    assert (draws > 0).all()
-    bad = ExternalHook(lambda gen, size: gen.standard_normal(size))
-    with pytest.raises(ParameterError):
-        bad.sample(RngStream(5), size=100)
 
 
 def test_regular_variation_indices():

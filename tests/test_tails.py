@@ -4,7 +4,6 @@ from dataclasses import astuple
 
 import numpy as np
 import pytest
-from scipy import special
 
 from riskscale import tails
 from riskscale.errors import (
@@ -24,7 +23,6 @@ from riskscale.tails import (
     TailQuery,
     _w_factors,
     archimedean_survival,
-    judge_convergence,
     mgb2_conditional_sample,
     mgb2_sample,
     scale_mixture_exp_sample,
@@ -33,18 +31,10 @@ from riskscale.tails import (
     tail_dependence_limits,
     tail_ratio_empirical,
 )
+from riskscale.verify import judge_convergence
+from test_samplers import exponential_cdf, gamma_cdf
 
 KS_LEVEL = 0.01
-
-
-def exponential_cdf(x, mean=1.0):
-    x = np.asarray(x, dtype=float)
-    return np.where(x <= 0.0, 0.0, -np.expm1(-x / mean))
-
-
-def gamma_cdf(x, shape, rate=1.0):
-    x = np.asarray(x, dtype=float)
-    return np.where(x <= 0.0, 0.0, special.gammainc(shape, rate * np.maximum(x, 0.0)))
 
 
 def _exp_model(theta_law=Pareto(1.0)):
