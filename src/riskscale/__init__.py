@@ -33,7 +33,6 @@ from .errors import (
     UnsupportedModelError,
 )
 from .radial import (
-    ChiSquareSqrt,
     GammaPower,
     InvGamma,
     Pareto,
@@ -46,7 +45,6 @@ from .samplers import (
     beta_sample,
     gamma_sample,
     inv_gamma_sample,
-    normal_sample,
     pareto_sample,
     y_marginal_sample,
 )
@@ -59,8 +57,6 @@ from .tails import (
     mgb2_sample,
     scale_mixture_exp_sample,
     tail_convergence_table,
-    tail_dependence_limit,
-    tail_ratio_empirical,
 )
 
 __version__ = "0.1.0"

@@ -20,7 +20,8 @@ from . import credibility, dirichlet, tails
 from .credibility import EllipticalShiftModel, GaussianShiftModel
 from .dirichlet import LpSpec, RandomPSpec, WeightedSpec
 from .errors import ConfigError, RiskscaleError
-from .radial import ChiSquareSqrt, GammaPower, InvGamma, Pareto, PointMass, RadialLaw
+from .radial import GammaPower, InvGamma, Pareto, PointMass, RadialLaw
+from .samplers import _require_positive
 from .tails import ClaytonSpec, MGB2Model, TailQuery, _check_limit_regime
 
 COMMANDS = ("sample", "premium", "taildep", "verify")
@@ -143,7 +144,8 @@ def _parse_matrix(doc: _Doc, key: str) -> list[list[float]]:
 _LAW_ARITY = {
     "point_mass": (PointMass, 1),
     "gamma_power": (GammaPower, 3),
-    "chi_square_sqrt": (ChiSquareSqrt, 1),
+    # the chi(df) radius: the square root of a Gamma(df/2, rate 1/2) draw
+    "chi_square_sqrt": (lambda df: GammaPower(_require_positive("df", df) / 2.0, 0.5, 0.5), 1),
     "pareto": (Pareto, 1),
     "inv_gamma": (InvGamma, 1),
 }
@@ -231,8 +233,7 @@ KINDS = {
     "elliptical_shift": Kind(
         ("premium",),
         lambda doc: EllipticalShiftModel(c=_parse_matrix(doc, "model.c"),
-                                         nu=_parse_floats(doc, "model.nu"),
-                                         radial=_parse_law(doc, "model.radial")),
+                                         nu=_parse_floats(doc, "model.nu")),
         lambda c, s: np.atleast_2d(credibility.premium_elliptical(c.model, c.x))),
 }
 

@@ -25,7 +25,6 @@ from .linalg import (
     mat_inverse,
 )
 from .moments import RatioMoments
-from .radial import RadialLaw
 from .rng import RngStream, map_blocks, reduce_blocks
 from .samplers import _require_positive
 
@@ -76,29 +75,13 @@ def premium_scalar(mu: float, sigma2: float, tau2: float, x: float) -> float:
     return float(x) + sigma2 / (sigma2 + tau2) * (float(mu) - float(x))
 
 
-def premium_gaussian(model: GaussianShiftModel, x, method: str = "sum_inverse") -> np.ndarray:
-    """Posterior mean for the Gaussian shift model.
-
-    method="sum_inverse" evaluates x + (mu - x) (sigma + sigma0)^-1 sigma,
-    which tolerates a singular prior covariance. method="noise_inverse"
-    evaluates the algebraically equal form x + (mu - x)(sigma^-1 sigma0 + I)^-1,
-    which additionally requires sigma to be invertible. (Under this row-vector
-    convention the noise inverse multiplies sigma0 from the left; the reversed
-    product is the column-vector variant and differs whenever the two
-    covariances do not commute.)
-    """
+def premium_gaussian(model: GaussianShiftModel, x) -> np.ndarray:
+    """Posterior mean x + (mu - x) (sigma + sigma0)^-1 sigma for the Gaussian
+    shift model; a singular prior covariance is allowed."""
     x = as_vector(x, "x")
     if x.size != model.dim:
         raise ShapeError(f"x has length {x.size}, expected {model.dim}")
-    v = model.mu - x
-    if method == "sum_inverse":
-        adj = v @ mat_inverse(model.sigma + model.sigma0) @ model.sigma
-    elif method == "noise_inverse":
-        core = mat_inverse(model.sigma) @ model.sigma0 + np.eye(model.dim)
-        adj = v @ mat_inverse(core)
-    else:
-        raise ParameterError(f"unknown method {method!r}")
-    return x + adj
+    return x + (model.mu - x) @ mat_inverse(model.sigma + model.sigma0) @ model.sigma
 
 
 def build_cstar(c) -> np.ndarray:
@@ -122,13 +105,12 @@ class EllipticalShiftModel:
 
     ``nu`` must vanish on its first d coordinates (the noise offset); the
     premium formula is derived only for that case and other inputs are
-    rejected. ``radial`` is carried for sampling contexts and is assumed to
-    have finite mean; the closed-form premium never reads it.
+    rejected. The radial law R drops out of the premium as long as E[R] is
+    finite, so the model does not carry it.
     """
 
     c: np.ndarray
     nu: np.ndarray
-    radial: RadialLaw
 
     def __post_init__(self):
         c = as_matrix(self.c, "C")
@@ -140,8 +122,6 @@ class EllipticalShiftModel:
         if np.any(nu[:n // 2] != 0.0):
             raise ParameterError("nu must be exactly zero on its first d coordinates",
                                  "nu")
-        if not isinstance(self.radial, RadialLaw):
-            raise ParameterError("radial must be a RadialLaw")
         mat_inverse(cstar.T @ cstar)  # raises SingularMatrixError when B is rank-deficient
         _frozen_array(self, "c", c)
         _frozen_array(self, "nu", nu)

@@ -3,7 +3,7 @@
 Each law draws strictly positive values; the class itself is the "kind" tag.
 ``GammaPower(shape, rate, power)`` draws G ~ Gamma(shape, rate) and returns
 G**power, which covers the radius making Dirichlet-type components
-independent as well as chi-style radii via :class:`ChiSquareSqrt`.
+independent as well as the chi(df) radius, ``GammaPower(df / 2, 1/2, 1/2)``.
 """
 
 from __future__ import annotations
@@ -43,19 +43,6 @@ class GammaPower(RadialLaw):
     def sample(self, rng, size):
         g = gamma_sample(self.shape, self.rate, rng, size=size)
         return g ** self.power
-
-
-@dataclass(frozen=True)
-class ChiSquareSqrt(RadialLaw):
-    """Square root of a chi-square variable with ``df`` degrees of freedom."""
-
-    df: float
-
-    def __post_init__(self):
-        _require_positive("df", self.df)
-
-    def sample(self, rng, size):
-        return gamma_sample(self.df / 2.0, 0.5, rng, size=size) ** 0.5
 
 
 @dataclass(frozen=True)

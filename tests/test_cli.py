@@ -264,12 +264,23 @@ seed = 1
 model.kind = elliptical_shift
 model.c = 1,0;0,1
 model.nu = 0,2
-model.radial = point_mass:1
 x = 3
 """)
     out = tmp_path / "ell.csv"
     assert main(["premium", "--config", config, "--out", str(out)]) == 0
     assert float(out.read_text().splitlines()[1]) == 2.5
+
+
+def test_elliptical_radial_key_is_unknown(tmp_path, capsys):
+    # the premium never reads a radial law, so the kind takes none
+    text = _SERVED_TEXTS["elliptical_shift"] + "model.radial = point_mass:1\n"
+    lineno = len(text.splitlines())  # the added last line
+    config = _write(tmp_path, "ell.cfg", text)
+    out = tmp_path / "ell.csv"
+    assert main(["premium", "--config", config, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"riskscale: config error: line {lineno}: unknown key 'model.radial'\n"
+    assert not out.exists()
 
 
 def test_config_with_byte_order_mark_runs(tmp_path):
@@ -619,11 +630,10 @@ seed = 1
 model.kind = elliptical_shift
 model.c = 1,0.2,0,0;0.1,1,0,0;0.3,0,1,0.2;0,0.4,0.1,1
 model.nu = 0,0,2,1
-model.radial = point_mass:1
 x = 3,0.5
 """, lambda s: _columns("p", np.atleast_2d(premium_elliptical(EllipticalShiftModel(
         [[1.0, 0.2, 0.0, 0.0], [0.1, 1.0, 0.0, 0.0], [0.3, 0.0, 1.0, 0.2],
-         [0.0, 0.4, 0.1, 1.0]], (0.0, 0.0, 2.0, 1.0), PointMass(1.0)), (3.0, 0.5))))),
+         [0.0, 0.4, 0.1, 1.0]], (0.0, 0.0, 2.0, 1.0)), (3.0, 0.5))))),
 ]
 
 

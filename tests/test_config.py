@@ -1,5 +1,6 @@
 import dataclasses
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,6 +10,8 @@ from riskscale.credibility import EllipticalShiftModel, GaussianShiftModel
 from riskscale.dirichlet import LpSpec, RandomPSpec, WeightedSpec
 from riskscale.errors import ConfigError
 from riskscale.radial import GammaPower, Pareto, PointMass
+from riskscale.rng import RngStream
+from riskscale.samplers import gamma_sample
 from riskscale.tails import ClaytonSpec, MGB2Model, TailQuery, _check_limit_regime
 
 MINIMAL_SAMPLE = """
@@ -162,10 +165,10 @@ seed = 1
 model.kind = elliptical_shift
 model.c = 1,0;0,1
 model.nu = 0,2
-model.radial = point_mass:1
 x = 3
 """)
     assert isinstance(elliptical.model, EllipticalShiftModel)
+    assert elliptical.model.nu.tolist() == [0.0, 2.0]
 
 
 def test_premium_x_dimension_checked():
@@ -200,6 +203,22 @@ def test_law_parse_errors():
     bad_value = MINIMAL_SAMPLE.replace("point_mass:1", "pareto:-1")
     with pytest.raises(ConfigError, match="must be a positive finite number"):
         parse_config(bad_value)
+
+
+@pytest.mark.parametrize("df", [1.0, 2.0, 3.0, 4.0, 7.5])
+def test_chi_square_sqrt_is_the_powered_gamma(df):
+    # chi(df): the square root of a Gamma(df/2, rate 1/2) variable
+    law = parse_config(MINIMAL_SAMPLE.replace("point_mass:1", f"chi_square_sqrt:{df}")
+                       ).model.radial
+    assert law == GammaPower(df / 2.0, 0.5, 0.5)
+    written_out = gamma_sample(df / 2.0, 0.5, RngStream(17), size=10**5) ** 0.5
+    assert np.array_equal(law.sample(RngStream(17), size=10**5), written_out)
+
+
+def test_chi_square_sqrt_rejects_nonpositive_df():
+    text = MINIMAL_SAMPLE.replace("point_mass:1", "chi_square_sqrt:-1")
+    with pytest.raises(ConfigError, match=r"^line 8: model.radial: df must be a positive"):
+        parse_config(text)
 
 
 def test_audit_flag_scope():
@@ -273,7 +292,7 @@ _TEMPLATES = (
      "model.mu": "0,0", "model.sigma": "1,0;0,1", "model.sigma0": "2,0.5;0.5,1",
      "x": "1,1"},
     {"command": "premium", "seed": "1", "model.kind": "elliptical_shift",
-     "model.c": "1,0;0,1", "model.nu": "0,2", "model.radial": "point_mass:1", "x": "3"},
+     "model.c": "1,0;0,1", "model.nu": "0,2", "x": "3"},
     {"command": "verify", "seed": "42", "out": "report.txt"},
 )
 _KEYS = tuple(sorted({key for doc in _TEMPLATES for key in doc}))

@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -18,8 +20,9 @@ from riskscale.errors import (
     ShapeError,
     SingularMatrixError,
 )
-from riskscale.radial import ChiSquareSqrt, Pareto, PointMass
+from riskscale.radial import PointMass
 from riskscale.rng import BLOCK_ROWS, RngStream, map_blocks
+from riskscale.verify import _premium_gaussian_noise_inverse
 
 
 def _gaussian_density(mu, tau2):
@@ -104,14 +107,9 @@ class TestGaussianPremium:
                                        sigma=a.T @ a + 0.5 * np.eye(3),
                                        sigma0=b.T @ b + 0.5 * np.eye(3))
             x = gen.standard_normal(3)
-            first = premium_gaussian(model, x, method="sum_inverse")
-            second = premium_gaussian(model, x, method="noise_inverse")
+            first = premium_gaussian(model, x)
+            second = _premium_gaussian_noise_inverse(model, x)
             assert np.abs(first - second).max() < 1e-10
-
-    def test_noise_inverse_requires_invertible_sigma(self):
-        model = GaussianShiftModel(mu=[0.0], sigma=[[0.0]], sigma0=[[1.0]])
-        with pytest.raises(SingularMatrixError):
-            premium_gaussian(model, [1.0], method="noise_inverse")
 
     def test_affine_consistency_doubling_is_exact(self):
         gen = RngStream(201).generator()
@@ -186,8 +184,7 @@ class TestEllipticalPremium:
         c = np.zeros((2 * d, 2 * d))
         c[:d, :d] = np.linalg.cholesky(sigma).T
         c[d:, d:] = np.linalg.cholesky(sigma0).T
-        elliptical = EllipticalShiftModel(c=c, nu=np.concatenate([np.zeros(d), mu]),
-                                          radial=PointMass(1.0))
+        elliptical = EllipticalShiftModel(c=c, nu=np.concatenate([np.zeros(d), mu]))
         gaussian = GaussianShiftModel(mu=mu, sigma=sigma, sigma0=sigma0)
         return elliptical, gaussian
 
@@ -206,30 +203,24 @@ class TestEllipticalPremium:
         assert np.allclose(premium_elliptical(elliptical, mu), mu, atol=1e-12)
 
     def test_identity_mixing_halves_observation(self):
-        model = EllipticalShiftModel(c=np.eye(4), nu=np.zeros(4),
-                                     radial=ChiSquareSqrt(4.0))
+        model = EllipticalShiftModel(c=np.eye(4), nu=np.zeros(4))
         x = np.array([3.0, 5.0])
         assert np.allclose(premium_elliptical(model, x), x / 2.0, atol=1e-12)
 
     def test_radial_choice_never_enters(self):
-        c = RngStream(206).generator().standard_normal((4, 4))
-        x = [1.0, -2.0]
-        values = [
-            premium_elliptical(
-                EllipticalShiftModel(c=c, nu=[0.0, 0.0, 1.0, 2.0], radial=law), x)
-            for law in (PointMass(1.0), Pareto(2.0))
-        ]
-        assert np.array_equal(values[0], values[1])
+        # R drops out of the premium whenever E[R] is finite, so the model
+        # carries the mixing matrix and offset alone and takes no radial law
+        assert [f.name for f in fields(EllipticalShiftModel)] == ["c", "nu"]
+        with pytest.raises(TypeError):
+            EllipticalShiftModel(c=np.eye(4), nu=np.zeros(4), radial=PointMass(1.0))
 
     def test_nonzero_noise_offset_rejected(self):
         with pytest.raises(ParameterError):
-            EllipticalShiftModel(c=np.eye(4), nu=[0.1, 0.0, 0.0, 0.0],
-                                 radial=PointMass(1.0))
+            EllipticalShiftModel(c=np.eye(4), nu=[0.1, 0.0, 0.0, 0.0])
 
     def test_singular_mixing_rejected(self):
         with pytest.raises(SingularMatrixError):
-            EllipticalShiftModel(c=np.zeros((4, 4)), nu=np.zeros(4),
-                                 radial=PointMass(1.0))
+            EllipticalShiftModel(c=np.zeros((4, 4)), nu=np.zeros(4))
 
 
 class TestPremiumMC:

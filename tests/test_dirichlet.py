@@ -15,13 +15,18 @@ from riskscale.dirichlet import (
 )
 from riskscale.errors import ParameterError
 from riskscale.gof import ks_one_sample, ks_two_sample
-from riskscale.radial import ChiSquareSqrt, GammaPower, Pareto, PointMass
+from riskscale.radial import GammaPower, Pareto, PointMass
 from riskscale.rng import RngStream
 from riskscale.samplers import gamma_sample, y_marginal_sample
 from riskscale.verify import _ALPHAS
 
 KS_LEVEL = 0.01
 N = 10**4
+
+
+def _chi(df):
+    """The chi(df) radius, as the config law ``chi_square_sqrt:df`` builds it."""
+    return GammaPower(df / 2.0, 0.5, 0.5)
 
 
 class TestAngular:
@@ -138,7 +143,7 @@ class TestWeighted:
     def test_all_plus_signs_match_unsigned_sampler(self):
         base = LpSpec((0.8, 1.2), 1.7)
         spec = WeightedSpec(base=base, qs=(1.0, 1.0))
-        radial = ChiSquareSqrt(3.0)
+        radial = _chi(3.0)
         s = RngStream(10)
         signed = weighted_sample(spec, radial, N, s.child(0))
         plain = lp_dirichlet_sample(base, radial, N, s.child(1))
@@ -150,7 +155,7 @@ class TestWeighted:
         # alpha_i = 1/2, p = 2, fair signs, chi(d) radius: i.i.d. N(0,1)
         d = 4
         spec = WeightedSpec(base=LpSpec((0.5,) * d, 2.0), qs=(0.5,) * d)
-        x = weighted_sample(spec, ChiSquareSqrt(float(d)), N, RngStream(11))
+        x = weighted_sample(spec, _chi(d), N, RngStream(11))
         for i in range(d):
             assert ks_one_sample(x[:, i], normal_cdf, level=KS_LEVEL).passed
         corr = np.corrcoef(x, rowvar=False)
@@ -161,7 +166,7 @@ class TestWeighted:
         # with four degrees of freedom, and the margins stop being N(0,1)
         d = 4
         spec = WeightedSpec(base=LpSpec((2.0,) * d, 2.0), qs=(0.5,) * d)
-        x = weighted_sample(spec, ChiSquareSqrt(float(d)), N, RngStream(12))
+        x = weighted_sample(spec, _chi(d), N, RngStream(12))
         rep = ks_one_sample(x[:, 0], normal_cdf, level=KS_LEVEL)
         assert not rep.passed
 
@@ -191,7 +196,7 @@ class TestRandomP:
         # rate-change oracle: normalization cancels the Gamma rate, so a
         # degenerate exponent law reproduces the fixed-exponent sampler
         alphas, p = (0.5, 1.0, 1.5), 2.0
-        radial = ChiSquareSqrt(2.0)
+        radial = _chi(2.0)
         s = RngStream(14)
         xr, _ = random_p_sample(RandomPSpec(alphas, PointMass(p)), radial, N, s.child(0))
         xf = lp_dirichlet_sample(LpSpec(alphas, p), radial, N, s.child(1))

@@ -3,7 +3,6 @@ import pytest
 
 from riskscale.errors import ParameterError
 from riskscale.radial import (
-    ChiSquareSqrt,
     GammaPower,
     InvGamma,
     Pareto,
@@ -21,7 +20,8 @@ def test_point_mass():
 
 
 def test_chi_square_sqrt_moments():
-    draws = ChiSquareSqrt(4.0).sample(RngStream(2), size=10**5)
+    # the chi(4) radius, GammaPower(4/2, 1/2, 1/2): E[R^2] = 4
+    draws = GammaPower(2.0, 0.5, 0.5).sample(RngStream(2), size=10**5)
     assert abs((draws ** 2).mean() - 4.0) < 0.05
 
 
@@ -34,6 +34,6 @@ def test_gamma_power_is_powered_gamma():
 def test_regular_variation_indices():
     assert regular_variation_index(Pareto(1.5)) == 1.5
     assert regular_variation_index(InvGamma(2.0)) == 2.0
-    for law in (PointMass(1.0), ChiSquareSqrt(2.0), GammaPower(1.0, 1.0, 1.0)):
+    for law in (PointMass(1.0), GammaPower(1.0, 0.5, 0.5), GammaPower(1.0, 1.0, 1.0)):
         with pytest.raises(ParameterError):
             regular_variation_index(law)

@@ -1,6 +1,7 @@
 """The configuration examples in README.md parse, and the small ones run as
 the README says they do. The simulation side of those examples, in a fresh
-interpreter, loads no scipy module and no checking-side riskscale module."""
+interpreter, loads no scipy module and no checking-side riskscale module.
+The names the benchmark tracer wraps live in their modules only."""
 
 import json
 import os
@@ -11,6 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
+import riskscale
 import riskscale.cli as cli
 from riskscale.config import parse_config
 
@@ -125,3 +127,14 @@ assert marginal.passed
     out = _fresh_python(probe, *blocks).splitlines()
     assert out[0] == "[]"
     assert len(out[1:]) == 14 and all(line.endswith(",true") for line in out[1:])
+
+
+def test_tracer_only_names_are_module_attributes_not_package_exports():
+    # no command, check or README example reaches these through the package;
+    # the tracer looks the three functions up in their modules
+    for name in ("normal_sample", "tail_ratio_empirical", "tail_dependence_limit",
+                 "ChiSquareSqrt"):
+        assert not hasattr(riskscale, name), name
+    assert callable(riskscale.samplers.normal_sample)
+    assert callable(riskscale.tails.tail_ratio_empirical)
+    assert callable(riskscale.tails.tail_dependence_limit)

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import riskscale.rng as rng
 import riskscale.samplers as samplers
 import riskscale.verify as verify
 from riskscale.errors import ParameterError
@@ -13,6 +14,7 @@ from riskscale.verify import (
     check_beta_marginals,
     check_breiman_limit,
     check_clayton_identity,
+    check_determinism,
     check_weighted_gaussian,
     render_report,
 )
@@ -54,6 +56,21 @@ def test_corrupted_small_shape_gamma_trips_beta_marginal_check(monkeypatch):
     monkeypatch.setattr(samplers, "_std_gamma", corrupted)
     rep = check_beta_marginals(42)
     assert not rep.passed
+
+
+def test_determinism_check_runs_each_comparison_on_a_pool(monkeypatch):
+    # the 4-worker half of each comparison must take the thread-pool path,
+    # not the inline one that a single block gives
+    sizes = []
+
+    class CountingPool(rng.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+            super().__init__(max_workers=max_workers)
+
+    monkeypatch.setattr(rng, "ThreadPoolExecutor", CountingPool)
+    assert check_determinism(42).passed
+    assert len(sizes) == 2 and min(sizes) > 1
 
 
 def test_checks_are_deterministic():
