@@ -42,10 +42,8 @@ def angular_marginal_cdf(spec: LpSpec, i: int, x):
         raise ParameterError(f"component index {i} out of range for d={spec.dim}")
     x = np.asarray(x, dtype=float)
     if spec.dim == 1:
-        out = np.where(x >= 1.0, 1.0, 0.0)
-        return float(out) if out.ndim == 0 else out
+        return np.where(x >= 1.0, 1.0, 0.0)
     rest = sum(spec.alphas) - spec.alphas[i]
     inside = np.clip(x, 0.0, 1.0) ** spec.p
-    out = np.where(x <= 0.0, 0.0, np.where(x >= 1.0, 1.0,
-                   beta_cdf(inside, spec.alphas[i], rest)))
-    return float(out) if out.ndim == 0 else out
+    return np.where(x <= 0.0, 0.0, np.where(x >= 1.0, 1.0,
+                    beta_cdf(inside, spec.alphas[i], rest)))

@@ -1,10 +1,10 @@
 """Kolmogorov-Smirnov goodness-of-fit harness.
 
 Empirical samples are validated 1-D float arrays (see :func:`as_sample`).
-Critical values use the asymptotic Kolmogorov distribution,
-c(level) = sqrt(-ln(level/2)/2), giving c(0.01) = 1.628 and c(0.05) = 1.358;
-exact small-sample tables are out of scope since every verification run here
-uses n >= 10^3.
+Every test runs at the one level 0.01. Its critical value :data:`KS_CRITICAL`
+comes from the asymptotic Kolmogorov distribution, c(level) =
+sqrt(-ln(level/2)/2), so c(0.01) = 1.628; exact small-sample tables are out
+of scope since every verification run here uses n >= 10^3.
 """
 
 from __future__ import annotations
@@ -15,6 +15,9 @@ import numpy as np
 
 from .errors import ParameterError
 
+#: Asymptotic Kolmogorov critical constant c(0.01), the one KS level.
+KS_CRITICAL = float(np.sqrt(-np.log(0.01 / 2.0) / 2.0))
+
 
 @dataclass(frozen=True)
 class GofReport:
@@ -23,15 +26,15 @@ class GofReport:
     test_name: str
     statistic: float
     threshold: float
-    passed: bool
-    n: int
 
+    def __post_init__(self):
+        object.__setattr__(self, "statistic", float(self.statistic))
+        object.__setattr__(self, "threshold", float(self.threshold))
 
-def report(test_name: str, statistic: float, threshold: float, n: int) -> GofReport:
-    """Build a GofReport with pass <=> statistic <= threshold."""
-    statistic = float(statistic)
-    threshold = float(threshold)
-    return GofReport(test_name, statistic, threshold, statistic <= threshold, int(n))
+    @property
+    def passed(self) -> bool:
+        """statistic <= threshold; a nan statistic fails."""
+        return self.statistic <= self.threshold
 
 
 def as_sample(values, name: str = "sample") -> np.ndarray:
@@ -45,14 +48,7 @@ def as_sample(values, name: str = "sample") -> np.ndarray:
     return arr
 
 
-def ks_critical(level: float) -> float:
-    """Asymptotic Kolmogorov critical constant c(level)."""
-    if not 0.0 < level < 1.0:
-        raise ParameterError(f"level must lie in (0, 1), got {level}")
-    return float(np.sqrt(-np.log(level / 2.0) / 2.0))
-
-
-def ks_one_sample(x, cdf, level: float = 0.01) -> GofReport:
+def ks_one_sample(x, cdf) -> GofReport:
     """One-sample KS test of ``x`` against a vectorized CDF callable."""
     x = as_sample(x)
     n = x.size
@@ -62,11 +58,10 @@ def ks_one_sample(x, cdf, level: float = 0.01) -> GofReport:
     d_plus = np.max(grid - f)
     d_minus = np.max(f - (grid - 1.0 / n))
     stat = max(float(d_plus), float(d_minus))
-    threshold = ks_critical(level) / np.sqrt(n)
-    return report("ks_one_sample", stat, threshold, n)
+    return GofReport("ks_one_sample", stat, KS_CRITICAL / np.sqrt(n))
 
 
-def ks_two_sample(x, y, level: float = 0.01) -> GofReport:
+def ks_two_sample(x, y) -> GofReport:
     """Two-sample KS test with asymptotic critical value."""
     x = as_sample(x, "first sample")
     y = as_sample(y, "second sample")
@@ -76,5 +71,4 @@ def ks_two_sample(x, y, level: float = 0.01) -> GofReport:
     cdf_x = np.searchsorted(xs, pooled, side="right") / n
     cdf_y = np.searchsorted(ys, pooled, side="right") / m
     stat = float(np.max(np.abs(cdf_x - cdf_y)))
-    threshold = ks_critical(level) * np.sqrt((n + m) / (n * m))
-    return report("ks_two_sample", stat, threshold, n)
+    return GofReport("ks_two_sample", stat, KS_CRITICAL * np.sqrt((n + m) / (n * m)))

@@ -38,6 +38,11 @@ BLOCK_ROWS = 32768
 #: Environment variable capping the number of worker threads.
 THREADS_ENV = "RISKSCALE_THREADS"
 
+#: Most threads one pool starts, whatever the worker count asked for. A pool
+#: keeps at most 2 * MAX_WORKERS calls in flight, so this also bounds the
+#: blocks held in memory at once.
+MAX_WORKERS = 64
+
 
 def _mix64(x: int) -> int:
     # splitmix64 finalizer; bijective on 64-bit ints
@@ -105,8 +110,9 @@ def resolve_workers(workers: int | None = None) -> int:
 
 
 def pool_size(workers: int | None, blocks: int) -> int:
-    """Threads to start for ``blocks`` blocks: never more than there are blocks."""
-    return max(1, min(resolve_workers(workers), blocks))
+    """Threads to start for ``blocks`` blocks: never more than there are
+    blocks, nor more than MAX_WORKERS."""
+    return max(1, min(resolve_workers(workers), blocks, MAX_WORKERS))
 
 
 def ordered_map(fn, items, workers: int | None = None):
@@ -143,14 +149,10 @@ def _run_blocks(stream: RngStream, n: int, task, workers: int | None):
     block b covers rows [b * BLOCK_ROWS, min((b + 1) * BLOCK_ROWS, n)) and
     runs on ``stream.child(b)``; :func:`ordered_map` shares the blocks out.
     """
-    ranges = [(b, lo, min(lo + BLOCK_ROWS, n))
-              for b, lo in enumerate(range(0, n, BLOCK_ROWS))]
+    def run(lo):
+        return task(stream.child(lo // BLOCK_ROWS), lo, min(lo + BLOCK_ROWS, n))
 
-    def run(task_range):
-        b, lo, hi = task_range
-        return task(stream.child(b), lo, hi)
-
-    yield from ordered_map(run, ranges, workers)
+    yield from ordered_map(run, range(0, n, BLOCK_ROWS), workers)
 
 
 def map_blocks(stream: RngStream, n: int, fill, ncols: int | None = None,

@@ -15,8 +15,6 @@ RISKSCALE_THREADS, and the bytes of a report do not depend on it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .cdfs import angular_marginal_cdf, normal_cdf
@@ -41,7 +39,7 @@ from .dirichlet import (
     weighted_sample,
 )
 from .errors import InsufficientTailDataError
-from .gof import GofReport, ks_one_sample, ks_two_sample, report
+from .gof import GofReport, ks_one_sample, ks_two_sample
 from .linalg import mat_inverse
 from .radial import GammaPower, InvGamma, Pareto, PointMass
 from .rng import BLOCK_ROWS, RngStream
@@ -60,8 +58,6 @@ from .tails import (
 
 # Angular law shared by the sphere/marginal/factorization checks.
 _ALPHAS = (0.5, 1.0, 1.5, 2.0, 2.5)
-
-KS_LEVEL = 0.01
 
 #: Exceedances required before a threshold counts as converged enough to judge.
 JUDGE_EXCEEDANCES = 1000
@@ -103,7 +99,7 @@ def check_scalar_premium_mc(seed: int) -> GofReport:
     )
     est, se = premium_mc(model, [x], n, _stream(seed, 1))
     exact = premium_scalar(mu, sigma2, tau2, x)
-    return report("scalar_premium_mc", abs(est[0] - exact), 3.0 * se[0], n)
+    return GofReport("scalar_premium_mc", abs(est[0] - exact), 3.0 * se[0])
 
 
 def _random_pd(gen, d: int) -> np.ndarray:
@@ -135,7 +131,7 @@ def check_gaussian_premium_forms(seed: int) -> GofReport:
         one = premium_gaussian(model, x)
         two = _premium_gaussian_noise_inverse(model, x)
         diffs.append(np.abs(one - two).max())
-    return report("gaussian_premium_forms", _worst(diffs), 1e-10, reps)
+    return GofReport("gaussian_premium_forms", _worst(diffs), 1e-10)
 
 
 def check_elliptical_reduction(seed: int) -> GofReport:
@@ -155,7 +151,7 @@ def check_elliptical_reduction(seed: int) -> GofReport:
         gaussian = GaussianShiftModel(mu=mu, sigma=sigma, sigma0=sigma0)
         diff = premium_elliptical(elliptical, x) - premium_gaussian(gaussian, x)
         diffs.append(np.abs(diff).max())
-    return report("elliptical_reduction", _worst(diffs), 1e-9, reps)
+    return GofReport("elliptical_reduction", _worst(diffs), 1e-9)
 
 
 def check_sphere_constraint(seed: int) -> GofReport:
@@ -164,7 +160,7 @@ def check_sphere_constraint(seed: int) -> GofReport:
     n = 10**5
     o = angular_sample(spec, _stream(seed, 4), size=n)
     dev = np.abs((o ** spec.p).sum(axis=1) - 1.0).max()
-    return report("sphere_constraint", float(dev), 1e-12, n)
+    return GofReport("sphere_constraint", dev, 1e-12)
 
 
 def check_beta_marginals(seed: int) -> GofReport:
@@ -178,10 +174,9 @@ def check_beta_marginals(seed: int) -> GofReport:
         o = angular_sample(spec, stream.child(k), size=n)
         for i in range(spec.dim):
             rep = ks_one_sample(o[:, i],
-                                lambda v, i=i: angular_marginal_cdf(spec, i, v),
-                                level=KS_LEVEL)
+                                lambda v, i=i: angular_marginal_cdf(spec, i, v))
             margins.append(_ks_margin(rep))
-    return report("beta_marginals", _worst(margins), 1.0, n)
+    return GofReport("beta_marginals", _worst(margins), 1.0)
 
 
 def check_factorization(seed: int) -> GofReport:
@@ -196,9 +191,9 @@ def check_factorization(seed: int) -> GofReport:
     margins = []
     for i, alpha in enumerate(_ALPHAS):
         y = y_marginal_sample(alpha, p, stream.child(i + 10), size=n)
-        margins.append(_ks_margin(ks_two_sample(x[:, i], y, level=KS_LEVEL)))
+        margins.append(_ks_margin(ks_two_sample(x[:, i], y)))
     margins.append(_max_offdiag_corr(x ** p) / (3.0 / np.sqrt(n)))
-    return report("gamma_dirichlet_factorization", _worst(margins), 1.0, n)
+    return GofReport("gamma_dirichlet_factorization", _worst(margins), 1.0)
 
 
 def check_scale_cancellation(seed: int) -> GofReport:
@@ -207,8 +202,8 @@ def check_scale_cancellation(seed: int) -> GofReport:
     stream = _stream(seed, 7)
     a = random_scale_sequence_sample(0.5, 2.0, PointMass(1.0), 2, n, stream.child(0))
     b = random_scale_sequence_sample(0.5, 2.0, Pareto(3.0), 2, n, stream.child(1))
-    rep = ks_two_sample(a[:, 0] / a[:, 1], b[:, 0] / b[:, 1], level=KS_LEVEL)
-    return report("scale_cancellation", rep.statistic, rep.threshold, n)
+    rep = ks_two_sample(a[:, 0] / a[:, 1], b[:, 0] / b[:, 1])
+    return GofReport("scale_cancellation", rep.statistic, rep.threshold)
 
 
 def check_beta_gamma_algebra(seed: int) -> GofReport:
@@ -219,8 +214,8 @@ def check_beta_gamma_algebra(seed: int) -> GofReport:
     for k, (alpha, p) in enumerate(((0.5, 1.0), (0.5, 2.0), (0.2, 3.0))):
         x = beta_gamma_sample(alpha, p, n, stream.child(2 * k))
         y = y_marginal_sample(alpha, p, stream.child(2 * k + 1), size=n)
-        margins.append(_ks_margin(ks_two_sample(x, y, level=KS_LEVEL)))
-    return report("beta_gamma_algebra", _worst(margins), 1.0, n)
+        margins.append(_ks_margin(ks_two_sample(x, y)))
+    return GofReport("beta_gamma_algebra", _worst(margins), 1.0)
 
 
 def check_weighted_gaussian(seed: int) -> GofReport:
@@ -233,10 +228,10 @@ def check_weighted_gaussian(seed: int) -> GofReport:
     d, n = 4, 10**4
     spec = WeightedSpec(base=LpSpec(alphas=(0.5,) * d, p=2.0), qs=(0.5,) * d)
     x = weighted_sample(spec, GammaPower(d / 2.0, 0.5, 0.5), n, _stream(seed, 9))
-    margins = [_ks_margin(ks_one_sample(x[:, i], normal_cdf, level=KS_LEVEL))
+    margins = [_ks_margin(ks_one_sample(x[:, i], normal_cdf))
                for i in range(d)]
     margins.append(_max_offdiag_corr(x) / (3.0 / np.sqrt(n)))
-    return report("weighted_gaussian", _worst(margins), 1.0, n)
+    return GofReport("weighted_gaussian", _worst(margins), 1.0)
 
 
 def check_random_p_sphere(seed: int) -> GofReport:
@@ -245,7 +240,7 @@ def check_random_p_sphere(seed: int) -> GofReport:
     spec = RandomPSpec(alphas=(0.5, 1.0, 1.5), p_law=Pareto(2.0))
     rows, exponents = random_p_sample(spec, PointMass(1.0), n, _stream(seed, 10))
     dev = np.abs((rows ** exponents[:, None]).sum(axis=1) - 1.0).max()
-    return report("random_p_sphere", float(dev), 1e-12, n)
+    return GofReport("random_p_sphere", dev, 1e-12)
 
 
 def check_mgb2_equivalence(seed: int) -> GofReport:
@@ -256,11 +251,10 @@ def check_mgb2_equivalence(seed: int) -> GofReport:
     stream = _stream(seed, 11)
     x = mgb2_sample(model, n, stream.child(0))
     y = mgb2_conditional_sample(model, n, stream.child(1))
-    margins = [_ks_margin(ks_two_sample(x[:, i], y[:, i], level=KS_LEVEL))
+    margins = [_ks_margin(ks_two_sample(x[:, i], y[:, i]))
                for i in range(model.dim)]
-    margins.append(_ks_margin(ks_two_sample(x.min(axis=1), y.min(axis=1),
-                                            level=KS_LEVEL)))
-    return report("mgb2_equivalence", _worst(margins), 1.0, n)
+    margins.append(_ks_margin(ks_two_sample(x.min(axis=1), y.min(axis=1))))
+    return GofReport("mgb2_equivalence", _worst(margins), 1.0)
 
 
 def check_clayton_identity(seed: int) -> GofReport:
@@ -274,10 +268,10 @@ def check_clayton_identity(seed: int) -> GofReport:
         for x2 in (0.25, 0.5, 1.0):
             emp = float(((sample[:, 0] > x1) & (sample[:, 1] > x2)).mean())
             diffs.append(abs(emp - archimedean_survival(spec, (x1, x2))))
-    return report("clayton_identity", _worst(diffs), 0.01, n)
+    return GofReport("clayton_identity", _worst(diffs), 0.01)
 
 
-def judge_convergence(rows: list[dict], n: int) -> GofReport:
+def judge_convergence(rows: list[dict]) -> GofReport:
     """Verdict over a convergence table: the largest threshold holding at
     least 1000 exceedances (bounded relative error) must agree with the limit
     within max(10% of the limit, 3 combined standard errors)."""
@@ -291,7 +285,7 @@ def judge_convergence(rows: list[dict], n: int) -> GofReport:
     stat = abs(row["empirical_ratio"] - row["limit_estimate"])
     combined_se = float(np.hypot(row["stderr"], row["limit_stderr"]))
     threshold = max(0.1 * abs(row["limit_estimate"]), 3.0 * combined_se)
-    return report("breiman_tail_limit", stat, threshold, n)
+    return GofReport("breiman_tail_limit", stat, threshold)
 
 
 def check_breiman_limit(seed: int) -> GofReport:
@@ -314,10 +308,10 @@ def check_breiman_limit(seed: int) -> GofReport:
     at_20 = next(r for r in rows if r["t"] == 20.0)
     margins.append(abs(at_20["empirical_ratio"] - 0.5) / 0.05)  # within 10% of 1/2
 
-    rep = judge_convergence(rows, query.n)
+    rep = judge_convergence(rows)
     margins.append(_ks_margin(rep))
 
-    return report("breiman_tail_limit", _worst(margins), 1.0, query.n)
+    return GofReport("breiman_tail_limit", _worst(margins), 1.0)
 
 
 def check_determinism(seed: int) -> GofReport:
@@ -343,7 +337,7 @@ def check_determinism(seed: int) -> GofReport:
     mc1 = premium_mc(model, [4.0], n, stream.child(1), workers=1)
     mc2 = premium_mc(model, [4.0], n, stream.child(1), workers=4)
     same += [np.array_equal(one, four) for one, four in zip(mc1, mc2)]
-    return report("determinism", 0.0 if all(same) else 1.0, 0.0, n)
+    return GofReport("determinism", 0.0 if all(same) else 1.0, 0.0)
 
 
 CHECKS = (
@@ -364,27 +358,16 @@ CHECKS = (
 )
 
 
-@dataclass(frozen=True)
-class VerifyReport:
-    """All verification outcomes of one suite run."""
-
-    checks: tuple[GofReport, ...]
-
-    @property
-    def overall_pass(self) -> bool:
-        return all(c.passed for c in self.checks)
-
-
-def builtin_verify_suite(seed: int = 42) -> VerifyReport:
+def builtin_verify_suite(seed: int = 42) -> tuple[GofReport, ...]:
     """Run every acceptance check on substreams of ``seed``."""
-    return VerifyReport(tuple(check(seed) for check in CHECKS))
+    return tuple(check(seed) for check in CHECKS)
 
 
-def render_report(result: VerifyReport) -> str:
+def render_report(checks: tuple[GofReport, ...]) -> str:
     """One line per check: name,statistic,threshold,pass."""
     lines = [
         f"{c.test_name},{c.statistic:.17g},{c.threshold:.17g},"
         f"{'true' if c.passed else 'false'}"
-        for c in result.checks
+        for c in checks
     ]
     return "\n".join(lines) + "\n"

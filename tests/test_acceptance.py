@@ -54,7 +54,7 @@ def test_c03_elliptical_reduction():
 
 def test_c04_sphere_constraint():
     report = check_sphere_constraint(SEED)
-    assert report.threshold == 1e-12 and report.n == 10**5
+    assert report.threshold == 1e-12
     _conclude(4, "angular draws on the unit sphere", report)
 
 
@@ -85,7 +85,7 @@ def test_c09_weighted_gaussian_case():
 
 def test_c10_random_exponent_sphere():
     report = check_random_p_sphere(SEED)
-    assert report.threshold == 1e-12 and report.n == 10**4
+    assert report.threshold == 1e-12
     _conclude(10, "per-row sphere identity under random exponent", report)
 
 
@@ -96,7 +96,7 @@ def test_c11_mgb2_sampler_oracle_equivalence():
 
 def test_c12_clayton_archimedean_identity():
     report = check_clayton_identity(SEED)
-    assert report.threshold == 0.01 and report.n == 10**5
+    assert report.threshold == 0.01
     _conclude(12, "scale-mixture survival matches archimedean form", report)
 
 
@@ -113,12 +113,11 @@ def test_c14_verify_suite_determinism(verify_seed42, monkeypatch):
     monkeypatch.setenv("RISKSCALE_THREADS", "4")
     threaded = render_report(builtin_verify_suite(SEED))
     identical = first == second == threaded
-    report = GofReport("verify_suite_determinism", 0.0 if identical else 1.0,
-                       0.0, identical, len(first))
+    report = GofReport("verify_suite_determinism", 0.0 if identical else 1.0, 0.0)
     assert first.encode() == second.encode() == threaded.encode()
     _conclude(14, "verify reports byte-identical across runs and workers", report)
 
 
 def test_full_suite_overall_pass(verify_seed42):
-    assert verify_seed42.overall_pass
-    assert len(verify_seed42.checks) == 14
+    assert all(c.passed for c in verify_seed42)
+    assert len(verify_seed42) == 14

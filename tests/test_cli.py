@@ -314,10 +314,10 @@ def test_verify_command_reports_and_exit_codes(tmp_path, monkeypatch):
 
     def fake_pass(seed):
         calls["seed"] = seed
-        return GofReport("stub_pass", 0.0, 1.0, True, 10)
+        return GofReport("stub_pass", 0.0, 1.0)
 
     def fake_fail(seed):
-        return GofReport("stub_fail", 2.0, 1.0, False, 10)
+        return GofReport("stub_fail", 2.0, 1.0)
 
     config = _write(tmp_path, "verify.cfg", "command = verify\nseed = 42\n")
     out = tmp_path / "report.txt"
@@ -407,7 +407,7 @@ def test_out_of_memory_exit_code(tmp_path, monkeypatch, capsys):
 ])
 def test_unwritable_output_exit_code(tmp_path, capsys, monkeypatch, command, text):
     monkeypatch.setattr(verify, "CHECKS",
-                        (lambda seed: GofReport("stub", 0.0, 1.0, True, 1),))
+                        (lambda seed: GofReport("stub", 0.0, 1.0),))
     config = _write(tmp_path, "run.cfg", text)
     out = tmp_path / "missing" / "out.csv"
     assert main([command, "--config", config, "--out", str(out)]) == 2
@@ -525,7 +525,7 @@ def test_unexpected_exception_in_check_exits_3_not_1(tmp_path, monkeypatch, caps
         raise KeyError("missing\nkey")
 
     monkeypatch.setattr(verify, "CHECKS",
-                        (lambda seed: GofReport("stub", 0.0, 1.0, True, 1),
+                        (lambda seed: GofReport("stub", 0.0, 1.0),
                          broken))
     config = _write(tmp_path, "verify.cfg", "command = verify\nseed = 42\n")
     out = tmp_path / "report.txt"

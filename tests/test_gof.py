@@ -3,7 +3,7 @@ import pytest
 
 from riskscale.cdfs import normal_cdf
 from riskscale.errors import ParameterError
-from riskscale.gof import GofReport, ks_critical, ks_one_sample, ks_two_sample
+from riskscale.gof import KS_CRITICAL, GofReport, ks_one_sample, ks_two_sample
 from riskscale.rng import RngStream
 
 
@@ -12,8 +12,7 @@ def uniform_cdf(x):
 
 
 def test_critical_constants():
-    assert abs(ks_critical(0.01) - 1.628) < 5e-4
-    assert abs(ks_critical(0.05) - 1.358) < 5e-4
+    assert abs(KS_CRITICAL - 1.628) < 5e-4
 
 
 def test_identical_samples_pass_with_zero_statistic():
@@ -25,13 +24,13 @@ def test_identical_samples_pass_with_zero_statistic():
 
 def test_uniform_null_passes():
     u = RngStream(2).generator().random(10**4)
-    rep = ks_one_sample(u, uniform_cdf, level=0.01)
+    rep = ks_one_sample(u, uniform_cdf)
     assert rep.passed
 
 
 def test_gross_mismatch_fails():
     x = RngStream(3).generator().exponential(size=10**4)
-    rep = ks_one_sample(x, normal_cdf, level=0.01)
+    rep = ks_one_sample(x, normal_cdf)
     assert not rep.passed
 
 
@@ -42,11 +41,22 @@ def test_two_sample_detects_shift():
 
 
 def test_report_invariant():
-    rep = GofReport("x", 0.5, 0.5, True, 10)
+    rep = GofReport("x", 0.5, 0.5)
     assert rep.passed == (rep.statistic <= rep.threshold)
     for r in (ks_two_sample(np.arange(100.0), np.arange(100.0) + 0.01),
-              ks_one_sample(np.linspace(0.01, 0.99, 50), uniform_cdf, level=0.05)):
+              ks_one_sample(np.linspace(0.01, 0.99, 50), uniform_cdf)):
         assert r.passed == (r.statistic <= r.threshold)
+
+
+def test_pass_is_derived_from_statistic_and_threshold():
+    assert not GofReport("x", 2.0, 1.0).passed
+    assert not GofReport("x", np.nan, 1.0).passed
+    rep = GofReport("x", np.float64(1), 1)
+    assert rep.passed and type(rep.statistic) is float and type(rep.threshold) is float
+    with pytest.raises(TypeError):
+        GofReport("x", 0.0, 1.0, True)
+    with pytest.raises(TypeError):
+        GofReport("x", 0.0, 1.0, passed=True)
 
 
 def test_parameter_errors():
@@ -54,8 +64,6 @@ def test_parameter_errors():
         ks_one_sample([], uniform_cdf)
     with pytest.raises(ParameterError):
         ks_one_sample(np.ones(5), uniform_cdf)  # n < 10
-    with pytest.raises(ParameterError):
-        ks_two_sample(np.ones(100), np.ones(100), level=1.5)
     with pytest.raises(ParameterError):
         ks_one_sample(np.array([0.5, np.nan]), uniform_cdf)
 
@@ -66,6 +74,6 @@ def test_null_calibration_rejection_rate():
     runs = 200
     for k in range(runs):
         u = RngStream(500, k).generator().random(2000)
-        if not ks_one_sample(u, uniform_cdf, level=0.01).passed:
+        if not ks_one_sample(u, uniform_cdf).passed:
             rejections += 1
     assert 0 <= rejections / runs <= 0.05

@@ -65,6 +65,20 @@ def test_sample_example_writes_1000_audited_rows(tmp_path, monkeypatch):
     assert rows.shape == (1000, len(config.model.spec.alphas))
 
 
+def test_sample_example_at_tiny_exponent_fails_its_audit(tmp_path, capsys):
+    # the real sampler, unpatched: at p = 0.001 the powers w^(1/p) of the
+    # simplex weights underflow and every row leaves the sphere
+    text = _config_blocks()["sample"].replace("model.p = 2\n", "model.p = 0.001\n")
+    assert "model.p = 0.001" in text
+    config = tmp_path / "sphere.cfg"
+    config.write_text(text)
+    out = tmp_path / "sphere.csv"
+    assert cli.main(["sample", "--config", str(config), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("riskscale: sphere self-audit failed")
+    assert not out.exists()
+
+
 def test_premium_example_writes_3(tmp_path, monkeypatch):
     monkeypatch.setenv("RISKSCALE_THREADS", "1")
     out = tmp_path / "premium.csv"

@@ -1,13 +1,15 @@
+import operator
 import sys
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from riskscale import rng
 from riskscale.errors import ParameterError
-from riskscale.rng import (BLOCK_ROWS, RngStream, as_generator, map_blocks, ordered_map,
-                           pool_size, reduce_blocks, resolve_workers)
+from riskscale.rng import (BLOCK_ROWS, MAX_WORKERS, RngStream, as_generator, map_blocks,
+                           ordered_map, pool_size, reduce_blocks, resolve_workers)
 
 
 def test_same_address_replays_identical_sequence():
@@ -115,8 +117,20 @@ def test_pool_size_never_exceeds_block_count(monkeypatch):
     assert pool_size(4, 1) == 1
     assert pool_size(0, 5) == 1
     monkeypatch.setenv("RISKSCALE_THREADS", str(10**6))
-    assert pool_size(None, 30518) == 30518
+    assert pool_size(None, 30518) == MAX_WORKERS
     assert pool_size(None, 31) == 31
+
+
+def test_thread_count_is_capped_at_any_setting(monkeypatch, inline_pool):
+    # a 1e9-row reduction asked for a million workers: the inline pool
+    # records the size asked for and starts no thread
+    monkeypatch.setenv("RISKSCALE_THREADS", str(10**6))
+    blocks = 30518
+    assert pool_size(None, blocks) == pool_size(10**6, MAX_WORKERS + 1) == MAX_WORKERS
+    total = reduce_blocks(RngStream(16), blocks * BLOCK_ROWS, lambda block, lo, hi: hi - lo,
+                          operator.add)
+    assert total == blocks * BLOCK_ROWS
+    assert inline_pool.sizes == [MAX_WORKERS] and inline_pool.submitted == blocks
 
 
 def _block_mean(block, lo, hi):
@@ -167,6 +181,19 @@ def test_reduce_blocks_pool_size(monkeypatch):
                   lambda a, b: a + b, workers=10**6)
     assert asked == [(10**6, 4)]
     assert pool_size(10**6, 4) == 4
+
+
+def test_reduce_blocks_memory_does_not_grow_with_n():
+    # 3052 blocks of a trivial fill on one worker: nothing is kept per block
+    tracemalloc.start()
+    try:
+        total = reduce_blocks(RngStream(17), 10**8, lambda block, lo, hi: hi - lo,
+                              operator.add, workers=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert total == 10**8
+    assert peak < 64 * 1024, peak
 
 
 def test_reduce_blocks_rejects_empty():

@@ -34,8 +34,6 @@ from riskscale.tails import (
 from riskscale.verify import judge_convergence
 from test_samplers import exponential_cdf, gamma_cdf
 
-KS_LEVEL = 0.01
-
 
 def _exp_model(theta_law=Pareto(1.0)):
     # a = b = p = 1: the W factors are unit exponentials
@@ -52,14 +50,14 @@ class TestScaleMixture:
         theta = gamma_sample(1.5, 1.0, gen, size=n)
         y = gen.exponential(size=(n, 2)) / theta[:, None]
         for i in range(2):
-            assert ks_two_sample(x[:, i], y[:, i], level=KS_LEVEL).passed
+            assert ks_two_sample(x[:, i], y[:, i]).passed
 
     def test_concentrated_mixer_recovers_exponential(self):
         # Theta/a -> 1 as a grows, so a * X approaches Exp(1)
         a = 10**4
         spec = ClaytonSpec(theta_shape=float(a), d=1)
         x = a * scale_mixture_exp_sample(spec, 10**4, RngStream(303))[:, 0]
-        assert ks_one_sample(x, exponential_cdf, level=KS_LEVEL).passed
+        assert ks_one_sample(x, exponential_cdf).passed
 
     def test_unit_survival_value(self):
         # d = 1, a = 1: P(X > 1) = E[e^(-Theta)] = 1/2
@@ -99,14 +97,13 @@ class TestMGB2:
         x = mgb2_sample(model, 10**4, RngStream(306))
         for i in range(2):
             u = (x[:, i] / model.b[i]) ** model.a[i]
-            rep = ks_one_sample(u, lambda v, p=model.p[i]: gamma_cdf(v, p, 1.0),
-                                level=KS_LEVEL)
+            rep = ks_one_sample(u, lambda v, p=model.p[i]: gamma_cdf(v, p, 1.0))
             assert rep.passed
 
     def test_conditional_collapse_to_exponential(self):
         model = MGB2Model(a=(1.0,), b=(1.0,), p=(1.0,), theta_law=PointMass(1.0))
         x = mgb2_conditional_sample(model, 10**4, RngStream(307))[:, 0]
-        assert ks_one_sample(x, exponential_cdf, level=KS_LEVEL).passed
+        assert ks_one_sample(x, exponential_cdf).passed
 
     def test_sampler_and_conditional_agree_in_law(self):
         model = MGB2Model(a=(2.0, 3.0), b=(1.0, 2.0), p=(1.5, 0.5),
@@ -115,8 +112,8 @@ class TestMGB2:
         x = mgb2_sample(model, 10**4, s.child(0))
         y = mgb2_conditional_sample(model, 10**4, s.child(1))
         for i in range(2):
-            assert ks_two_sample(x[:, i], y[:, i], level=KS_LEVEL).passed
-        assert ks_two_sample(x.min(axis=1), y.min(axis=1), level=KS_LEVEL).passed
+            assert ks_two_sample(x[:, i], y[:, i]).passed
+        assert ks_two_sample(x.min(axis=1), y.min(axis=1)).passed
 
     def test_log_scale_shift_identity_on_shared_draws(self):
         # the same (theta, w) draws written multiplicatively or additively on
@@ -275,7 +272,7 @@ class TestConvergenceCheck:
     def test_exponential_case_passes(self):
         query = TailQuery(c1=1.0, c2=1.0, t_grid=(3.0, 5.0, 8.0), n=10**6)
         rep = judge_convergence(
-            tail_convergence_table(_exp_model(), query, RngStream(321)), query.n)
+            tail_convergence_table(_exp_model(), query, RngStream(321)))
         assert rep.passed
         assert rep.test_name == "breiman_tail_limit"
 
@@ -289,7 +286,7 @@ class TestConvergenceCheck:
         query = TailQuery(c1=1.0, c2=1.0, t_grid=(2.0,), n=10**4)
         with pytest.raises(UnsupportedModelError):
             judge_convergence(tail_convergence_table(
-                _exp_model(PointMass(2.0)), query, RngStream(323)), query.n)
+                _exp_model(PointMass(2.0)), query, RngStream(323)))
 
     @pytest.mark.parametrize("numerator", [
         lambda w1, w2, c1, c2, aq: (w1 / c1) ** aq,
@@ -302,10 +299,10 @@ class TestConvergenceCheck:
         # limit of 1/2 becomes 1 or 3/2)
         query = TailQuery(c1=1.0, c2=1.0, t_grid=(5.0, 10.0, 20.0), n=10**6)
         rows = tail_convergence_table(_exp_model(), query, RngStream(3))
-        assert judge_convergence(rows, query.n).passed
+        assert judge_convergence(rows).passed
         monkeypatch.setattr(tails, "_min_ratio_power", numerator)
         rows = tail_convergence_table(_exp_model(), query, RngStream(3))
-        assert not judge_convergence(rows, query.n).passed
+        assert not judge_convergence(rows).passed
 
     def test_needs_enough_exceedances_to_judge(self):
         # between 20 and 1000 exceedances: table rows exist, judgment refuses
@@ -313,7 +310,7 @@ class TestConvergenceCheck:
         rows = tail_convergence_table(_exp_model(), query, RngStream(324))
         assert rows
         with pytest.raises(InsufficientTailDataError):
-            judge_convergence(rows, query.n)
+            judge_convergence(rows)
 
     def test_streamed_table_matches_materialised_sample(self):
         # the table never holds the sample; its counts must be those of the

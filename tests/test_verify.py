@@ -7,7 +7,7 @@ import riskscale.rng as rng
 import riskscale.samplers as samplers
 import riskscale.verify as verify
 from riskscale.errors import ParameterError
-from riskscale.gof import report
+from riskscale.gof import GofReport
 from riskscale.verify import (
     CHECKS,
     builtin_verify_suite,
@@ -26,16 +26,12 @@ def test_report_line_count_matches_criteria(verify_seed42):
 
 
 def test_default_seed_passes_every_check(verify_seed42):
-    failing = [c.test_name for c in verify_seed42.checks if not c.passed]
-    assert verify_seed42.overall_pass, f"failing checks: {failing}"
-
-
-def test_overall_pass_reflects_each_check(verify_seed42):
-    assert verify_seed42.overall_pass == all(c.passed for c in verify_seed42.checks)
+    failing = [c.test_name for c in verify_seed42 if not c.passed]
+    assert failing == []
 
 
 def test_render_format_parses_back(verify_seed42):
-    for line, check in zip(render_report(verify_seed42).splitlines(), verify_seed42.checks):
+    for line, check in zip(render_report(verify_seed42).splitlines(), verify_seed42):
         name, stat, threshold, passed = line.split(",")
         assert name == check.test_name
         assert float(stat) == check.statistic
@@ -103,8 +99,7 @@ def test_nan_later_margin_fails_breiman_tail_limit(monkeypatch):
                             "limit_estimate": 0.5, "limit_stderr": 0.001,
                             "exceedances": 5000}])
     monkeypatch.setattr(verify, "judge_convergence",
-                        lambda rows, n: report("breiman_tail_limit", math.nan,
-                                               0.05, n))
+                        lambda rows: GofReport("breiman_tail_limit", math.nan, 0.05))
     rep = check_breiman_limit(42)
     assert not rep.passed
     assert math.isnan(rep.statistic)
