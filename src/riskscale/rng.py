@@ -1,12 +1,13 @@
 """Deterministic random number streams and blocked parallel generation.
 
-A stream is addressed by a ``(seed, stream_id)`` pair and is backed by the
-counter-based Philox generator, keyed directly with that pair: identical
-addresses reproduce identical variate sequences, distinct addresses give
-statistically independent ones. Large sample runs are generated in
-fixed-size row blocks, each block on its own child stream, so the output
-depends only on the stream address and the row count -- never on how many
-worker threads happened to process the blocks.
+A stream is addressed by a ``(seed, stream_id)`` pair and is backed by an
+SFC64 generator seeded from ``SeedSequence(seed, spawn_key=(stream_id,))``,
+numpy's own address for the stream_id-th child of ``SeedSequence(seed)``:
+identical addresses reproduce identical variate sequences, distinct
+addresses give statistically independent ones. Large sample runs are
+generated in fixed-size row blocks, each block on its own child stream, so
+the output depends only on the stream address and the row count -- never
+on how many worker threads happened to process the blocks.
 
 :func:`map_blocks` assembles the blocks into one array; :func:`reduce_blocks`
 keeps only a small partial result per block (moments, counts) and combines
@@ -59,8 +60,9 @@ class RngStream:
     The address is the state: ``generator()`` always materializes a fresh
     generator positioned at the start of the stream, so two calls with the
     same address replay the same sequence. Use ``child(k)`` to derive
-    non-overlapping substreams for parallel or structured sampling. Both
-    parts of the address must lie in [0, 2**64), the Philox key's range.
+    independent substreams for parallel or structured sampling. Both
+    parts of the address must lie in [0, 2**64), the range of the ids
+    ``child()`` derives and of the command line's seed.
     """
 
     seed: int
@@ -73,9 +75,9 @@ class RngStream:
                 raise ParameterError(f"{name} must lie in [0, 2**64), got {value}", name)
 
     def generator(self) -> np.random.Generator:
-        """A fresh Philox generator keyed by (seed, stream_id)."""
-        key = np.array([self.seed, self.stream_id], dtype=np.uint64)
-        return np.random.Generator(np.random.Philox(key=key))
+        """A fresh SFC64 generator seeded from the stream's address."""
+        seq = np.random.SeedSequence(self.seed, spawn_key=(self.stream_id,))
+        return np.random.Generator(np.random.SFC64(seq))
 
     def child(self, index: int) -> "RngStream":
         """Derive the index-th substream of this stream."""

@@ -118,7 +118,9 @@ class TestGaussianPremium:
         sigma = a.T @ a + 0.5 * np.eye(3)
         sigma0 = b.T @ b + 0.5 * np.eye(3)
         mu = gen.standard_normal(3)
-        x = gen.standard_normal(3)
+        # at x = 0 every step scales by exactly 2; at another x,
+        # fl(x + 2(mu - x)) - x need not be 2(mu - x)
+        x = np.zeros(3)
         adj = premium_gaussian(GaussianShiftModel(mu, sigma, sigma0), x) - x
         doubled_mu = x + 2.0 * (mu - x)
         adj2 = premium_gaussian(GaussianShiftModel(doubled_mu, sigma, sigma0), x) - x

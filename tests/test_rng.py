@@ -32,6 +32,17 @@ def test_address_bounds_are_inclusive_of_0_and_2_to_64_minus_1():
     assert top.child(3).generator().random(4).shape == (4,)
 
 
+@pytest.mark.parametrize("seed, stream_id", [(0, 0), (2**64 - 1, 2**64 - 1),
+                                             (42, 0x9E3779B97F4A7C15)])
+def test_generator_is_sfc64_on_the_spawned_seed_sequence(seed, stream_id):
+    # the stream contract: numpy's own child-stream construction, nothing else
+    explicit = np.random.Generator(np.random.SFC64(
+        np.random.SeedSequence(seed, spawn_key=(stream_id,))))
+    gen = RngStream(seed, stream_id).generator()
+    assert isinstance(gen.bit_generator, np.random.SFC64)
+    assert np.array_equal(gen.random(64), explicit.random(64))
+
+
 def test_distinct_streams_differ():
     a = RngStream(123, 5).generator().random(1000)
     b = RngStream(123, 6).generator().random(1000)

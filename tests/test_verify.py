@@ -5,6 +5,7 @@ import pytest
 
 import riskscale.rng as rng
 import riskscale.samplers as samplers
+import riskscale.tails as tails
 import riskscale.verify as verify
 from riskscale.errors import ParameterError
 from riskscale.gof import GofReport
@@ -90,9 +91,7 @@ def test_nan_correlation_fails_weighted_gaussian(monkeypatch):
 
 def test_nan_later_margin_fails_breiman_tail_limit(monkeypatch):
     # list of margins whose last entry (the judged threshold) is nan; the
-    # estimators are replaced by passing values, so nothing is sampled
-    monkeypatch.setattr(verify, "tail_dependence_limits",
-                        lambda *args, **kwargs: [(0.5, 0.001), (0.25, 0.0005)])
+    # table is replaced by passing values, so nothing is sampled
     monkeypatch.setattr(verify, "tail_convergence_table",
                         lambda *args, **kwargs: [{
                             "t": 20.0, "empirical_ratio": 0.5, "stderr": 0.01,
@@ -103,6 +102,18 @@ def test_nan_later_margin_fails_breiman_tail_limit(monkeypatch):
     rep = check_breiman_limit(42)
     assert not rep.passed
     assert math.isnan(rep.statistic)
+
+
+@pytest.mark.parametrize("numerator", [
+    lambda w1, w2, c1, c2, aq: (w1 / c1) ** aq,
+    lambda w1, w2, c1, c2, aq: np.maximum(w1 / c1, w2 / c2) ** aq,
+], ids=["min-dropped", "max-for-min"])
+def test_wrong_limit_numerator_fails_breiman_tail_limit(monkeypatch, numerator):
+    # the check's margins all come from the table's own limit estimate: a
+    # wrong numerator (a true limit of 1/2 becomes 1 or 3/2) must fail it
+    monkeypatch.setattr(tails, "_min_ratio_power", numerator)
+    rep = check_breiman_limit(42)
+    assert not rep.passed
 
 
 @pytest.mark.parametrize("seed", [-1, 2**64])
