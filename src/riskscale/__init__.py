@@ -9,7 +9,6 @@ from .credibility import (
     premium_gaussian,
     premium_mc,
     premium_scalar,
-    shift_joint_sample,
 )
 from .dirichlet import (
     LpSpec,

@@ -10,7 +10,8 @@ digits by Dekker's two-product; ``%`` itself only for nan, inf, zero and
 the scientific range). The rows go in CSV_CHUNK_ROWS-row chunks through the
 worker pool of ``rng.ordered_map`` and are written in chunk order, so the
 bytes do not depend on the worker count and memory does not grow with the
-formatted text. The output is opened only once the results are computed, so
+formatted text. Rows that hold a nan or an infinity are refused with exit 3,
+never written. The output is opened only once the results are computed, so
 a failed run leaves no file. The worker count is set by the
 RISKSCALE_THREADS environment variable alone (``rng.resolve_workers``);
 :func:`run` takes none. The config file is read as UTF-8, a leading
@@ -137,6 +138,10 @@ def run(config: RunConfig) -> int:
             _sphere_audit(config.model.spec, config.model.radial, rows)
         prefix = "x" if config.command == "sample" else "p"
         header = [f"{prefix}{i + 1}" for i in range(rows.shape[1])]
+    low, high = rows.min(), rows.max()  # a nan carries through both: no n-sized mask
+    if not (np.isfinite(low) and np.isfinite(high)):
+        raise RiskscaleError(f"the output holds non-finite values (min {low:g}, "
+                             f"max {high:g}); nothing was written")
     _write_csv(config.output_path, header, rows)
     return 0
 

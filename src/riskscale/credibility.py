@@ -25,7 +25,7 @@ from .linalg import (
     mat_inverse,
 )
 from .moments import RatioMoments
-from .rng import RngStream, map_blocks, reduce_blocks
+from .rng import RngStream, reduce_blocks
 from .samplers import _require_positive
 
 
@@ -207,33 +207,3 @@ def premium_mc(model: GenericShiftModel, x, n: int, stream: RngStream,
     # delta method on the ratio of means, per coordinate
     ratio, se = moments.estimate()
     return x - ratio, se
-
-
-def shift_joint_sample(prior_sampler: Callable, noise_sampler: Callable, n: int,
-                       stream: RngStream, workers=None) -> np.ndarray:
-    """n rows of (X, Theta) = (Theta + Y, Theta) with Y independent of Theta.
-
-    Both samplers map (generator, m) to an (m, d) array; the output packs X
-    in the first d columns and Theta in the last d.
-    """
-
-    def draws(sampler, block_stream, m):
-        arr = np.asarray(sampler(block_stream.generator(), m), dtype=float)
-        if arr.ndim == 1:
-            arr = arr[:, None]
-        if arr.ndim != 2 or arr.shape[0] != m:
-            raise ShapeError(f"sampler returned shape {arr.shape}, expected ({m}, d)")
-        return arr
-
-    def fill(block, lo, hi):
-        m = hi - lo
-        theta = draws(prior_sampler, block.child(0), m)
-        y = draws(noise_sampler, block.child(1), m)
-        if theta.shape != y.shape:
-            raise ShapeError(
-                f"prior and noise draws disagree: {theta.shape} vs {y.shape}"
-            )
-        return np.hstack([theta + y, theta])
-
-    d = draws(prior_sampler, stream.child(0), 1).shape[1]
-    return map_blocks(stream, n, fill, ncols=2 * d, workers=workers)

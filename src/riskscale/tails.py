@@ -9,10 +9,11 @@ varying mixer is I(c_1, c_2) = E[min(W_1/c_1, W_2/c_2)^(aq)] / E[W_1^(aq)]
 (Breiman's lemma).
 
 The tail estimators stream through ``rng.reduce_blocks``, so their memory
-is bounded at any sample size n. ``tail_dependence_limits`` reduces
-per-block ratio-of-means moments of the W factors, for several (c_1, c_2)
-pairs from one pass over the same W draws. ``tail_convergence_table`` reads
-only ``stream.child(0)``: each block draws exactly the random numbers that
+is bounded at any sample size n. ``tail_dependence_limit`` reduces
+per-block ratio-of-means moments of the W factors for one (c_1, c_2) pair,
+merged by the pairwise update of Chan, Golub & LeVeque (1979,
+``RatioMoments.merge``). ``tail_convergence_table`` reads only
+``stream.child(0)``: each block draws exactly the random numbers that
 ``mgb2_sample`` would, takes the limit's moments from the unscaled W_1, W_2
 (the limit depends on W alone), then scales them by Theta^(1/a_i) and
 counts the exceedances, so one pass gives both columns. Sharing the draws
@@ -289,54 +290,35 @@ def _min_ratio_power(w1, w2, c1: float, c2: float, aq: float) -> np.ndarray:
     return _power(np.minimum(q1, q2, out=out), aq)
 
 
-def _limit_moments(w1, w2, pairs, aq: float) -> list[RatioMoments]:
-    """Per (c_1, c_2) pair of ``pairs``, the ratio moments of
-    min(w1 / c1, w2 / c2) ** aq over w1 ** aq; w1 and w2 are not written (at
-    aq = 1 the denominator is w1 itself)."""
+def _limit_moments(w1, w2, c1: float, c2: float, aq: float) -> RatioMoments:
+    """The ratio moments of min(w1 / c1, w2 / c2) ** aq over w1 ** aq; w1 and
+    w2 are not written (at aq = 1 the denominator is w1 itself)."""
     den = w1 if aq == 1.0 else w1 ** aq
-    return [RatioMoments.of(_min_ratio_power(w1, w2, c1, c2, aq), den)
-            for c1, c2 in pairs]
-
-
-def _merge_each(left: list, right: list) -> list:
-    """Merge two blocks' per-pair moments, pair by pair."""
-    return [a.merge(b) for a, b in zip(left, right)]
-
-
-def tail_dependence_limits(model: MGB2Model, pairs, n: int, stream: RngStream,
-                           workers=None) -> list[tuple[float, float]]:
-    """Monte Carlo estimates of I(c_1, c_2) = E[min(W_1/c_1, W_2/c_2)^(aq)] / E[W_1^(aq)]
-    with their standard errors, one per (c_1, c_2) pair of ``pairs``.
-
-    All pairs share one pass over the same n draws of (W_1, W_2), so each
-    estimate has exactly the bits that :func:`tail_dependence_limit` gives
-    for its pair alone on the same stream. Requires a_1 = a_2 and a
-    regularly varying mixing law (Pareto or inverse-Gamma), whose index q
-    enters the moment exponent. The W factors are Gamma powers, so every
-    moment used here is finite. Standard errors by the delta method on the
-    ratio of means, whose moments are reduced block by block (memory does
-    not grow with n).
-    """
-    a, q = _check_limit_regime(model)
-    pairs = [(_require_positive("c1", c1), _require_positive("c2", c2))
-             for c1, c2 in pairs]
-    if not pairs:
-        raise ParameterError("pairs must name at least one (c1, c2)")
-    aq = a * q
-
-    def fill(block, lo, hi):
-        w1, w2 = _w_factors(model, block.generator(), hi - lo, 2)
-        return _limit_moments(w1, w2, pairs, aq)
-
-    moments = reduce_blocks(stream, int(n), fill, _merge_each, workers=workers)
-    return [tuple(float(v) for v in m.estimate()) for m in moments]
+    return RatioMoments.of(_min_ratio_power(w1, w2, c1, c2, aq), den)
 
 
 def tail_dependence_limit(model: MGB2Model, c1: float, c2: float, n: int,
                           stream: RngStream, workers=None) -> tuple[float, float]:
-    """Monte Carlo estimate of I(c_1, c_2) and its standard error: the
-    one-pair case of :func:`tail_dependence_limits`."""
-    return tail_dependence_limits(model, [(c1, c2)], n, stream, workers=workers)[0]
+    """Monte Carlo estimate of I(c_1, c_2) = E[min(W_1/c_1, W_2/c_2)^(aq)] / E[W_1^(aq)]
+    and its standard error, from n draws of (W_1, W_2).
+
+    Requires a_1 = a_2 and a regularly varying mixing law (Pareto or
+    inverse-Gamma), whose index q enters the moment exponent. The W factors
+    are Gamma powers, so every moment used here is finite. Standard errors
+    by the delta method on the ratio of means, whose moments are reduced
+    block by block (memory does not grow with n).
+    """
+    a, q = _check_limit_regime(model)
+    c1 = _require_positive("c1", c1)
+    c2 = _require_positive("c2", c2)
+    aq = a * q
+
+    def fill(block, lo, hi):
+        w1, w2 = _w_factors(model, block.generator(), hi - lo, 2)
+        return _limit_moments(w1, w2, c1, c2, aq)
+
+    moments = reduce_blocks(stream, int(n), fill, RatioMoments.merge, workers=workers)
+    return tuple(float(v) for v in moments.estimate())
 
 
 def _merge_table(left: tuple, right: tuple) -> tuple:
@@ -366,12 +348,11 @@ def tail_convergence_table(model: MGB2Model, query: TailQuery, stream: RngStream
     conservative.
     """
     a, q = _check_limit_regime(model)
-    pairs = [(query.c1, query.c2)]
 
     def fill(block, lo, hi):
         theta, (w1, w2) = _mgb2_draws(model, block, hi - lo, 2)
         # the moments read W before the Theta step below writes over it
-        moments, = _limit_moments(w1, w2, pairs, a * q)
+        moments = _limit_moments(w1, w2, query.c1, query.c2, a * q)
         x1, x2 = _scale_by_theta(model, theta, [w1, w2])
         return _exceedance_counts(x1, x2, query.c1, query.c2, query.t_grid), moments
 

@@ -82,22 +82,22 @@ def _max_offdiag_corr(columns: np.ndarray) -> float:
     return float(np.abs(off).max())
 
 
-def _gaussian_prior_density(tau2: float):
-    def h(points):
-        return np.exp(-points[:, 0] ** 2 / (2.0 * tau2)) / np.sqrt(2.0 * np.pi * tau2)
-    return h
+#: Prior variance of ``_SCALAR_SHIFT``.
+_TAU2 = 3.0
+#: The d = 1 shift model of ``scalar_premium_mc`` and ``determinism``:
+#: prior N(0, _TAU2), noise N(0, 1).
+_SCALAR_SHIFT = GenericShiftModel(
+    prior_density=lambda points: (np.exp(-points[:, 0] ** 2 / (2.0 * _TAU2))
+                                  / np.sqrt(2.0 * np.pi * _TAU2)),
+    noise_sampler=lambda gen, m: gen.standard_normal((m, 1)),
+)
 
 
 def check_scalar_premium_mc(seed: int) -> GofReport:
     """Monte Carlo premium against the scalar closed form (d = 1 Gaussian)."""
-    mu, sigma2, tau2, x = 0.0, 1.0, 3.0, 4.0
-    n = 10**6
-    model = GenericShiftModel(
-        prior_density=_gaussian_prior_density(tau2),
-        noise_sampler=lambda gen, m: gen.standard_normal((m, 1)),
-    )
-    est, se = premium_mc(model, [x], n, _stream(seed, 1))
-    exact = premium_scalar(mu, sigma2, tau2, x)
+    x = 4.0
+    est, se = premium_mc(_SCALAR_SHIFT, [x], 10**6, _stream(seed, 1))
+    exact = premium_scalar(0.0, 1.0, _TAU2, x)
     return GofReport("scalar_premium_mc", abs(est[0] - exact), 3.0 * se[0])
 
 
@@ -323,12 +323,8 @@ def check_determinism(seed: int) -> GofReport:
     same = [np.array_equal(base, lp(workers)) for workers in (1, 4)]
     del base
 
-    model = GenericShiftModel(
-        prior_density=_gaussian_prior_density(3.0),
-        noise_sampler=lambda gen, m: gen.standard_normal((m, 1)),
-    )
-    mc1 = premium_mc(model, [4.0], n, stream.child(1), workers=1)
-    mc2 = premium_mc(model, [4.0], n, stream.child(1), workers=4)
+    mc1 = premium_mc(_SCALAR_SHIFT, [4.0], n, stream.child(1), workers=1)
+    mc2 = premium_mc(_SCALAR_SHIFT, [4.0], n, stream.child(1), workers=4)
     same += [np.array_equal(one, four) for one, four in zip(mc1, mc2)]
     return GofReport("determinism", 0.0 if all(same) else 1.0, 0.0)
 

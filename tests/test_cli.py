@@ -1,6 +1,7 @@
 import codecs
 import contextlib
 import io
+import json
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from riskscale.radial import GammaPower, InvGamma, Pareto, PointMass
 from riskscale.rng import BLOCK_ROWS, RngStream
 from riskscale.tails import (ClaytonSpec, MGB2Model, TailQuery, mgb2_sample,
                              scale_mixture_exp_sample, tail_convergence_table)
+from test_readme import _fresh_python
 
 SCALAR_PREMIUM = """
 command = premium
@@ -382,6 +384,77 @@ def test_sphere_audit_rejects_nan_rows(tmp_path, monkeypatch, capsys):
     out = tmp_path / "sample.csv"
     assert main(["sample", "--config", config, "--out", str(out)]) == 3
     assert "max deviation nan exceeds" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value, extremes", [
+    (np.nan, "min nan, max nan"),
+    (np.inf, "min 0.57735, max inf"),
+    (-np.inf, "min -inf, max 0.57735"),
+], ids=["nan", "inf", "-inf"])
+def test_non_finite_rows_exit_3_and_leave_no_file(tmp_path, monkeypatch, capsys,
+                                                   value, extremes):
+    def bad_row(spec, radial, n, stream, workers=None):
+        rows = np.full((n, 3), np.sqrt(1 / 3))
+        rows[n - 1, 2] = value
+        return rows
+
+    monkeypatch.setattr(dirichlet, "lp_dirichlet_sample", bad_row)
+    # no audit: the finiteness check stands on its own
+    config = _write(tmp_path, "sample.cfg", LP_SAMPLE.replace("audit = true\n", ""))
+    out = tmp_path / "sample.csv"
+    assert main(["sample", "--config", config, "--out", str(out)]) == 3
+    assert capsys.readouterr().err == (
+        f"riskscale: the output holds non-finite values ({extremes}); nothing was written\n")
+    assert not out.exists()
+
+
+NON_FINITE_CONFIGS = {
+    # Gamma(1e-4) draws are 0 with probability ~0.93: whole rows become 0/0
+    "lp_dirichlet": """
+command = sample
+seed = 7
+n = 1000
+model.kind = lp_dirichlet
+model.alphas = 0.0001,0.0001,0.0001
+model.p = 2
+model.radial = point_mass:1
+""",
+    # G^(1/a) and Theta^(1/a) at a = 0.01 overflow to inf, and inf * 0 is nan
+    "mgb2": """
+command = sample
+seed = 7
+n = 200000
+model.kind = mgb2
+model.a = 0.01,0.01
+model.b = 1,1
+model.p = 1,1
+model.theta = pareto:0.5
+""",
+}
+
+
+@pytest.mark.parametrize("kind", sorted(NON_FINITE_CONFIGS))
+def test_accepted_configs_with_non_finite_rows_exit_3(tmp_path, kind):
+    # in a fresh interpreter: in this one the sampler's numpy RuntimeWarning
+    # is an error (pyproject's filterwarnings), which would exit 3 as an
+    # internal error whatever the finiteness check did
+    probe = """
+import contextlib, io, json, sys
+from riskscale.cli import main
+err = io.StringIO()
+with contextlib.redirect_stderr(err):
+    status = main(sys.argv[1:])
+print(json.dumps([status, err.getvalue()]))
+"""
+    config = _write(tmp_path, "sample.cfg", NON_FINITE_CONFIGS[kind])
+    out = tmp_path / "sample.csv"
+    status, err = json.loads(_fresh_python(probe, "sample", "--config", config,
+                                           "--out", str(out)))
+    assert status == 3
+    last = err.splitlines()[-1]
+    assert last.startswith("riskscale: the output holds non-finite values (min nan,")
+    assert "Traceback" not in err
     assert not out.exists()
 
 

@@ -12,7 +12,6 @@ from riskscale.credibility import (
     premium_gaussian,
     premium_mc,
     premium_scalar,
-    shift_joint_sample,
 )
 from riskscale.errors import (
     DegenerateDenominatorError,
@@ -330,39 +329,3 @@ class TestPremiumMC:
             np.testing.assert_allclose(est, x - ratio, rtol=1e-12)
             np.testing.assert_allclose(se, np.sqrt(var), rtol=1e-12)
 
-
-class TestShiftJointSample:
-    def test_zero_noise_collapses(self):
-        rows = shift_joint_sample(
-            lambda gen, m: gen.standard_normal((m, 2)),
-            lambda gen, m: np.zeros((m, 2)),
-            1000, RngStream(215))
-        assert np.array_equal(rows[:, :2], rows[:, 2:])
-
-    def test_covariance_structure(self):
-        sigma = np.array([[1.0, 0.2], [0.2, 0.5]])
-        sigma0 = np.array([[0.8, -0.1], [-0.1, 1.2]])
-        chol = np.linalg.cholesky(sigma)
-        chol0 = np.linalg.cholesky(sigma0)
-        n = 10**5
-        rows = shift_joint_sample(
-            lambda gen, m: gen.standard_normal((m, 2)) @ chol0.T,
-            lambda gen, m: gen.standard_normal((m, 2)) @ chol.T,
-            n, RngStream(216))
-        emp = np.cov(rows, rowvar=False)
-        expected = np.block([[sigma + sigma0, sigma0], [sigma0, sigma0]])
-        assert np.abs(emp - expected).max() < 5.0 / np.sqrt(n)
-
-    def test_binned_posterior_mean_approaches_premium(self):
-        # conditioning oracle, deliberately coarse: average Theta over draws
-        # with X near x should approach the closed-form premium
-        tau2, sigma2, x = 3.0, 1.0, 2.0
-        n = 4 * 10**5
-        rows = shift_joint_sample(
-            lambda gen, m: np.sqrt(tau2) * gen.standard_normal((m, 1)),
-            lambda gen, m: np.sqrt(sigma2) * gen.standard_normal((m, 1)),
-            n, RngStream(217))
-        near = np.abs(rows[:, 0] - x) < 0.25
-        assert near.sum() > 1000
-        posterior_mean = rows[near, 1].mean()
-        assert abs(posterior_mean - premium_scalar(0.0, sigma2, tau2, x)) < 0.15

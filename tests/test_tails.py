@@ -28,7 +28,6 @@ from riskscale.tails import (
     scale_mixture_exp_sample,
     tail_convergence_table,
     tail_dependence_limit,
-    tail_dependence_limits,
     tail_ratio_empirical,
 )
 from riskscale.verify import judge_convergence
@@ -228,27 +227,11 @@ class TestTailDependenceLimit:
             assert est == pytest.approx(ratio, rel=1e-12)
             assert se == pytest.approx(math.sqrt(var), rel=1e-12)
 
-    @pytest.mark.parametrize("model,pairs", [
-        (_exp_model(), ((1.0, 1.0), (2.0, 2.0), (0.5, 3.0))),
-        (MGB2Model(a=(2.0, 2.0, 3.0), b=(1.0, 1.5, 2.0), p=(1.5, 0.7, 2.0),
-                   theta_law=InvGamma(1.5)), ((0.8, 1.3), (1.0, 1.0))),
-    ])
-    def test_fused_pairs_match_one_pair_calls(self, model, pairs):
-        # one pass over shared W draws gives each pair the bits of its own run
-        n = 2 * BLOCK_ROWS + 99
-        s = RngStream(328)
-        expected = [tail_dependence_limit(model, c1, c2, n, s, workers=1)
-                    for c1, c2 in pairs]
-        for workers in (1, 2):
-            assert tail_dependence_limits(model, pairs, n, s, workers=workers) \
-                == expected
-
-    def test_fused_pairs_validation(self):
-        with pytest.raises(ParameterError):
-            tail_dependence_limits(_exp_model(), (), 100, RngStream(329))
-        with pytest.raises(ParameterError):
-            tail_dependence_limits(_exp_model(), ((1.0, 1.0), (0.0, 1.0)), 100,
-                                   RngStream(329))
+    @pytest.mark.parametrize("c1,c2,param", [(0.0, 1.0, "c1"), (1.0, math.nan, "c2")])
+    def test_scaling_constants_validated(self, c1, c2, param):
+        with pytest.raises(ParameterError) as info:
+            tail_dependence_limit(_exp_model(), c1, c2, 100, RngStream(329))
+        assert info.value.param == param
 
     def test_inv_gamma_mixer_accepted(self):
         est, _ = tail_dependence_limit(_exp_model(InvGamma(2.0)), 1.0, 1.0,
