@@ -8,6 +8,12 @@ exactly when every sub-assertion holds. Worst values are taken by
 :func:`_worst`, which is nan when any sub-statistic is nan, so a degenerate
 sub-test fails its check instead of being dropped by the maximum.
 
+Monte Carlo estimates are checked against references that share no code
+with their samplers: the ``cdfs`` distribution functions, the closed-form
+premiums, and, for ``breiman_tail_limit``, the exact joint-tail limit
+:func:`cdfs.breiman_limit`, against which each table's limit estimate is
+z-scored with the fixed bound ``LIMIT_Z``.
+
 The checks take no worker count: the samplers they call take it from
 RISKSCALE_THREADS, and the bytes of a report do not depend on it.
 :func:`check_determinism` alone passes explicit counts, to compare them.
@@ -17,7 +23,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .cdfs import angular_marginal_cdf, normal_cdf
+from .cdfs import angular_marginal_cdf, breiman_limit, normal_cdf
 from .credibility import (
     EllipticalShiftModel,
     GaussianShiftModel,
@@ -287,23 +293,50 @@ def judge_convergence(rows: list[dict]) -> GofReport:
     return GofReport("breiman_tail_limit", stat, threshold)
 
 
+#: The model points of ``breiman_tail_limit``, one 1e6-row table each, with
+#: b = p = 1: the exponential case (a = 1, Pareto(1), c = (1, 1), where the
+#: limit is 1/2), then a = 0.5 with a Pareto(2.5) mixer at c = (2, 1), and
+#: a = 2 with a Pareto(1.5) mixer at c = (1, 0.5).
+_TAIL_POINTS = tuple(
+    (MGB2Model(a=(a, a), b=(1.0, 1.0), p=(1.0, 1.0), theta_law=Pareto(q)),
+     TailQuery(c1=c1, c2=c2, t_grid=(2.0, 4.0, 8.0), n=10**6))
+    for a, q, c1, c2 in ((1.0, 1.0, 1.0, 1.0), (0.5, 2.5, 2.0, 1.0),
+                         (2.0, 1.5, 1.0, 0.5))
+)
+
+#: Bound on |limit estimate - exact limit| / limit_stderr at each tail
+#: point. A fixed 4 sigma: a two-sided normal tail of 6.3e-5 per point, far
+#: below the false-alarm rate of the KS checks, until the suite's verdict
+#: moves to p-values.
+LIMIT_Z = 4.0
+
+
+def _z_margin(estimate: float, se: float, exact: float) -> float:
+    """|estimate - exact| / (LIMIT_Z se); inf when se is 0 and they differ."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return float(np.abs(estimate - exact) / (LIMIT_Z * np.float64(se)))
+
+
 def check_breiman_limit(seed: int) -> GofReport:
-    """Joint-tail limit in the exponential case, from one 1e7-row table: the
-    table's limit estimate within 2% of 1/2 and positive, the prelimit at
-    t = 20 within 10% of 1/2, and the judged threshold against the limit."""
-    model = MGB2Model(a=(1.0, 1.0), b=(1.0, 1.0), p=(1.0, 1.0),
-                      theta_law=Pareto(1.0))
-    query = TailQuery(c1=1.0, c2=1.0, t_grid=(5.0, 10.0, 20.0), n=10**7)
-    rows = tail_convergence_table(model, query, _stream(seed, 13).child(1))
-    # one limit per table: every row carries the same estimate
-    limit, limit_se = rows[0]["limit_estimate"], rows[0]["limit_stderr"]
-    at_20 = next(r for r in rows if r["t"] == 20.0)
-    margins = [
-        abs(limit - 0.5) / 0.01,                          # within 2% of 1/2
-        3.0 * limit_se / limit,                           # positivity: est - 3 se > 0
-        abs(at_20["empirical_ratio"] - 0.5) / 0.05,       # within 10% of 1/2
-        _ks_margin(judge_convergence(rows)),
-    ]
+    """Breiman's lemma at three model points that span a != 1, q != 1 and
+    c_1 != c_2: each table's limit estimate within ``LIMIT_Z`` standard
+    errors of the exact :func:`cdfs.breiman_limit`, and, in the exponential
+    case, the prelimit at the judged threshold against the exact limit
+    (:func:`judge_convergence` with limit_stderr 0). The prelimit is judged
+    only there, where it is within 2e-4 of the limit from t = 8 on; at the
+    other points the finite-t bias can exceed the 10% tolerance (at the
+    second point the ratio is ~0.163 at t = 8 against a limit of 0.1104)."""
+    stream = _stream(seed, 13)
+    margins = []
+    for k, (model, query) in enumerate(_TAIL_POINTS):
+        rows = tail_convergence_table(model, query, stream.child(k))
+        exact = breiman_limit(model, query.c1, query.c2)
+        # one limit per table: every row carries the same estimate
+        margins.append(_z_margin(rows[0]["limit_estimate"],
+                                 rows[0]["limit_stderr"], exact))
+        if k == 0:
+            margins.append(_ks_margin(judge_convergence(
+                [dict(r, limit_estimate=exact, limit_stderr=0.0) for r in rows])))
     return GofReport("breiman_tail_limit", _worst(margins), 1.0)
 
 

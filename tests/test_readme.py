@@ -11,6 +11,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import riskscale
 import riskscale.cli as cli
@@ -88,6 +89,25 @@ def test_premium_example_writes_3(tmp_path, monkeypatch):
     assert header == "p1" and float(value) == 3.0
 
 
+@pytest.mark.parametrize("c2", [1.0, 2.0])
+def test_taildep_example_limit_matches_the_exact_limit(tmp_path, monkeypatch, c2):
+    # the README model at 2e5 rows (the example's 1e7 would take ~0.5 s per
+    # run), as written and at c1 != c2: the table's limit estimate lies
+    # within 4 of its standard errors of cdfs.breiman_limit
+    from riskscale.cdfs import breiman_limit
+
+    monkeypatch.setenv("RISKSCALE_THREADS", "1")
+    text = re.sub(r"^n = .*$", "n = 200000", _config_blocks()["taildep"], flags=re.M)
+    text = re.sub(r"^c2 = .*$", f"c2 = {c2:g}", text, flags=re.M)
+    out = tmp_path / "taildep.csv"
+    config = parse_config(text, output_path=str(out))
+    assert (config.query.c1, config.query.c2) == (1.0, c2)
+    assert cli.run(config) == 0
+    rows = np.loadtxt(out, delimiter=",", skiprows=1, ndmin=2)
+    limit, limit_se = rows[0, 3], rows[0, 4]
+    assert abs(limit - breiman_limit(config.model, 1.0, c2)) <= 4.0 * limit_se
+
+
 def test_simulation_commands_load_no_scipy(tmp_path):
     # scipy.special costs ~0.3 s of set-up; only the verify command needs it,
     # and with it the checking side: the simulation commands load neither
@@ -124,6 +144,23 @@ parse_config("command = verify\\nseed = 42\\n")
 print(json.dumps([before, ["riskscale.verify" in sys.modules, "scipy.special" in sys.modules]]))
 """
     assert json.loads(_fresh_python(probe)) == [[False, []], [True, True]]
+
+
+def test_verify_loads_no_quadrature_statistics_or_linalg_scipy():
+    # the exact Breiman limit integrates with numpy on scipy.special alone:
+    # neither set-up (parse_config) nor the tail check loads scipy.integrate,
+    # scipy.stats or scipy.linalg, each of which would cost verify import time
+    probe = """
+import json, sys
+from riskscale.config import parse_config
+parse_config("command = verify\\nseed = 42\\n")
+from riskscale.verify import check_breiman_limit
+assert check_breiman_limit(42).passed
+print(json.dumps(sorted(m for m in sys.modules
+                        if m.split(".")[:2] in (["scipy", "integrate"],
+                                                ["scipy", "stats"], ["scipy", "linalg"]))))
+"""
+    assert json.loads(_fresh_python(probe)) == []
 
 
 def test_library_use_blocks_run_and_only_the_checking_side_loads_scipy():

@@ -7,6 +7,7 @@ import riskscale.rng as rng
 import riskscale.samplers as samplers
 import riskscale.tails as tails
 import riskscale.verify as verify
+from riskscale.cdfs import breiman_limit
 from riskscale.errors import ParameterError
 from riskscale.gof import GofReport
 from riskscale.verify import (
@@ -90,13 +91,16 @@ def test_nan_correlation_fails_weighted_gaussian(monkeypatch):
 
 
 def test_nan_later_margin_fails_breiman_tail_limit(monkeypatch):
-    # list of margins whose last entry (the judged threshold) is nan; the
-    # table is replaced by passing values, so nothing is sampled
-    monkeypatch.setattr(verify, "tail_convergence_table",
-                        lambda *args, **kwargs: [{
-                            "t": 20.0, "empirical_ratio": 0.5, "stderr": 0.01,
-                            "limit_estimate": 0.5, "limit_stderr": 0.001,
-                            "exceedances": 5000}])
+    # list of margins whose judged-threshold entry is nan; each table is
+    # replaced by one row whose limit estimate is the exact limit of its
+    # point, so nothing is sampled and every other margin passes
+    def table(model, query, stream):
+        return [{"t": query.t_grid[-1], "empirical_ratio": 0.5, "stderr": 0.01,
+                 "limit_estimate": breiman_limit(model, query.c1, query.c2),
+                 "limit_stderr": 0.001, "exceedances": 5000}]
+
+    monkeypatch.setattr(verify, "tail_convergence_table", table)
+    assert check_breiman_limit(42).passed
     monkeypatch.setattr(verify, "judge_convergence",
                         lambda rows: GofReport("breiman_tail_limit", math.nan, 0.05))
     rep = check_breiman_limit(42)
@@ -104,16 +108,22 @@ def test_nan_later_margin_fails_breiman_tail_limit(monkeypatch):
     assert math.isnan(rep.statistic)
 
 
+#: Seeds from the reserved sweep range 5000-5099 at which each mutation of
+#: the limit's numerator must fail the tail check.
+POWER_SEEDS = (5000, 5020, 5040, 5060, 5080)
+
+
 @pytest.mark.parametrize("numerator", [
     lambda w1, w2, c1, c2, aq: (w1 / c1) ** aq,
     lambda w1, w2, c1, c2, aq: np.maximum(w1 / c1, w2 / c2) ** aq,
 ], ids=["min-dropped", "max-for-min"])
 def test_wrong_limit_numerator_fails_breiman_tail_limit(monkeypatch, numerator):
-    # the check's margins all come from the table's own limit estimate: a
-    # wrong numerator (a true limit of 1/2 becomes 1 or 3/2) must fail it
+    # each table's limit estimate is z-scored against the exact limit: a
+    # wrong numerator (the exponential point's limit of 1/2 becomes 1 or
+    # 3/2) must fail the check at every seed, not at one chosen seed
     monkeypatch.setattr(tails, "_min_ratio_power", numerator)
-    rep = check_breiman_limit(42)
-    assert not rep.passed
+    passed = [seed for seed in POWER_SEEDS if check_breiman_limit(seed).passed]
+    assert passed == []
 
 
 @pytest.mark.parametrize("seed", [-1, 2**64])
