@@ -12,6 +12,17 @@ the sphere by up to ~6e-4, and at p = 0.001 every row misses it by 1. The
 sampler does not repair this; ``audit = true`` on the command line catches
 it (exit 3).
 
+Per block, the samplers keep the Gamma draws as d contiguous columns: the
+row sum accumulates them left to right, each column is divided by it and
+raised to its power in place, and the columns are stacked once. Every step
+applies the same floating-point operation to the same operands as the
+plain operator form (``g / g.sum(axis=1, keepdims=True)``, ``w ** (1/p)``,
+``r[:, None] * o``), so the output bits are those of that form, except
+that from d = 8 on numpy's row sum is pairwise where this one is not. A
+scalar power is taken with the operator ``w **= e``, which keeps the
+sqrt/square fast paths of ``w ** e``; ``np.power`` with an array exponent
+does not, and differs in the last bit at p = 2 and p = 0.5.
+
 Scaled families built on top of O:
 
 * ``lp_dirichlet_sample``     -- R * O with an independent radial law R
@@ -98,16 +109,30 @@ class RandomPSpec:
         return len(self.alphas)
 
 
-def _gamma_simplex(alphas, rate, gen, m) -> np.ndarray:
-    """(m, d) rows of G_i / sum_j G_j with G_i ~ Gamma(alpha_i, rate)."""
-    g = np.column_stack([gamma_sample(a, rate, gen, size=m) for a in alphas])
-    return g / g.sum(axis=1, keepdims=True)
+def _gamma_simplex(alphas, rate, gen, m) -> list[np.ndarray]:
+    """The d columns G_i / sum_j G_j with G_i ~ Gamma(alpha_i, rate), drawn
+    in component order from ``gen``; each is a new contiguous array.
+
+    The sum runs left to right, ((G_1 + G_2) + G_3) + ..., which for
+    d <= 7 is exactly numpy's row sum ``g.sum(axis=1)`` of the stacked
+    draws; from d = 8 on numpy sums a row pairwise.
+    """
+    cols = [gamma_sample(a, rate, gen, size=m) for a in alphas]
+    total = cols[0].copy()
+    for g in cols[1:]:
+        total += g
+    for g in cols:
+        g /= total
+    return cols
 
 
 def angular_sample(spec: LpSpec, rng, size: int) -> np.ndarray:
     """(size, d) draws on the unit L_p sphere."""
-    w = _gamma_simplex(spec.alphas, 1.0 / spec.p, as_generator(rng), size)
-    return w ** (1.0 / spec.p)
+    cols = _gamma_simplex(spec.alphas, 1.0 / spec.p, as_generator(rng), size)
+    for w in cols:
+        # the operator form keeps numpy's sqrt/square fast paths of w ** e
+        w **= 1.0 / spec.p
+    return np.column_stack(cols)
 
 
 def lp_dirichlet_sample(spec: LpSpec, radial: RadialLaw, n: int,
@@ -117,8 +142,8 @@ def lp_dirichlet_sample(spec: LpSpec, radial: RadialLaw, n: int,
     def fill(block, lo, hi):
         m = hi - lo
         o = angular_sample(spec, block.child(0), size=m)
-        r = radial.sample(block.child(1), size=m)
-        return r[:, None] * o
+        o *= radial.sample(block.child(1), size=m)[:, None]
+        return o
 
     return map_blocks(stream, n, fill, ncols=spec.dim, workers=workers)
 
@@ -136,7 +161,8 @@ def weighted_sample(spec: WeightedSpec, radial: RadialLaw, n: int,
         signs = np.column_stack(
             [bernoulli_pm1(q, sign_gen, size=m) for q in spec.qs]
         )
-        return r[:, None] * signs * o
+        o *= r[:, None] * signs
+        return o
 
     return map_blocks(stream, n, fill, ncols=base.dim, workers=workers)
 
@@ -154,11 +180,15 @@ def random_p_sample(spec: RandomPSpec, radial: RadialLaw, n: int,
     def fill(block, lo, hi):
         m = hi - lo
         p = spec.p_law.sample(block.child(0), size=m)
-        gen = block.child(1).generator()
-        w = _gamma_simplex(spec.alphas, 1.0, gen, m)
-        o = w ** (1.0 / p[:, None])
+        cols = _gamma_simplex(spec.alphas, 1.0, block.child(1).generator(), m)
         r = radial.sample(block.child(2), size=m)
-        return np.hstack([r[:, None] * o, p[:, None]])
+        out = np.empty((m, spec.dim + 1))
+        exponent = 1.0 / p
+        for i, w in enumerate(cols):
+            w **= exponent
+            np.multiply(r, w, out=out[:, i])
+        out[:, spec.dim] = p
+        return out
 
     packed = map_blocks(stream, n, fill, ncols=spec.dim + 1, workers=workers)
     return packed[:, :spec.dim], packed[:, spec.dim]
@@ -181,9 +211,10 @@ def random_scale_sequence_sample(alpha: float, p: float, s_law: RadialLaw,
     def fill(block, lo, hi):
         m = hi - lo
         gen = block.child(0).generator()
-        y = (gamma_sample(alpha, 1.0 / p, gen, size=(m, d))) ** (1.0 / p)
-        s = s_law.sample(block.child(1), size=m)
-        return s[:, None] * y
+        y = gamma_sample(alpha, 1.0 / p, gen, size=(m, d))
+        y **= 1.0 / p
+        y *= s_law.sample(block.child(1), size=m)[:, None]
+        return y
 
     return map_blocks(stream, n, fill, ncols=d, workers=workers)
 
@@ -204,7 +235,8 @@ def beta_gamma_sample(alpha: float, p: float, n: int, stream: RngStream,
         m = hi - lo
         gen = block.child(0).generator()
         t = beta_sample(alpha, 1.0 - alpha, gen, size=m)
-        e = gen.exponential(scale=p, size=m)
-        return (t * e) ** (1.0 / p)
+        t *= gen.exponential(scale=p, size=m)
+        t **= 1.0 / p
+        return t
 
     return map_blocks(stream, n, fill, workers=workers)

@@ -42,7 +42,8 @@ class GammaPower(RadialLaw):
 
     def sample(self, rng, size):
         g = gamma_sample(self.shape, self.rate, rng, size=size)
-        return g ** self.power
+        g **= self.power
+        return g
 
 
 @dataclass(frozen=True)

@@ -122,7 +122,8 @@ def y_marginal_sample(alpha, p, rng, size):
     p = _require_positive("p", p)
     gen = as_generator(rng)
     g = _std_gamma(alpha, gen, size) * p  # rate 1/p
-    return g ** (1.0 / p)
+    g **= 1.0 / p
+    return g
 
 
 def normal_sample(rng, size):

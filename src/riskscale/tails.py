@@ -19,9 +19,13 @@ merged by the pairwise update of Chan, Golub & LeVeque (1979,
 counts the exceedances, so one pass gives both columns. Sharing the draws
 correlates the two columns positively, which makes the combined standard
 error of ``verify.judge_convergence`` an overstatement, so its verdict stays
-conservative. The tail estimators draw only W_1 and W_2 (the columns
-they read): W_3..W_d come after them from the same generator, so leaving
-them out changes no bit.
+conservative. Both estimators draw W from ``block.child(1)`` of each
+block, the address ``mgb2_sample`` uses, so ``tail_dependence_limit(model,
+c1, c2, n, stream.child(0))`` gives bit for bit the limit columns of
+``tail_convergence_table(model, query, stream)`` at ``query.n = n``,
+without the Theta draws and the exceedance counts. The tail estimators
+draw only W_1 and W_2 (the columns they read): W_3..W_d come after them
+from the same generator, so leaving them out changes no bit.
 
 Per block, the MGB2 code works on the d components as separate contiguous
 columns; only ``mgb2_sample`` stacks them into the (m, d) rows it returns.
@@ -149,13 +153,18 @@ def _scale_by_theta(model: MGB2Model, theta: np.ndarray,
                     cols: list[np.ndarray]) -> list[np.ndarray]:
     """Write Theta^(1/a_i) * W_i over each column W_i of ``cols``."""
     scale = np.empty(theta.size)
+    factor, factor_a = None, None
     for a_i, w in zip(model.a, cols):
         # The exponent goes to pow as an array as long as theta (filled into
         # ``scale``), like the operator form theta[:, None] ** powers: with
         # a scalar exponent numpy's power loop takes its sqrt/square/
         # reciprocal fast paths, which for 1/a_i = 0.5, 2 or -1 differ in
-        # the last bit. At a_i = 1 the factor is theta itself.
-        np.multiply(_power(theta, 1.0 / a_i, out=scale), w, out=w)
+        # the last bit. At a_i = 1 the factor is theta itself. A component
+        # with the shape of the one before it (a_1 = a_2 in the tail regime)
+        # reuses that factor: the same pow of the same operands.
+        if a_i != factor_a:
+            factor, factor_a = _power(theta, 1.0 / a_i, out=scale), a_i
+        np.multiply(factor, w, out=w)
     return cols
 
 
@@ -300,7 +309,8 @@ def _limit_moments(w1, w2, c1: float, c2: float, aq: float) -> RatioMoments:
 def tail_dependence_limit(model: MGB2Model, c1: float, c2: float, n: int,
                           stream: RngStream, workers=None) -> tuple[float, float]:
     """Monte Carlo estimate of I(c_1, c_2) = E[min(W_1/c_1, W_2/c_2)^(aq)] / E[W_1^(aq)]
-    and its standard error, from n draws of (W_1, W_2).
+    and its standard error, from n draws of (W_1, W_2), drawn from
+    ``block.child(1)`` of each block of ``stream`` as in :func:`mgb2_sample`.
 
     Requires a_1 = a_2 and a regularly varying mixing law (Pareto or
     inverse-Gamma), whose index q enters the moment exponent. The W factors
@@ -314,7 +324,7 @@ def tail_dependence_limit(model: MGB2Model, c1: float, c2: float, n: int,
     aq = a * q
 
     def fill(block, lo, hi):
-        w1, w2 = _w_factors(model, block.generator(), hi - lo, 2)
+        w1, w2 = _w_factors(model, block.child(1).generator(), hi - lo, 2)
         return _limit_moments(w1, w2, c1, c2, aq)
 
     moments = reduce_blocks(stream, int(n), fill, RatioMoments.merge, workers=workers)

@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 
@@ -16,7 +18,7 @@ from riskscale.dirichlet import (
 from riskscale.errors import ParameterError
 from riskscale.gof import ks_one_sample, ks_two_sample
 from riskscale.radial import GammaPower, Pareto, PointMass
-from riskscale.rng import RngStream
+from riskscale.rng import BLOCK_ROWS, RngStream, map_blocks
 from riskscale.samplers import gamma_sample, y_marginal_sample
 from riskscale.verify import _ALPHAS
 
@@ -270,3 +272,143 @@ class TestBetaGamma:
         for alpha in (0.0, 1.0, 1.5):
             with pytest.raises(ParameterError):
                 beta_gamma_sample(alpha, 1.0, 100, RngStream(0))
+
+
+# The references below are the operator forms the Dirichlet block code used
+# to run (stacked Gamma draws, numpy's row sum, out-of-place divide, power
+# and radius product), drawing from the same block streams; the column
+# kernels must reproduce them bit for bit. From d = 8 on numpy sums a row
+# pairwise, so at d = 9 the reference pins the documented left-to-right sum
+# instead. Nothing here pins absolute bits: numpy's pow differs between
+# CPUs.
+
+_BIT_N = BLOCK_ROWS + 7
+_BIT_D = [1, 2, 3, 5, 7, 9]
+_BIT_P = [1.0, 2.0, 0.5, 3.0]
+
+
+def _bit_alphas(d):
+    return tuple(0.5 + 0.5 * i for i in range(d))  # shapes < 1 and >= 1
+
+
+def _ref_simplex(alphas, rate, gen, m):
+    g = np.column_stack([gen.standard_gamma(a, size=m) / rate for a in alphas])
+    if len(alphas) < 8:
+        return g / g.sum(axis=1, keepdims=True)
+    return g / functools.reduce(np.add, g.T)[:, None]
+
+
+def _ref_angular(spec, gen, m):
+    return _ref_simplex(spec.alphas, 1.0 / spec.p, gen, m) ** (1.0 / spec.p)
+
+
+def _ref_radius(law, stream, m):
+    # GammaPower only: (G / rate) ** power
+    return (stream.generator().standard_gamma(law.shape, size=m) / law.rate) \
+        ** law.power
+
+
+def _bit_radius(spec):
+    return GammaPower(sum(spec.alphas), 1.0 / spec.p, 1.0 / spec.p)
+
+
+class TestOperatorFormBits:
+    @pytest.mark.parametrize("p", _BIT_P)
+    @pytest.mark.parametrize("d", _BIT_D)
+    def test_angular_sample(self, d, p):
+        spec = LpSpec(_bit_alphas(d), p)
+        ref = _ref_angular(spec, RngStream(341).generator(), _BIT_N)
+        assert angular_sample(spec, RngStream(341), size=_BIT_N).tobytes() \
+            == ref.tobytes()
+
+    @pytest.mark.parametrize("p", _BIT_P)
+    @pytest.mark.parametrize("d", _BIT_D)
+    def test_lp_dirichlet_sample(self, d, p):
+        spec = LpSpec(_bit_alphas(d), p)
+        radial = _bit_radius(spec)
+
+        def fill(block, lo, hi):
+            m = hi - lo
+            o = _ref_angular(spec, block.child(0).generator(), m)
+            return _ref_radius(radial, block.child(1), m)[:, None] * o
+
+        ref = map_blocks(RngStream(342), _BIT_N, fill, ncols=d, workers=1)
+        for workers in (1, 2):
+            assert lp_dirichlet_sample(spec, radial, _BIT_N, RngStream(342),
+                                       workers=workers).tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("p", _BIT_P)
+    @pytest.mark.parametrize("d", _BIT_D)
+    def test_weighted_sample(self, d, p):
+        spec = WeightedSpec(LpSpec(_bit_alphas(d), p),
+                            qs=((0.5, 1.0, 0.25) * 3)[:d])
+        radial = _bit_radius(spec.base)
+
+        def fill(block, lo, hi):
+            m = hi - lo
+            o = _ref_angular(spec.base, block.child(0).generator(), m)
+            r = _ref_radius(radial, block.child(1), m)
+            sign_gen = block.child(2).generator()
+            signs = np.column_stack([np.where(sign_gen.random(m) < q, 1.0, -1.0)
+                                     for q in spec.qs])
+            return r[:, None] * signs * o
+
+        ref = map_blocks(RngStream(343), _BIT_N, fill, ncols=d, workers=1)
+        for workers in (1, 2):
+            assert weighted_sample(spec, radial, _BIT_N, RngStream(343),
+                                   workers=workers).tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("law", [PointMass(1.0), PointMass(2.0), PointMass(0.5),
+                                     PointMass(3.0), Pareto(2.0)], ids=str)
+    @pytest.mark.parametrize("d", _BIT_D)
+    def test_random_p_sample(self, d, law):
+        # PointMass(p) gives every row the exponent p; the exponent is an
+        # array in both forms, so numpy takes its general pow
+        spec = RandomPSpec(_bit_alphas(d), law)
+        radial = GammaPower(3.0, 0.5, 0.5)
+
+        def fill(block, lo, hi):
+            m = hi - lo
+            p = law.sample(block.child(0), size=m)
+            w = _ref_simplex(spec.alphas, 1.0, block.child(1).generator(), m)
+            o = w ** (1.0 / p[:, None])
+            r = _ref_radius(radial, block.child(2), m)
+            return np.hstack([r[:, None] * o, p[:, None]])
+
+        ref = map_blocks(RngStream(344), _BIT_N, fill, ncols=d + 1, workers=1)
+        for workers in (1, 2):
+            rows, expo = random_p_sample(spec, radial, _BIT_N, RngStream(344),
+                                         workers=workers)
+            assert rows.tobytes() == np.ascontiguousarray(ref[:, :d]).tobytes()
+            assert expo.tobytes() == np.ascontiguousarray(ref[:, d]).tobytes()
+
+    @pytest.mark.parametrize("p", _BIT_P)
+    def test_random_scale_sequence_sample(self, p):
+        law = Pareto(2.0)
+
+        def fill(block, lo, hi):
+            m = hi - lo
+            g = block.child(0).generator().standard_gamma(0.7, size=(m, 3))
+            y = (g / (1.0 / p)) ** (1.0 / p)
+            return law.sample(block.child(1), size=m)[:, None] * y
+
+        ref = map_blocks(RngStream(345), _BIT_N, fill, ncols=3, workers=1)
+        for workers in (1, 2):
+            assert random_scale_sequence_sample(
+                0.7, p, law, 3, _BIT_N, RngStream(345), workers=workers
+            ).tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("p", _BIT_P)
+    def test_beta_gamma_sample(self, p):
+        def fill(block, lo, hi):
+            m = hi - lo
+            gen = block.child(0).generator()
+            ga = gen.standard_gamma(0.4, size=m)
+            gb = gen.standard_gamma(0.6, size=m)
+            e = gen.exponential(scale=p, size=m)
+            return (ga / (ga + gb) * e) ** (1.0 / p)
+
+        ref = map_blocks(RngStream(346), _BIT_N, fill, workers=1)
+        for workers in (1, 2):
+            assert beta_gamma_sample(0.4, p, _BIT_N, RngStream(346),
+                                     workers=workers).tobytes() == ref.tobytes()

@@ -207,3 +207,10 @@ class TestOperatorFormBits:
         new = pareto_sample(index, RngStream(92), size=self.M)
         old = (1.0 - RngStream(92).generator().random(self.M)) ** (-1.0 / index)
         assert new.tobytes() == old.tobytes()
+
+    @pytest.mark.parametrize("p", [1.0, 2.0, 0.5, 3.0])
+    def test_y_marginal_matches_power(self, p):
+        new = y_marginal_sample(0.7, p, RngStream(94), size=self.M)
+        old = (RngStream(94).generator().standard_gamma(0.7, size=self.M) * p) \
+            ** (1.0 / p)
+        assert new.tobytes() == old.tobytes()

@@ -211,7 +211,7 @@ class TestTailDependenceLimit:
         n = 3 * BLOCK_ROWS + 5000
 
         def fill(block, lo, hi):
-            w = _w_factors(model, block.generator(), hi - lo)
+            w = _w_factors(model, block.child(1).generator(), hi - lo)
             return np.column_stack([np.minimum(w[0] / c1, w[1] / c2) ** aq,
                                     w[0] ** aq])
 
@@ -361,7 +361,7 @@ def test_limit_regime_error_is_named(model, param):
 _BIT_N = 3 * BLOCK_ROWS + 7
 _BIT_MODELS = [
     MGB2Model(a=a, b=(1.0, 2.0), p=(1.5, 0.5), theta_law=law)
-    for a in ((2.0, 3.0), (1.0, 1.0), (0.5, 4.0))
+    for a in ((2.0, 3.0), (1.0, 1.0), (0.5, 4.0), (2.0, 2.0))
     for law in (InvGamma(2.0), Pareto(1.0))
 ]
 
@@ -393,12 +393,12 @@ def _ref_moments(u, v):
                         (dv * dv).sum(), (du * dv).sum(axis=0))
 
 
-def _ref_limit(model, c1, c2, n, stream, w_stream=lambda block: block):
-    # W is drawn from w_stream(block) of each block of stream
+def _ref_limit(model, c1, c2, n, stream):
+    # W is drawn from block.child(1) of each block of stream, as in _ref_rows
     aq = model.a[0] * regular_variation_index(model.theta_law)
 
     def fill(block, lo, hi):
-        w = _ref_w(model, w_stream(block).generator(), hi - lo)
+        w = _ref_w(model, block.child(1).generator(), hi - lo)
         return _ref_moments(np.minimum(w[:, 0] / c1, w[:, 1] / c2) ** aq,
                             w[:, 0] ** aq)
 
@@ -446,10 +446,8 @@ class TestOperatorFormBits:
         x1, x2 = rows[:, 0], rows[:, 1]
         for c1 in (0.7, 1.0, 1.5):
             query = TailQuery(c1=c1, c2=1.4, t_grid=(0.5, 1.0, 3.0, 8.0), n=_BIT_N)
-            # the limit comes from the table's own W draws, before Theta:
-            # block.child(1) of each block of s.child(0)
-            limit = _ref_limit(model, query.c1, query.c2, _BIT_N, s.child(0),
-                               lambda block: block.child(1))
+            # the limit comes from the table's own W draws, before Theta
+            limit = _ref_limit(model, query.c1, query.c2, _BIT_N, s.child(0))
             expected = []
             for t in query.t_grid:
                 joint = (x1 > query.c1 * t) & (x2 > query.c2 * t)
@@ -466,6 +464,19 @@ class TestOperatorFormBits:
             for workers in (1, 2):
                 assert tail_convergence_table(model, query, s, workers=workers) \
                     == expected
+
+    @pytest.mark.parametrize("model", [_exp_model(), MGB2Model(
+        a=(2.0, 2.0), b=(1.0, 1.5), p=(1.5, 0.7), theta_law=InvGamma(1.5))])
+    def test_tail_dependence_limit_is_the_tables_limit_columns(self, model):
+        # the W address is the table's, so the limit-only pass on the
+        # table's stream.child(0) gives its limit columns bit for bit
+        s = RngStream(336)
+        query = TailQuery(c1=1.5, c2=0.8, t_grid=(0.5, 1.0), n=_BIT_N)
+        for workers in (1, 2):
+            row = tail_convergence_table(model, query, s, workers=workers)[0]
+            assert tail_dependence_limit(model, query.c1, query.c2, query.n,
+                                         s.child(0), workers=workers) \
+                == (row["limit_estimate"], row["limit_stderr"])
 
     @pytest.mark.parametrize("b", [(1.0, 1.0), (0.5, 2.0)])
     @pytest.mark.parametrize("a,p", [((1.0, 1.0), (1.0, 1.0)),

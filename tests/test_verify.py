@@ -91,21 +91,59 @@ def test_nan_correlation_fails_weighted_gaussian(monkeypatch):
 
 
 def test_nan_later_margin_fails_breiman_tail_limit(monkeypatch):
-    # list of margins whose judged-threshold entry is nan; each table is
-    # replaced by one row whose limit estimate is the exact limit of its
-    # point, so nothing is sampled and every other margin passes
+    # list of margins whose judged-threshold entry is nan; the one table (the
+    # exponential point) is one row at its exact limit 1/2 and the other
+    # points' limit passes return their exact limits, so nothing is sampled
+    # and every other margin passes
     def table(model, query, stream):
         return [{"t": query.t_grid[-1], "empirical_ratio": 0.5, "stderr": 0.01,
-                 "limit_estimate": breiman_limit(model, query.c1, query.c2),
-                 "limit_stderr": 0.001, "exceedances": 5000}]
+                 "limit_estimate": 0.5, "limit_stderr": 0.001,
+                 "exceedances": 5000}]
 
     monkeypatch.setattr(verify, "tail_convergence_table", table)
+    monkeypatch.setattr(verify, "tail_dependence_limit",
+                        lambda model, c1, c2, n, stream: (
+                            breiman_limit(model, c1, c2), 0.001))
     assert check_breiman_limit(42).passed
     monkeypatch.setattr(verify, "judge_convergence",
                         lambda rows: GofReport("breiman_tail_limit", math.nan, 0.05))
     rep = check_breiman_limit(42)
     assert not rep.passed
     assert math.isnan(rep.statistic)
+
+
+def test_breiman_tail_limit_builds_one_table_and_two_limit_passes(monkeypatch):
+    calls = []
+
+    def spy(name, function):
+        def call(*args, **kwargs):
+            calls.append(name)
+            return function(*args, **kwargs)
+        monkeypatch.setattr(verify, name, call)
+
+    spy("tail_convergence_table", tails.tail_convergence_table)
+    spy("tail_dependence_limit", tails.tail_dependence_limit)
+    assert check_breiman_limit(42).passed
+    assert calls == ["tail_convergence_table", "tail_dependence_limit",
+                     "tail_dependence_limit"]
+
+
+def test_limit_off_by_five_errors_at_an_unjudged_point_fails(monkeypatch):
+    # the points without a table still bite: five standard errors off the
+    # exact limit at the second point alone fail the check
+    limit = tails.tail_dependence_limit
+    second = verify._TAIL_POINTS[1][0]
+
+    def shifted(model, c1, c2, n, stream):
+        estimate, se = limit(model, c1, c2, n, stream)
+        if model == second:
+            estimate = breiman_limit(model, c1, c2) + 5.0 * se
+        return estimate, se
+
+    monkeypatch.setattr(verify, "tail_dependence_limit", shifted)
+    rep = check_breiman_limit(42)
+    assert not rep.passed
+    assert rep.statistic == pytest.approx(5.0 / verify.LIMIT_Z)
 
 
 #: Seeds from the reserved sweep range 5000-5099 at which each mutation of
