@@ -12,16 +12,12 @@ the sphere by up to ~6e-4, and at p = 0.001 every row misses it by 1. The
 sampler does not repair this; ``audit = true`` on the command line catches
 it (exit 3).
 
-Per block, the samplers keep the Gamma draws as d contiguous columns: the
-row sum accumulates them left to right, each column is divided by it and
-raised to its power in place, and the columns are stacked once. Every step
-applies the same floating-point operation to the same operands as the
-plain operator form (``g / g.sum(axis=1, keepdims=True)``, ``w ** (1/p)``,
-``r[:, None] * o``), so the output bits are those of that form, except
-that from d = 8 on numpy's row sum is pairwise where this one is not. A
-scalar power is taken with the operator ``w **= e``, which keeps the
-sqrt/square fast paths of ``w ** e``; ``np.power`` with an array exponent
-does not, and differs in the last bit at p = 2 and p = 0.5.
+Per block, the samplers divide, power and scale the stacked Gamma draws in
+place. Each in-place step is the floating-point operation of the plain
+operator form (``g / g.sum(axis=1, keepdims=True)``, ``w ** (1/p)``,
+``r[:, None] * o``) on the same operands, so the output bits are those of
+that form. A scalar power is taken with the operator ``w **= e``, which may
+take the same sqrt/square fast paths as ``w ** e``.
 
 Scaled families built on top of O:
 
@@ -109,30 +105,18 @@ class RandomPSpec:
         return len(self.alphas)
 
 
-def _gamma_simplex(alphas, rate, gen, m) -> list[np.ndarray]:
-    """The d columns G_i / sum_j G_j with G_i ~ Gamma(alpha_i, rate), drawn
-    in component order from ``gen``; each is a new contiguous array.
-
-    The sum runs left to right, ((G_1 + G_2) + G_3) + ..., which for
-    d <= 7 is exactly numpy's row sum ``g.sum(axis=1)`` of the stacked
-    draws; from d = 8 on numpy sums a row pairwise.
-    """
-    cols = [gamma_sample(a, rate, gen, size=m) for a in alphas]
-    total = cols[0].copy()
-    for g in cols[1:]:
-        total += g
-    for g in cols:
-        g /= total
-    return cols
+def _gamma_simplex(alphas, rate, gen, m) -> np.ndarray:
+    """(m, d) rows of G_i / sum_j G_j with G_i ~ Gamma(alpha_i, rate)."""
+    g = np.column_stack([gamma_sample(a, rate, gen, size=m) for a in alphas])
+    g /= g.sum(axis=1, keepdims=True)
+    return g
 
 
 def angular_sample(spec: LpSpec, rng, size: int) -> np.ndarray:
     """(size, d) draws on the unit L_p sphere."""
-    cols = _gamma_simplex(spec.alphas, 1.0 / spec.p, as_generator(rng), size)
-    for w in cols:
-        # the operator form keeps numpy's sqrt/square fast paths of w ** e
-        w **= 1.0 / spec.p
-    return np.column_stack(cols)
+    w = _gamma_simplex(spec.alphas, 1.0 / spec.p, as_generator(rng), size)
+    w **= 1.0 / spec.p
+    return w
 
 
 def lp_dirichlet_sample(spec: LpSpec, radial: RadialLaw, n: int,
@@ -180,15 +164,10 @@ def random_p_sample(spec: RandomPSpec, radial: RadialLaw, n: int,
     def fill(block, lo, hi):
         m = hi - lo
         p = spec.p_law.sample(block.child(0), size=m)
-        cols = _gamma_simplex(spec.alphas, 1.0, block.child(1).generator(), m)
-        r = radial.sample(block.child(2), size=m)
-        out = np.empty((m, spec.dim + 1))
-        exponent = 1.0 / p
-        for i, w in enumerate(cols):
-            w **= exponent
-            np.multiply(r, w, out=out[:, i])
-        out[:, spec.dim] = p
-        return out
+        w = _gamma_simplex(spec.alphas, 1.0, block.child(1).generator(), m)
+        w **= 1.0 / p[:, None]
+        w *= radial.sample(block.child(2), size=m)[:, None]
+        return np.column_stack([w, p])
 
     packed = map_blocks(stream, n, fill, ncols=spec.dim + 1, workers=workers)
     return packed[:, :spec.dim], packed[:, spec.dim]

@@ -153,18 +153,13 @@ def _scale_by_theta(model: MGB2Model, theta: np.ndarray,
                     cols: list[np.ndarray]) -> list[np.ndarray]:
     """Write Theta^(1/a_i) * W_i over each column W_i of ``cols``."""
     scale = np.empty(theta.size)
-    factor, factor_a = None, None
     for a_i, w in zip(model.a, cols):
         # The exponent goes to pow as an array as long as theta (filled into
         # ``scale``), like the operator form theta[:, None] ** powers: with
         # a scalar exponent numpy's power loop takes its sqrt/square/
         # reciprocal fast paths, which for 1/a_i = 0.5, 2 or -1 differ in
-        # the last bit. At a_i = 1 the factor is theta itself. A component
-        # with the shape of the one before it (a_1 = a_2 in the tail regime)
-        # reuses that factor: the same pow of the same operands.
-        if a_i != factor_a:
-            factor, factor_a = _power(theta, 1.0 / a_i, out=scale), a_i
-        np.multiply(factor, w, out=w)
+        # the last bit. At a_i = 1 the factor is theta itself.
+        np.multiply(_power(theta, 1.0 / a_i, out=scale), w, out=w)
     return cols
 
 
