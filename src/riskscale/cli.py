@@ -37,12 +37,10 @@ import numpy as np
 
 from .config import KINDS, RunConfig, parse_config
 from .csvfmt import format_rows
+from .dirichlet import SPHERE_TOL, sphere_deviation
 from .errors import ConfigError, OutputError, RiskscaleError
-from .radial import PointMass
-from .rng import BLOCK_ROWS, RngStream, ordered_map, resolve_workers
+from .rng import RngStream, ordered_map, resolve_workers
 from .tails import tail_convergence_table
-
-SPHERE_AUDIT_TOL = 1e-12
 
 #: Rows per formatted CSV chunk. Small, so that the numpy temporaries of the
 #: chunks in flight add little to peak memory.
@@ -87,27 +85,6 @@ def _write_csv(path: str | None, header: list[str], rows: np.ndarray) -> None:
             write(text)
 
 
-def _sphere_audit(spec, radial: PointMass, rows: np.ndarray) -> float:
-    """Max over rows of | ||row / r||_p^p - 1 |, BLOCK_ROWS rows at a time,
-    with p = ``spec.p``, the fixed exponent of an LpSpec or WeightedSpec.
-
-    Returns the deviation; raises RiskscaleError when it exceeds the
-    tolerance or is nan.
-    """
-    deviation = -np.inf
-    for lo in range(0, len(rows), BLOCK_ROWS):
-        scaled = np.abs(rows[lo:lo + BLOCK_ROWS]) / radial.value
-        block = np.abs((scaled ** spec.p).sum(axis=1) - 1.0).max()
-        deviation = np.maximum(deviation, block)  # a nan row makes it nan
-    deviation = float(deviation)
-    if not deviation <= SPHERE_AUDIT_TOL:  # nan fails too
-        raise RiskscaleError(
-            f"sphere self-audit failed: max deviation {deviation:.3e} "
-            f"exceeds {SPHERE_AUDIT_TOL:g}"
-        )
-    return deviation
-
-
 def _run_taildep(config: RunConfig, stream: RngStream) -> tuple[list[str], np.ndarray]:
     rows = tail_convergence_table(config.model, config.query, stream)
     kept = {r["t"] for r in rows}
@@ -134,8 +111,12 @@ def run(config: RunConfig) -> int:
         header, rows = _run_taildep(config, stream)
     else:
         rows = KINDS[config.kind].run(config, stream)
-        if config.audit:
-            _sphere_audit(config.model.spec, config.model.radial, rows)
+        if config.audit:  # a fixed exponent and a point_mass radius (parse_config)
+            deviation = sphere_deviation(rows, config.model.spec.p,
+                                         config.model.radial.value)
+            if not deviation <= SPHERE_TOL:  # nan fails too
+                raise RiskscaleError(f"sphere self-audit failed: max deviation "
+                                     f"{deviation:.3e} exceeds {SPHERE_TOL:g}")
         prefix = "x" if config.command == "sample" else "p"
         header = [f"{prefix}{i + 1}" for i in range(rows.shape[1])]
     low, high = rows.min(), rows.max()  # a nan carries through both: no n-sized mask

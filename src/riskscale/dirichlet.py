@@ -22,23 +22,32 @@ take the same sqrt/square fast paths as ``w ** e``.
 Scaled families built on top of O:
 
 * ``lp_dirichlet_sample``     -- R * O with an independent radial law R
-* ``weighted_sample``         -- R * (I_1 O_1, ..., I_d O_d) with +-1 signs
+* ``weighted_sample``         -- R * (I_1 O_1, ..., I_d O_d) with +-1 signs,
+  the same R * O block times the signs, in place: (O R) I equals O (R I)
+  bit for bit, since I = +-1
 * ``random_p_sample``         -- the exponent itself drawn per row
 * ``random_scale_sequence_sample`` -- common factor times independent Y_i,
   the scale-mixture form every exchangeable Dirichlet-type sequence admits
 * ``beta_gamma_sample``       -- the Beta-Gamma factorization of Y for
   alpha in (0, 1)
+
+:func:`sphere_deviation` is the one check of the identity
+sum_i |x_i / r|^p = 1 on rows of radius r, for ``sample``'s ``audit = true``
+and the verification suite alike, against the one tolerance ``SPHERE_TOL``.
+It reads only the rows and calls nothing in the package, so it shares no
+code with the samplers whose rows it checks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .errors import ParameterError
-from .radial import RadialLaw
-from .rng import RngStream, as_generator, map_blocks
+from .radial import GammaPower, RadialLaw
+from .rng import BLOCK_ROWS, RngStream, as_generator, map_blocks
 from .samplers import (
     _positive_tuple,
     _require_positive,
@@ -46,6 +55,10 @@ from .samplers import (
     beta_sample,
     gamma_sample,
 )
+
+#: Largest |sum_i |x_i / r|^p - 1| a row may show and still count as on the
+#: sphere of radius r.
+SPHERE_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -119,36 +132,48 @@ def angular_sample(spec: LpSpec, rng, size: int) -> np.ndarray:
     return w
 
 
+def sphere_deviation(rows: np.ndarray, p, radius: float = 1.0) -> float:
+    """max over rows of |sum_i |x_i / radius|^p - 1|, BLOCK_ROWS rows at a time.
+
+    ``p`` is one exponent or one per row. A row that holds a nan makes the
+    result nan.
+    """
+    p = np.asarray(p, dtype=float)
+    deviation = -np.inf
+    for lo in range(0, len(rows), BLOCK_ROWS):
+        scaled = np.abs(rows[lo:lo + BLOCK_ROWS])
+        scaled /= radius
+        scaled **= float(p) if p.ndim == 0 else p[lo:lo + BLOCK_ROWS, None]
+        deviation = np.maximum(deviation, np.abs(scaled.sum(axis=1) - 1.0).max())
+    return float(deviation)
+
+
+def _radial_angular(spec: LpSpec, radial: RadialLaw, block: RngStream,
+                    lo: int, hi: int) -> np.ndarray:
+    """One block of R * O: O from ``block.child(0)``, R from ``block.child(1)``."""
+    o = angular_sample(spec, block.child(0), size=hi - lo)
+    o *= radial.sample(block.child(1), size=hi - lo)[:, None]
+    return o
+
+
 def lp_dirichlet_sample(spec: LpSpec, radial: RadialLaw, n: int,
                         stream: RngStream, workers=None) -> np.ndarray:
     """n i.i.d. rows of R * O with the radial factor independent of O."""
-
-    def fill(block, lo, hi):
-        m = hi - lo
-        o = angular_sample(spec, block.child(0), size=m)
-        o *= radial.sample(block.child(1), size=m)[:, None]
-        return o
-
-    return map_blocks(stream, n, fill, ncols=spec.dim, workers=workers)
+    return map_blocks(stream, n, partial(_radial_angular, spec, radial),
+                      ncols=spec.dim, workers=workers)
 
 
 def weighted_sample(spec: WeightedSpec, radial: RadialLaw, n: int,
                     stream: RngStream, workers=None) -> np.ndarray:
     """n rows of (R I_1 O_1, ..., R I_d O_d); signs independent of (R, O)."""
-    base = spec.base
 
     def fill(block, lo, hi):
-        m = hi - lo
-        o = angular_sample(base, block.child(0), size=m)
-        r = radial.sample(block.child(1), size=m)
+        x = _radial_angular(spec.base, radial, block, lo, hi)
         sign_gen = block.child(2).generator()
-        signs = np.column_stack(
-            [bernoulli_pm1(q, sign_gen, size=m) for q in spec.qs]
-        )
-        o *= r[:, None] * signs
-        return o
+        x *= np.column_stack([bernoulli_pm1(q, sign_gen, size=hi - lo) for q in spec.qs])
+        return x
 
-    return map_blocks(stream, n, fill, ncols=base.dim, workers=workers)
+    return map_blocks(stream, n, fill, ncols=spec.base.dim, workers=workers)
 
 
 def random_p_sample(spec: RandomPSpec, radial: RadialLaw, n: int,
@@ -178,7 +203,8 @@ def random_scale_sequence_sample(alpha: float, p: float, s_law: RadialLaw,
                                  workers=None) -> np.ndarray:
     """n rows of S * (Y_1, ..., Y_d): common scale times i.i.d. factors.
 
-    The Y_i share the single weight ``alpha`` (the exchangeable case); the
+    The Y_i share the single weight ``alpha`` (the exchangeable case) and
+    are ``GammaPower(alpha, 1/p, 1/p)`` draws, Y_i^p ~ Gamma(alpha, 1/p); the
     law of the ratios X_i / X_j does not depend on ``s_law``.
     """
     alpha = _require_positive("alpha", alpha)
@@ -186,13 +212,11 @@ def random_scale_sequence_sample(alpha: float, p: float, s_law: RadialLaw,
     d = int(d)
     if d < 1:
         raise ParameterError(f"d must be >= 1, got {d}")
+    factor = GammaPower(alpha, 1.0 / p, 1.0 / p)
 
     def fill(block, lo, hi):
-        m = hi - lo
-        gen = block.child(0).generator()
-        y = gamma_sample(alpha, 1.0 / p, gen, size=(m, d))
-        y **= 1.0 / p
-        y *= s_law.sample(block.child(1), size=m)[:, None]
+        y = factor.sample(block.child(0), size=(hi - lo, d))
+        y *= s_law.sample(block.child(1), size=hi - lo)[:, None]
         return y
 
     return map_blocks(stream, n, fill, ncols=d, workers=workers)

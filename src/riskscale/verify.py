@@ -8,11 +8,22 @@ exactly when every sub-assertion holds. Worst values are taken by
 :func:`_worst`, which is nan when any sub-statistic is nan, so a degenerate
 sub-test fails its check instead of being dropped by the maximum.
 
-Monte Carlo estimates are checked against references that share no code
-with their samplers: the ``cdfs`` distribution functions, the closed-form
-premiums, and, for ``breiman_tail_limit``, the exact joint-tail limit
-:func:`cdfs.breiman_limit`, against which each point's limit estimate is
-z-scored with the fixed bound ``LIMIT_Z``.
+Most Monte Carlo estimates are checked against references that share no
+code with their samplers: the ``cdfs`` distribution functions, the
+closed-form premiums, and, for ``breiman_tail_limit``, the exact joint-tail
+limit :func:`cdfs.breiman_limit`, against which each point's limit estimate
+is z-scored with the fixed bound ``LIMIT_Z``. Four checks do not, as things
+stand: ``gamma_dirichlet_factorization``, ``beta_gamma_algebra``,
+``scale_cancellation`` and ``mgb2_equivalence`` each compare two samplers
+that both draw through the one Gamma kernel, ``samplers._std_gamma``. A
+fault in that kernel can pass them. With the kernel drawing
+Gamma(1.15 shape), three still pass at their false-alarm rate:
+``gamma_dirichlet_factorization``, ``scale_cancellation`` and
+``mgb2_equivalence``. ``beta_gamma_algebra`` fails, because its exponential
+factor is not drawn through the kernel. Until these four test against exact
+laws, the kernel is guarded by the other checks (``beta_marginals``,
+``weighted_gaussian``, ``clayton_identity`` and ``breiman_tail_limit`` fail
+under that mutation).
 
 The checks take no worker count: the samplers they call take it from
 RISKSCALE_THREADS, and the bytes of a report do not depend on it.
@@ -34,6 +45,7 @@ from .credibility import (
     premium_scalar,
 )
 from .dirichlet import (
+    SPHERE_TOL,
     LpSpec,
     RandomPSpec,
     WeightedSpec,
@@ -42,6 +54,7 @@ from .dirichlet import (
     lp_dirichlet_sample,
     random_p_sample,
     random_scale_sequence_sample,
+    sphere_deviation,
     weighted_sample,
 )
 from .errors import InsufficientTailDataError
@@ -161,12 +174,10 @@ def check_elliptical_reduction(seed: int) -> GofReport:
 
 
 def check_sphere_constraint(seed: int) -> GofReport:
-    """Angular draws stay on the unit L_p sphere to 1e-12."""
+    """Angular draws stay on the unit L_p sphere to ``SPHERE_TOL``."""
     spec = LpSpec(alphas=_ALPHAS, p=3.0)
-    n = 10**5
-    o = angular_sample(spec, _stream(seed, 4), size=n)
-    dev = np.abs((o ** spec.p).sum(axis=1) - 1.0).max()
-    return GofReport("sphere_constraint", dev, 1e-12)
+    o = angular_sample(spec, _stream(seed, 4), size=10**5)
+    return GofReport("sphere_constraint", sphere_deviation(o, spec.p), SPHERE_TOL)
 
 
 def check_beta_marginals(seed: int) -> GofReport:
@@ -245,8 +256,7 @@ def check_random_p_sphere(seed: int) -> GofReport:
     n = 10**4
     spec = RandomPSpec(alphas=(0.5, 1.0, 1.5), p_law=Pareto(2.0))
     rows, exponents = random_p_sample(spec, PointMass(1.0), n, _stream(seed, 10))
-    dev = np.abs((rows ** exponents[:, None]).sum(axis=1) - 1.0).max()
-    return GofReport("random_p_sphere", dev, 1e-12)
+    return GofReport("random_p_sphere", sphere_deviation(rows, exponents), SPHERE_TOL)
 
 
 def check_mgb2_equivalence(seed: int) -> GofReport:

@@ -16,7 +16,6 @@ from riskscale.credibility import (EllipticalShiftModel, GaussianShiftModel,
 from riskscale.csvfmt import format_rows
 from riskscale.dirichlet import (LpSpec, RandomPSpec, WeightedSpec, lp_dirichlet_sample,
                                  random_p_sample, weighted_sample)
-from riskscale.errors import RiskscaleError
 from riskscale.gof import GofReport
 from riskscale.radial import GammaPower, InvGamma, Pareto, PointMass
 from riskscale.rng import BLOCK_ROWS, RngStream
@@ -608,31 +607,6 @@ def test_unexpected_exception_in_check_exits_3_not_1(tmp_path, monkeypatch, caps
     assert not out.exists()
 
 
-@pytest.mark.parametrize("spec, radius", [
-    (LpSpec((1.0, 1.0, 2.0), 2.0), 1.0),
-    (LpSpec((0.5, 2.0, 1.0), 3.0), 2.5),
-    (WeightedSpec(LpSpec((1.0, 2.0, 1.5), 1.5), (1.0, 0.25, 0.5)), 1.0),
-])
-def test_sphere_audit_streams_blocks_with_the_same_max(spec, radius):
-    base = spec.base if isinstance(spec, WeightedSpec) else spec
-    gen = np.random.default_rng(3)
-    n = 2 * BLOCK_ROWS + 5
-    direction = np.abs(gen.standard_normal((n, 3))) + 0.1
-    direction /= (direction ** base.p).sum(axis=1, keepdims=True) ** (1 / base.p)
-    rows = radius * direction * np.where(gen.random((n, 3)) < 0.5, -1.0, 1.0)
-
-    def whole_array(rows):
-        return float(np.abs(((np.abs(rows) / radius) ** base.p).sum(axis=1) - 1.0).max())
-
-    deviation = cli._sphere_audit(spec, PointMass(radius), rows)
-    assert deviation == whole_array(rows) and 0.0 < deviation <= cli.SPHERE_AUDIT_TOL
-
-    rows[-1] *= 1.0 + 1e-9  # the largest deviation now sits in the last block
-    with pytest.raises(RiskscaleError) as excinfo:
-        cli._sphere_audit(spec, PointMass(radius), rows)
-    assert f"max deviation {whole_array(rows):.3e} exceeds" in str(excinfo.value)
-
-
 _TAILDEP_COLUMNS = ["t", "empirical_ratio", "stderr", "limit_estimate", "limit_stderr"]
 
 
@@ -764,6 +738,27 @@ def test_bad_model_value_exits_2_on_its_line(tmp_path, capsys, kind, key, value)
     command = KINDS[kind].commands[0]
     _assert_exit_2_on_line(tmp_path, capsys, command, text.replace(old, f"{key} = {value}"),
                            key)
+
+
+@pytest.mark.parametrize("command, text, old, new, message", [
+    ("sample", LP_SAMPLE, "model.p = 2", "= 1", "empty key"),
+    ("sample", LP_SAMPLE, "audit = true", "audit = maybe",
+     "audit: expected true/false, got 'maybe'"),
+    ("premium", GAUSSIAN_2D, "model.sigma = 1,0.3;0.3,2", "model.sigma = 1,0;0",
+     "model.sigma: rows have unequal lengths"),
+    ("sample", LP_SAMPLE, "model.radial = point_mass:1", "model.radial = pareto:x",
+     "model.radial: law parameters must be numbers, got 'x'"),
+    ("sample", LP_SAMPLE, "n = 200", "n = 0", "n: must be >= 1, got 0"),
+], ids=["empty-key", "bad-boolean", "unequal-rows", "law-parameters", "n=0"])
+def test_config_error_exits_2_with_one_line_naming_its_line(tmp_path, capsys, command,
+                                                            text, old, new, message):
+    lineno = text.splitlines().index(old) + 1
+    config = _write(tmp_path, "bad.cfg", text.replace(old, new))
+    out = tmp_path / "out.csv"
+    assert main([command, "--config", config, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"riskscale: config error: line {lineno}: {message}\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("kind, edits, message", [

@@ -329,3 +329,30 @@ class TestPremiumMC:
             np.testing.assert_allclose(est, x - ratio, rtol=1e-12)
             np.testing.assert_allclose(se, np.sqrt(var), rtol=1e-12)
 
+
+
+def test_elliptical_model_rejects_nu_of_the_wrong_length():
+    with pytest.raises(ShapeError, match="nu has length 3, expected 4"):
+        EllipticalShiftModel(c=np.eye(4), nu=[0.0, 0.0, 1.0])
+
+
+def test_premium_elliptical_rejects_x_of_the_wrong_length():
+    model = EllipticalShiftModel(c=np.eye(4), nu=[0.0, 0.0, 1.0, 2.0])
+    with pytest.raises(ShapeError, match="x has length 3, expected 2"):
+        premium_elliptical(model, [1.0, 2.0, 3.0])
+
+
+def test_premium_mc_rejects_noise_of_the_wrong_shape():
+    model = GenericShiftModel(prior_density=_gaussian_density(0.0, 1.0),
+                              noise_sampler=lambda gen, m: gen.standard_normal((m, 2)))
+    with pytest.raises(ShapeError, match=r"returned \(1000, 2\), expected \(1000, 1\)"):
+        premium_mc(model, [1.0], 1000, RngStream(1), workers=1)
+
+
+def test_premium_mc_refuses_a_denominator_that_is_not_positive():
+    # half the draws carry mass, but the negative density values outweigh them
+    model = GenericShiftModel(
+        prior_density=lambda points: np.where(points[:, 0] > 0.0, 1.0, -10.0),
+        noise_sampler=lambda gen, m: gen.standard_normal((m, 1)))
+    with pytest.raises(DegenerateDenominatorError, match="denominator estimate is not positive"):
+        premium_mc(model, [0.0], 1000, RngStream(2), workers=1)

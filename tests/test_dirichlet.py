@@ -3,6 +3,7 @@ import pytest
 
 from riskscale.cdfs import angular_marginal_cdf, beta_cdf, normal_cdf
 from riskscale.dirichlet import (
+    SPHERE_TOL,
     LpSpec,
     RandomPSpec,
     WeightedSpec,
@@ -11,6 +12,7 @@ from riskscale.dirichlet import (
     lp_dirichlet_sample,
     random_p_sample,
     random_scale_sequence_sample,
+    sphere_deviation,
     weighted_sample,
 )
 from riskscale.errors import ParameterError
@@ -219,6 +221,10 @@ class TestRandomP:
         rows, _ = random_p_sample(spec, PointMass(4.0), 200, RngStream(17))
         assert np.array_equal(rows, np.full((200, 1), 4.0))
 
+    def test_exponent_law_must_be_a_radial_law(self):
+        with pytest.raises(ParameterError, match="p_law must be a RadialLaw"):
+            RandomPSpec((1.0, 2.0), p_law=2.0)
+
 
 class TestRandomScaleSequence:
     def test_degenerate_scale_recovers_marginals(self):
@@ -253,6 +259,10 @@ class TestRandomScaleSequence:
         for i in range(d):
             assert ks_two_sample(x[:, i], y).passed
 
+    def test_needs_at_least_one_component(self):
+        with pytest.raises(ParameterError, match="d must be >= 1, got 0"):
+            random_scale_sequence_sample(0.5, 2.0, PointMass(1.0), 0, 10, RngStream(0))
+
 
 class TestBetaGamma:
     @pytest.mark.parametrize("alpha,p", [(0.5, 1.0), (0.5, 2.0), (0.2, 3.0)])
@@ -270,6 +280,40 @@ class TestBetaGamma:
         for alpha in (0.0, 1.0, 1.5):
             with pytest.raises(ParameterError):
                 beta_gamma_sample(alpha, 1.0, 100, RngStream(0))
+
+
+def _whole_array_deviation(rows, p, radius):
+    """The sphere identity over the whole array at once."""
+    e = p if np.ndim(p) == 0 else np.asarray(p)[:, None]
+    return float(np.abs(((np.abs(rows) / radius) ** e).sum(axis=1) - 1.0).max())
+
+
+@pytest.mark.parametrize("per_row, p, radius", [
+    (False, 2.0, 1.0), (False, 3.0, 2.5), (False, 1.5, 1.0),
+    (True, None, 1.0), (True, None, 2.5),
+], ids=["p2-r1", "p3-r2.5", "p1.5-r1", "per_row-r1", "per_row-r2.5"])
+def test_sphere_deviation_blocks_give_the_whole_array_max(per_row, p, radius):
+    gen = np.random.default_rng(3)
+    n = 2 * BLOCK_ROWS + 5  # three blocks, the last of 5 rows
+    if per_row:
+        p = gen.uniform(0.5, 4.0, n)
+    e = p if np.ndim(p) == 0 else p[:, None]
+    direction = np.abs(gen.standard_normal((n, 3))) + 0.1
+    direction /= (direction ** e).sum(axis=1, keepdims=True) ** (1 / e)
+    rows = radius * direction * np.where(gen.random((n, 3)) < 0.5, -1.0, 1.0)
+
+    deviation = sphere_deviation(rows, p, radius)
+    assert deviation == _whole_array_deviation(rows, p, radius)
+    assert 0.0 < deviation <= SPHERE_TOL
+
+    rows[-1] *= 1.0 + 1e-9  # the largest deviation now sits in the last block
+    deviation = sphere_deviation(rows, p, radius)
+    assert deviation == _whole_array_deviation(rows, p, radius) > SPHERE_TOL
+
+    for row in (0, n - 1):  # a nan row in the first block or the last
+        with_nan = rows.copy()
+        with_nan[row, 1] = np.nan
+        assert np.isnan(sphere_deviation(with_nan, p, radius))
 
 
 # The references below are the operator forms the Dirichlet block code used

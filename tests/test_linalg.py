@@ -4,7 +4,9 @@ import pytest
 from riskscale.errors import ParameterError, ShapeError, SingularMatrixError
 from riskscale.linalg import (
     as_matrix,
+    as_vector,
     assert_positive_definite,
+    is_symmetric,
     mat_inverse,
 )
 from riskscale.rng import RngStream
@@ -72,3 +74,17 @@ def test_positive_definite_check():
         assert_positive_definite(np.zeros((2, 2)))
     with pytest.raises(ParameterError):
         assert_positive_definite([[1.0, 0.5], [0.0, 1.0]])  # asymmetric
+
+
+def test_as_matrix_rejects_a_zero_size_matrix():
+    with pytest.raises(ShapeError, match=r"sigma must have positive dimensions, got \(0, 3\)"):
+        as_matrix(np.zeros((0, 3)), "sigma")
+
+
+def test_as_vector_rejects_an_empty_vector():
+    with pytest.raises(ShapeError, match="x must be non-empty"):
+        as_vector([], "x")
+
+
+def test_a_non_square_matrix_is_not_symmetric():
+    assert is_symmetric(np.zeros((2, 3))) is False

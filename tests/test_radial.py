@@ -7,6 +7,7 @@ from riskscale.radial import (
     InvGamma,
     Pareto,
     PointMass,
+    RadialLaw,
     regular_variation_index,
 )
 from riskscale.rng import RngStream
@@ -37,3 +38,8 @@ def test_regular_variation_indices():
     for law in (PointMass(1.0), GammaPower(1.0, 0.5, 0.5), GammaPower(1.0, 1.0, 1.0)):
         with pytest.raises(ParameterError):
             regular_variation_index(law)
+
+
+def test_the_base_law_draws_nothing():
+    with pytest.raises(NotImplementedError):
+        RadialLaw().sample(RngStream(0), 3)

@@ -252,3 +252,8 @@ def test_ordered_map_raises_the_call_error():
 
     with pytest.raises(ZeroDivisionError, match="three"):
         list(ordered_map(fail_on_three, range(10), workers=2))
+
+
+def test_map_blocks_rejects_a_negative_row_count():
+    with pytest.raises(ValueError, match="n must be nonnegative"):
+        map_blocks(RngStream(0), -1, lambda block, lo, hi: np.zeros(hi - lo))

@@ -498,3 +498,13 @@ class TestOperatorFormBits:
             assert [np.asarray(f).tobytes() for f in astuple(new)] \
                 == [np.asarray(f).tobytes() for f in astuple(ref)]
             assert u.tobytes() == u_before.tobytes()  # the input is not written
+
+
+def test_archimedean_survival_rejects_x_of_the_wrong_length():
+    with pytest.raises(ParameterError, match="x has length 3, expected 2"):
+        archimedean_survival(ClaytonSpec(theta_shape=1.0, d=2), (0.1, 0.2, 0.3))
+
+
+def test_tail_ratio_empirical_needs_two_columns():
+    with pytest.raises(ParameterError, match=r"n x 2 \(or wider\) matrix"):
+        tail_ratio_empirical(np.ones((10, 1)), 1.0, 1.0, 1.0)
