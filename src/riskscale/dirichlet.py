@@ -47,7 +47,7 @@ import numpy as np
 
 from .errors import ParameterError
 from .radial import GammaPower, RadialLaw
-from .rng import BLOCK_ROWS, RngStream, as_generator, map_blocks
+from .rng import BLOCK_ROWS, RngStream, map_blocks
 from .samplers import (
     _positive_tuple,
     _require_positive,
@@ -125,9 +125,9 @@ def _gamma_simplex(alphas, rate, gen, m) -> np.ndarray:
     return g
 
 
-def angular_sample(spec: LpSpec, rng, size: int) -> np.ndarray:
+def angular_sample(spec: LpSpec, gen: np.random.Generator, size: int) -> np.ndarray:
     """(size, d) draws on the unit L_p sphere."""
-    w = _gamma_simplex(spec.alphas, 1.0 / spec.p, as_generator(rng), size)
+    w = _gamma_simplex(spec.alphas, 1.0 / spec.p, gen, size)
     w **= 1.0 / spec.p
     return w
 
@@ -151,8 +151,8 @@ def sphere_deviation(rows: np.ndarray, p, radius: float = 1.0) -> float:
 def _radial_angular(spec: LpSpec, radial: RadialLaw, block: RngStream,
                     lo: int, hi: int) -> np.ndarray:
     """One block of R * O: O from ``block.child(0)``, R from ``block.child(1)``."""
-    o = angular_sample(spec, block.child(0), size=hi - lo)
-    o *= radial.sample(block.child(1), size=hi - lo)[:, None]
+    o = angular_sample(spec, block.child(0).generator(), size=hi - lo)
+    o *= radial.sample(block.child(1).generator(), size=hi - lo)[:, None]
     return o
 
 
@@ -188,10 +188,10 @@ def random_p_sample(spec: RandomPSpec, radial: RadialLaw, n: int,
 
     def fill(block, lo, hi):
         m = hi - lo
-        p = spec.p_law.sample(block.child(0), size=m)
+        p = spec.p_law.sample(block.child(0).generator(), size=m)
         w = _gamma_simplex(spec.alphas, 1.0, block.child(1).generator(), m)
         w **= 1.0 / p[:, None]
-        w *= radial.sample(block.child(2), size=m)[:, None]
+        w *= radial.sample(block.child(2).generator(), size=m)[:, None]
         return np.column_stack([w, p])
 
     packed = map_blocks(stream, n, fill, ncols=spec.dim + 1, workers=workers)
@@ -215,8 +215,8 @@ def random_scale_sequence_sample(alpha: float, p: float, s_law: RadialLaw,
     factor = GammaPower(alpha, 1.0 / p, 1.0 / p)
 
     def fill(block, lo, hi):
-        y = factor.sample(block.child(0), size=(hi - lo, d))
-        y *= s_law.sample(block.child(1), size=hi - lo)[:, None]
+        y = factor.sample(block.child(0).generator(), size=(hi - lo, d))
+        y *= s_law.sample(block.child(1).generator(), size=hi - lo)[:, None]
         return y
 
     return map_blocks(stream, n, fill, ncols=d, workers=workers)

@@ -23,9 +23,11 @@ from .samplers import (
 
 class RadialLaw:
     """Base class for positive scaling laws. A custom law subclasses it and
-    defines ``sample(rng, size)``, returning strictly positive draws."""
+    defines ``sample(gen, size)``: ``gen`` is a live
+    ``numpy.random.Generator``, and the result is an array of shape ``size``
+    of strictly positive draws."""
 
-    def sample(self, rng, size):
+    def sample(self, gen, size):
         raise NotImplementedError
 
 
@@ -40,8 +42,8 @@ class GammaPower(RadialLaw):
         _require_positive("rate", self.rate)
         _require_positive("power", self.power)
 
-    def sample(self, rng, size):
-        g = gamma_sample(self.shape, self.rate, rng, size=size)
+    def sample(self, gen, size):
+        g = gamma_sample(self.shape, self.rate, gen, size=size)
         g **= self.power
         return g
 
@@ -55,8 +57,8 @@ class Pareto(RadialLaw):
     def __post_init__(self):
         _require_positive("index", self.index)
 
-    def sample(self, rng, size):
-        return pareto_sample(self.index, rng, size=size)
+    def sample(self, gen, size):
+        return pareto_sample(self.index, gen, size=size)
 
 
 @dataclass(frozen=True)
@@ -68,8 +70,8 @@ class InvGamma(RadialLaw):
     def __post_init__(self):
         _require_positive("shape", self.shape)
 
-    def sample(self, rng, size):
-        return inv_gamma_sample(self.shape, rng, size=size)
+    def sample(self, gen, size):
+        return inv_gamma_sample(self.shape, gen, size=size)
 
 
 @dataclass(frozen=True)
@@ -79,7 +81,7 @@ class PointMass(RadialLaw):
     def __post_init__(self):
         _require_positive("value", self.value)
 
-    def sample(self, rng, size):
+    def sample(self, gen, size):
         return np.full(size, self.value)
 
 

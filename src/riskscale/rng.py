@@ -85,15 +85,6 @@ class RngStream:
         return RngStream(self.seed, mixed)
 
 
-def as_generator(rng) -> np.random.Generator:
-    """Accept either an RngStream address or a live numpy Generator."""
-    if isinstance(rng, np.random.Generator):
-        return rng
-    if isinstance(rng, RngStream):
-        return rng.generator()
-    raise TypeError(f"expected RngStream or numpy Generator, got {type(rng).__name__}")
-
-
 def resolve_workers(workers: int | None = None) -> int:
     """Worker-thread count: explicit argument, else RISKSCALE_THREADS, else the
     CPUs this process may run on (its affinity mask, where the platform has one)."""

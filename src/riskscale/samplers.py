@@ -7,12 +7,12 @@ kernel, ``Generator.standard_gamma``. The goodness-of-fit oracles in
 :mod:`riskscale.cdfs` use ``scipy.special`` instead, so samplers and oracles
 share no implementation.
 
-All samplers are pure functions of (parameters, rng state). ``rng`` may be
-a live ``numpy.random.Generator`` or an :class:`~riskscale.rng.RngStream`
-address (which is materialized once per call). ``size``, an int or a
-tuple, is the shape of the array returned. In-place ufuncs write only into
-the array the sampler has just drawn, with the bits of the operator forms
-(``x / rate``, ``u ** e``).
+All samplers are pure functions of (parameters, generator state). ``gen``
+is a live ``numpy.random.Generator``; a caller holding an
+:class:`~riskscale.rng.RngStream` address passes ``stream.generator()``.
+``size``, an int or a tuple, is the shape of the array returned. In-place
+ufuncs write only into the array the sampler has just drawn, with the bits
+of the operator forms (``x / rate``, ``u ** e``).
 
 Identity steps are skipped: :func:`_scale` makes no pass for a factor or
 divisor of exactly 1 and :func:`_power` none for an exponent of exactly 1
@@ -26,7 +26,6 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ParameterError
-from .rng import as_generator
 
 
 def _require_positive(name: str, value) -> float:
@@ -77,42 +76,38 @@ def _std_gamma(shape: float, gen: np.random.Generator, size) -> np.ndarray:
     return gen.standard_gamma(shape, size=size)
 
 
-def gamma_sample(shape, rate, rng, size):
+def gamma_sample(shape, rate, gen, size):
     """Gamma draw with density rate^shape x^(shape-1) e^(-rate x) / Gamma(shape)."""
     shape = _require_positive("shape", shape)
     rate = _require_positive("rate", rate)
-    gen = as_generator(rng)
     return _scale(_std_gamma(shape, gen, size), rate, np.divide)
 
 
-def beta_sample(a, b, rng, size):
+def beta_sample(a, b, gen, size):
     """Beta(a, b) draw realized as G_a / (G_a + G_b) with independent Gammas."""
     a = _require_positive("a", a)
     b = _require_positive("b", b)
-    gen = as_generator(rng)
     ga = _std_gamma(a, gen, size)
     gb = _std_gamma(b, gen, size)
     return ga / (ga + gb)
 
 
-def pareto_sample(index, rng, size):
+def pareto_sample(index, gen, size):
     """Pareto draw with survival P(X > x) = x^(-index) for x >= 1."""
     index = _require_positive("index", index)
-    gen = as_generator(rng)
     out = gen.random(size)
     np.subtract(1.0, out, out=out)  # in (0, 1]
     np.power(out, -1.0 / index, out=out)
     return out
 
 
-def inv_gamma_sample(shape, rng, size):
+def inv_gamma_sample(shape, gen, size):
     """Inverse-Gamma draw: 1/G with G ~ Gamma(shape, 1)."""
     shape = _require_positive("shape", shape)
-    gen = as_generator(rng)
     return 1.0 / _std_gamma(shape, gen, size)
 
 
-def y_marginal_sample(alpha, p, rng, size):
+def y_marginal_sample(alpha, p, gen, size):
     """Draw Y = G^(1/p) with G ~ Gamma(alpha, 1/p).
 
     Y has density p^(1-alpha)/Gamma(alpha) * x^(p*alpha - 1) * exp(-x^p/p),
@@ -120,21 +115,19 @@ def y_marginal_sample(alpha, p, rng, size):
     """
     alpha = _require_positive("alpha", alpha)
     p = _require_positive("p", p)
-    gen = as_generator(rng)
     g = _std_gamma(alpha, gen, size) * p  # rate 1/p
     g **= 1.0 / p
     return g
 
 
-def normal_sample(rng, size):
+def normal_sample(gen, size):
     """Standard normal draw (numpy's ziggurat)."""
-    return as_generator(rng).standard_normal(size)
+    return gen.standard_normal(size)
 
 
-def bernoulli_pm1(q, rng, size):
+def bernoulli_pm1(q, gen, size):
     """Sign draw in {-1, +1} with P(+1) = q, q in (0, 1]."""
     q = float(q)
     if not 0.0 < q <= 1.0:
         raise ParameterError(f"q must lie in (0, 1], got {q}")
-    gen = as_generator(rng)
     return np.where(gen.random(size) < q, 1.0, -1.0)

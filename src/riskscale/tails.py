@@ -148,7 +148,7 @@ def _mgb2_draws(model: MGB2Model, block: RngStream, m: int,
                 count=None) -> tuple[np.ndarray, list[np.ndarray]]:
     """Theta and the first ``count`` (default: all d) unscaled columns W_i
     of the m rows that block stream ``block`` gives in :func:`mgb2_sample`."""
-    theta = model.theta_law.sample(block.child(0), size=m)
+    theta = model.theta_law.sample(block.child(0).generator(), size=m)
     return theta, _w_factors(model, block.child(1).generator(), m, count)
 
 
@@ -185,7 +185,7 @@ def mgb2_conditional_sample(model: MGB2Model, n: int, stream: RngStream,
 
     def fill(block, lo, hi):
         m = hi - lo
-        theta = model.theta_law.sample(block.child(0), size=m)
+        theta = model.theta_law.sample(block.child(0).generator(), size=m)
         gen = block.child(1).generator()
         cols = []
         for i in range(model.dim):

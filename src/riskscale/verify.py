@@ -176,7 +176,7 @@ def check_elliptical_reduction(seed: int) -> GofReport:
 def check_sphere_constraint(seed: int) -> GofReport:
     """Angular draws stay on the unit L_p sphere to ``SPHERE_TOL``."""
     spec = LpSpec(alphas=_ALPHAS, p=3.0)
-    o = angular_sample(spec, _stream(seed, 4), size=10**5)
+    o = angular_sample(spec, _stream(seed, 4).generator(), size=10**5)
     return GofReport("sphere_constraint", sphere_deviation(o, spec.p), SPHERE_TOL)
 
 
@@ -188,7 +188,7 @@ def check_beta_marginals(seed: int) -> GofReport:
     stream = _stream(seed, 5)
     for k, p in enumerate((1.0, 2.7)):
         spec = LpSpec(alphas=_ALPHAS, p=p)
-        o = angular_sample(spec, stream.child(k), size=n)
+        o = angular_sample(spec, stream.child(k).generator(), size=n)
         for i in range(spec.dim):
             rep = ks_one_sample(o[:, i],
                                 lambda v, i=i: angular_marginal_cdf(spec, i, v))
@@ -207,7 +207,7 @@ def check_factorization(seed: int) -> GofReport:
     x = lp_dirichlet_sample(spec, radial, n, stream.child(20))
     margins = []
     for i, alpha in enumerate(_ALPHAS):
-        y = y_marginal_sample(alpha, p, stream.child(i + 10), size=n)
+        y = y_marginal_sample(alpha, p, stream.child(i + 10).generator(), size=n)
         margins.append(_ks_margin(ks_two_sample(x[:, i], y)))
     margins.append(_max_offdiag_corr(x ** p) / (3.0 / np.sqrt(n)))
     return GofReport("gamma_dirichlet_factorization", _worst(margins), 1.0)
@@ -230,7 +230,7 @@ def check_beta_gamma_algebra(seed: int) -> GofReport:
     margins = []
     for k, (alpha, p) in enumerate(((0.5, 1.0), (0.5, 2.0), (0.2, 3.0))):
         x = beta_gamma_sample(alpha, p, n, stream.child(2 * k))
-        y = y_marginal_sample(alpha, p, stream.child(2 * k + 1), size=n)
+        y = y_marginal_sample(alpha, p, stream.child(2 * k + 1).generator(), size=n)
         margins.append(_ks_margin(ks_two_sample(x, y)))
     return GofReport("beta_gamma_algebra", _worst(margins), 1.0)
 

@@ -211,8 +211,8 @@ def test_chi_square_sqrt_is_the_powered_gamma(df):
     law = parse_config(MINIMAL_SAMPLE.replace("point_mass:1", f"chi_square_sqrt:{df}")
                        ).model.radial
     assert law == GammaPower(df / 2.0, 0.5, 0.5)
-    written_out = gamma_sample(df / 2.0, 0.5, RngStream(17), size=10**5) ** 0.5
-    assert np.array_equal(law.sample(RngStream(17), size=10**5), written_out)
+    written_out = gamma_sample(df / 2.0, 0.5, RngStream(17).generator(), size=10**5) ** 0.5
+    assert np.array_equal(law.sample(RngStream(17).generator(), size=10**5), written_out)
 
 
 def test_chi_square_sqrt_rejects_nonpositive_df():

@@ -32,27 +32,27 @@ def _chi(df):
 
 class TestAngular:
     def test_d1_is_constant_one(self):
-        o = angular_sample(LpSpec((2.0,), 1.5), RngStream(1), size=100)
+        o = angular_sample(LpSpec((2.0,), 1.5), RngStream(1).generator(), size=100)
         assert np.array_equal(o, np.ones((100, 1)))
 
     def test_sphere_constraint(self):
         spec = LpSpec((0.5, 1.0, 1.5, 2.0, 2.5), 3.0)
-        o = angular_sample(spec, RngStream(2), size=N)
+        o = angular_sample(spec, RngStream(2).generator(), size=N)
         assert np.abs((o ** spec.p).sum(axis=1) - 1.0).max() < 1e-12
 
     def test_large_exponent_sphere(self):
         spec = LpSpec((1.0, 2.0, 0.7), 80.0)
-        o = angular_sample(spec, RngStream(3), size=N)
+        o = angular_sample(spec, RngStream(3).generator(), size=N)
         assert np.abs((o ** spec.p).sum(axis=1) - 1.0).max() < 1e-12
 
     def test_uniform_marginal(self):
         # alphas (1, 1), p = 1: the first coordinate is Beta(1,1) = Uniform(0,1)
-        o = angular_sample(LpSpec((1.0, 1.0), 1.0), RngStream(4), size=N)
+        o = angular_sample(LpSpec((1.0, 1.0), 1.0), RngStream(4).generator(), size=N)
         rep = ks_one_sample(o[:, 0], lambda v: np.clip(v, 0.0, 1.0))
         assert rep.passed
 
     def test_single_draw_shape(self):
-        o = angular_sample(LpSpec((1.0, 1.0, 1.0), 2.0), RngStream(5), size=1)
+        o = angular_sample(LpSpec((1.0, 1.0, 1.0), 2.0), RngStream(5).generator(), size=1)
         assert o.shape == (1, 3)
         assert abs((o ** 2).sum() - 1.0) < 1e-12
 
@@ -82,7 +82,7 @@ class TestAngularMarginalCdf:
 
     def test_empirical_component_matches_cdf(self):
         spec = LpSpec((0.7, 1.3, 2.0), 2.2)
-        o = angular_sample(spec, RngStream(6), size=N)
+        o = angular_sample(spec, RngStream(6).generator(), size=N)
         for i in range(3):
             rep = ks_one_sample(o[:, i],
                                 lambda v, i=i: angular_marginal_cdf(spec, i, v))
@@ -94,7 +94,7 @@ class TestAngularMarginalCdf:
         # line keeps its bytes because, inside (0, 1), the oracle is exactly
         # beta_cdf(x ** p, alpha_i, rest) and KS does not see the map x -> x^p
         spec = LpSpec(_ALPHAS, p)
-        o = angular_sample(spec, RngStream(31), size=2000)
+        o = angular_sample(spec, RngStream(31).generator(), size=2000)
         uniform = RngStream(32).generator().random(2000)
         total = sum(_ALPHAS)
         for i, alpha in enumerate(_ALPHAS):
@@ -132,7 +132,7 @@ class TestLpDirichlet:
         s = RngStream(9)
         x = lp_dirichlet_sample(spec, radial, N, s.child(0))
         for i, a in enumerate(alphas):
-            y = y_marginal_sample(a, p, s.child(i + 1), size=N)
+            y = y_marginal_sample(a, p, s.child(i + 1).generator(), size=N)
             assert ks_two_sample(x[:, i], y).passed
         corr = np.corrcoef(x ** p, rowvar=False)
         off = np.abs(corr - np.diag(np.diag(corr))).max()
@@ -206,8 +206,8 @@ class TestRandomP:
     def test_rate_change_oracle(self):
         # G ~ Gamma(a, 1) implies p G ~ Gamma(a, 1/p)
         s = RngStream(15)
-        scaled = 2.5 * gamma_sample(1.3, 1.0, s.child(0), size=N)
-        direct = gamma_sample(1.3, 1.0 / 2.5, s.child(1), size=N)
+        scaled = 2.5 * gamma_sample(1.3, 1.0, s.child(0).generator(), size=N)
+        direct = gamma_sample(1.3, 1.0 / 2.5, s.child(1).generator(), size=N)
         assert ks_two_sample(scaled, direct).passed
 
     def test_per_row_sphere_identity(self):
@@ -229,7 +229,7 @@ class TestRandomP:
 class TestRandomScaleSequence:
     def test_degenerate_scale_recovers_marginals(self):
         x = random_scale_sequence_sample(0.5, 2.0, PointMass(1.0), 2, N, RngStream(18))
-        y = y_marginal_sample(0.5, 2.0, RngStream(19), size=N)
+        y = y_marginal_sample(0.5, 2.0, RngStream(19).generator(), size=N)
         for i in range(2):
             assert ks_two_sample(x[:, i], y).passed
 
@@ -255,7 +255,7 @@ class TestRandomScaleSequence:
         x = lp_dirichlet_sample(LpSpec((alpha,) * d, p),
                                 GammaPower(d * alpha, 1.0 / p, 1.0 / p),
                                 N, s.child(0))
-        y = y_marginal_sample(alpha, p, s.child(1), size=N)
+        y = y_marginal_sample(alpha, p, s.child(1).generator(), size=N)
         for i in range(d):
             assert ks_two_sample(x[:, i], y).passed
 
@@ -269,7 +269,7 @@ class TestBetaGamma:
     def test_matches_y_marginal(self, alpha, p):
         s = RngStream(22, int(10 * alpha + p))
         x = beta_gamma_sample(alpha, p, N, s.child(0))
-        y = y_marginal_sample(alpha, p, s.child(1), size=N)
+        y = y_marginal_sample(alpha, p, s.child(1).generator(), size=N)
         assert ks_two_sample(x, y).passed
 
     def test_alpha_near_one_still_valid(self):
@@ -359,7 +359,7 @@ class TestOperatorFormBits:
     def test_angular_sample(self, d, p):
         spec = LpSpec(_bit_alphas(d), p)
         ref = _ref_angular(spec, RngStream(341).generator(), _BIT_N)
-        assert angular_sample(spec, RngStream(341), size=_BIT_N).tobytes() \
+        assert angular_sample(spec, RngStream(341).generator(), size=_BIT_N).tobytes() \
             == ref.tobytes()
 
     @pytest.mark.parametrize("d,p", _BIT_DP)
@@ -407,7 +407,7 @@ class TestOperatorFormBits:
 
         def fill(block, lo, hi):
             m = hi - lo
-            p = law.sample(block.child(0), size=m)
+            p = law.sample(block.child(0).generator(), size=m)
             w = _ref_simplex(spec.alphas, 1.0, block.child(1).generator(), m)
             o = w ** (1.0 / p[:, None])
             r = _ref_radius(radial, block.child(2), m)
@@ -428,7 +428,7 @@ class TestOperatorFormBits:
             m = hi - lo
             g = block.child(0).generator().standard_gamma(0.7, size=(m, 3))
             y = (g / (1.0 / p)) ** (1.0 / p)
-            return law.sample(block.child(1), size=m)[:, None] * y
+            return law.sample(block.child(1).generator(), size=m)[:, None] * y
 
         ref = map_blocks(RngStream(345), _BIT_N, fill, ncols=3, workers=1)
         for workers in (1, 2):

@@ -8,7 +8,7 @@ import pytest
 
 from riskscale import rng
 from riskscale.errors import ParameterError
-from riskscale.rng import (BLOCK_ROWS, MAX_WORKERS, RngStream, as_generator, map_blocks,
+from riskscale.rng import (BLOCK_ROWS, MAX_WORKERS, RngStream, map_blocks,
                            ordered_map, pool_size, reduce_blocks, resolve_workers)
 
 
@@ -59,15 +59,6 @@ def test_child_streams_are_deterministic_and_distinct():
     ids = {s.child(k).stream_id for k in range(100)}
     assert len(ids) == 100
     assert s.stream_id not in ids
-
-
-def test_as_generator_accepts_both():
-    s = RngStream(1)
-    assert as_generator(s).random() == as_generator(RngStream(1)).random()
-    gen = s.generator()
-    assert as_generator(gen) is gen
-    with pytest.raises(TypeError):
-        as_generator(42)
 
 
 def test_map_blocks_worker_invariance():
