@@ -5,10 +5,13 @@ worker count. Each config under ``tests/golden/`` is one output. It runs in
 process through :func:`riskscale.cli.run` at ``RISKSCALE_THREADS`` 1 and 2;
 the two outputs must be equal, and their SHA-256 must be the one that
 ``tests/golden/digests.json`` holds for the config under the running key,
-``"<numpy version> <machine>"``. numpy may change a Generator stream between
-releases, and libm the last bit of a ``pow`` between CPUs, so under a key
-with no entry only the 1-versus-2-worker equality is checked, and the test
-skips the digest with a reason that names the key.
+``"<numpy version> <machine> <SIMD targets>"``. numpy may change a Generator
+stream between releases, and its ``pow`` and ``exp`` give other last bits
+on the SIMD kernels it picks at run time (its AVX-512 ones, say), so the
+key names the dispatch targets this CPU enables: ``np.show_runtime()``'s
+``simd_extensions.found``. Under a key with no entry only the
+1-versus-2-worker equality is checked, and the test skips the digest with
+a reason that names the key.
 
 The tests never write the table. A change that is meant to change bytes
 regenerates the running key's entry with
@@ -29,13 +32,19 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+try:
+    from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+except ImportError:  # numpy 1.x
+    from numpy.core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+
 from riskscale.cli import run
 from riskscale.config import parse_config
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 DIGESTS = GOLDEN / "digests.json"
 CONFIGS = sorted(path.stem for path in GOLDEN.glob("*.cfg"))
-KEY = f"{np.__version__} {platform.machine()}"
+KEY = " ".join([np.__version__, platform.machine(),
+                *(target for target in __cpu_dispatch__ if __cpu_features__.get(target))])
 
 
 def _digests(name: str, tmp: Path) -> list[str]:
