@@ -93,7 +93,7 @@ def build_cstar(c) -> np.ndarray:
     c = as_matrix(c, "C")
     n = c.shape[0]
     if c.shape[1] != n or n % 2 != 0:
-        raise ShapeError(f"C must be square with even dimension, got {c.shape}")
+        raise ShapeError(f"C must be square with even dimension, got {c.shape}", "C")
     cstar = c.copy()
     cstar[:, :n // 2] += c[:, n // 2:]
     return cstar
@@ -118,7 +118,7 @@ class EllipticalShiftModel:
         nu = as_vector(self.nu, "nu")
         n = c.shape[0]
         if nu.size != n:
-            raise ShapeError(f"nu has length {nu.size}, expected {n}")
+            raise ShapeError(f"nu has length {nu.size}, expected {n}", "nu")
         if np.any(nu[:n // 2] != 0.0):
             raise ParameterError("nu must be exactly zero on its first d coordinates",
                                  "nu")

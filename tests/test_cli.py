@@ -723,6 +723,8 @@ _BAD_MODEL_VALUES = [
     ("gaussian_shift", "model.sigma0", "2,0.5;0.6,1"),
     ("elliptical_shift", "model.c", "1,0.2,0,0;0.1,1,0,0;0.3,0,nan,0.2;0,0.4,0.1,1"),
     ("elliptical_shift", "model.nu", "1,0,2,1"),
+    ("elliptical_shift", "model.c", "1,0,0;0,1,0;0,0,1"),
+    ("elliptical_shift", "model.nu", "0,0,2"),
 ]
 
 

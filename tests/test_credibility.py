@@ -171,8 +171,9 @@ class TestBuildCstar:
         assert np.array_equal(gram, expected)
 
     def test_odd_dimension_rejected(self):
-        with pytest.raises(ShapeError):
+        with pytest.raises(ShapeError) as excinfo:
             build_cstar(np.eye(3))
+        assert excinfo.value.param == "C"
 
 
 class TestEllipticalPremium:
@@ -332,8 +333,9 @@ class TestPremiumMC:
 
 
 def test_elliptical_model_rejects_nu_of_the_wrong_length():
-    with pytest.raises(ShapeError, match="nu has length 3, expected 4"):
+    with pytest.raises(ShapeError, match="nu has length 3, expected 4") as excinfo:
         EllipticalShiftModel(c=np.eye(4), nu=[0.0, 0.0, 1.0])
+    assert excinfo.value.param == "nu"
 
 
 def test_premium_elliptical_rejects_x_of_the_wrong_length():
