@@ -11,7 +11,9 @@ the scientific range). The rows go in CSV_CHUNK_ROWS-row chunks through the
 worker pool of ``rng.ordered_map`` and are written in chunk order, so the
 bytes do not depend on the worker count and memory does not grow with the
 formatted text. Rows that hold a nan or an infinity are refused with exit 3,
-never written. The output is opened only once the results are computed, so
+never written; numpy's floating-point warnings are silenced while
+``sample`` and ``premium`` compute them, since that check reports their
+outcome on its one line. The output is opened only once the results are computed, so
 a failed run leaves no file. The worker count is set by the
 RISKSCALE_THREADS environment variable alone (``rng.resolve_workers``);
 :func:`run` takes none. The config file is read as UTF-8, a leading
@@ -110,7 +112,8 @@ def run(config: RunConfig) -> int:
     if config.command == "taildep":
         header, rows = _run_taildep(config, stream)
     else:
-        rows = KINDS[config.kind].run(config, stream)
+        with np.errstate(all="ignore"):  # the finiteness check reports a nan or inf
+            rows = KINDS[config.kind].run(config, stream)
         if config.audit:  # a fixed exponent and a point_mass radius (parse_config)
             deviation = sphere_deviation(rows, config.model.spec.p,
                                          config.model.radial.value)

@@ -19,6 +19,7 @@ which the CSV writer also uses to format its chunks.
 from __future__ import annotations
 
 import collections
+import contextvars
 import functools
 import operator
 import os
@@ -114,7 +115,9 @@ def ordered_map(fn, items, workers: int | None = None):
     ``pool_size(workers, len(items))`` threads make the calls. At most twice
     that many calls are in flight (submitted and not yet yielded), so a slow
     consumer holds back the workers instead of letting results pile up.
-    With one worker, ``fn`` runs in the calling thread and no pool starts.
+    With one worker, ``fn`` runs in the calling thread and no pool starts;
+    otherwise each call runs in a copy of the calling thread's context, so
+    a ``numpy.errstate`` around the caller holds in the pool threads too.
     The package's one thread-pool driver.
     """
     nworkers = pool_size(workers, len(items))
@@ -127,7 +130,7 @@ def ordered_map(fn, items, workers: int | None = None):
             for item in items:
                 if len(pending) == 2 * nworkers:
                     yield pending.popleft().result()
-                pending.append(pool.submit(fn, item))
+                pending.append(pool.submit(contextvars.copy_context().run, fn, item))
             while pending:
                 yield pending.popleft().result()
         finally:

@@ -433,28 +433,37 @@ model.theta = pareto:0.5
 }
 
 
+@pytest.mark.parametrize("threads", ["1", "2"])
 @pytest.mark.parametrize("kind", sorted(NON_FINITE_CONFIGS))
-def test_accepted_configs_with_non_finite_rows_exit_3(tmp_path, kind):
-    # in a fresh interpreter: in this one the sampler's numpy RuntimeWarning
-    # is an error (pyproject's filterwarnings), which would exit 3 as an
-    # internal error whatever the finiteness check did
+def test_accepted_configs_with_non_finite_rows_exit_3(tmp_path, kind, threads):
+    # in a fresh interpreter, where numpy's RuntimeWarnings print as usual
+    # (in this one pyproject's filterwarnings makes them errors): the
+    # finiteness check's line is all of stderr, at one worker and with the
+    # sampling in pool threads
     probe = """
-import contextlib, io, json, sys
+import contextlib, io, json, os, sys
+os.environ["RISKSCALE_THREADS"] = sys.argv[1]
 from riskscale.cli import main
 err = io.StringIO()
 with contextlib.redirect_stderr(err):
-    status = main(sys.argv[1:])
+    status = main(sys.argv[2:])
 print(json.dumps([status, err.getvalue()]))
 """
     config = _write(tmp_path, "sample.cfg", NON_FINITE_CONFIGS[kind])
     out = tmp_path / "sample.csv"
-    status, err = json.loads(_fresh_python(probe, "sample", "--config", config,
+    status, err = json.loads(_fresh_python(probe, threads, "sample", "--config", config,
                                            "--out", str(out)))
     assert status == 3
-    last = err.splitlines()[-1]
-    assert last.startswith("riskscale: the output holds non-finite values (min nan,")
-    assert "Traceback" not in err
+    assert err.count("\n") == 1
+    assert err.startswith("riskscale: the output holds non-finite values (min nan,")
     assert not out.exists()
+
+
+def test_a_library_call_still_warns_of_its_non_finite_rows():
+    # only the command line, which reports the rows, silences the warning
+    spec = LpSpec((1e-4, 1e-4, 1e-4), 2.0)
+    with pytest.warns(RuntimeWarning, match="invalid value"):
+        lp_dirichlet_sample(spec, PointMass(1.0), 1000, RngStream(7), workers=1)
 
 
 def test_out_of_memory_exit_code(tmp_path, monkeypatch, capsys):

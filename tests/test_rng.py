@@ -248,3 +248,15 @@ def test_ordered_map_raises_the_call_error():
 def test_map_blocks_rejects_a_negative_row_count():
     with pytest.raises(ValueError, match="n must be nonnegative"):
         map_blocks(RngStream(0), -1, lambda block, lo, hi: np.zeros(hi - lo))
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_ordered_map_calls_run_under_the_callers_errstate(workers):
+    def divide(x):
+        return np.divide(np.ones(4), np.full(4, x))
+
+    with np.errstate(divide="raise"):
+        with pytest.raises(FloatingPointError):
+            list(ordered_map(divide, [1.0, 0.0, 1.0, 0.0], workers=workers))
+    with np.errstate(divide="ignore"):
+        assert np.isinf(list(ordered_map(divide, [0.0, 0.0], workers=workers))).all()
