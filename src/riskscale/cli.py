@@ -112,14 +112,16 @@ def run(config: RunConfig) -> int:
     if config.command == "taildep":
         header, rows = _run_taildep(config, stream)
     else:
-        with np.errstate(all="ignore"):  # the finiteness check reports a nan or inf
-            rows = KINDS[config.kind].run(config, stream)
-        if config.audit:  # a fixed exponent and a point_mass radius (parse_config)
-            deviation = sphere_deviation(rows, config.model.spec.p,
-                                         config.model.radial.value)
-            if not deviation <= SPHERE_TOL:  # nan fails too
-                raise RiskscaleError(f"sphere self-audit failed: max deviation "
-                                     f"{deviation:.3e} exceeds {SPHERE_TOL:g}")
+        kind = KINDS[config.kind]
+        with np.errstate(all="ignore"):  # the checks below report a nan or inf
+            if config.audit:  # a sphere kind with a point_mass radius (parse_config)
+                rows, exponents = kind.audit(config, stream)
+                deviation = sphere_deviation(rows, exponents, config.model.radial.value)
+                if not deviation <= SPHERE_TOL:  # nan fails too
+                    raise RiskscaleError(f"sphere self-audit failed: max deviation "
+                                         f"{deviation:.3e} exceeds {SPHERE_TOL:g}")
+            else:
+                rows = kind.run(config, stream)
         prefix = "x" if config.command == "sample" else "p"
         header = [f"{prefix}{i + 1}" for i in range(rows.shape[1])]
     low, high = rows.min(), rows.max()  # a nan carries through both: no n-sized mask

@@ -184,34 +184,43 @@ class Kind:
     """A model kind: the commands it serves, ``parse(doc)`` building its model
     from the ``model.*`` keys, ``run(config, stream)`` giving the rows that
     ``sample`` or ``premium`` writes (``taildep`` tabulates the model
-    itself), and whether ``sample`` can audit its rows on the sphere.
-    Each ``run`` reads its function from that function's module at call
-    time, so a wrapper or test double put there is the one that runs. The
-    samplers take their worker count from RISKSCALE_THREADS.
+    itself), and, for a kind whose rows lie on L_p spheres, the
+    ``audit(config, stream)`` that gives the same rows with the exponent of
+    their sphere, one for all rows or one per row, for ``sample``'s
+    ``audit = true``. Each ``run`` and ``audit`` reads its function from
+    that function's module at call time, so a wrapper or test double put
+    there is the one that runs. The samplers take their worker count from
+    RISKSCALE_THREADS.
     """
 
     commands: tuple[str, ...]
     parse: Callable[[_Doc], object]
     run: Callable[..., np.ndarray]
-    audit: bool = False
+    audit: Callable[..., tuple[np.ndarray, object]] | None = None
+
+
+def _sphere_kind(parse: Callable[[_Doc], object],
+                 rows_and_exponents: Callable[..., tuple[np.ndarray, object]]) -> Kind:
+    """A ``sample`` kind whose ``audit`` is ``rows_and_exponents`` and whose
+    ``run`` keeps its rows."""
+    return Kind(("sample",), parse, lambda c, s: rows_and_exponents(c, s)[0],
+                audit=rows_and_exponents)
 
 
 KINDS = {
-    "lp_dirichlet": Kind(
-        ("sample",), _dirichlet(_parse_lp),
-        lambda c, s: dirichlet.lp_dirichlet_sample(c.model.spec, c.model.radial, c.n, s),
-        audit=True),
-    "weighted_dirichlet": Kind(
-        ("sample",),
+    "lp_dirichlet": _sphere_kind(
+        _dirichlet(_parse_lp),
+        lambda c, s: (dirichlet.lp_dirichlet_sample(c.model.spec, c.model.radial, c.n, s),
+                      c.model.spec.p)),
+    "weighted_dirichlet": _sphere_kind(
         _dirichlet(lambda doc: WeightedSpec(base=_parse_lp(doc),
                                             qs=_parse_floats(doc, "model.qs"))),
-        lambda c, s: dirichlet.weighted_sample(c.model.spec, c.model.radial, c.n, s),
-        audit=True),
-    "random_p_dirichlet": Kind(
-        ("sample",),
+        lambda c, s: (dirichlet.weighted_sample(c.model.spec, c.model.radial, c.n, s),
+                      c.model.spec.p)),
+    "random_p_dirichlet": _sphere_kind(
         _dirichlet(lambda doc: RandomPSpec(alphas=_parse_floats(doc, "model.alphas"),
                                            p_law=_parse_law(doc, "model.p_law"))),
-        lambda c, s: dirichlet.random_p_sample(c.model.spec, c.model.radial, c.n, s)[0]),
+        lambda c, s: dirichlet.random_p_sample(c.model.spec, c.model.radial, c.n, s)),
     "mgb2": Kind(
         ("sample", "taildep"),
         lambda doc: MGB2Model(a=_parse_floats(doc, "model.a"),
@@ -331,8 +340,8 @@ def parse_config(text: str, command: str | None = None,
     if command == "sample":
         audit = bool(_parse_bool(doc, "audit", required=False))
         if audit and not (KINDS[kind].audit and isinstance(model.radial, PointMass)):
-            doc.fail("audit", "sphere audit needs a fixed-exponent Dirichlet "
-                              "kind with a point_mass radial law")
+            doc.fail("audit", "sphere audit needs a Dirichlet kind with a "
+                              "point_mass radial law")
     elif command == "premium":
         x = _parse_floats(doc, "x")
         if not np.isfinite(x).all():

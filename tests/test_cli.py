@@ -786,3 +786,45 @@ def test_model_error_of_no_single_key_keeps_model_prefix(tmp_path, capsys, kind,
     config = _write(tmp_path, "bad.cfg", text)
     assert main([KINDS[kind].commands[0], "--config", config]) == 2
     assert capsys.readouterr().err.startswith(f"riskscale: config error: model: {message}")
+
+
+RANDOM_P_AUDIT = """
+command = sample
+seed = 9601
+n = 100000
+audit = true
+model.kind = random_p_dirichlet
+model.alphas = 1,1,2
+model.p_law = gamma_power:0.5,1,1
+model.radial = point_mass:1
+"""
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_random_p_audit_fails_rows_off_their_own_sphere(tmp_path, monkeypatch, capsys,
+                                                        threads):
+    # exponents down to ~1e-10: the powers w^(1/p) underflow, and some rows
+    # miss the sphere of their own exponent by up to 1
+    monkeypatch.setenv("RISKSCALE_THREADS", threads)
+    config = _write(tmp_path, "sample.cfg", RANDOM_P_AUDIT)
+    out = tmp_path / "sample.csv"
+    assert main(["sample", "--config", config, "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err == ("riskscale: sphere self-audit failed: max deviation 1.000e+00 "
+                   "exceeds 1e-12\n")
+    assert not out.exists()
+    # without the audit nothing checks the sphere
+    config = _write(tmp_path, "sample.cfg", RANDOM_P_AUDIT.replace("audit = true\n", ""))
+    assert main(["sample", "--config", config, "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+
+
+def test_random_p_audit_passes_rows_on_their_own_sphere(tmp_path):
+    text = RANDOM_P_AUDIT.replace("seed = 9601", "seed = 9602").replace(
+        "gamma_power:0.5,1,1", "pareto:2")
+    outputs = []
+    for body in (text, text.replace("audit = true\n", "")):
+        config = _write(tmp_path, "sample.cfg", body)
+        outputs.append(tmp_path / f"sample{len(outputs)}.csv")
+        assert main(["sample", "--config", config, "--out", str(outputs[-1])]) == 0
+    assert outputs[0].read_bytes() == outputs[1].read_bytes()

@@ -224,7 +224,7 @@ def test_chi_square_sqrt_rejects_nonpositive_df():
 def test_audit_flag_scope():
     ok = parse_config(MINIMAL_SAMPLE + "audit = true\n")
     assert ok.audit
-    not_fixed_p = """
+    random_p = """
 command = sample
 seed = 1
 n = 10
@@ -234,11 +234,21 @@ model.alphas = 1,1
 model.p_law = pareto:2
 model.radial = point_mass:1
 """
-    with pytest.raises(ConfigError, match="audit"):
-        parse_config(not_fixed_p)
+    assert parse_config(random_p).audit  # each row against its own exponent
     not_point_mass = MINIMAL_SAMPLE.replace("point_mass:1", "pareto:2") + "audit = true\n"
     with pytest.raises(ConfigError, match="audit"):
         parse_config(not_point_mass)
+    no_sphere = """
+command = sample
+seed = 1
+n = 10
+audit = true
+model.kind = clayton
+model.theta_shape = 2
+model.d = 2
+"""
+    with pytest.raises(ConfigError, match="line 5: audit: sphere audit needs"):
+        parse_config(no_sphere)
 
 
 def test_malformed_line():
