@@ -114,7 +114,12 @@ _SCALAR_SHIFT = GenericShiftModel(
 
 
 def check_scalar_premium_mc(seed: int) -> GofReport:
-    """Monte Carlo premium against the scalar closed form (d = 1 Gaussian)."""
+    """Monte Carlo premium against the scalar closed form (d = 1 Gaussian).
+
+    The tolerance is 3 standard errors of the estimate: a statistical check
+    with a false-alarm rate of its own (about 0.3% under normality), part of
+    the suite's calibration budget rather than a rounding bound.
+    """
     x = 4.0
     est, se = premium_mc(_SCALAR_SHIFT, [x], 10**6, _stream(seed, 1))
     exact = premium_scalar(0.0, 1.0, _TAU2, x)
@@ -138,7 +143,12 @@ def _premium_gaussian_noise_inverse(model: GaussianShiftModel, x) -> np.ndarray:
 
 
 def check_gaussian_premium_forms(seed: int) -> GofReport:
-    """Agreement of the two closed-form Gaussian premium expressions."""
+    """Agreement of the two closed-form Gaussian premium expressions.
+
+    The two forms differ only in rounding, ~1e-15 on these well-conditioned
+    3 x 3 models (4.4e-16 at seed 42); the tolerance 1e-10 is wide by five
+    orders of magnitude, so only a wrong formula fails it.
+    """
     gen = _stream(seed, 2).generator()
     d, reps = 3, 20
     diffs = []
@@ -154,7 +164,12 @@ def check_gaussian_premium_forms(seed: int) -> GofReport:
 
 
 def check_elliptical_reduction(seed: int) -> GofReport:
-    """Block-diagonal elliptical model reproduces the Gaussian premium."""
+    """Block-diagonal elliptical model reproduces the Gaussian premium.
+
+    The two premiums differ only in rounding, ~1e-15 (2.0e-15 at seed 42);
+    the tolerance 1e-9 is wide by six orders of magnitude, so only a wrong
+    reduction fails it.
+    """
     gen = _stream(seed, 3).generator()
     d, reps = 3, 20
     diffs = []
@@ -174,7 +189,12 @@ def check_elliptical_reduction(seed: int) -> GofReport:
 
 
 def check_sphere_constraint(seed: int) -> GofReport:
-    """Angular draws stay on the unit L_p sphere to ``SPHERE_TOL``."""
+    """Angular draws stay on the unit L_p sphere to ``SPHERE_TOL``.
+
+    ``SPHERE_TOL`` (1e-12) is wide against the rounding of a row's p-th
+    power sum, ~1e-15 (4.4e-16 at seed 42): a row off the sphere by more
+    is a sampler fault, never chance.
+    """
     spec = LpSpec(alphas=_ALPHAS, p=3.0)
     o = angular_sample(spec, _stream(seed, 4).generator(), size=10**5)
     return GofReport("sphere_constraint", sphere_deviation(o, spec.p), SPHERE_TOL)
@@ -252,7 +272,11 @@ def check_weighted_gaussian(seed: int) -> GofReport:
 
 
 def check_random_p_sphere(seed: int) -> GofReport:
-    """Each row of the random-exponent sampler satisfies its own sphere identity."""
+    """Each row of the random-exponent sampler satisfies its own sphere identity.
+
+    As in :func:`check_sphere_constraint`, ``SPHERE_TOL`` (1e-12) is wide
+    against the rounding, ~1e-14 here (9.1e-15 at seed 42).
+    """
     n = 10**4
     spec = RandomPSpec(alphas=(0.5, 1.0, 1.5), p_law=Pareto(2.0))
     rows, exponents = random_p_sample(spec, PointMass(1.0), n, _stream(seed, 10))
@@ -275,7 +299,13 @@ def check_mgb2_equivalence(seed: int) -> GofReport:
 
 def check_clayton_identity(seed: int) -> GofReport:
     """Empirical joint survival of the exponential scale mixture matches
-    (1 + x_1 + x_2)^(-a) on a 3 x 3 grid."""
+    (1 + x_1 + x_2)^(-a) on a 3 x 3 grid.
+
+    The fixed tolerance 0.01 is about 6 binomial standard deviations: an
+    empirical survival s at n = 1e5 has sd sqrt(s (1 - s) / n), at most
+    0.0016 on this grid, so a false alarm is far rarer than in the KS
+    checks.
+    """
     n = 10**5
     spec = ClaytonSpec(theta_shape=1.0, d=2)
     sample = scale_mixture_exp_sample(spec, n, _stream(seed, 12))
