@@ -433,13 +433,12 @@ model.theta = pareto:0.5
 }
 
 
-@pytest.mark.parametrize("threads", ["1", "2"])
 @pytest.mark.parametrize("kind", sorted(NON_FINITE_CONFIGS))
-def test_accepted_configs_with_non_finite_rows_exit_3(tmp_path, kind, threads):
-    # in a fresh interpreter, where numpy's RuntimeWarnings print as usual
-    # (in this one pyproject's filterwarnings makes them errors): the
-    # finiteness check's line is all of stderr, at one worker and with the
-    # sampling in pool threads
+def test_accepted_configs_with_non_finite_rows_exit_3(tmp_path, kind):
+    # in a fresh interpreter per worker count, where numpy's RuntimeWarnings
+    # print as usual (in this one pyproject's filterwarnings makes them
+    # errors): the finiteness check's line is all of stderr, at one worker
+    # and with the sampling in pool threads
     probe = """
 import contextlib, io, json, os, sys
 os.environ["RISKSCALE_THREADS"] = sys.argv[1]
@@ -451,12 +450,13 @@ print(json.dumps([status, err.getvalue()]))
 """
     config = _write(tmp_path, "sample.cfg", NON_FINITE_CONFIGS[kind])
     out = tmp_path / "sample.csv"
-    status, err = json.loads(_fresh_python(probe, threads, "sample", "--config", config,
-                                           "--out", str(out)))
-    assert status == 3
-    assert err.count("\n") == 1
-    assert err.startswith("riskscale: the output holds non-finite values (min nan,")
-    assert not out.exists()
+    for threads in ("1", "2"):
+        status, err = json.loads(_fresh_python(probe, threads, "sample", "--config", config,
+                                               "--out", str(out)))
+        assert status == 3
+        assert err.count("\n") == 1
+        assert err.startswith("riskscale: the output holds non-finite values (min nan,")
+        assert not out.exists()
 
 
 def test_a_library_call_still_warns_of_its_non_finite_rows():
