@@ -13,8 +13,8 @@ bytes do not depend on the worker count and memory does not grow with the
 formatted text. Rows that hold a nan or an infinity are refused with exit 3,
 never written; numpy's floating-point warnings are silenced while
 ``sample`` and ``premium`` compute them, since that check reports their
-outcome on its one line. The output is opened only once the results are computed, so
-a failed run leaves no file. The worker count is set by the
+outcome on its one line. The output is opened only once the results are
+computed, so a failed run leaves no file. The worker count is set by the
 RISKSCALE_THREADS environment variable alone (``rng.resolve_workers``);
 :func:`run` takes none. The config file is read as UTF-8, a leading
 byte-order mark ignored; a file that cannot be read or decoded exits 2.

@@ -409,11 +409,12 @@ def test_non_finite_rows_exit_3_and_leave_no_file(tmp_path, monkeypatch, capsys,
 
 
 NON_FINITE_CONFIGS = {
-    # Gamma(1e-4) draws are 0 with probability ~0.93: whole rows become 0/0
+    # Gamma(1e-4) draws are 0 with probability ~0.93: whole rows become 0/0;
+    # three blocks, so that two workers compute rows in pool threads
     "lp_dirichlet": """
 command = sample
 seed = 7
-n = 1000
+n = 70000
 model.kind = lp_dirichlet
 model.alphas = 0.0001,0.0001,0.0001
 model.p = 2
