@@ -13,7 +13,11 @@ bytes do not depend on the worker count and memory does not grow with the
 formatted text. Rows that hold a nan or an infinity are refused with exit 3,
 never written; numpy's floating-point warnings are silenced while
 ``sample`` and ``premium`` compute them, since that check reports their
-outcome on its one line. The output is opened only once the results are
+outcome on its one line. Finite rows of a Dirichlet kind with a
+``point_mass`` radius r must then lie on their L_p sphere of radius r to
+``dirichlet.SPHERE_TOL``, or the run exits 3 with the one line of that check
+(``config.KINDS`` gives the exponents; a random radius puts rows on no one
+sphere and is not checked). The output is opened only once the results are
 computed, so a failed run leaves no file. The worker count is set by the
 RISKSCALE_THREADS environment variable alone (``rng.resolve_workers``);
 :func:`run` takes none. The config file is read as UTF-8, a leading
@@ -109,25 +113,24 @@ def run(config: RunConfig) -> int:
         with _output(config.output_path) as write:
             write(verify.render_report(checks).encode("ascii"))
         return 0 if all(c.passed for c in checks) else 1
+    exponents = None
     if config.command == "taildep":
         header, rows = _run_taildep(config, stream)
     else:
-        kind = KINDS[config.kind]
         with np.errstate(all="ignore"):  # the checks below report a nan or inf
-            if config.audit:  # a sphere kind with a point_mass radius (parse_config)
-                rows, exponents = kind.audit(config, stream)
-                deviation = sphere_deviation(rows, exponents, config.model.radial.value)
-                if not deviation <= SPHERE_TOL:  # nan fails too
-                    raise RiskscaleError(f"sphere self-audit failed: max deviation "
-                                         f"{deviation:.3e} exceeds {SPHERE_TOL:g}")
-            else:
-                rows = kind.run(config, stream)
+            rows, exponents = KINDS[config.kind].run(config, stream)
         prefix = "x" if config.command == "sample" else "p"
         header = [f"{prefix}{i + 1}" for i in range(rows.shape[1])]
     low, high = rows.min(), rows.max()  # a nan carries through both: no n-sized mask
     if not (np.isfinite(low) and np.isfinite(high)):
         raise RiskscaleError(f"the output holds non-finite values (min {low:g}, "
                              f"max {high:g}); nothing was written")
+    if exponents is not None:  # finite rows of a point_mass radius (config.KINDS)
+        with np.errstate(all="ignore"):  # a power that overflows reads as a deviation
+            deviation = sphere_deviation(rows, exponents, config.model.radial.value)
+        if deviation > SPHERE_TOL:
+            raise RiskscaleError(f"sphere self-audit failed: max deviation "
+                                 f"{deviation:.3e} exceeds {SPHERE_TOL:g}")
     _write_csv(config.output_path, header, rows)
     return 0
 

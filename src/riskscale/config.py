@@ -39,7 +39,6 @@ class RunConfig:
     output_path: str | None = None
     x: tuple[float, ...] | None = None
     query: TailQuery | None = None
-    audit: bool = False
 
 
 @dataclass(frozen=True)
@@ -113,13 +112,6 @@ def _read(doc: _Doc, key: str, convert: Callable[[str], object], expected: str,
         doc.fail(key, f"expected {expected}, got {raw!r}")
 
 
-def _to_bool(raw: str) -> bool:
-    lowered = raw.lower()
-    if lowered not in ("true", "yes", "1", "false", "no", "0"):
-        raise ValueError(raw)
-    return lowered in ("true", "yes", "1")
-
-
 def _to_floats(raw: str) -> tuple[float, ...]:
     return tuple(float(part) for part in raw.split(","))
 
@@ -130,7 +122,6 @@ def _to_matrix(raw: str) -> list[list[float]]:
 
 _parse_float = partial(_read, convert=float, expected="a number")
 _parse_int = partial(_read, convert=int, expected="an integer")
-_parse_bool = partial(_read, convert=_to_bool, expected="true/false")
 _parse_floats = partial(_read, convert=_to_floats, expected="comma-separated numbers")
 
 
@@ -179,71 +170,71 @@ def _dirichlet(parse_spec: Callable[[_Doc], object]) -> Callable[[_Doc], Dirichl
     return lambda doc: DirichletModel(parse_spec(doc), _parse_law(doc, "model.radial"))
 
 
+def _on_sphere(model: DirichletModel, rows: np.ndarray, exponents) -> tuple[np.ndarray, object]:
+    """``rows`` with the exponent(s) of their sphere when the radius is a
+    point mass r, so that every row lies on the L_p sphere of radius r; with
+    None when a random radius puts them on no one sphere."""
+    return rows, exponents if isinstance(model.radial, PointMass) else None
+
+
 @dataclass(frozen=True)
 class Kind:
     """A model kind: the commands it serves, ``parse(doc)`` building its model
-    from the ``model.*`` keys, ``run(config, stream)`` giving the rows that
-    ``sample`` or ``premium`` writes (``taildep`` tabulates the model
-    itself), and, for a kind whose rows lie on L_p spheres, the
-    ``audit(config, stream)`` that gives the same rows with the exponent of
-    their sphere, one for all rows or one per row, for ``sample``'s
-    ``audit = true``. Each ``run`` and ``audit`` reads its function from
-    that function's module at call time, so a wrapper or test double put
-    there is the one that runs. The samplers take their worker count from
-    RISKSCALE_THREADS.
+    from the ``model.*`` keys, and ``run(config, stream)`` giving the rows
+    that ``sample`` or ``premium`` writes (``taildep`` tabulates the model
+    itself) together with the exponent of the L_p sphere they lie on, one
+    for all rows or one per row, or None when they lie on no sphere. Each
+    ``run`` reads its function from that function's module at call time, so
+    a wrapper or test double put there is the one that runs. The samplers
+    take their worker count from RISKSCALE_THREADS.
     """
 
     commands: tuple[str, ...]
     parse: Callable[[_Doc], object]
-    run: Callable[..., np.ndarray]
-    audit: Callable[..., tuple[np.ndarray, object]] | None = None
-
-
-def _sphere_kind(parse: Callable[[_Doc], object],
-                 rows_and_exponents: Callable[..., tuple[np.ndarray, object]]) -> Kind:
-    """A ``sample`` kind whose ``audit`` is ``rows_and_exponents`` and whose
-    ``run`` keeps its rows."""
-    return Kind(("sample",), parse, lambda c, s: rows_and_exponents(c, s)[0],
-                audit=rows_and_exponents)
+    run: Callable[..., tuple[np.ndarray, object]]
 
 
 KINDS = {
-    "lp_dirichlet": _sphere_kind(
+    "lp_dirichlet": Kind(
+        ("sample",),
         _dirichlet(_parse_lp),
-        lambda c, s: (dirichlet.lp_dirichlet_sample(c.model.spec, c.model.radial, c.n, s),
-                      c.model.spec.p)),
-    "weighted_dirichlet": _sphere_kind(
+        lambda c, s: _on_sphere(c.model, dirichlet.lp_dirichlet_sample(
+            c.model.spec, c.model.radial, c.n, s), c.model.spec.p)),
+    "weighted_dirichlet": Kind(
+        ("sample",),
         _dirichlet(lambda doc: WeightedSpec(base=_parse_lp(doc),
                                             qs=_parse_floats(doc, "model.qs"))),
-        lambda c, s: (dirichlet.weighted_sample(c.model.spec, c.model.radial, c.n, s),
-                      c.model.spec.p)),
-    "random_p_dirichlet": _sphere_kind(
+        lambda c, s: _on_sphere(c.model, dirichlet.weighted_sample(
+            c.model.spec, c.model.radial, c.n, s), c.model.spec.p)),
+    "random_p_dirichlet": Kind(
+        ("sample",),
         _dirichlet(lambda doc: RandomPSpec(alphas=_parse_floats(doc, "model.alphas"),
                                            p_law=_parse_law(doc, "model.p_law"))),
-        lambda c, s: dirichlet.random_p_sample(c.model.spec, c.model.radial, c.n, s)),
+        lambda c, s: _on_sphere(c.model, *dirichlet.random_p_sample(
+            c.model.spec, c.model.radial, c.n, s))),
     "mgb2": Kind(
         ("sample", "taildep"),
         lambda doc: MGB2Model(a=_parse_floats(doc, "model.a"),
                               b=_parse_floats(doc, "model.b"),
                               p=_parse_floats(doc, "model.p"),
                               theta_law=_parse_law(doc, "model.theta")),
-        lambda c, s: tails.mgb2_sample(c.model, c.n, s)),
+        lambda c, s: (tails.mgb2_sample(c.model, c.n, s), None)),
     "clayton": Kind(
         ("sample",),
         lambda doc: ClaytonSpec(theta_shape=_parse_float(doc, "model.theta_shape"),
                                 d=_parse_int(doc, "model.d")),
-        lambda c, s: tails.scale_mixture_exp_sample(c.model, c.n, s)),
+        lambda c, s: (tails.scale_mixture_exp_sample(c.model, c.n, s), None)),
     "gaussian_shift": Kind(
         ("premium",),
         lambda doc: GaussianShiftModel(mu=_parse_floats(doc, "model.mu"),
                                        sigma=_parse_matrix(doc, "model.sigma"),
                                        sigma0=_parse_matrix(doc, "model.sigma0")),
-        lambda c, s: np.atleast_2d(credibility.premium_gaussian(c.model, c.x))),
+        lambda c, s: (np.atleast_2d(credibility.premium_gaussian(c.model, c.x)), None)),
     "elliptical_shift": Kind(
         ("premium",),
         lambda doc: EllipticalShiftModel(c=_parse_matrix(doc, "model.c"),
                                          nu=_parse_floats(doc, "model.nu")),
-        lambda c, s: np.atleast_2d(credibility.premium_elliptical(c.model, c.x))),
+        lambda c, s: (np.atleast_2d(credibility.premium_elliptical(c.model, c.x)), None)),
 }
 
 
@@ -327,7 +318,6 @@ def parse_config(text: str, command: str | None = None,
         out = output_path
 
     kind = model = n = x = query = None
-    audit = False
     if command == "verify":
         # the suite and its scipy oracles load here, in set-up, not in the run
         from . import verify  # noqa: F401
@@ -337,12 +327,7 @@ def parse_config(text: str, command: str | None = None,
         n = _parse_int(doc, "n")
         if n < 1:
             doc.fail("n", f"must be >= 1, got {n}")
-    if command == "sample":
-        audit = bool(_parse_bool(doc, "audit", required=False))
-        if audit and not (KINDS[kind].audit and isinstance(model.radial, PointMass)):
-            doc.fail("audit", "sphere audit needs a Dirichlet kind with a "
-                              "point_mass radial law")
-    elif command == "premium":
+    if command == "premium":
         x = _parse_floats(doc, "x")
         if not np.isfinite(x).all():
             doc.fail("x", f"entries must be finite numbers, got {x}")
@@ -353,4 +338,4 @@ def parse_config(text: str, command: str | None = None,
 
     doc.reject_unused()
     return RunConfig(command=command, seed=seed, kind=kind, model=model, n=n,
-                     output_path=out, x=x, query=query, audit=audit)
+                     output_path=out, x=x, query=query)

@@ -6,11 +6,12 @@ normalization happens on the Gamma scale: the raw Gamma draws are divided by
 their row sum (an exact simplex) and only then raised to 1/p, so no p-th
 power is ever formed before normalizing. The unit-sphere constraint then
 holds to ~1e-15 while the powers O_i = w_i^(1/p) of the simplex weights stay
-in double range: on 1e5 rows of alphas (1, 1, 2), to 3.3e-16 for every
-p >= 0.02. Below that they underflow: at p = 0.01 a few hundred rows miss
-the sphere by up to ~6e-4, and at p = 0.001 every row misses it by 1. The
-sampler does not repair this; ``audit = true`` on the command line catches
-it (exit 3).
+in double range: on 1e5 rows of alphas (1, 1, 2), to 3.3e-16 at p = 0.03
+(seeds 7, 9700 and 9701). Below that they underflow: at p = 0.02 one row
+misses by 1.3e-10 at seed 7 and by 2.4e-7 at seed 9701 (none at 9700), at
+p = 0.01 a few hundred rows miss by up to ~7e-4, and at p = 0.001 every row
+misses by 1. The sampler does not repair this; ``sample`` checks every
+row of a ``point_mass`` radius against its sphere and exits 3 on a miss.
 
 Per block, the samplers divide, power and scale the stacked Gamma draws in
 place. Each in-place step is the floating-point operation of the plain
@@ -32,10 +33,10 @@ Scaled families built on top of O:
   alpha in (0, 1)
 
 :func:`sphere_deviation` is the one check of the identity
-sum_i |x_i / r|^p = 1 on rows of radius r, for ``sample``'s ``audit = true``
-and the verification suite alike, against the one tolerance ``SPHERE_TOL``.
-It reads only the rows and calls nothing in the package, so it shares no
-code with the samplers whose rows it checks.
+sum_i |x_i / r|^p = 1 on rows of radius r, for ``sample`` (every
+``point_mass`` radius) and the verification suite alike, against the one
+tolerance ``SPHERE_TOL``. It reads only the rows and calls nothing in the
+package, so it shares no code with the samplers whose rows it checks.
 """
 
 from __future__ import annotations

@@ -5,6 +5,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import riskscale.cli as cli
 import riskscale.dirichlet as dirichlet
@@ -14,8 +16,8 @@ from riskscale.config import KINDS, parse_config
 from riskscale.credibility import (EllipticalShiftModel, GaussianShiftModel,
                                    premium_elliptical, premium_gaussian)
 from riskscale.csvfmt import format_rows
-from riskscale.dirichlet import (LpSpec, RandomPSpec, WeightedSpec, lp_dirichlet_sample,
-                                 random_p_sample, weighted_sample)
+from riskscale.dirichlet import (SPHERE_TOL, LpSpec, RandomPSpec, WeightedSpec,
+                                 lp_dirichlet_sample, random_p_sample, weighted_sample)
 from riskscale.gof import GofReport
 from riskscale.radial import GammaPower, InvGamma, Pareto, PointMass
 from riskscale.rng import BLOCK_ROWS, RngStream
@@ -37,7 +39,6 @@ LP_SAMPLE = """
 command = sample
 seed = 7
 n = 200
-audit = true
 model.kind = lp_dirichlet
 model.alphas = 1,1,2
 model.p = 2
@@ -102,7 +103,7 @@ def test_seed_override_changes_output(tmp_path):
 
 
 def test_csv_roundtrips_doubles(tmp_path):
-    config = _write(tmp_path, "sample.cfg", LP_SAMPLE.replace("audit = true", ""))
+    config = _write(tmp_path, "sample.cfg", LP_SAMPLE)
     out = tmp_path / "sample.csv"
     main(["sample", "--config", config, "--out", str(out)])
     direct = lp_dirichlet_sample(LpSpec((1.0, 1.0, 2.0), 2.0), PointMass(1.0),
@@ -360,16 +361,52 @@ def test_sample_stdout_and_out_file_bytes_match(tmp_path, capsysbinary):
     assert capsysbinary.readouterr().out == out.read_bytes()
 
 
-def test_failed_sphere_audit_leaves_no_file(tmp_path, monkeypatch, capsys):
-    def off_sphere(spec, radial, n, stream, workers=None):
-        return np.full((n, 3), 2.0)
+# the three Dirichlet kinds at a point_mass radius of 1, on LP_SAMPLE's lines
+_POINT_MASS_SAMPLES = {
+    "lp_dirichlet": LP_SAMPLE,
+    "weighted_dirichlet": LP_SAMPLE.replace("lp_dirichlet", "weighted_dirichlet")
+    + "model.qs = 0.5,1,0.25\n",
+    "random_p_dirichlet": LP_SAMPLE.replace("lp_dirichlet", "random_p_dirichlet").replace(
+        "model.p = 2", "model.p_law = pareto:2"),
+}
 
-    monkeypatch.setattr(dirichlet, "lp_dirichlet_sample", off_sphere)
-    config = _write(tmp_path, "sample.cfg", LP_SAMPLE)
+
+def _off_sphere(n):
+    """n rows of 2s, off every unit sphere."""
+    return np.full((n, 3), 2.0)
+
+
+# each kind's sampler, patched to give off-sphere rows in its own return form
+_OFF_SPHERE_SAMPLERS = {
+    "lp_dirichlet": ("lp_dirichlet_sample", _off_sphere),
+    "weighted_dirichlet": ("weighted_sample", _off_sphere),
+    "random_p_dirichlet": ("random_p_sample", lambda n: (_off_sphere(n), np.full(n, 2.0))),
+}
+
+
+def test_failed_sphere_audit_leaves_no_file(tmp_path, monkeypatch, capsys):
     out = tmp_path / "sample.csv"
-    assert main(["sample", "--config", config, "--out", str(out)]) == 3
-    assert "sphere self-audit failed" in capsys.readouterr().err
-    assert not out.exists()
+    for kind, (name, rows) in _OFF_SPHERE_SAMPLERS.items():
+        monkeypatch.setattr(dirichlet, name,
+                            lambda spec, radial, n, stream, workers=None, rows=rows: rows(n))
+        config = _write(tmp_path, "sample.cfg", _POINT_MASS_SAMPLES[kind])
+        assert main(["sample", "--config", config, "--out", str(out)]) == 3, kind
+        # 3 * 2^2 - 1 at p = 2
+        assert capsys.readouterr().err == ("riskscale: sphere self-audit failed: max "
+                                           "deviation 1.100e+01 exceeds 1e-12\n"), kind
+        assert not out.exists()
+
+
+def test_random_radius_rows_are_not_held_to_a_sphere(tmp_path, monkeypatch, capsys):
+    # a gamma_power radius puts each row on a sphere of its own random radius
+    monkeypatch.setattr(dirichlet, "lp_dirichlet_sample",
+                        lambda spec, radial, n, stream, workers=None: _off_sphere(n))
+    text = LP_SAMPLE.replace("point_mass:1", "gamma_power:3,0.5,0.5")
+    config = _write(tmp_path, "sample.cfg", text)
+    out = tmp_path / "sample.csv"
+    assert main(["sample", "--config", config, "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    assert out.read_bytes() == b"x1,x2,x3\n" + format_rows(_off_sphere(200))
 
 
 def test_sphere_audit_rejects_nan_rows(tmp_path, monkeypatch, capsys):
@@ -382,7 +419,9 @@ def test_sphere_audit_rejects_nan_rows(tmp_path, monkeypatch, capsys):
     config = _write(tmp_path, "sample.cfg", LP_SAMPLE)
     out = tmp_path / "sample.csv"
     assert main(["sample", "--config", config, "--out", str(out)]) == 3
-    assert "max deviation nan exceeds" in capsys.readouterr().err
+    # the finiteness check runs first, so the fault gets its one line only
+    assert capsys.readouterr().err == ("riskscale: the output holds non-finite values "
+                                       "(min nan, max nan); nothing was written\n")
     assert not out.exists()
 
 
@@ -399,8 +438,8 @@ def test_non_finite_rows_exit_3_and_leave_no_file(tmp_path, monkeypatch, capsys,
         return rows
 
     monkeypatch.setattr(dirichlet, "lp_dirichlet_sample", bad_row)
-    # no audit: the finiteness check stands on its own
-    config = _write(tmp_path, "sample.cfg", LP_SAMPLE.replace("audit = true\n", ""))
+    # the finiteness check comes first: a non-finite row gets its line only
+    config = _write(tmp_path, "sample.cfg", LP_SAMPLE)
     out = tmp_path / "sample.csv"
     assert main(["sample", "--config", config, "--out", str(out)]) == 3
     assert capsys.readouterr().err == (
@@ -640,7 +679,6 @@ _DISPATCH = [
 command = sample
 seed = 5
 n = 300
-audit = true
 model.kind = weighted_dirichlet
 model.alphas = 0.5,0.5,2
 model.p = 1.5
@@ -754,14 +792,15 @@ def test_bad_model_value_exits_2_on_its_line(tmp_path, capsys, kind, key, value)
 
 @pytest.mark.parametrize("command, text, old, new, message", [
     ("sample", LP_SAMPLE, "model.p = 2", "= 1", "empty key"),
-    ("sample", LP_SAMPLE, "audit = true", "audit = maybe",
-     "audit: expected true/false, got 'maybe'"),
+    # a config from before every point_mass sample was checked on its sphere
+    ("sample", LP_SAMPLE + "audit = true\n", "audit = true", "audit = true",
+     "unknown key 'audit'"),
     ("premium", GAUSSIAN_2D, "model.sigma = 1,0.3;0.3,2", "model.sigma = 1,0;0",
      "model.sigma: rows have unequal lengths"),
     ("sample", LP_SAMPLE, "model.radial = point_mass:1", "model.radial = pareto:x",
      "model.radial: law parameters must be numbers, got 'x'"),
     ("sample", LP_SAMPLE, "n = 200", "n = 0", "n: must be >= 1, got 0"),
-], ids=["empty-key", "bad-boolean", "unequal-rows", "law-parameters", "n=0"])
+], ids=["empty-key", "audit-key", "unequal-rows", "law-parameters", "n=0"])
 def test_config_error_exits_2_with_one_line_naming_its_line(tmp_path, capsys, command,
                                                             text, old, new, message):
     lineno = text.splitlines().index(old) + 1
@@ -789,11 +828,10 @@ def test_model_error_of_no_single_key_keeps_model_prefix(tmp_path, capsys, kind,
     assert capsys.readouterr().err.startswith(f"riskscale: config error: model: {message}")
 
 
-RANDOM_P_AUDIT = """
+RANDOM_P_SAMPLE = """
 command = sample
 seed = 9601
 n = 100000
-audit = true
 model.kind = random_p_dirichlet
 model.alphas = 1,1,2
 model.p_law = gamma_power:0.5,1,1
@@ -807,25 +845,88 @@ def test_random_p_audit_fails_rows_off_their_own_sphere(tmp_path, monkeypatch, c
     # exponents down to ~1e-10: the powers w^(1/p) underflow, and some rows
     # miss the sphere of their own exponent by up to 1
     monkeypatch.setenv("RISKSCALE_THREADS", threads)
-    config = _write(tmp_path, "sample.cfg", RANDOM_P_AUDIT)
+    config = _write(tmp_path, "sample.cfg", RANDOM_P_SAMPLE)
     out = tmp_path / "sample.csv"
     assert main(["sample", "--config", config, "--out", str(out)]) == 3
     err = capsys.readouterr().err
     assert err == ("riskscale: sphere self-audit failed: max deviation 1.000e+00 "
                    "exceeds 1e-12\n")
     assert not out.exists()
-    # without the audit nothing checks the sphere
-    config = _write(tmp_path, "sample.cfg", RANDOM_P_AUDIT.replace("audit = true\n", ""))
+
+
+def test_random_p_audit_passes_rows_on_their_own_sphere(tmp_path, capsys):
+    text = RANDOM_P_SAMPLE.replace("seed = 9601", "seed = 9602").replace(
+        "gamma_power:0.5,1,1", "pareto:2")
+    config = _write(tmp_path, "sample.cfg", text)
+    out = tmp_path / "sample.csv"
     assert main(["sample", "--config", config, "--out", str(out)]) == 0
     assert capsys.readouterr().err == ""
+    rows, _ = random_p_sample(RandomPSpec((1.0, 1.0, 2.0), Pareto(2.0)), PointMass(1.0),
+                              100000, RngStream(9602))
+    assert out.read_bytes() == b"x1,x2,x3\n" + format_rows(rows)
 
 
-def test_random_p_audit_passes_rows_on_their_own_sphere(tmp_path):
-    text = RANDOM_P_AUDIT.replace("seed = 9601", "seed = 9602").replace(
-        "gamma_power:0.5,1,1", "pareto:2")
-    outputs = []
-    for body in (text, text.replace("audit = true\n", "")):
-        config = _write(tmp_path, "sample.cfg", body)
-        outputs.append(tmp_path / f"sample{len(outputs)}.csv")
-        assert main(["sample", "--config", config, "--out", str(outputs[-1])]) == 0
-    assert outputs[0].read_bytes() == outputs[1].read_bytes()
+def _log_uniform(lo, hi):
+    """Floats 10**e for e uniform in [lo, hi], written as config text."""
+    return st.floats(lo, hi).map(lambda e: repr(10.0 ** e))
+
+
+# random-p exponent laws, from exponents near 0 (gamma_power:0.5,1,1 among them)
+_P_LAWS = st.one_of(
+    st.builds("point_mass:{}".format, _log_uniform(-3, 1)),
+    st.builds("pareto:{}".format, _log_uniform(-1, 1)),
+    st.builds("inv_gamma:{}".format, _log_uniform(-1, 1)),
+    st.builds("chi_square_sqrt:{}".format, _log_uniform(-1, 1)),
+    st.builds("gamma_power:{},{},{}".format, _log_uniform(-1, 1), _log_uniform(-1, 1),
+              _log_uniform(-1, 1)),
+)
+
+
+@st.composite
+def _point_mass_sample(draw):
+    """A config of a Dirichlet kind with a point_mass radius, over the
+    accepted domain: alphas, p (0.001-0.05 among them), p_law and radius."""
+    kind = draw(st.sampled_from(sorted(_POINT_MASS_SAMPLES)))
+    d = draw(st.integers(1, 4))
+    lines = [f"seed = {draw(st.integers(0, 2**64 - 1))}",
+             f"model.kind = {kind}",
+             "model.alphas = " + ",".join(draw(st.lists(_log_uniform(-2, 2),
+                                                        min_size=d, max_size=d))),
+             f"model.radial = point_mass:{draw(_log_uniform(-3, 3))}"]
+    if kind == "random_p_dirichlet":
+        lines.append(f"model.p_law = {draw(_P_LAWS)}")
+    else:
+        lines.append("model.p = " + draw(st.one_of(st.floats(0.001, 0.05).map(repr),
+                                                   _log_uniform(-3, 1.5))))
+    if kind == "weighted_dirichlet":
+        lines.append("model.qs = " + ",".join(draw(st.lists(
+            st.floats(0.01, 1.0).map(repr), min_size=d, max_size=d))))
+    return "command = sample\nn = 40\n" + "\n".join(lines) + "\n"
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(text=_point_mass_sample())
+def test_point_mass_samples_are_on_their_sphere_or_exit_3(tmp_path_factory, text):
+    # exit 0 with every written row on its sphere, or exit 3 with one line
+    # and no file; the sphere is computed here, from the written CSV
+    folder = tmp_path_factory.mktemp("sphere")
+    config, out = folder / "sample.cfg", folder / "sample.csv"
+    config.write_text(text)
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        status = main(["sample", "--config", str(config), "--out", str(out)])
+    if status == 3:
+        assert err.getvalue().count("\n") == 1 and not out.exists()
+        return
+    assert status == 0 and err.getvalue() == ""
+    run_config = parse_config(text)
+    model = run_config.model
+    if isinstance(model.spec, RandomPSpec):
+        exponents = random_p_sample(model.spec, model.radial, run_config.n,
+                                    RngStream(run_config.seed))[1][:, None]
+    else:
+        exponents = model.spec.p
+    rows = np.loadtxt(out, delimiter=",", skiprows=1, ndmin=2)
+    assert len(rows) == run_config.n
+    on_sphere = (np.abs(rows / model.radial.value) ** exponents).sum(axis=1)
+    assert np.abs(on_sphere - 1.0).max() <= SPHERE_TOL

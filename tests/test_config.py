@@ -222,33 +222,22 @@ def test_chi_square_sqrt_rejects_nonpositive_df():
 
 
 def test_audit_flag_scope():
-    ok = parse_config(MINIMAL_SAMPLE + "audit = true\n")
-    assert ok.audit
-    random_p = """
+    # no kind takes the key: every point_mass Dirichlet sample is checked on
+    # its sphere, and no other rows lie on a sphere of known radius
+    random_p = MINIMAL_SAMPLE.replace("lp_dirichlet", "random_p_dirichlet").replace(
+        "model.p = 2", "model.p_law = pareto:2")
+    clayton = """
 command = sample
 seed = 1
 n = 10
-audit = true
-model.kind = random_p_dirichlet
-model.alphas = 1,1
-model.p_law = pareto:2
-model.radial = point_mass:1
-"""
-    assert parse_config(random_p).audit  # each row against its own exponent
-    not_point_mass = MINIMAL_SAMPLE.replace("point_mass:1", "pareto:2") + "audit = true\n"
-    with pytest.raises(ConfigError, match="audit"):
-        parse_config(not_point_mass)
-    no_sphere = """
-command = sample
-seed = 1
-n = 10
-audit = true
 model.kind = clayton
 model.theta_shape = 2
 model.d = 2
 """
-    with pytest.raises(ConfigError, match="line 5: audit: sphere audit needs"):
-        parse_config(no_sphere)
+    for text in (MINIMAL_SAMPLE, random_p, clayton):
+        lineno = len(text.splitlines()) + 1
+        with pytest.raises(ConfigError, match=f"^line {lineno}: unknown key 'audit'$"):
+            parse_config(text + "audit = true\n")
 
 
 def test_malformed_line():
@@ -284,9 +273,8 @@ def test_runconfig_is_frozen():
 
 # valid documents, one per command and model kind, for the fuzzer to perturb
 _TEMPLATES = (
-    {"command": "sample", "seed": "7", "n": "100", "audit": "true",
-     "model.kind": "lp_dirichlet", "model.alphas": "1,1", "model.p": "2",
-     "model.radial": "point_mass:1"},
+    {"command": "sample", "seed": "7", "n": "100", "model.kind": "lp_dirichlet",
+     "model.alphas": "1,1", "model.p": "2", "model.radial": "point_mass:1"},
     {"command": "sample", "seed": "7", "n": "100", "model.kind": "weighted_dirichlet",
      "model.alphas": "0.5,0.5", "model.p": "2", "model.qs": "0.5,1",
      "model.radial": "chi_square_sqrt:2"},

@@ -16,6 +16,8 @@ import pytest
 import riskscale
 import riskscale.cli as cli
 from riskscale.config import parse_config
+from riskscale.dirichlet import SPHERE_TOL
+from riskscale.radial import PointMass
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -60,10 +62,12 @@ def test_sample_example_writes_1000_audited_rows(tmp_path, monkeypatch):
     monkeypatch.setenv("RISKSCALE_THREADS", "1")
     out = tmp_path / "sphere.csv"
     config = parse_config(_config_blocks()["sample"], output_path=str(out))
-    assert (config.n, config.audit) == (1000, True)
+    assert config.n == 1000 and config.model.radial == PointMass(1.0)
     assert cli.run(config) == 0
     rows = np.loadtxt(out, delimiter=",", skiprows=1)
     assert rows.shape == (1000, len(config.model.spec.alphas))
+    # checked by the run itself: a point_mass radius puts every row on its sphere
+    assert np.abs((rows ** 2).sum(axis=1) - 1.0).max() <= SPHERE_TOL
 
 
 def test_sample_example_at_tiny_exponent_fails_its_audit(tmp_path, capsys):
