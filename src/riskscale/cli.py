@@ -16,11 +16,12 @@ never written; numpy's floating-point warnings are silenced while
 outcome on its one line. Finite rows of a Dirichlet kind with a
 ``point_mass`` radius r must then lie on their L_p sphere of radius r to
 ``dirichlet.SPHERE_TOL``, or the run exits 3 with the one line of that check
-(``config.KINDS`` gives the exponents; a random radius puts rows on no one
-sphere and is not checked). The output is opened only once the results are
-computed, so a failed run leaves no file. The worker count is set by the
-RISKSCALE_THREADS environment variable alone (``rng.resolve_workers``);
-:func:`run` takes none. The config file is read as UTF-8, a leading
+(``config.KINDS`` gives the exponents and the radius; a random radius puts
+rows on no one sphere and is not checked). The output is opened only once
+the results are computed, so a failed run leaves no file. The worker count
+is set by the RISKSCALE_THREADS environment variable alone
+(``rng.resolve_workers``); :func:`run` takes none. The config file is read
+as UTF-8, a leading
 byte-order mark ignored; a file that cannot be read or decoded exits 2.
 Thresholds that ``taildep`` drops for too few exceedances are named on
 stderr. The module imports numpy only: for the verify command,
@@ -113,21 +114,21 @@ def run(config: RunConfig) -> int:
         with _output(config.output_path) as write:
             write(verify.render_report(checks).encode("ascii"))
         return 0 if all(c.passed for c in checks) else 1
-    exponents = None
+    sphere = None
     if config.command == "taildep":
         header, rows = _run_taildep(config, stream)
     else:
         with np.errstate(all="ignore"):  # the checks below report a nan or inf
-            rows, exponents = KINDS[config.kind].run(config, stream)
+            rows, sphere = KINDS[config.kind].run(config, stream)
         prefix = "x" if config.command == "sample" else "p"
         header = [f"{prefix}{i + 1}" for i in range(rows.shape[1])]
     low, high = rows.min(), rows.max()  # a nan carries through both: no n-sized mask
     if not (np.isfinite(low) and np.isfinite(high)):
         raise RiskscaleError(f"the output holds non-finite values (min {low:g}, "
                              f"max {high:g}); nothing was written")
-    if exponents is not None:  # finite rows of a point_mass radius (config.KINDS)
+    if sphere is not None:  # finite rows of a point_mass radius (config.KINDS)
         with np.errstate(all="ignore"):  # a power that overflows reads as a deviation
-            deviation = sphere_deviation(rows, exponents, config.model.radial.value)
+            deviation = sphere_deviation(rows, *sphere)
         if deviation > SPHERE_TOL:
             raise RiskscaleError(f"sphere self-audit failed: max deviation "
                                  f"{deviation:.3e} exceeds {SPHERE_TOL:g}")

@@ -171,10 +171,12 @@ def _dirichlet(parse_spec: Callable[[_Doc], object]) -> Callable[[_Doc], Dirichl
 
 
 def _on_sphere(model: DirichletModel, rows: np.ndarray, exponents) -> tuple[np.ndarray, object]:
-    """``rows`` with the exponent(s) of their sphere when the radius is a
-    point mass r, so that every row lies on the L_p sphere of radius r; with
-    None when a random radius puts them on no one sphere."""
-    return rows, exponents if isinstance(model.radial, PointMass) else None
+    """``rows`` with ``(exponents, r)`` when the radius is a point mass r, so
+    that every row lies on the L_p sphere of radius r; with None when a
+    random radius puts them on no one sphere."""
+    if isinstance(model.radial, PointMass):
+        return rows, (exponents, model.radial.value)
+    return rows, None
 
 
 @dataclass(frozen=True)
@@ -182,11 +184,12 @@ class Kind:
     """A model kind: the commands it serves, ``parse(doc)`` building its model
     from the ``model.*`` keys, and ``run(config, stream)`` giving the rows
     that ``sample`` or ``premium`` writes (``taildep`` tabulates the model
-    itself) together with the exponent of the L_p sphere they lie on, one
-    for all rows or one per row, or None when they lie on no sphere. Each
-    ``run`` reads its function from that function's module at call time, so
-    a wrapper or test double put there is the one that runs. The samplers
-    take their worker count from RISKSCALE_THREADS.
+    itself) together with the L_p sphere they lie on, ``(exponents,
+    radius)`` with one exponent for all rows or one per row, or None when
+    they lie on no sphere. Each ``run`` reads its function from that
+    function's module at call time, so a wrapper or test double put there
+    is the one that runs. The samplers take their worker count from
+    RISKSCALE_THREADS.
     """
 
     commands: tuple[str, ...]

@@ -16,14 +16,13 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DegenerateDenominatorError, ParameterError, ShapeError
-from .linalg import (
-    as_matrix,
-    as_vector,
-    assert_positive_definite,
-    assert_positive_semidefinite,
-    mat_inverse,
+from .errors import (
+    DegenerateDenominatorError,
+    ParameterError,
+    ShapeError,
+    SingularMatrixError,
 )
+from .linalg import as_matrix, as_vector, assert_positive_semidefinite, mat_inverse
 from .moments import RatioMoments
 from .rng import RngStream, reduce_blocks
 from .samplers import _require_positive
@@ -40,7 +39,11 @@ class GaussianShiftModel:
     """Prior N(mu, sigma0) with independent noise N(0, sigma).
 
     sigma and sigma0 must be symmetric positive semidefinite and their sum
-    positive definite; the prior covariance alone may be singular.
+    positive definite; the prior covariance alone may be singular. All three
+    checks follow ``linalg``'s one rule: an eigenvalue or singular value at
+    most PIVOT_RTOL times the largest counts as zero. So whether a model is
+    accepted does not depend on the unit its matrices are written in, just
+    as the premium does not.
     """
 
     mu: np.ndarray
@@ -58,7 +61,11 @@ class GaussianShiftModel:
             )
         assert_positive_semidefinite(sigma, "sigma")
         assert_positive_semidefinite(sigma0, "sigma0")
-        assert_positive_definite(sigma + sigma0, "sigma + sigma0")
+        try:
+            mat_inverse(sigma + sigma0)
+        except SingularMatrixError as exc:
+            raise SingularMatrixError(
+                f"sigma + sigma0 must be positive definite: {exc}") from None
         _frozen_array(self, "mu", mu)
         _frozen_array(self, "sigma", sigma)
         _frozen_array(self, "sigma0", sigma0)

@@ -161,7 +161,7 @@ def map_blocks(stream: RngStream, n: int, fill, ncols: int | None = None,
     (stream, n) regardless of the worker count.
     """
     if n < 0:
-        raise ValueError("n must be nonnegative")
+        raise ParameterError("n must be nonnegative", "n")
     out = np.empty((n,) if ncols is None else (n, ncols))
 
     def put(block, lo, hi):
@@ -184,6 +184,6 @@ def reduce_blocks(stream: RngStream, n: int, fill, combine,
     is not associative in floating point. Needs n >= 1.
     """
     if n < 1:
-        raise ValueError("reduce_blocks needs n >= 1")
+        raise ParameterError("reduce_blocks needs n >= 1", "n")
     partials = _run_blocks(stream, n, fill, workers)
     return functools.reduce(combine, partials)

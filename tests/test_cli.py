@@ -1,5 +1,6 @@
 import codecs
 import contextlib
+import dataclasses
 import io
 import json
 
@@ -397,6 +398,26 @@ def test_failed_sphere_audit_leaves_no_file(tmp_path, monkeypatch, capsys):
         assert not out.exists()
 
 
+@pytest.mark.parametrize("radius, status, err", [
+    (2.0, 0, ""),
+    (1.0, 3, "riskscale: sphere self-audit failed: max deviation 3.000e+00 exceeds 1e-12\n"),
+])
+def test_rows_are_checked_on_the_sphere_their_kind_names(tmp_path, monkeypatch, capsys,
+                                                         radius, status, err):
+    # rows on the L_2 sphere of radius 2; the config's point_mass:1 is not read
+    rows = np.array([[2.0, 0.0, 0.0], [0.0, -2.0, 0.0], [1.2, 0.0, 1.6]])
+    monkeypatch.setitem(KINDS, "lp_dirichlet", dataclasses.replace(
+        KINDS["lp_dirichlet"], run=lambda config, stream: (rows, (2.0, radius))))
+    config = _write(tmp_path, "sample.cfg", LP_SAMPLE)
+    out = tmp_path / "sample.csv"
+    assert main(["sample", "--config", config, "--out", str(out)]) == status
+    assert capsys.readouterr().err == err
+    if status == 0:
+        assert out.read_bytes() == b"x1,x2,x3\n" + format_rows(rows)
+    else:
+        assert not out.exists()
+
+
 def test_random_radius_rows_are_not_held_to_a_sphere(tmp_path, monkeypatch, capsys):
     # a gamma_power radius puts each row on a sphere of its own random radius
     monkeypatch.setattr(dirichlet, "lp_dirichlet_sample",
@@ -768,6 +789,9 @@ _BAD_MODEL_VALUES = [
     ("clayton", "model.d", "0"),
     ("gaussian_shift", "model.mu", "0,nan"),
     ("gaussian_shift", "model.sigma", "1,0.3;0.3,inf"),
+    # indefinite, and 50% asymmetric: small entries are judged as at scale 1
+    ("gaussian_shift", "model.sigma", "1e-11,0;0,-1e-11"),
+    ("gaussian_shift", "model.sigma", "1e-11,5e-12;0,1e-11"),
     ("gaussian_shift", "model.sigma0", "2,0.5;0.6,1"),
     ("elliptical_shift", "model.c", "1,0.2,0,0;0.1,1,0,0;0.3,0,nan,0.2;0,0.4,0.1,1"),
     ("elliptical_shift", "model.nu", "1,0,2,1"),

@@ -2,6 +2,8 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from riskscale.credibility import (
     EllipticalShiftModel,
@@ -61,13 +63,21 @@ class TestGaussianModel:
         with pytest.raises(ParameterError):
             GaussianShiftModel(mu=[0.0, 0.0], sigma=[[1.0, 0.3], [0.0, 1.0]],
                                sigma0=np.eye(2))
+        # 50% asymmetric, however small its entries
+        with pytest.raises(ParameterError, match="sigma must be symmetric"):
+            GaussianShiftModel(mu=[0.0, 0.0], sigma=[[1e-11, 5e-12], [0.0, 1e-11]],
+                               sigma0=np.eye(2))
 
     def test_indefinite_rejected(self):
         with pytest.raises(ParameterError):
             GaussianShiftModel(mu=[0.0], sigma=[[-1.0]], sigma0=[[2.0]])
+        with pytest.raises(ParameterError, match="sigma must be positive semidefinite"):
+            GaussianShiftModel(mu=[0.0, 0.0], sigma=[[1e-11, 0.0], [0.0, -1e-11]],
+                               sigma0=np.eye(2))
 
     def test_degenerate_sum_rejected(self):
-        with pytest.raises(SingularMatrixError):
+        with pytest.raises(SingularMatrixError,
+                           match="^sigma \\+ sigma0 must be positive definite: singular"):
             GaussianShiftModel(mu=[0.0, 0.0], sigma=np.zeros((2, 2)),
                                sigma0=[[1.0, 1.0], [1.0, 1.0]])
 
@@ -129,6 +139,38 @@ class TestGaussianPremium:
         model = GaussianShiftModel(mu=[0.0], sigma=[[1.0]], sigma0=[[1.0]])
         with pytest.raises(ShapeError):
             premium_gaussian(model, [1.0, 2.0])
+
+
+@st.composite
+def _gaussian_shift_inputs(draw):
+    """Integer Gram matrices sigma = A^T A and sigma0 = B^T B (B zero at
+    times), d = 1 to 4, with integer mu and x: 2^k sigma is exact."""
+    d = draw(st.integers(1, 4))
+    entries = st.integers(-4, 4)
+    square = st.lists(entries, min_size=d * d, max_size=d * d).map(
+        lambda v: np.reshape(np.array(v, dtype=float), (d, d)))
+    vector = st.lists(entries, min_size=d, max_size=d).map(
+        lambda v: np.array(v, dtype=float))
+    a = draw(square)
+    b = draw(st.one_of(st.just(np.zeros((d, d))), square))
+    return a.T @ a, b.T @ b, draw(vector), draw(vector)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(inputs=_gaussian_shift_inputs(), k=st.integers(-60, 60))
+def test_gaussian_model_does_not_depend_on_the_unit(inputs, k):
+    # rescaling both covariances by 2^k is a change of monetary unit: the
+    # model is accepted exactly when it is at 2^0, with the same premium bytes
+    sigma, sigma0, mu, x = inputs
+
+    def premium(scale):
+        try:
+            model = GaussianShiftModel(mu=mu, sigma=scale * sigma, sigma0=scale * sigma0)
+        except SingularMatrixError:
+            return None
+        return premium_gaussian(model, x).tobytes()
+
+    assert premium(2.0**k) == premium(1.0)
 
 
 class TestBuildCstar:

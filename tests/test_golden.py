@@ -13,6 +13,10 @@ key names the dispatch targets this CPU enables: ``np.show_runtime()``'s
 1-versus-2-worker equality is checked, and the test skips the digest with
 a reason that names the key.
 
+A ``<name>_tiny`` config is ``<name>`` with every covariance or mixing entry
+times 2^-40, written exactly: a change of monetary unit, which leaves the
+premium as it is. Under any key its output must equal its sibling's.
+
 The tests never write the table. A change that is meant to change bytes
 regenerates the running key's entry with
 
@@ -80,6 +84,11 @@ def test_output_bytes_match_the_table(name, tmp_path):
         pytest.skip(f"digests.json has no entry for {KEY!r}; "
                     "1 and 2 workers gave the same bytes")
     assert one == table[name]
+
+
+@pytest.mark.parametrize("name", ["premium", "elliptical"])
+def test_a_change_of_unit_leaves_the_premium_bytes(name, tmp_path):
+    assert _digests(f"{name}_tiny", tmp_path) == _digests(name, tmp_path)
 
 
 if __name__ == "__main__":

@@ -5,7 +5,7 @@ from riskscale.errors import ParameterError, ShapeError, SingularMatrixError
 from riskscale.linalg import (
     as_matrix,
     as_vector,
-    assert_positive_definite,
+    assert_positive_semidefinite,
     is_symmetric,
     mat_inverse,
 )
@@ -68,12 +68,23 @@ def test_as_matrix_validation():
         as_matrix([[np.inf, 0.0], [0.0, 1.0]])
 
 
-def test_positive_definite_check():
-    assert_positive_definite(np.eye(2))
-    with pytest.raises(SingularMatrixError):
-        assert_positive_definite(np.zeros((2, 2)))
-    with pytest.raises(ParameterError):
-        assert_positive_definite([[1.0, 0.5], [0.0, 1.0]])  # asymmetric
+def test_symmetry_and_semidefinite_checks_are_scale_free():
+    # the verdict is the one at scale 1, whatever unit the matrix is written in
+    assert_positive_semidefinite(np.zeros((2, 2)))
+    for scale in (2.0**-60, 1e-11, 1.0, 2.0**60):
+        assert_positive_semidefinite(scale * np.eye(2))
+        assert_positive_semidefinite(scale * np.array([[1.0, 1.0], [1.0, 1.0]]))  # singular
+        with pytest.raises(ParameterError, match="sigma must be positive semidefinite"):
+            assert_positive_semidefinite(scale * np.diag([1.0, -1.0]), "sigma")
+        # a negative eigenvalue just past PIVOT_RTOL of the largest, and one of round-off
+        with pytest.raises(ParameterError, match="positive semidefinite"):
+            assert_positive_semidefinite(scale * np.diag([1.0, -2e-12]))
+        assert_positive_semidefinite(scale * np.diag([1.0, -0.5e-12]))
+        asymmetric = scale * np.array([[1.0, 0.5], [0.0, 1.0]])
+        assert is_symmetric(asymmetric) is False
+        with pytest.raises(ParameterError, match="sigma must be symmetric"):
+            assert_positive_semidefinite(asymmetric, "sigma")
+        assert is_symmetric(scale * np.array([[1.0, 0.5], [0.5 + 1e-10, 1.0]]))
 
 
 def test_as_matrix_rejects_a_zero_size_matrix():

@@ -7,9 +7,12 @@ import numpy as np
 import pytest
 
 from riskscale import rng
+from riskscale.dirichlet import LpSpec, lp_dirichlet_sample
 from riskscale.errors import ParameterError
+from riskscale.radial import Pareto, PointMass
 from riskscale.rng import (BLOCK_ROWS, MAX_WORKERS, RngStream, map_blocks,
                            ordered_map, pool_size, reduce_blocks, resolve_workers)
+from riskscale.tails import MGB2Model, mgb2_sample, tail_dependence_limit
 
 
 def test_same_address_replays_identical_sequence():
@@ -248,6 +251,22 @@ def test_ordered_map_raises_the_call_error():
 def test_map_blocks_rejects_a_negative_row_count():
     with pytest.raises(ValueError, match="n must be nonnegative"):
         map_blocks(RngStream(0), -1, lambda block, lo, hi: np.zeros(hi - lo))
+
+
+_MGB2 = MGB2Model(a=(1.0, 1.0), b=(1.0, 1.0), p=(1.0, 1.0), theta_law=Pareto(2.0))
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: lp_dirichlet_sample(LpSpec((1.0, 1.0), 2.0), PointMass(1.0), -1, RngStream(0)),
+     "n must be nonnegative"),
+    (lambda: mgb2_sample(_MGB2, -5, RngStream(0)), "n must be nonnegative"),
+    (lambda: tail_dependence_limit(_MGB2, 1.0, 1.0, 0, RngStream(0)),
+     "reduce_blocks needs n >= 1"),
+], ids=["lp_dirichlet_sample", "mgb2_sample", "tail_dependence_limit"])
+def test_a_bad_row_count_is_a_parameter_error_on_n(call, message):
+    with pytest.raises(ParameterError, match=message) as excinfo:
+        call()
+    assert excinfo.value.param == "n"
 
 
 @pytest.mark.parametrize("workers", [1, 2])
