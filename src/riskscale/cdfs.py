@@ -1,4 +1,4 @@
-"""Reference distribution functions and limits used as oracles.
+"""Reference distribution functions, limits and p-values used as oracles.
 
 These are the *checking* side of every sampler/CDF pair: variates come from
 numpy ``Generator`` kernels, while the CDFs lean on ``scipy.special``'s
@@ -6,10 +6,18 @@ incomplete beta routine and error function, so the two routes stay
 independent. :func:`breiman_limit` is the exact joint-tail limit that the
 Monte Carlo estimates of ``tails`` are checked against; it integrates
 ``scipy.special``'s incomplete Gamma function by a trapezoid rule in numpy,
-without ``scipy.integrate``. This is the one module of the package that
-imports scipy, and within the package only ``verify`` imports it: the
-simulation side (the samplers, and the CLI's ``sample``, ``premium`` and
-``taildep``) needs numpy only.
+without ``scipy.integrate``.
+
+Every statistical sub-test of ``verify`` ends in a p-value from one of two
+functions here: :func:`ks_pvalue` for a KS distance of either kind, and
+:func:`normal_pvalue`, the two-sided normal tail, for every z-score (a
+correlation r sqrt(n), a Monte Carlo estimate against its exact value in
+units of its standard error, a binomial frequency against its probability).
+``verify`` turns them into verdicts by its one rule.
+
+This is the one module of the package that imports scipy, and within the
+package only ``verify`` imports it: the simulation side (the samplers, and
+the CLI's ``sample``, ``premium`` and ``taildep``) needs numpy only.
 """
 
 from __future__ import annotations
@@ -28,9 +36,21 @@ if TYPE_CHECKING:
     from .tails import MGB2Model
 
 
+def ks_pvalue(ks) -> float:
+    """Asymptotic p-value of a ``gof`` KS statistic, one- or two-sample:
+    the Kolmogorov survival function at D sqrt(n_eff). At the old fixed
+    critical value D sqrt(n) = 1.6276 it is 0.01."""
+    return float(special.kolmogorov(ks.statistic * np.sqrt(ks.n_eff)))
+
+
+def normal_pvalue(z):
+    """Two-sided normal p-value 2 Phi(-|z|), elementwise: 0 at |z| = inf and
+    nan at a nan z."""
+    return 2.0 * special.ndtr(-np.abs(z))
+
+
 def normal_cdf(x):
-    x = np.asarray(x, dtype=float)
-    return 0.5 * (1.0 + special.erf(x / np.sqrt(2.0)))
+    return special.ndtr(np.asarray(x, dtype=float))
 
 
 def beta_cdf(x, a, b):

@@ -61,6 +61,9 @@ class GaussianShiftModel:
             )
         assert_positive_semidefinite(sigma, "sigma")
         assert_positive_semidefinite(sigma0, "sigma0")
+        # each summand may be negative by up to PIVOT_RTOL of its scale, so
+        # the sum is judged too before the inverse probe, which reads |eigenvalue|
+        assert_positive_semidefinite(sigma + sigma0, "sigma + sigma0")
         try:
             mat_inverse(sigma + sigma0)
         except SingularMatrixError as exc:

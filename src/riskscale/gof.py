@@ -1,22 +1,22 @@
-"""Kolmogorov-Smirnov goodness-of-fit harness.
+"""Kolmogorov-Smirnov statistics and the report of one check.
 
 Empirical samples are validated 1-D float arrays (see :func:`as_sample`).
-Every test runs at the one level 0.01. Its critical value :data:`KS_CRITICAL`
-comes from the asymptotic Kolmogorov distribution, c(level) =
-sqrt(-ln(level/2)/2), so c(0.01) = 1.628; exact small-sample tables are out
-of scope since every verification run here uses n >= 10^3.
+The KS functions return the statistic D with its effective sample size
+n_eff (n for one sample, nm/(n + m) for two) and carry no level. Their
+p-value is ``cdfs.ks_pvalue``, the asymptotic Kolmogorov survival function
+at D sqrt(n_eff); exact small-sample tables are out of scope since every
+verification run here uses n >= 10^3. Whether a p-value fails is decided
+in one place, by the one rule of ``verify``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import ParameterError
-
-#: Asymptotic Kolmogorov critical constant c(0.01), the one KS level.
-KS_CRITICAL = float(np.sqrt(-np.log(0.01 / 2.0) / 2.0))
 
 
 @dataclass(frozen=True)
@@ -37,6 +37,13 @@ class GofReport:
         return self.statistic <= self.threshold
 
 
+class KsStatistic(NamedTuple):
+    """A KS distance D and the effective sample size n_eff of its law."""
+
+    statistic: float
+    n_eff: float
+
+
 def as_sample(values, name: str = "sample") -> np.ndarray:
     """``values`` as a 1-D float array of finite values, at least the 10 that
     a KS test needs."""
@@ -48,8 +55,8 @@ def as_sample(values, name: str = "sample") -> np.ndarray:
     return arr
 
 
-def ks_one_sample(x, cdf) -> GofReport:
-    """One-sample KS test of ``x`` against a vectorized CDF callable."""
+def ks_one_sample(x, cdf) -> KsStatistic:
+    """One-sample KS distance of ``x`` from a vectorized CDF callable; n_eff = n."""
     x = as_sample(x)
     n = x.size
     xs = np.sort(x)
@@ -58,11 +65,11 @@ def ks_one_sample(x, cdf) -> GofReport:
     d_plus = np.max(grid - f)
     d_minus = np.max(f - (grid - 1.0 / n))
     stat = max(float(d_plus), float(d_minus))
-    return GofReport("ks_one_sample", stat, KS_CRITICAL / np.sqrt(n))
+    return KsStatistic(stat, float(n))
 
 
-def ks_two_sample(x, y) -> GofReport:
-    """Two-sample KS test with asymptotic critical value."""
+def ks_two_sample(x, y) -> KsStatistic:
+    """Two-sample KS distance between ``x`` and ``y``; n_eff = nm / (n + m)."""
     x = as_sample(x, "first sample")
     y = as_sample(y, "second sample")
     n, m = x.size, y.size
@@ -71,4 +78,4 @@ def ks_two_sample(x, y) -> GofReport:
     cdf_x = np.searchsorted(xs, pooled, side="right") / n
     cdf_y = np.searchsorted(ys, pooled, side="right") / m
     stat = float(np.max(np.abs(cdf_x - cdf_y)))
-    return GofReport("ks_two_sample", stat, KS_CRITICAL * np.sqrt((n + m) / (n * m)))
+    return KsStatistic(stat, n * m / (n + m))

@@ -16,19 +16,14 @@ merged by the pairwise update of Chan, Golub & LeVeque (1979,
 ``stream.child(0)``: each block draws exactly the random numbers that
 ``mgb2_sample`` would, takes the limit's moments from the unscaled W_1, W_2
 (the limit depends on W alone), then scales them by Theta^(1/a_i) and
-counts the exceedances, so one pass gives both columns. Sharing the draws
-correlates the two columns positively, which makes the combined standard
-error of ``verify.judge_convergence`` an overstatement, so its verdict on
-the raw table, a library call, stays conservative. The ``verify`` suite
-itself does not judge a raw table: it judges the prelimit against the
-exact ``cdfs.breiman_limit`` with ``limit_stderr = 0``, where no second
-column shares the draws. Both estimators draw W from ``block.child(1)`` of each
-block, the address ``mgb2_sample`` uses, so ``tail_dependence_limit(model,
-c1, c2, n, stream.child(0))`` gives bit for bit the limit columns of
-``tail_convergence_table(model, query, stream)`` at ``query.n = n``,
-without the Theta draws and the exceedance counts. The tail estimators
-draw only W_1 and W_2 (the columns they read): W_3..W_d come after them
-from the same generator, so leaving them out changes no bit.
+counts the exceedances, so one pass gives both columns. Both estimators
+draw W from ``block.child(1)`` of each block, the address ``mgb2_sample``
+uses, so ``tail_dependence_limit(model, c1, c2, n, stream.child(0))``
+gives bit for bit the limit columns of ``tail_convergence_table(model,
+query, stream)`` at ``query.n = n``, without the Theta draws and the
+exceedance counts. The tail estimators draw only W_1 and W_2 (the columns
+they read): W_3..W_d come after them from the same generator, so leaving
+them out changes no bit.
 
 Per block, the MGB2 code works on the d components as separate contiguous
 columns; only ``mgb2_sample`` stacks them into the (m, d) rows it returns.
@@ -347,16 +342,6 @@ def tail_convergence_table(model: MGB2Model, query: TailQuery, stream: RngStream
     Theta^(1/a_i) in place and reduces it to exact per-threshold joint, base
     and joint-and-base exceedance counts, so memory is bounded in n.
     Thresholds whose exceedance count falls below the minimum are skipped.
-
-    The empirical ratio and the limit estimate share their W draws, so their
-    errors are positively correlated (0.2-0.5 across replicates at n = 1e5
-    in the README model); the combined standard error hypot(stderr,
-    limit_stderr) of :func:`riskscale.verify.judge_convergence` then
-    overstates the spread of their difference, and its verdict on this raw
-    table, a library call, stays conservative. The ``verify`` suite judges
-    the prelimit against the exact :func:`riskscale.cdfs.breiman_limit`
-    instead, with ``limit_stderr = 0``, so the correlation does not enter
-    its verdict.
     """
     a, q = _check_limit_regime(model)
 

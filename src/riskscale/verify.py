@@ -1,19 +1,30 @@
 """Built-in verification suite bundling every acceptance check.
 
 Each check freezes its own substream of the run seed and returns a
-:class:`GofReport`. Simple checks report their raw statistic against its
-tolerance; composite checks report a normalized margin (the worst ratio of
-sub-statistic to sub-tolerance) against a threshold of 1, so a line passes
-exactly when every sub-assertion holds. Worst values are taken by
-:func:`_worst`, which is nan when any sub-statistic is nan, so a degenerate
-sub-test fails its check instead of being dropped by the maximum.
+:class:`GofReport`. The suite has one statistical rule. Each sub-test of
+the nine Monte Carlo checks (``STATISTICAL_CHECKS``) gives a p-value, from
+``cdfs.ks_pvalue`` for a KS distance or ``cdfs.normal_pvalue`` for a
+z-score, and a check with k sub-tests fails when min(1, k p_min) falls
+below ``ALPHA_CHECK`` (Bonferroni within the check). ``ALPHA_CHECK`` is
+``ALPHA_SUITE`` = 0.01 split evenly over the nine checks, so on correct
+code the whole suite fails at one seed in a hundred at most. The report
+line of such a check is -log10(min(1, k p_min)) against -log10(ALPHA_CHECK)
+(2.95), so it passes exactly when the statistic is at most the threshold.
+A nan p-value, from a degenerate sub-test, makes the minimum nan and fails
+its check.
+
+The other five checks are rounding-level identities and keep their raw
+tolerances: ``gaussian_premium_forms`` (1e-10), ``elliptical_reduction``
+(1e-9), ``sphere_constraint`` and ``random_p_sphere`` (``SPHERE_TOL``,
+1e-12) and ``determinism`` (bit equality). Their worst values are taken by
+numpy's max, which is nan when any sub-statistic is nan.
 
 Most Monte Carlo estimates are checked against references that share no
 code with their samplers: the ``cdfs`` distribution functions, the
 closed-form premiums, and, for ``breiman_tail_limit``, the exact joint-tail
-limit :func:`cdfs.breiman_limit`, against which each point's limit estimate
-is z-scored with the fixed bound ``LIMIT_Z``. Four checks do not, as things
-stand: ``gamma_dirichlet_factorization``, ``beta_gamma_algebra``,
+limit :func:`cdfs.breiman_limit` and the exact prelimit at its exponential
+point. Four checks do not, as things stand:
+``gamma_dirichlet_factorization``, ``beta_gamma_algebra``,
 ``scale_cancellation`` and ``mgb2_equivalence`` each compare two samplers
 that both draw through the one Gamma kernel, ``samplers._std_gamma``. A
 fault in that kernel can pass them. With the kernel drawing
@@ -34,7 +45,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from .cdfs import angular_marginal_cdf, breiman_limit, normal_cdf
+from .cdfs import (
+    angular_marginal_cdf,
+    breiman_limit,
+    ks_pvalue,
+    normal_cdf,
+    normal_pvalue,
+)
 from .credibility import (
     EllipticalShiftModel,
     GaussianShiftModel,
@@ -57,7 +74,6 @@ from .dirichlet import (
     sphere_deviation,
     weighted_sample,
 )
-from .errors import InsufficientTailDataError
 from .gof import GofReport, ks_one_sample, ks_two_sample
 from .linalg import mat_inverse
 from .radial import GammaPower, InvGamma, Pareto, PointMass
@@ -78,28 +94,37 @@ from .tails import (
 # Angular law shared by the sphere/marginal/factorization checks.
 _ALPHAS = (0.5, 1.0, 1.5, 2.0, 2.5)
 
-#: Exceedances required before a threshold counts as converged enough to judge.
-JUDGE_EXCEEDANCES = 1000
+#: The suite's false-alarm budget on correct code, split evenly over
+#: ``STATISTICAL_CHECKS`` as ``ALPHA_CHECK``.
+ALPHA_SUITE = 0.01
 
 
 def _stream(seed: int, check_index: int) -> RngStream:
     return RngStream(seed, 100 + check_index)
 
 
-def _worst(values) -> float:
-    """The largest of ``values``, or nan when any is nan. Python's ``max``
-    would drop a nan that does not come first."""
-    return float(np.max(values))
+def _verdict(name: str, pvalues) -> GofReport:
+    """The one statistical rule: k sub-test p-values pass when min(1, k p_min)
+    is at least ``ALPHA_CHECK``, reported as -log10 of each. numpy's min
+    keeps a nan that Python's would drop, so a nan p-value fails."""
+    adjusted = np.minimum(1.0, np.size(pvalues) * np.min(pvalues))
+    with np.errstate(divide="ignore"):
+        # 0.0 - x, not -x: a p-value of 1 reads 0, not -0
+        return GofReport(name, 0.0 - np.log10(adjusted), -np.log10(ALPHA_CHECK))
 
 
-def _ks_margin(rep: GofReport) -> float:
-    return rep.statistic / rep.threshold
+def _z_pvalues(estimate, se, exact) -> np.ndarray:
+    """p-values of the z-scores (estimate - exact) / se, elementwise; a zero
+    se gives p = 0 where the two differ and nan where they agree."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return normal_pvalue(np.divide(np.subtract(estimate, exact), se))
 
 
-def _max_offdiag_corr(columns: np.ndarray) -> float:
+def _corr_pvalues(columns: np.ndarray) -> np.ndarray:
+    """p-values of independence for each pair of columns, from the z-score
+    r sqrt(n) of their correlation r, in upper-triangle order."""
     corr = np.corrcoef(columns, rowvar=False)
-    off = corr - np.diag(np.diag(corr))
-    return float(np.abs(off).max())
+    return normal_pvalue(corr[np.triu_indices_from(corr, k=1)] * np.sqrt(len(columns)))
 
 
 #: Prior variance of ``_SCALAR_SHIFT``.
@@ -114,16 +139,12 @@ _SCALAR_SHIFT = GenericShiftModel(
 
 
 def check_scalar_premium_mc(seed: int) -> GofReport:
-    """Monte Carlo premium against the scalar closed form (d = 1 Gaussian).
-
-    The tolerance is 3 standard errors of the estimate: a statistical check
-    with a false-alarm rate of its own (about 0.3% under normality), part of
-    the suite's calibration budget rather than a rounding bound.
-    """
+    """Monte Carlo premium against the scalar closed form (d = 1 Gaussian):
+    one sub-test, the estimate z-scored by its delta-method standard error."""
     x = 4.0
     est, se = premium_mc(_SCALAR_SHIFT, [x], 10**6, _stream(seed, 1))
     exact = premium_scalar(0.0, 1.0, _TAU2, x)
-    return GofReport("scalar_premium_mc", abs(est[0] - exact), 3.0 * se[0])
+    return _verdict("scalar_premium_mc", _z_pvalues(est[0], se[0], exact))
 
 
 def _random_pd(gen, d: int) -> np.ndarray:
@@ -160,7 +181,7 @@ def check_gaussian_premium_forms(seed: int) -> GofReport:
         one = premium_gaussian(model, x)
         two = _premium_gaussian_noise_inverse(model, x)
         diffs.append(np.abs(one - two).max())
-    return GofReport("gaussian_premium_forms", _worst(diffs), 1e-10)
+    return GofReport("gaussian_premium_forms", np.max(diffs), 1e-10)
 
 
 def check_elliptical_reduction(seed: int) -> GofReport:
@@ -185,7 +206,7 @@ def check_elliptical_reduction(seed: int) -> GofReport:
         gaussian = GaussianShiftModel(mu=mu, sigma=sigma, sigma0=sigma0)
         diff = premium_elliptical(elliptical, x) - premium_gaussian(gaussian, x)
         diffs.append(np.abs(diff).max())
-    return GofReport("elliptical_reduction", _worst(diffs), 1e-9)
+    return GofReport("elliptical_reduction", np.max(diffs), 1e-9)
 
 
 def check_sphere_constraint(seed: int) -> GofReport:
@@ -202,35 +223,35 @@ def check_sphere_constraint(seed: int) -> GofReport:
 
 def check_beta_marginals(seed: int) -> GofReport:
     """Each O_i^p follows Beta(alpha_i, sum of the others), for two exponents:
-    KS of O_i against :func:`angular_marginal_cdf`."""
+    KS of O_i against :func:`angular_marginal_cdf`, 10 sub-tests."""
     n = 10**4
-    margins = []
+    pvalues = []
     stream = _stream(seed, 5)
     for k, p in enumerate((1.0, 2.7)):
         spec = LpSpec(alphas=_ALPHAS, p=p)
         o = angular_sample(spec, stream.child(k).generator(), size=n)
         for i in range(spec.dim):
-            rep = ks_one_sample(o[:, i],
-                                lambda v, i=i: angular_marginal_cdf(spec, i, v))
-            margins.append(_ks_margin(rep))
-    return GofReport("beta_marginals", _worst(margins), 1.0)
+            pvalues.append(ks_pvalue(ks_one_sample(
+                o[:, i], lambda v, i=i: angular_marginal_cdf(spec, i, v))))
+    return _verdict("beta_marginals", pvalues)
 
 
 def check_factorization(seed: int) -> GofReport:
     """With the Gamma-power radius, scaled angular components are independent
-    with the Y marginals: per-margin KS plus pairwise correlation of p-powers."""
+    with the Y marginals: per-margin KS plus the correlation of each pair of
+    p-powers, 15 sub-tests."""
     n = 10**4
     p = 3.0
     spec = LpSpec(alphas=_ALPHAS, p=p)
     radial = GammaPower(sum(_ALPHAS), 1.0 / p, 1.0 / p)
     stream = _stream(seed, 6)
     x = lp_dirichlet_sample(spec, radial, n, stream.child(20))
-    margins = []
+    pvalues = []
     for i, alpha in enumerate(_ALPHAS):
         y = y_marginal_sample(alpha, p, stream.child(i + 10).generator(), size=n)
-        margins.append(_ks_margin(ks_two_sample(x[:, i], y)))
-    margins.append(_max_offdiag_corr(x ** p) / (3.0 / np.sqrt(n)))
-    return GofReport("gamma_dirichlet_factorization", _worst(margins), 1.0)
+        pvalues.append(ks_pvalue(ks_two_sample(x[:, i], y)))
+    pvalues.extend(_corr_pvalues(x ** p))
+    return _verdict("gamma_dirichlet_factorization", pvalues)
 
 
 def check_scale_cancellation(seed: int) -> GofReport:
@@ -240,23 +261,25 @@ def check_scale_cancellation(seed: int) -> GofReport:
     a = random_scale_sequence_sample(0.5, 2.0, PointMass(1.0), 2, n, stream.child(0))
     b = random_scale_sequence_sample(0.5, 2.0, Pareto(3.0), 2, n, stream.child(1))
     rep = ks_two_sample(a[:, 0] / a[:, 1], b[:, 0] / b[:, 1])
-    return GofReport("scale_cancellation", rep.statistic, rep.threshold)
+    return _verdict("scale_cancellation", ks_pvalue(rep))
 
 
 def check_beta_gamma_algebra(seed: int) -> GofReport:
     """(T E)^(1/p) with Beta/exponential factors matches the Y marginal."""
     n = 10**4
     stream = _stream(seed, 8)
-    margins = []
+    pvalues = []
     for k, (alpha, p) in enumerate(((0.5, 1.0), (0.5, 2.0), (0.2, 3.0))):
         x = beta_gamma_sample(alpha, p, n, stream.child(2 * k))
         y = y_marginal_sample(alpha, p, stream.child(2 * k + 1).generator(), size=n)
-        margins.append(_ks_margin(ks_two_sample(x, y)))
-    return GofReport("beta_gamma_algebra", _worst(margins), 1.0)
+        pvalues.append(ks_pvalue(ks_two_sample(x, y)))
+    return _verdict("beta_gamma_algebra", pvalues)
 
 
 def check_weighted_gaussian(seed: int) -> GofReport:
-    """Symmetric signs, alpha_i = 1/2, p = 2, chi(d) radius give i.i.d. N(0,1).
+    """Symmetric signs, alpha_i = 1/2, p = 2, chi(d) radius give i.i.d. N(0,1):
+    KS of each margin against the normal CDF plus the correlation of each
+    pair, 10 sub-tests.
 
     Note alpha_i = 1/2: the squared marginal factor must be chi-square with
     one degree of freedom, Gamma(1/2, 1/2), for the normalized vector to be
@@ -265,10 +288,9 @@ def check_weighted_gaussian(seed: int) -> GofReport:
     d, n = 4, 10**4
     spec = WeightedSpec(base=LpSpec(alphas=(0.5,) * d, p=2.0), qs=(0.5,) * d)
     x = weighted_sample(spec, GammaPower(d / 2.0, 0.5, 0.5), n, _stream(seed, 9))
-    margins = [_ks_margin(ks_one_sample(x[:, i], normal_cdf))
-               for i in range(d)]
-    margins.append(_max_offdiag_corr(x) / (3.0 / np.sqrt(n)))
-    return GofReport("weighted_gaussian", _worst(margins), 1.0)
+    pvalues = [ks_pvalue(ks_one_sample(x[:, i], normal_cdf)) for i in range(d)]
+    pvalues.extend(_corr_pvalues(x))
+    return _verdict("weighted_gaussian", pvalues)
 
 
 def check_random_p_sphere(seed: int) -> GofReport:
@@ -284,54 +306,34 @@ def check_random_p_sphere(seed: int) -> GofReport:
 
 
 def check_mgb2_equivalence(seed: int) -> GofReport:
-    """Scale-mixture and conditional MGB2 samplers agree in law."""
+    """Scale-mixture and conditional MGB2 samplers agree in law: two-sample
+    KS of each margin and of the minimum, 3 sub-tests."""
     n = 10**4
     model = MGB2Model(a=(2.0, 3.0), b=(1.0, 2.0), p=(1.5, 0.5),
                       theta_law=InvGamma(2.0))
     stream = _stream(seed, 11)
     x = mgb2_sample(model, n, stream.child(0))
     y = mgb2_conditional_sample(model, n, stream.child(1))
-    margins = [_ks_margin(ks_two_sample(x[:, i], y[:, i]))
-               for i in range(model.dim)]
-    margins.append(_ks_margin(ks_two_sample(x.min(axis=1), y.min(axis=1))))
-    return GofReport("mgb2_equivalence", _worst(margins), 1.0)
+    pairs = [(x[:, i], y[:, i]) for i in range(model.dim)]
+    pairs.append((x.min(axis=1), y.min(axis=1)))
+    return _verdict("mgb2_equivalence", [ks_pvalue(ks_two_sample(*xy)) for xy in pairs])
 
 
 def check_clayton_identity(seed: int) -> GofReport:
     """Empirical joint survival of the exponential scale mixture matches
-    (1 + x_1 + x_2)^(-a) on a 3 x 3 grid.
-
-    The fixed tolerance 0.01 is about 6 binomial standard deviations: an
-    empirical survival s at n = 1e5 has sd sqrt(s (1 - s) / n), at most
-    0.0016 on this grid, so a false alarm is far rarer than in the KS
-    checks.
+    (1 + x_1 + x_2)^(-a) on a 3 x 3 grid: 9 sub-tests, each frequency
+    z-scored by its binomial standard deviation sqrt(s (1 - s) / n) at the
+    exact survival s.
     """
     n = 10**5
     spec = ClaytonSpec(theta_shape=1.0, d=2)
     sample = scale_mixture_exp_sample(spec, n, _stream(seed, 12))
-    diffs = []
-    for x1 in (0.25, 0.5, 1.0):
-        for x2 in (0.25, 0.5, 1.0):
-            emp = float(((sample[:, 0] > x1) & (sample[:, 1] > x2)).mean())
-            diffs.append(abs(emp - archimedean_survival(spec, (x1, x2))))
-    return GofReport("clayton_identity", _worst(diffs), 0.01)
-
-
-def judge_convergence(rows: list[dict]) -> GofReport:
-    """Verdict over a convergence table: the largest threshold holding at
-    least 1000 exceedances (bounded relative error) must agree with the limit
-    within max(10% of the limit, 3 combined standard errors)."""
-    judged = [r for r in rows if r["exceedances"] >= JUDGE_EXCEEDANCES]
-    if not judged:
-        raise InsufficientTailDataError(
-            f"no threshold reached {JUDGE_EXCEEDANCES} exceedances; "
-            "increase n or lower the grid"
-        )
-    row = judged[-1]
-    stat = abs(row["empirical_ratio"] - row["limit_estimate"])
-    combined_se = float(np.hypot(row["stderr"], row["limit_stderr"]))
-    threshold = max(0.1 * abs(row["limit_estimate"]), 3.0 * combined_se)
-    return GofReport("breiman_tail_limit", stat, threshold)
+    grid = [(x1, x2) for x1 in (0.25, 0.5, 1.0) for x2 in (0.25, 0.5, 1.0)]
+    emp = [np.count_nonzero((sample[:, 0] > x1) & (sample[:, 1] > x2)) / n
+           for x1, x2 in grid]
+    exact = np.array([archimedean_survival(spec, x) for x in grid])
+    return _verdict("clayton_identity",
+                    _z_pvalues(emp, np.sqrt(exact * (1.0 - exact) / n), exact))
 
 
 #: The model points of ``breiman_tail_limit``, 1e6 rows each, with
@@ -346,49 +348,43 @@ _TAIL_POINTS = tuple(
                          (2.0, 1.5, 1.0, 0.5))
 )
 
-#: Bound on |limit estimate - exact limit| / limit_stderr at each tail
-#: point. A fixed 4 sigma: a two-sided normal tail of 6.3e-5 per point, far
-#: below the false-alarm rate of the KS checks, until the suite's verdict
-#: moves to p-values.
-LIMIT_Z = 4.0
 
-
-def _z_margin(estimate: float, se: float, exact: float) -> float:
-    """|estimate - exact| / (LIMIT_Z se); inf when se is 0 and they differ."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return float(np.abs(estimate - exact) / (LIMIT_Z * np.float64(se)))
+def _exponential_prelimit(t):
+    """The exact ratio P(X_1 > t, X_2 > t) / P(X_1 > t) at the first tail
+    point: with W_i ~ Exp(1) and Theta ~ Pareto(1), it is
+    E[e^(-2t/Theta)] / E[e^(-t/Theta)] = (1 + e^(-t)) / 2, since
+    E[e^(-s/Theta)] = (1 - e^(-s)) / s."""
+    return 0.5 * (1.0 + np.exp(-t))
 
 
 def check_breiman_limit(seed: int) -> GofReport:
     """Breiman's lemma at three model points that span a != 1, q != 1 and
-    c_1 != c_2: each point's limit estimate within ``LIMIT_Z`` standard
-    errors of the exact :func:`cdfs.breiman_limit`, and, in the exponential
-    case, the prelimit at the judged threshold against the exact limit
-    (:func:`judge_convergence` with limit_stderr 0). The prelimit is judged
-    only there, where it is within 2e-4 of the limit from t = 8 on; at the
-    other points the finite-t bias can exceed the 10% tolerance (at the
-    second point the ratio is ~0.163 at t = 8 against a limit of 0.1104).
-    So only the first point builds a :func:`tails.tail_convergence_table`;
-    the other two take :func:`tails.tail_dependence_limit` on the table's
-    own stream, whose estimate and standard error are those of the table,
-    without its Theta draws and exceedance counts."""
+    c_1 != c_2: 6 sub-tests. Each point's limit estimate is z-scored by its
+    standard error against the exact :func:`cdfs.breiman_limit`. At the
+    exponential point, each row of the convergence table, at t = 2, 4 and
+    8, is z-scored by its standard error against the exact prelimit
+    :func:`_exponential_prelimit`; a row the table dropped has a nan
+    p-value and fails the check. Only that point builds a
+    :func:`tails.tail_convergence_table`; the other two take
+    :func:`tails.tail_dependence_limit` on the table's own stream, whose
+    estimate and standard error are those of the table, without its Theta
+    draws and exceedance counts."""
     stream = _stream(seed, 13)
-    margins = []
+    scores = []  # (estimate, standard error, exact value) per sub-test
     for k, (model, query) in enumerate(_TAIL_POINTS):
         exact = breiman_limit(model, query.c1, query.c2)
         if k == 0:
             rows = tail_convergence_table(model, query, stream.child(k))
             # one limit per table: every row carries the same estimate
-            margins.append(_z_margin(rows[0]["limit_estimate"],
-                                     rows[0]["limit_stderr"], exact))
-            margins.append(_ks_margin(judge_convergence(
-                [dict(r, limit_estimate=exact, limit_stderr=0.0) for r in rows])))
+            scores.append((rows[0]["limit_estimate"], rows[0]["limit_stderr"], exact))
+            ratios = {row["t"]: (row["empirical_ratio"], row["stderr"]) for row in rows}
+            scores += [(*ratios.get(t, (np.nan, np.nan)), _exponential_prelimit(t))
+                       for t in query.t_grid]
         else:
             # the limit columns of this point's table, bit for bit
-            margins.append(_z_margin(*tail_dependence_limit(
-                model, query.c1, query.c2, query.n, stream.child(k).child(0)),
-                exact))
-    return GofReport("breiman_tail_limit", _worst(margins), 1.0)
+            scores.append((*tail_dependence_limit(model, query.c1, query.c2, query.n,
+                                                  stream.child(k).child(0)), exact))
+    return _verdict("breiman_tail_limit", _z_pvalues(*zip(*scores)))
 
 
 def check_determinism(seed: int) -> GofReport:
@@ -430,6 +426,16 @@ CHECKS = (
     check_determinism,
 )
 
+#: The nine Monte Carlo checks judged by :func:`_verdict`, in report order;
+#: the five left out are rounding-level identities with tolerances of their own.
+STATISTICAL_CHECKS = tuple(check for check in CHECKS if check not in (
+    check_gaussian_premium_forms, check_elliptical_reduction,
+    check_sphere_constraint, check_random_p_sphere, check_determinism))
+
+#: The false-alarm level of each statistical check: ``ALPHA_SUITE`` split
+#: evenly over them (Bonferroni across the suite).
+ALPHA_CHECK = ALPHA_SUITE / len(STATISTICAL_CHECKS)
+
 
 def builtin_verify_suite(seed: int = 42) -> tuple[GofReport, ...]:
     """Run every acceptance check on substreams of ``seed``."""
@@ -444,3 +450,4 @@ def render_report(checks: tuple[GofReport, ...]) -> str:
         for c in checks
     ]
     return "\n".join(lines) + "\n"
+

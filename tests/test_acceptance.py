@@ -5,8 +5,11 @@ The numbered checks delegate to the library's verification functions, so the
 ``riskscale verify`` command and this suite always agree on what is tested.
 """
 
+import math
+
 from riskscale.gof import GofReport
 from riskscale.verify import (
+    ALPHA_CHECK,
     builtin_verify_suite,
     check_beta_gamma_algebra,
     check_beta_marginals,
@@ -36,7 +39,7 @@ def _conclude(number: int, label: str, report: GofReport) -> None:
 
 def test_c01_scalar_premium_monte_carlo():
     report = check_scalar_premium_mc(SEED)
-    assert report.threshold < 0.05  # n = 1e6 keeps error bars tight
+    assert report.threshold == -math.log10(ALPHA_CHECK)
     _conclude(1, "scalar credibility premium (MC vs closed form)", report)
 
 
@@ -96,7 +99,7 @@ def test_c11_mgb2_sampler_oracle_equivalence():
 
 def test_c12_clayton_archimedean_identity():
     report = check_clayton_identity(SEED)
-    assert report.threshold == 0.01
+    assert report.threshold == -math.log10(ALPHA_CHECK)
     _conclude(12, "scale-mixture survival matches archimedean form", report)
 
 

@@ -1,6 +1,7 @@
 """The exact Breiman limit ``cdfs.breiman_limit``: its closed form, its
 homogeneity, the convergence of its trapezoid rule, an independent
-quadrature, and agreement with the Monte Carlo estimate it checks."""
+quadrature, and agreement with the Monte Carlo estimate it checks; and the
+exact prelimit that ``verify`` judges its table rows against."""
 
 import math
 
@@ -12,7 +13,7 @@ from riskscale.errors import ParameterError, UnsupportedModelError
 from riskscale.radial import InvGamma, Pareto, PointMass, regular_variation_index
 from riskscale.rng import RngStream
 from riskscale.tails import MGB2Model, tail_dependence_limit
-from riskscale.verify import _TAIL_POINTS
+from riskscale.verify import _TAIL_POINTS, _exponential_prelimit
 
 #: Models away from the exponential case: a != 1, b and p unequal, both
 #: regularly varying mixers.
@@ -74,6 +75,20 @@ def test_agrees_with_adaptive_quadrature(model):
         special.gammaln(model.p[0] + q) - special.gammaln(model.p[0]))
     assert breiman_limit(model, c1, c2) == pytest.approx(
         math.fsum(pieces) / denominator, rel=1e-9, abs=0)
+
+
+@pytest.mark.parametrize("t", [2.0, 4.0, 8.0])
+def test_exponential_prelimit_agrees_with_adaptive_quadrature(t):
+    # verify's closed form (1 + e^(-t))/2 at its exponential point against
+    # E[e^(-2t/Theta)] / E[e^(-t/Theta)], each by quad over Theta ~ Pareto(1)
+    from scipy import integrate
+
+    def laplace(s):
+        return integrate.quad(lambda theta: math.exp(-s / theta) / theta ** 2,
+                              1.0, np.inf, epsabs=0.0, epsrel=1e-12, limit=500)[0]
+
+    assert _exponential_prelimit(t) == pytest.approx(laplace(2.0 * t) / laplace(t),
+                                                     rel=1e-10, abs=0)
 
 
 def test_agrees_with_the_monte_carlo_limit():

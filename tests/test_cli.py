@@ -852,6 +852,20 @@ def test_model_error_of_no_single_key_keeps_model_prefix(tmp_path, capsys, kind,
     assert capsys.readouterr().err.startswith(f"riskscale: config error: model: {message}")
 
 
+def test_indefinite_covariance_sum_exits_2_as_a_model_error(tmp_path, capsys):
+    # sigma and sigma0 each pass the PSD rule; their sum does not
+    text = GAUSSIAN_2D.replace("model.mu = 0,1", "model.mu = 0,0,0").replace(
+        "model.sigma = 1,0.3;0.3,2", "model.sigma = 1,0,0;0,0,0;0,0,-0.9e-12").replace(
+        "model.sigma0 = 2,0.5;0.5,1", "model.sigma0 = 0,0,0;0,1,0;0,0,-0.9e-12").replace(
+        "x = 1,3", "x = 1,1,1")
+    out = tmp_path / "out.csv"
+    assert main(["premium", "--config", _write(tmp_path, "bad.cfg", text),
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "riskscale: config error: model: sigma + sigma0 must be positive semidefinite\n")
+    assert not out.exists()
+
+
 RANDOM_P_SAMPLE = """
 command = sample
 seed = 9601

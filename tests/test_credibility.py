@@ -75,6 +75,15 @@ class TestGaussianModel:
             GaussianShiftModel(mu=[0.0, 0.0], sigma=[[1e-11, 0.0], [0.0, -1e-11]],
                                sigma0=np.eye(2))
 
+    def test_indefinite_sum_rejected(self):
+        # each summand passes the PSD rule (lambda_min = -0.9e-12 of a largest
+        # 1), but their sum has lambda_min = -1.8e-12
+        sigma = np.diag([1.0, 0.0, -0.9e-12])
+        sigma0 = np.diag([0.0, 1.0, -0.9e-12])
+        with pytest.raises(ParameterError,
+                           match="^sigma \\+ sigma0 must be positive semidefinite$"):
+            GaussianShiftModel(mu=np.zeros(3), sigma=sigma, sigma0=sigma0)
+
     def test_degenerate_sum_rejected(self):
         with pytest.raises(SingularMatrixError,
                            match="^sigma \\+ sigma0 must be positive definite: singular"):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from riskscale.cdfs import angular_marginal_cdf, beta_cdf, normal_cdf
+from riskscale.cdfs import angular_marginal_cdf, beta_cdf, ks_pvalue, normal_cdf
 from riskscale.dirichlet import (
     SPHERE_TOL,
     LpSpec,
@@ -49,7 +49,7 @@ class TestAngular:
         # alphas (1, 1), p = 1: the first coordinate is Beta(1,1) = Uniform(0,1)
         o = angular_sample(LpSpec((1.0, 1.0), 1.0), RngStream(4).generator(), size=N)
         rep = ks_one_sample(o[:, 0], lambda v: np.clip(v, 0.0, 1.0))
-        assert rep.passed
+        assert ks_pvalue(rep) > 0.01
 
     def test_single_draw_shape(self):
         o = angular_sample(LpSpec((1.0, 1.0, 1.0), 2.0), RngStream(5).generator(), size=1)
@@ -86,7 +86,7 @@ class TestAngularMarginalCdf:
         for i in range(3):
             rep = ks_one_sample(o[:, i],
                                 lambda v, i=i: angular_marginal_cdf(spec, i, v))
-            assert rep.passed, f"component {i}: {rep}"
+            assert ks_pvalue(rep) > 0.01, f"component {i}: {rep}"
 
     @pytest.mark.parametrize("p", [1.0, 2.7])
     def test_is_the_beta_cdf_of_the_p_th_power_bit_for_bit(self, p):
@@ -133,7 +133,7 @@ class TestLpDirichlet:
         x = lp_dirichlet_sample(spec, radial, N, s.child(0))
         for i, a in enumerate(alphas):
             y = y_marginal_sample(a, p, s.child(i + 1).generator(), size=N)
-            assert ks_two_sample(x[:, i], y).passed
+            assert ks_pvalue(ks_two_sample(x[:, i], y)) > 0.01
         corr = np.corrcoef(x ** p, rowvar=False)
         off = np.abs(corr - np.diag(np.diag(corr))).max()
         assert off < 3.0 / np.sqrt(N)
@@ -149,7 +149,7 @@ class TestWeighted:
         plain = lp_dirichlet_sample(base, radial, N, s.child(1))
         assert (signed > 0).all()
         for i in range(2):
-            assert ks_two_sample(signed[:, i], plain[:, i]).passed
+            assert ks_pvalue(ks_two_sample(signed[:, i], plain[:, i])) > 0.01
 
     def test_gaussian_case(self):
         # alpha_i = 1/2, p = 2, fair signs, chi(d) radius: i.i.d. N(0,1)
@@ -157,7 +157,7 @@ class TestWeighted:
         spec = WeightedSpec(base=LpSpec((0.5,) * d, 2.0), qs=(0.5,) * d)
         x = weighted_sample(spec, _chi(d), N, RngStream(11))
         for i in range(d):
-            assert ks_one_sample(x[:, i], normal_cdf).passed
+            assert ks_pvalue(ks_one_sample(x[:, i], normal_cdf)) > 0.01
         corr = np.corrcoef(x, rowvar=False)
         assert np.abs(corr - np.diag(np.diag(corr))).max() < 3.0 / np.sqrt(N)
 
@@ -168,7 +168,7 @@ class TestWeighted:
         spec = WeightedSpec(base=LpSpec((2.0,) * d, 2.0), qs=(0.5,) * d)
         x = weighted_sample(spec, _chi(d), N, RngStream(12))
         rep = ks_one_sample(x[:, 0], normal_cdf)
-        assert not rep.passed
+        assert ks_pvalue(rep) <= 0.01
 
     def test_sphere_constraint_under_absolute_values(self):
         base = LpSpec((1.0, 1.5, 0.5), 2.0)
@@ -201,14 +201,14 @@ class TestRandomP:
         xr, _ = random_p_sample(RandomPSpec(alphas, PointMass(p)), radial, N, s.child(0))
         xf = lp_dirichlet_sample(LpSpec(alphas, p), radial, N, s.child(1))
         for i in range(len(alphas)):
-            assert ks_two_sample(xr[:, i], xf[:, i]).passed
+            assert ks_pvalue(ks_two_sample(xr[:, i], xf[:, i])) > 0.01
 
     def test_rate_change_oracle(self):
         # G ~ Gamma(a, 1) implies p G ~ Gamma(a, 1/p)
         s = RngStream(15)
         scaled = 2.5 * gamma_sample(1.3, 1.0, s.child(0).generator(), size=N)
         direct = gamma_sample(1.3, 1.0 / 2.5, s.child(1).generator(), size=N)
-        assert ks_two_sample(scaled, direct).passed
+        assert ks_pvalue(ks_two_sample(scaled, direct)) > 0.01
 
     def test_per_row_sphere_identity(self):
         spec = RandomPSpec((0.5, 1.0, 1.5), Pareto(2.0))
@@ -231,14 +231,14 @@ class TestRandomScaleSequence:
         x = random_scale_sequence_sample(0.5, 2.0, PointMass(1.0), 2, N, RngStream(18))
         y = y_marginal_sample(0.5, 2.0, RngStream(19).generator(), size=N)
         for i in range(2):
-            assert ks_two_sample(x[:, i], y).passed
+            assert ks_pvalue(ks_two_sample(x[:, i], y)) > 0.01
 
     def test_ratio_law_ignores_scale(self):
         s = RngStream(20)
         a = random_scale_sequence_sample(0.5, 2.0, PointMass(1.0), 2, N, s.child(0))
         b = random_scale_sequence_sample(0.5, 2.0, Pareto(3.0), 2, N, s.child(1))
         rep = ks_two_sample(a[:, 0] / a[:, 1], b[:, 0] / b[:, 1])
-        assert rep.passed
+        assert ks_pvalue(rep) > 0.01
 
     def test_shared_scale_within_row(self):
         # ratios computed two ways agree draw for draw: scale cancels exactly
@@ -257,7 +257,7 @@ class TestRandomScaleSequence:
                                 N, s.child(0))
         y = y_marginal_sample(alpha, p, s.child(1).generator(), size=N)
         for i in range(d):
-            assert ks_two_sample(x[:, i], y).passed
+            assert ks_pvalue(ks_two_sample(x[:, i], y)) > 0.01
 
     def test_needs_at_least_one_component(self):
         with pytest.raises(ParameterError, match="d must be >= 1, got 0"):
@@ -270,7 +270,7 @@ class TestBetaGamma:
         s = RngStream(22, int(10 * alpha + p))
         x = beta_gamma_sample(alpha, p, N, s.child(0))
         y = y_marginal_sample(alpha, p, s.child(1).generator(), size=N)
-        assert ks_two_sample(x, y).passed
+        assert ks_pvalue(ks_two_sample(x, y)) > 0.01
 
     def test_alpha_near_one_still_valid(self):
         x = beta_gamma_sample(0.999, 2.0, 2000, RngStream(23))

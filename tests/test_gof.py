@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
-from riskscale.cdfs import normal_cdf
+import math
+
+from riskscale.cdfs import ks_pvalue, normal_cdf, normal_pvalue
 from riskscale.errors import ParameterError
-from riskscale.gof import KS_CRITICAL, GofReport, ks_one_sample, ks_two_sample
+from riskscale.gof import GofReport, KsStatistic, ks_one_sample, ks_two_sample
 from riskscale.rng import RngStream
 
 
@@ -12,40 +14,58 @@ def uniform_cdf(x):
 
 
 def test_critical_constants():
-    assert abs(KS_CRITICAL - 1.628) < 5e-4
+    # the Kolmogorov survival at c(0.01) = sqrt(ln(200)/2) = 1.6276 is the
+    # old fixed level, and z = 1.96 is the two-sided 5% normal point
+    assert ks_pvalue(KsStatistic(math.sqrt(math.log(200.0) / 2.0), 1.0)) == pytest.approx(
+        0.01, abs=1e-8)
+    assert ks_pvalue(KsStatistic(1.6276 / 100.0, 10**4)) == pytest.approx(0.01, rel=1e-3)
+    assert ks_pvalue(KsStatistic(0.0, 100.0)) == 1.0
+    assert normal_pvalue(1.96) == pytest.approx(0.05, rel=1e-3)
+    assert normal_pvalue(-1.96) == normal_pvalue(1.96)
+    assert normal_pvalue(0.0) == 1.0 and normal_pvalue(math.inf) == 0.0
+    assert math.isnan(normal_pvalue(math.nan))
+
+
+def test_effective_sizes():
+    gen = RngStream(5).generator()
+    assert ks_one_sample(gen.random(300), uniform_cdf).n_eff == 300.0
+    assert ks_two_sample(gen.random(300), gen.random(600)).n_eff == 200.0
 
 
 def test_identical_samples_pass_with_zero_statistic():
     x = RngStream(1).generator().random(500)
     rep = ks_two_sample(x, x.copy())
     assert rep.statistic == 0.0
-    assert rep.passed
+    assert ks_pvalue(rep) == 1.0
 
 
 def test_uniform_null_passes():
     u = RngStream(2).generator().random(10**4)
     rep = ks_one_sample(u, uniform_cdf)
-    assert rep.passed
+    assert ks_pvalue(rep) > 0.01
 
 
 def test_gross_mismatch_fails():
     x = RngStream(3).generator().exponential(size=10**4)
     rep = ks_one_sample(x, normal_cdf)
-    assert not rep.passed
+    assert ks_pvalue(rep) < 1e-12
 
 
 def test_two_sample_detects_shift():
     gen = RngStream(4).generator()
     rep = ks_two_sample(gen.random(5000), gen.random(5000) + 0.2)
-    assert not rep.passed
+    assert ks_pvalue(rep) < 1e-12
 
 
 def test_report_invariant():
     rep = GofReport("x", 0.5, 0.5)
     assert rep.passed == (rep.statistic <= rep.threshold)
+    # a KS result is a bare distance and its size, with no level to pass
     for r in (ks_two_sample(np.arange(100.0), np.arange(100.0) + 0.01),
               ks_one_sample(np.linspace(0.01, 0.99, 50), uniform_cdf)):
-        assert r.passed == (r.statistic <= r.threshold)
+        assert type(r) is KsStatistic and not hasattr(r, "passed")
+        assert type(r.statistic) is float and 0.0 <= r.statistic <= 1.0
+        assert 0.0 <= ks_pvalue(r) <= 1.0
 
 
 def test_pass_is_derived_from_statistic_and_threshold():
@@ -74,6 +94,6 @@ def test_null_calibration_rejection_rate():
     runs = 200
     for k in range(runs):
         u = RngStream(500, k).generator().random(2000)
-        if not ks_one_sample(u, uniform_cdf).passed:
+        if ks_pvalue(ks_one_sample(u, uniform_cdf)) <= 0.01:
             rejections += 1
     assert 0 <= rejections / runs <= 0.05

@@ -179,7 +179,7 @@ assert x.shape == (10_000, 3) and np.allclose(premium, [2.0, 2.0 / 3.0])
 norms = np.sqrt((y ** 2).sum(axis=1))  # p = 2: the radius is the row's L_2 norm
 assert ((norms > 1.0 - 1e-12) & (norms < 2.0 + 1e-12)).all()
 exec(sys.argv[2])
-assert marginal.passed
+assert marginal > 0.01
 """
     out = _fresh_python(probe, *blocks).splitlines()
     assert out[0] == "[]"

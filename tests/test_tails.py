@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from riskscale import tails
+from riskscale.cdfs import breiman_limit, ks_pvalue, normal_pvalue
 from riskscale.errors import (
     InsufficientTailDataError,
     ParameterError,
@@ -30,7 +31,7 @@ from riskscale.tails import (
     tail_dependence_limit,
     tail_ratio_empirical,
 )
-from riskscale.verify import judge_convergence
+from riskscale.verify import _exponential_prelimit, check_breiman_limit
 from test_samplers import exponential_cdf, gamma_cdf
 
 
@@ -49,14 +50,14 @@ class TestScaleMixture:
         theta = gamma_sample(1.5, 1.0, gen, size=n)
         y = gen.exponential(size=(n, 2)) / theta[:, None]
         for i in range(2):
-            assert ks_two_sample(x[:, i], y[:, i]).passed
+            assert ks_pvalue(ks_two_sample(x[:, i], y[:, i])) > 0.01
 
     def test_concentrated_mixer_recovers_exponential(self):
         # Theta/a -> 1 as a grows, so a * X approaches Exp(1)
         a = 10**4
         spec = ClaytonSpec(theta_shape=float(a), d=1)
         x = a * scale_mixture_exp_sample(spec, 10**4, RngStream(303))[:, 0]
-        assert ks_one_sample(x, exponential_cdf).passed
+        assert ks_pvalue(ks_one_sample(x, exponential_cdf)) > 0.01
 
     def test_unit_survival_value(self):
         # d = 1, a = 1: P(X > 1) = E[e^(-Theta)] = 1/2
@@ -97,12 +98,12 @@ class TestMGB2:
         for i in range(2):
             u = (x[:, i] / model.b[i]) ** model.a[i]
             rep = ks_one_sample(u, lambda v, p=model.p[i]: gamma_cdf(v, p, 1.0))
-            assert rep.passed
+            assert ks_pvalue(rep) > 0.01
 
     def test_conditional_collapse_to_exponential(self):
         model = MGB2Model(a=(1.0,), b=(1.0,), p=(1.0,), theta_law=PointMass(1.0))
         x = mgb2_conditional_sample(model, 10**4, RngStream(307))[:, 0]
-        assert ks_one_sample(x, exponential_cdf).passed
+        assert ks_pvalue(ks_one_sample(x, exponential_cdf)) > 0.01
 
     def test_sampler_and_conditional_agree_in_law(self):
         model = MGB2Model(a=(2.0, 3.0), b=(1.0, 2.0), p=(1.5, 0.5),
@@ -111,8 +112,8 @@ class TestMGB2:
         x = mgb2_sample(model, 10**4, s.child(0))
         y = mgb2_conditional_sample(model, 10**4, s.child(1))
         for i in range(2):
-            assert ks_two_sample(x[:, i], y[:, i]).passed
-        assert ks_two_sample(x.min(axis=1), y.min(axis=1)).passed
+            assert ks_pvalue(ks_two_sample(x[:, i], y[:, i])) > 0.01
+        assert ks_pvalue(ks_two_sample(x.min(axis=1), y.min(axis=1))) > 0.01
 
     def test_log_scale_shift_identity_on_shared_draws(self):
         # the same (theta, w) draws written multiplicatively or additively on
@@ -251,13 +252,26 @@ class TestTailDependenceLimit:
                                       RngStream(320))
 
 
+def _limit_pvalue(model, rows) -> float:
+    """p-value of a table's limit estimate against the exact limit (0 when
+    its standard error is 0 and they differ)."""
+    with np.errstate(divide="ignore"):
+        z = ((rows[0]["limit_estimate"] - breiman_limit(model, 1.0, 1.0))
+             / np.float64(rows[0]["limit_stderr"]))
+    return float(normal_pvalue(z))
+
+
 class TestConvergenceCheck:
     def test_exponential_case_passes(self):
+        # every row within a 1% Bonferroni level of the exact prelimit
+        # (1 + e^(-t))/2, and the limit column of the exact limit 1/2
         query = TailQuery(c1=1.0, c2=1.0, t_grid=(3.0, 5.0, 8.0), n=10**6)
-        rep = judge_convergence(
-            tail_convergence_table(_exp_model(), query, RngStream(321)))
-        assert rep.passed
-        assert rep.test_name == "breiman_tail_limit"
+        rows = tail_convergence_table(_exp_model(), query, RngStream(321))
+        assert [row["t"] for row in rows] == list(query.t_grid)
+        z = [(row["empirical_ratio"] - _exponential_prelimit(row["t"])) / row["stderr"]
+             for row in rows]
+        assert len(rows) * normal_pvalue(np.array(z)).min() > 0.01
+        assert _limit_pvalue(_exp_model(), rows) > 0.01
 
     def test_marginal_like_query_approaches_one(self):
         # c2 -> 0 makes the joint event nearly {X_1 > t}
@@ -268,8 +282,7 @@ class TestConvergenceCheck:
     def test_refuses_point_mass_mixer(self):
         query = TailQuery(c1=1.0, c2=1.0, t_grid=(2.0,), n=10**4)
         with pytest.raises(UnsupportedModelError):
-            judge_convergence(tail_convergence_table(
-                _exp_model(PointMass(2.0)), query, RngStream(323)))
+            tail_convergence_table(_exp_model(PointMass(2.0)), query, RngStream(323))
 
     @pytest.mark.parametrize("numerator", [
         lambda w1, w2, c1, c2, aq: (w1 / c1) ** aq,
@@ -278,22 +291,28 @@ class TestConvergenceCheck:
     def test_judgment_trips_on_a_wrong_limit_numerator(self, monkeypatch,
                                                        numerator):
         # the README taildep model at n = 1e6: the limit the table takes from
-        # its own W draws must still be able to fail the judgment (a true
-        # limit of 1/2 becomes 1 or 3/2)
+        # its own W draws, z-scored against the exact limit, must still be
+        # able to fail (a true limit of 1/2 becomes 1 or 3/2)
         query = TailQuery(c1=1.0, c2=1.0, t_grid=(5.0, 10.0, 20.0), n=10**6)
         rows = tail_convergence_table(_exp_model(), query, RngStream(3))
-        assert judge_convergence(rows).passed
+        assert _limit_pvalue(_exp_model(), rows) > 0.01
         monkeypatch.setattr(tails, "_min_ratio_power", numerator)
         rows = tail_convergence_table(_exp_model(), query, RngStream(3))
-        assert not judge_convergence(rows).passed
+        assert _limit_pvalue(_exp_model(), rows) < 1e-12
 
-    def test_needs_enough_exceedances_to_judge(self):
-        # between 20 and 1000 exceedances: table rows exist, judgment refuses
+    def test_needs_enough_exceedances_to_judge(self, monkeypatch):
+        # a threshold below the minimum exceedance count leaves no row (and
+        # no row at all is an error); verify's tail check judges every
+        # threshold, so a dropped row fails it: at its 1e6 rows t = 8 has
+        # ~125k exceedances of the ~245k and ~432k at t = 4 and 2
         query = TailQuery(c1=1.0, c2=1.0, t_grid=(8.0,), n=5000)
         rows = tail_convergence_table(_exp_model(), query, RngStream(324))
-        assert rows
+        monkeypatch.setattr(tails, "MIN_EXCEEDANCES", rows[0]["exceedances"] + 1)
         with pytest.raises(InsufficientTailDataError):
-            judge_convergence(rows)
+            tail_convergence_table(_exp_model(), query, RngStream(324))
+        monkeypatch.setattr(tails, "MIN_EXCEEDANCES", 200_000)
+        rep = check_breiman_limit(42)
+        assert not rep.passed and math.isnan(rep.statistic)
 
     def test_streamed_table_matches_materialised_sample(self):
         # the table never holds the sample; its counts must be those of the
