@@ -1,13 +1,17 @@
 """Deterministic random number streams and blocked parallel generation.
 
-A stream is addressed by a ``(seed, stream_id)`` pair and is backed by an
-SFC64 generator seeded from ``SeedSequence(seed, spawn_key=(stream_id,))``,
-numpy's own address for the stream_id-th child of ``SeedSequence(seed)``:
-identical addresses reproduce identical variate sequences, distinct
-addresses give statistically independent ones. Large sample runs are
-generated in fixed-size row blocks, each block on its own child stream, so
-the output depends only on the stream address and the row count -- never
-on how many worker threads happened to process the blocks.
+A stream is addressed by numpy's own spawn tree: ``RngStream(seed,
+stream_id, path)`` is backed by an SFC64 generator seeded from
+``SeedSequence(seed, spawn_key=(stream_id, *path))``. A root stream
+``RngStream(seed, stream_id)`` is the stream_id-th child of
+``SeedSequence(seed)``, and ``child(i)`` appends i to the path, exactly as
+``SeedSequence.spawn`` appends i to the spawn key of its i-th child. Every
+part of an address is an integer in [0, 2**64): identical addresses
+reproduce identical variate sequences, distinct addresses give
+statistically independent ones. Large sample runs are generated in
+fixed-size row blocks, each block on its own child stream, so the output
+depends only on the stream address and the row count -- never on how many
+worker threads happened to process the blocks.
 
 :func:`map_blocks` assembles the blocks into one array; :func:`reduce_blocks`
 keeps only a small partial result per block (moments, counts) and combines
@@ -30,9 +34,6 @@ import numpy as np
 
 from .errors import ConfigError, ParameterError
 
-_MASK64 = (1 << 64) - 1
-_GOLDEN = 0x9E3779B97F4A7C15
-
 #: Rows per generation block. Fixed so that results are independent of the
 #: worker count; changing it changes every sampled stream.
 BLOCK_ROWS = 32768
@@ -46,12 +47,13 @@ THREADS_ENV = "RISKSCALE_THREADS"
 MAX_WORKERS = 64
 
 
-def _mix64(x: int) -> int:
-    # splitmix64 finalizer; bijective on 64-bit ints
-    x = (x + _GOLDEN) & _MASK64
-    x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-    x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK64
-    return (x ^ (x >> 31)) & _MASK64
+def _address_part(name: str, value) -> int:
+    """``value`` as a Python int, refused unless it is an integer in [0, 2**64)."""
+    index = operator.index(value) if hasattr(type(value), "__index__") else -1
+    if not 0 <= index < 1 << 64:
+        raise ParameterError(f"{name} must lie in [0, 2**64) as an integer, got {value!r}",
+                             name)
+    return index
 
 
 @dataclass(frozen=True)
@@ -60,30 +62,31 @@ class RngStream:
 
     The address is the state: ``generator()`` always materializes a fresh
     generator positioned at the start of the stream, so two calls with the
-    same address replay the same sequence. Use ``child(k)`` to derive
-    independent substreams for parallel or structured sampling. Both
-    parts of the address must lie in [0, 2**64), the range of the ids
-    ``child()`` derives and of the command line's seed.
+    same address replay the same sequence. ``child(i)`` derives the i-th
+    substream, numpy's i-th spawned child, for parallel or structured
+    sampling. The seed, the stream_id and every index of the path must be
+    integers in [0, 2**64), the range of the command line's seed; anything
+    else raises ``ParameterError``.
     """
 
     seed: int
     stream_id: int = 0
+    path: tuple[int, ...] = ()
 
     def __post_init__(self):
         for name in ("seed", "stream_id"):
-            value = operator.index(getattr(self, name))
-            if not 0 <= value <= _MASK64:
-                raise ParameterError(f"{name} must lie in [0, 2**64), got {value}", name)
+            object.__setattr__(self, name, _address_part(name, getattr(self, name)))
+        object.__setattr__(self, "path",
+                           tuple(_address_part("path", index) for index in self.path))
 
     def generator(self) -> np.random.Generator:
         """A fresh SFC64 generator seeded from the stream's address."""
-        seq = np.random.SeedSequence(self.seed, spawn_key=(self.stream_id,))
+        seq = np.random.SeedSequence(self.seed, spawn_key=(self.stream_id, *self.path))
         return np.random.Generator(np.random.SFC64(seq))
 
     def child(self, index: int) -> "RngStream":
-        """Derive the index-th substream of this stream."""
-        mixed = _mix64((self.stream_id * _GOLDEN + index + 1) & _MASK64)
-        return RngStream(self.seed, mixed)
+        """The index-th substream: the path with ``index`` appended."""
+        return RngStream(self.seed, self.stream_id, (*self.path, index))
 
 
 def resolve_workers(workers: int | None = None) -> int:

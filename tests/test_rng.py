@@ -33,6 +33,9 @@ def test_address_bounds_are_inclusive_of_0_and_2_to_64_minus_1():
     assert np.array_equal(draws, top.generator().random(4))
     assert not np.array_equal(draws, RngStream(0, 0).generator().random(4))
     assert top.child(3).generator().random(4).shape == (4,)
+    low, high = top.child(0).generator().random(4), top.child(2**64 - 1).generator().random(4)
+    assert not np.array_equal(low, high)
+    assert top.child(np.int64(7)) == top.child(7)
 
 
 @pytest.mark.parametrize("seed, stream_id", [(0, 0), (2**64 - 1, 2**64 - 1),
@@ -58,10 +61,38 @@ def test_distinct_streams_differ():
 
 def test_child_streams_are_deterministic_and_distinct():
     s = RngStream(9, 2)
-    assert s.child(3) == s.child(3)
-    ids = {s.child(k).stream_id for k in range(100)}
-    assert len(ids) == 100
-    assert s.stream_id not in ids
+    assert s.child(3) == s.child(3) == RngStream(9, 2, (3,))
+    addresses = {s.child(k) for k in range(100)}
+    assert len(addresses) == 100
+    assert s not in addresses
+    assert {(c.seed, c.stream_id, c.path) for c in addresses} == {
+        (9, 2, (k,)) for k in range(100)}
+
+
+@pytest.mark.parametrize("seed, stream_id, i, j", [(0, 0, 0, 0), (7, 3, 4, 9),
+                                                   (2**64 - 1, 2**64 - 1, 2, 1)])
+def test_child_is_numpys_spawned_child(seed, stream_id, i, j):
+    # the child contract: SeedSequence.spawn appends the index to the spawn key
+    root = np.random.SeedSequence(seed, spawn_key=(stream_id,))
+    spawned = root.spawn(i + 1)[i].spawn(j + 1)[j]
+    explicit = np.random.Generator(np.random.SFC64(spawned))
+    gen = RngStream(seed, stream_id).child(i).child(j).generator()
+    assert np.array_equal(gen.random(64), explicit.random(64))
+
+
+@pytest.mark.parametrize("index", [-1, 2**64, 2.5, np.float64(3.0), "3", None])
+def test_child_index_outside_64_bits_or_not_an_integer_is_rejected(index):
+    # -1 must not wrap onto 2**64 - 1, and a float is no index, however whole
+    with pytest.raises(ParameterError, match=r"must lie in \[0, 2\*\*64\)") as excinfo:
+        RngStream(0, 5).child(index)
+    assert excinfo.value.param == "path"
+
+
+def test_distinct_paths_of_equal_depth_draw_distinct_numbers():
+    s = RngStream(31, 4)
+    paths = [(0, 0), (0, 1), (1, 0), (1, 1), (2, 3), (3, 2)]
+    draws = {tuple(s.child(i).child(j).generator().random(8)) for i, j in paths}
+    assert len(draws) == len(paths)
 
 
 def test_map_blocks_worker_invariance():
