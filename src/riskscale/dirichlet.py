@@ -120,8 +120,14 @@ class RandomPSpec:
 
 
 def _gamma_simplex(alphas, rate, gen, m) -> np.ndarray:
-    """(m, d) rows of G_i / sum_j G_j with G_i ~ Gamma(alpha_i, rate)."""
-    g = np.column_stack([gamma_sample(a, rate, gen, size=m) for a in alphas])
+    """(m, d) rows of G_i / sum_j G_j with G_i ~ Gamma(alpha_i, rate).
+
+    Each column is drawn and copied into the one (m, d) array before the
+    next is drawn, so at most one column temporary is alive beside it.
+    """
+    g = np.empty((m, len(alphas)))
+    for i, a in enumerate(alphas):
+        g[:, i] = gamma_sample(a, rate, gen, size=m)
     g /= g.sum(axis=1, keepdims=True)
     return g
 

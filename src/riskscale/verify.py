@@ -39,6 +39,12 @@ under that mutation).
 The checks take no worker count: the samplers they call take it from
 RISKSCALE_THREADS, and the bytes of a report do not depend on it.
 :func:`check_determinism` alone passes explicit counts, to compare them.
+
+Each Monte Carlo check holds at most one ``BLOCK_ROWS`` block of rows per
+worker at a time, beyond its 1e4-row KS samples. Two hold more:
+``clayton_identity`` keeps its 1e5 x 2 sample (1.6 MB), and
+``determinism`` its (3 BLOCK_ROWS + 101)-row samples, which it compares
+whole.
 """
 
 from __future__ import annotations
@@ -77,7 +83,7 @@ from .dirichlet import (
 from .gof import GofReport, ks_one_sample, ks_two_sample
 from .linalg import mat_inverse
 from .radial import GammaPower, InvGamma, Pareto, PointMass
-from .rng import BLOCK_ROWS, RngStream
+from .rng import BLOCK_ROWS, RngStream, reduce_blocks
 from .samplers import y_marginal_sample
 from .tails import (
     ClaytonSpec,
@@ -215,10 +221,18 @@ def check_sphere_constraint(seed: int) -> GofReport:
     ``SPHERE_TOL`` (1e-12) is wide against the rounding of a row's p-th
     power sum, ~1e-15 (4.4e-16 at seed 42): a row off the sphere by more
     is a sampler fault, never chance.
+
+    The 1e5 rows are drawn and checked one block at a time; numpy's maximum
+    combines the blocks, so a nan in any block makes the statistic nan.
     """
     spec = LpSpec(alphas=_ALPHAS, p=3.0)
-    o = angular_sample(spec, _stream(seed, 4).generator(), size=10**5)
-    return GofReport("sphere_constraint", sphere_deviation(o, spec.p), SPHERE_TOL)
+
+    def deviation(block, lo, hi):
+        return sphere_deviation(angular_sample(spec, block.generator(), size=hi - lo),
+                                spec.p)
+
+    worst = reduce_blocks(_stream(seed, 4), 10**5, deviation, np.maximum)
+    return GofReport("sphere_constraint", worst, SPHERE_TOL)
 
 
 def check_beta_marginals(seed: int) -> GofReport:
@@ -255,11 +269,18 @@ def check_factorization(seed: int) -> GofReport:
 
 
 def check_scale_cancellation(seed: int) -> GofReport:
-    """The law of X_1/X_2 does not depend on the common scale law."""
+    """The law of X_1/X_2 does not depend on the common scale law: two-sample
+    KS of the ratio with no scale against the ratio under a Pareto(1) scale.
+
+    The scale is heavy so that a scale drawn per component would show: log S
+    then has variance 1 per component, beside ~2.5 for log(Y_1/Y_2), and the
+    ratio's law moves far past the KS resolution of 1e4 rows. Under a
+    Pareto(3) scale (variance 1/9) such a fault usually passed.
+    """
     n = 10**4
     stream = _stream(seed, 7)
     a = random_scale_sequence_sample(0.5, 2.0, PointMass(1.0), 2, n, stream.child(0))
-    b = random_scale_sequence_sample(0.5, 2.0, Pareto(3.0), 2, n, stream.child(1))
+    b = random_scale_sequence_sample(0.5, 2.0, Pareto(1.0), 2, n, stream.child(1))
     rep = ks_two_sample(a[:, 0] / a[:, 1], b[:, 0] / b[:, 1])
     return _verdict("scale_cancellation", ks_pvalue(rep))
 
@@ -389,7 +410,9 @@ def check_breiman_limit(seed: int) -> GofReport:
 
 def check_determinism(seed: int) -> GofReport:
     """Repeat runs and worker counts reproduce bit-identical output. Both
-    comparisons span several blocks, so the 4-worker runs start a pool."""
+    comparisons span several blocks, so the 2-worker runs start a pool,
+    with all four blocks in flight at once (the pool keeps up to twice its
+    workers in flight)."""
     n = 3 * BLOCK_ROWS + 101
     spec = LpSpec(alphas=(1.0, 2.0), p=2.0)
     stream = _stream(seed, 14)
@@ -397,15 +420,17 @@ def check_determinism(seed: int) -> GofReport:
     def lp(workers):
         return lp_dirichlet_sample(spec, PointMass(1.0), n, stream.child(0), workers=workers)
 
-    # one repeat at a time, and none left when the premium threads run: the
-    # suite's peak memory stays where the earlier checks put it
+    # one repeat at a time, and none left when the premium threads run. This
+    # check sets the suite's peak memory: its n-row samples, and the malloc
+    # arena each pool thread keeps after it exits, so it asks for no more
+    # workers than the 2 the golden tests and CI compare
     base = lp(1)
-    same = [np.array_equal(base, lp(workers)) for workers in (1, 4)]
+    same = [np.array_equal(base, lp(workers)) for workers in (1, 2)]
     del base
 
     mc1 = premium_mc(_SCALAR_SHIFT, [4.0], n, stream.child(1), workers=1)
-    mc2 = premium_mc(_SCALAR_SHIFT, [4.0], n, stream.child(1), workers=4)
-    same += [np.array_equal(one, four) for one, four in zip(mc1, mc2)]
+    mc2 = premium_mc(_SCALAR_SHIFT, [4.0], n, stream.child(1), workers=2)
+    same += [np.array_equal(one, two) for one, two in zip(mc1, mc2)]
     return GofReport("determinism", 0.0 if all(same) else 1.0, 0.0)
 
 

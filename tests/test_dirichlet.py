@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -55,6 +57,20 @@ class TestAngular:
         o = angular_sample(LpSpec((1.0, 1.0, 1.0), 2.0), RngStream(5).generator(), size=1)
         assert o.shape == (1, 3)
         assert abs((o ** 2).sum() - 1.0) < 1e-12
+
+    def test_block_holds_its_rows_and_two_columns_at_most(self):
+        # the (m, d) output, one Gamma column being drawn and the row sums:
+        # the d column temporaries of a stacked form are never alive at once
+        spec = LpSpec(_ALPHAS, 3.0)
+        m, d = BLOCK_ROWS, spec.dim
+        gen = RngStream(6).generator()
+        tracemalloc.start()
+        try:
+            angular_sample(spec, gen, size=m)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= (m * d + 2 * m) * 8, peak
 
     def test_spec_validation(self):
         with pytest.raises(ParameterError, match=r"alphas\[0\] must be > 0"):

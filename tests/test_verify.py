@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -29,6 +30,7 @@ from riskscale.verify import (
     check_mgb2_equivalence,
     check_scalar_premium_mc,
     check_scale_cancellation,
+    check_sphere_constraint,
     check_weighted_gaussian,
     render_report,
 )
@@ -95,7 +97,7 @@ def test_corrupted_small_shape_gamma_trips_beta_marginal_check(monkeypatch):
 
 
 def test_determinism_check_runs_each_comparison_on_a_pool(monkeypatch):
-    # the 4-worker half of each comparison must take the thread-pool path,
+    # the 2-worker half of each comparison must take the thread-pool path,
     # not the inline one that a single block gives
     sizes = []
 
@@ -107,6 +109,39 @@ def test_determinism_check_runs_each_comparison_on_a_pool(monkeypatch):
     monkeypatch.setattr(rng, "ThreadPoolExecutor", CountingPool)
     assert check_determinism(42).passed
     assert len(sizes) == 2 and min(sizes) > 1
+
+
+def test_sphere_check_holds_one_block_of_rows(monkeypatch):
+    # 1e5 rows of five columns are 3.8 MiB; one worker holds one
+    # BLOCK_ROWS block and its deviation temporaries at a time
+    monkeypatch.setenv("RISKSCALE_THREADS", "1")
+    tracemalloc.start()
+    try:
+        rep = check_sphere_constraint(42)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.passed
+    assert peak < 4 * 2**20, peak
+
+
+def test_nan_in_a_later_block_fails_the_sphere_check(monkeypatch):
+    # the blocks are combined by numpy's maximum, which keeps a nan that
+    # np.fmax or Python's max would drop when it does not come first
+    sample, calls = verify.angular_sample, []
+
+    def with_nan_row(spec, gen, size):
+        rows = sample(spec, gen, size)
+        calls.append(size)
+        if len(calls) == 3:
+            rows[size // 2] = math.nan
+        return rows
+
+    monkeypatch.setenv("RISKSCALE_THREADS", "1")
+    monkeypatch.setattr(verify, "angular_sample", with_nan_row)
+    rep = check_sphere_constraint(42)
+    assert len(calls) == 4
+    assert math.isnan(rep.statistic) and not rep.passed
 
 
 def test_checks_are_deterministic():
@@ -274,16 +309,17 @@ def _power_a_for_one_over_a(monkeypatch):
     monkeypatch.setattr(verify, "mgb2_conditional_sample", conditional)
 
 
-def _scale_on_one_component(monkeypatch):
-    # An independent scale per component (size (m, d)) would be the subtler
-    # fault, but with the check's Pareto(3) scale at 1e4 rows its p-value
-    # stays above ALPHA_CHECK: -log10 p was 0.80-2.37 at POWER_SEEDS.
+def _scale_per_component(monkeypatch):
+    # an independent scale for each component, size (m, d) in place of the
+    # common (m,): the ratio X_1/X_2 then carries S_1/S_2, which the check's
+    # Pareto(1) scale makes heavy enough to show (-log10 p was 24.3-30.9 at
+    # POWER_SEEDS; under a Pareto(3) scale it was 1.4-3.4, mostly a pass)
     def sequence(alpha, p, s_law, d, n, stream):
         factor = GammaPower(alpha, 1.0 / p, 1.0 / p)
 
         def fill(block, lo, hi):
             y = factor.sample(block.child(0).generator(), size=(hi - lo, d))
-            y[:, 0] *= s_law.sample(block.child(1).generator(), size=hi - lo)  # not all
+            y *= s_law.sample(block.child(1).generator(), size=(hi - lo, d))  # not (m,)
             return y
 
         return rng.map_blocks(stream, n, fill, ncols=d)
@@ -324,7 +360,7 @@ def _theta_shape_times_1_1(monkeypatch):
     (check_factorization, _power_p_for_one_over_p),
     (check_weighted_gaussian, _all_signs_plus),
     (check_mgb2_equivalence, _power_a_for_one_over_a),
-    (check_scale_cancellation, _scale_on_one_component),
+    (check_scale_cancellation, _scale_per_component),
     (check_beta_gamma_algebra, _exponential_mean_one),
     (check_scalar_premium_mc, _prior_weight_at_x_plus_y),
     (check_clayton_identity, _theta_shape_times_1_1),
