@@ -84,8 +84,7 @@ LIMIT_STEP = 0.35
 _LIMIT_TAIL = 1e-18
 
 
-def breiman_limit(model: MGB2Model, c1: float, c2: float,
-                  step: float = LIMIT_STEP) -> float:
+def breiman_limit(model: MGB2Model, c1: float, c2: float) -> float:
     """Exact Breiman limit I(c_1, c_2) = E[min(W_1/c_1, W_2/c_2)^(aq)] / E[W_1^(aq)].
 
     The model is one that ``tails.tail_convergence_table`` accepts: a_1 = a_2
@@ -105,8 +104,8 @@ def breiman_limit(model: MGB2Model, c1: float, c2: float,
     integrand is analytic in a strip about the real line and decays
     exponentially at both ends. On such integrands the trapezoid rule
     converges geometrically in 1 / step (Trefethen & Weideman, SIAM Review
-    2014), so halving ``step`` shows the rule's error. The range runs from
-    t = log(1e-18) / q, left of which the integrand holds less than 1e-18
+    2014), so halving ``LIMIT_STEP`` shows the rule's error. The range runs
+    from t = log(1e-18) / q, left of which the integrand holds less than 1e-18
     lam^q, to t = log(4 (p_max + q) + 100), right of which the factor of the
     smaller lam_i (argument at least e^t / 2) is below 1e-20. Accurate to
     ~1e-12 relative for p_i >= 0.01 and 0.06 <= q <= 100; below that range
@@ -117,7 +116,7 @@ def breiman_limit(model: MGB2Model, c1: float, c2: float,
     p = model.p[:2]
     lams = [(b / c_i) ** a for b, c_i in zip(model.b, c)]
     lam = 1.0 / (1.0 / lams[0] + 1.0 / lams[1])
-    h = _require_positive("step", step) / np.sqrt(max(1.0, max(p) + q))
+    h = LIMIT_STEP / np.sqrt(max(1.0, max(p) + q))
     t_hi = np.log(4.0 * (max(p) + q) + 100.0)
     t = np.arange(t_hi, np.log(_LIMIT_TAIL) / q, -h)
     x = np.exp(t)

@@ -12,8 +12,10 @@ worker pool of ``rng.ordered_map`` and are written in chunk order, so the
 bytes do not depend on the worker count and memory does not grow with the
 formatted text. Rows that hold a nan or an infinity are refused with exit 3,
 never written; numpy's floating-point warnings are silenced while
-``sample`` and ``premium`` compute them, since that check reports their
-outcome on its one line. Finite rows of a Dirichlet kind with a
+``sample``, ``premium`` and ``taildep`` compute them, since that check (and
+``tails.tail_convergence_table``'s refusal of a nan sample) reports their
+outcome on its one line, and while the config is parsed, whose model checks
+refuse a non-finite value on theirs. Finite rows of a Dirichlet kind with a
 ``point_mass`` radius r must then lie on their L_p sphere of radius r to
 ``dirichlet.SPHERE_TOL``, or the run exits 3 with the one line of that check
 (``config.KINDS`` gives the exponents and the radius; a random radius puts
@@ -115,23 +117,25 @@ def run(config: RunConfig) -> int:
             write(verify.render_report(checks).encode("ascii"))
         return 0 if all(c.passed for c in checks) else 1
     sphere = None
-    if config.command == "taildep":
-        header, rows = _run_taildep(config, stream)
-    else:
-        with np.errstate(all="ignore"):  # the checks below report a nan or inf
+    # a nan or inf is reported by the checks below (or by the tail table's
+    # own refusal), and a power of the sphere check that overflows reads as
+    # a deviation
+    with np.errstate(all="ignore"):
+        if config.command == "taildep":
+            header, rows = _run_taildep(config, stream)
+        else:
             rows, sphere = KINDS[config.kind].run(config, stream)
-        prefix = "x" if config.command == "sample" else "p"
-        header = [f"{prefix}{i + 1}" for i in range(rows.shape[1])]
-    low, high = rows.min(), rows.max()  # a nan carries through both: no n-sized mask
-    if not (np.isfinite(low) and np.isfinite(high)):
-        raise RiskscaleError(f"the output holds non-finite values (min {low:g}, "
-                             f"max {high:g}); nothing was written")
-    if sphere is not None:  # finite rows of a point_mass radius (config.KINDS)
-        with np.errstate(all="ignore"):  # a power that overflows reads as a deviation
+            prefix = "x" if config.command == "sample" else "p"
+            header = [f"{prefix}{i + 1}" for i in range(rows.shape[1])]
+        low, high = rows.min(), rows.max()  # a nan carries through both: no n-sized mask
+        if not (np.isfinite(low) and np.isfinite(high)):
+            raise RiskscaleError(f"the output holds non-finite values (min {low:g}, "
+                                 f"max {high:g}); nothing was written")
+        if sphere is not None:  # finite rows of a point_mass radius (config.KINDS)
             deviation = sphere_deviation(rows, *sphere)
-        if deviation > SPHERE_TOL:
-            raise RiskscaleError(f"sphere self-audit failed: max deviation "
-                                 f"{deviation:.3e} exceeds {SPHERE_TOL:g}")
+            if deviation > SPHERE_TOL:
+                raise RiskscaleError(f"sphere self-audit failed: max deviation "
+                                     f"{deviation:.3e} exceeds {SPHERE_TOL:g}")
     _write_csv(config.output_path, header, rows)
     return 0
 
@@ -167,8 +171,9 @@ def main(argv=None) -> int:
         print(f"riskscale: cannot read config: {exc}", file=sys.stderr)
         return 2
     try:
-        config = parse_config(text, command=args.command, seed=args.seed,
-                              output_path=args.out)
+        with np.errstate(all="ignore"):  # the model checks refuse what numpy warns of
+            config = parse_config(text, command=args.command, seed=args.seed,
+                                  output_path=args.out)
         resolve_workers()  # a bad RISKSCALE_THREADS fails before any output opens
         return run(config)
     except ConfigError as exc:

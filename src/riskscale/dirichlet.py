@@ -1,15 +1,18 @@
 """Dirichlet-type angular vectors on the unit L_p sphere and their scalings.
 
 The angular vector O has components O_i = Y_i / (sum_j Y_j^p)^(1/p) where
-the Y_i are independent with Y_i^p ~ Gamma(alpha_i, 1/p). Internally the
-normalization happens on the Gamma scale: the raw Gamma draws are divided by
-their row sum (an exact simplex) and only then raised to 1/p, so no p-th
-power is ever formed before normalizing. The unit-sphere constraint then
-holds to ~1e-15 while the powers O_i = w_i^(1/p) of the simplex weights stay
-in double range: on 1e5 rows of alphas (1, 1, 2), to 3.3e-16 at p = 0.03
-(seeds 7, 9700 and 9701). Below that they underflow: at p = 0.02 one row
-misses by 1.3e-10 at seed 7 and by 2.4e-7 at seed 9701 (none at 9700), at
-p = 0.01 a few hundred rows miss by up to ~7e-4, and at p = 0.001 every row
+the Y_i are independent with Y_i^p ~ Gamma(alpha_i, 1/p). O depends on the
+Gamma draws G_i = Y_i^p only through the simplex w_i = G_i / sum_j G_j, in
+which a common rate cancels, so the simplex is drawn from unit-rate Gammas
+G_i ~ Gamma(alpha_i, 1). The normalization happens on the Gamma scale: the
+raw draws are divided by their row sum (an exact simplex) and only then
+raised to 1/p, so no p-th power is ever formed before normalizing. The
+unit-sphere constraint then holds to ~1e-15 while the powers
+O_i = w_i^(1/p) stay in double range: on 1e5 rows of ``angular_sample``
+with alphas (1, 1, 2), drawn from ``RngStream(seed).generator()``, to
+3.3e-16 at p = 0.03 (seeds 7, 9700 and 9701). Below that they underflow: at
+p = 0.02 one row misses by 2.1e-7 at seed 7 (none at 9700 or 9701), at
+p = 0.01 about 400 rows miss by up to ~6e-4, and at p = 0.001 every row
 misses by 1. The sampler does not repair this; ``sample`` checks every
 row of a ``point_mass`` radius against its sphere and exits 3 on a miss.
 
@@ -17,8 +20,9 @@ Per block, the samplers divide, power and scale the stacked Gamma draws in
 place. Each in-place step is the floating-point operation of the plain
 operator form (``g / g.sum(axis=1, keepdims=True)``, ``w ** (1/p)``,
 ``r[:, None] * o``) on the same operands, so the output bits are those of
-that form. A scalar power is taken with the operator ``w **= e``, which may
-take the same sqrt/square fast paths as ``w ** e``.
+that form. A power takes a scalar exponent, ``w **= e``, which may take the
+same sqrt/square fast paths as ``w ** e``; ``random_p_sample``'s per-row
+exponent is the one array exponent.
 
 Scaled families built on top of O:
 
@@ -119,22 +123,22 @@ class RandomPSpec:
         return len(self.alphas)
 
 
-def _gamma_simplex(alphas, rate, gen, m) -> np.ndarray:
-    """(m, d) rows of G_i / sum_j G_j with G_i ~ Gamma(alpha_i, rate).
+def _gamma_simplex(alphas, gen, m) -> np.ndarray:
+    """(m, d) rows of G_i / sum_j G_j with G_i ~ Gamma(alpha_i, 1).
 
     Each column is drawn and copied into the one (m, d) array before the
     next is drawn, so at most one column temporary is alive beside it.
     """
     g = np.empty((m, len(alphas)))
     for i, a in enumerate(alphas):
-        g[:, i] = gamma_sample(a, rate, gen, size=m)
+        g[:, i] = gamma_sample(a, 1.0, gen, size=m)
     g /= g.sum(axis=1, keepdims=True)
     return g
 
 
 def angular_sample(spec: LpSpec, gen: np.random.Generator, size: int) -> np.ndarray:
     """(size, d) draws on the unit L_p sphere."""
-    w = _gamma_simplex(spec.alphas, 1.0 / spec.p, gen, size)
+    w = _gamma_simplex(spec.alphas, gen, size)
     w **= 1.0 / spec.p
     return w
 
@@ -196,7 +200,7 @@ def random_p_sample(spec: RandomPSpec, radial: RadialLaw, n: int,
     def fill(block, lo, hi):
         m = hi - lo
         p = spec.p_law.sample(block.child(0).generator(), size=m)
-        w = _gamma_simplex(spec.alphas, 1.0, block.child(1).generator(), m)
+        w = _gamma_simplex(spec.alphas, block.child(1).generator(), m)
         w **= 1.0 / p[:, None]
         w *= radial.sample(block.child(2).generator(), size=m)[:, None]
         return np.column_stack([w, p])

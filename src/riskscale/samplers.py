@@ -12,7 +12,11 @@ is a live ``numpy.random.Generator``; a caller holding an
 :class:`~riskscale.rng.RngStream` address passes ``stream.generator()``.
 ``size``, an int or a tuple, is the shape of the array returned. In-place
 ufuncs write only into the array the sampler has just drawn, with the bits
-of the operator forms (``x / rate``, ``u ** e``).
+of the operator forms (``x / rate``, ``u ** e``). Every power in the
+samplers, here and in :mod:`riskscale.dirichlet`, :mod:`riskscale.radial`
+and :mod:`riskscale.tails`, takes a scalar exponent, so numpy may take its
+sqrt/square/reciprocal fast paths at 0.5, 2 or -1 just as the operator form
+does; the one array exponent is ``dirichlet.random_p_sample``'s per-row p.
 
 Identity steps are skipped: :func:`_scale` makes no pass for a factor or
 divisor of exactly 1 and :func:`_power` none for an exponent of exactly 1
@@ -53,22 +57,12 @@ def _scale(x: np.ndarray, factor: float, op=np.multiply) -> np.ndarray:
     return x
 
 
-def _power(x: np.ndarray, exponent: float, out=None) -> np.ndarray:
-    """``x ** exponent`` written over x, or into ``out`` with the exponent
-    filled in as an array; x itself, with no pass, when ``exponent`` is
-    exactly 1 (pow(x, 1) is x bit for bit).
-
-    A scalar exponent may take numpy's sqrt/square/reciprocal fast paths,
-    which for 0.5, 2 or -1 differ in the last bit from the general pow that
-    an array exponent gets, so each caller picks the form of the operator
-    expression it stands for.
-    """
-    if exponent == 1.0:
-        return x
-    if out is None:
-        return np.power(x, exponent, out=x)
-    out.fill(exponent)
-    return np.power(x, out, out=out)
+def _power(x: np.ndarray, exponent: float) -> np.ndarray:
+    """``x ** exponent`` written over x; x itself, with no pass, when
+    ``exponent`` is exactly 1 (pow(x, 1) is x bit for bit). Returns x."""
+    if exponent != 1.0:
+        np.power(x, exponent, out=x)
+    return x
 
 
 def _std_gamma(shape: float, gen: np.random.Generator, size) -> np.ndarray:

@@ -28,15 +28,15 @@ them out changes no bit.
 Per block, the MGB2 code works on the d components as separate contiguous
 columns; only ``mgb2_sample`` stacks them into the (m, d) rows it returns.
 Every elementwise step applies the same floating-point operation to the
-same operands as the plain operator form (``theta[:, None] ** powers * w``
-and so on), so the output bits are those of that form: the exponent of
-Theta^(1/a_i) is a full-length array, never a scalar (see
+same operands as the plain operator form (``theta ** (1 / a_i) * w_i`` and
+so on), so the output bits are those of that form. Theta and W_i are raised
+to the one power 1/a_i, each with a scalar exponent (see
 :func:`_scale_by_theta`), and in-place ufuncs write only into arrays the
 function has just allocated. Steps by a factor, divisor or exponent of
 exactly 1 (b_i = 1, a_i = 1, c = 1, aq = 1, a unit Gamma rate) are skipped
-through ``samplers._scale`` and ``samplers._power``: x * 1, x / 1 and
-pow(x, 1) are x bit for bit, so skipping them leaves the output bits as
-they were.
+through ``samplers._scale`` and ``samplers._power``, and Theta multiplies
+W_i directly at a_i = 1: x * 1, x / 1 and pow(x, 1) are x bit for bit, so
+skipping them leaves the output bits as they were.
 """
 
 from __future__ import annotations
@@ -48,6 +48,7 @@ import numpy as np
 from .errors import (
     InsufficientTailDataError,
     ParameterError,
+    RiskscaleError,
     UnsupportedModelError,
 )
 from .moments import RatioMoments
@@ -149,15 +150,10 @@ def _mgb2_draws(model: MGB2Model, block: RngStream, m: int,
 
 def _scale_by_theta(model: MGB2Model, theta: np.ndarray,
                     cols: list[np.ndarray]) -> list[np.ndarray]:
-    """Write Theta^(1/a_i) * W_i over each column W_i of ``cols``."""
-    scale = np.empty(theta.size)
+    """Write Theta^(1/a_i) * W_i over each column W_i of ``cols``; at
+    a_i = 1 the factor is theta itself."""
     for a_i, w in zip(model.a, cols):
-        # The exponent goes to pow as an array as long as theta (filled into
-        # ``scale``), like the operator form theta[:, None] ** powers: with
-        # a scalar exponent numpy's power loop takes its sqrt/square/
-        # reciprocal fast paths, which for 1/a_i = 0.5, 2 or -1 differ in
-        # the last bit. At a_i = 1 the factor is theta itself.
-        np.multiply(_power(theta, 1.0 / a_i, out=scale), w, out=w)
+        w *= theta if a_i == 1.0 else theta ** (1.0 / a_i)
     return cols
 
 
@@ -342,6 +338,11 @@ def tail_convergence_table(model: MGB2Model, query: TailQuery, stream: RngStream
     Theta^(1/a_i) in place and reduces it to exact per-threshold joint, base
     and joint-and-base exceedance counts, so memory is bounded in n.
     Thresholds whose exceedance count falls below the minimum are skipped.
+
+    An X_i that overflows to inf still counts as exceeding every threshold.
+    An X_i that is nan (Theta^(1/a_i) = inf times W_i = 0, say) exceeds
+    none, so a block that holds one raises RiskscaleError instead of
+    biasing the ratios.
     """
     a, q = _check_limit_regime(model)
 
@@ -350,6 +351,9 @@ def tail_convergence_table(model: MGB2Model, query: TailQuery, stream: RngStream
         # the moments read W before the Theta step below writes over it
         moments = _limit_moments(w1, w2, query.c1, query.c2, a * q)
         x1, x2 = _scale_by_theta(model, theta, [w1, w2])
+        if np.isnan(x1.min()) or np.isnan(x2.min()):  # min carries a nan
+            raise RiskscaleError("the MGB2 sample holds nan values (Theta^(1/a) "
+                                 "* W is inf * 0); no tail ratio is formed")
         return _exceedance_counts(x1, x2, query.c1, query.c2, query.t_grid), moments
 
     counts, moments = reduce_blocks(stream.child(0), query.n, fill, _merge_table,

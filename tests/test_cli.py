@@ -494,13 +494,7 @@ model.theta = pareto:0.5
 }
 
 
-@pytest.mark.parametrize("kind", sorted(NON_FINITE_CONFIGS))
-def test_accepted_configs_with_non_finite_rows_exit_3(tmp_path, kind):
-    # in a fresh interpreter per worker count, where numpy's RuntimeWarnings
-    # print as usual (in this one pyproject's filterwarnings makes them
-    # errors): the finiteness check's line is all of stderr, at one worker
-    # and with the sampling in pool threads
-    probe = """
+_MAIN_PROBE = """
 import contextlib, io, json, os, sys
 os.environ["RISKSCALE_THREADS"] = sys.argv[1]
 from riskscale.cli import main
@@ -509,15 +503,77 @@ with contextlib.redirect_stderr(err):
     status = main(sys.argv[2:])
 print(json.dumps([status, err.getvalue()]))
 """
+
+
+def _main_in_fresh_python(threads, *argv):
+    """(exit status, stderr) of ``main(argv)`` at RISKSCALE_THREADS=threads
+    in a fresh interpreter, where numpy's RuntimeWarnings print as usual (in
+    this one pyproject's filterwarnings makes them errors)."""
+    return tuple(json.loads(_fresh_python(_MAIN_PROBE, threads, *argv)))
+
+
+@pytest.mark.parametrize("kind", sorted(NON_FINITE_CONFIGS))
+def test_accepted_configs_with_non_finite_rows_exit_3(tmp_path, kind):
+    # the finiteness check's line is all of stderr, at one worker and with
+    # the sampling in pool threads
     config = _write(tmp_path, "sample.cfg", NON_FINITE_CONFIGS[kind])
     out = tmp_path / "sample.csv"
     for threads in ("1", "2"):
-        status, err = json.loads(_fresh_python(probe, threads, "sample", "--config", config,
-                                               "--out", str(out)))
+        status, err = _main_in_fresh_python(threads, "sample", "--config", config,
+                                            "--out", str(out))
         assert status == 3
         assert err.count("\n") == 1
         assert err.startswith("riskscale: the output holds non-finite values (min nan,")
         assert not out.exists()
+
+
+NAN_TAILDEP = """
+command = taildep
+seed = 1
+n = 1000
+model.kind = mgb2
+model.a = 1,1
+model.b = 1,1
+model.p = 0.0001,0.0001
+model.theta = pareto:1e-300
+c1 = 1
+c2 = 1
+t_grid = 2
+"""
+
+NAN_TAILDEP_LINE = ("riskscale: the MGB2 sample holds nan values (Theta^(1/a) * W is "
+                    "inf * 0); no tail ratio is formed\n")
+
+OVERFLOWING_CONFIGS = [
+    # Gamma(1e-4) draws are 0 and Theta = u^(-1e300) is inf: X = inf * 0 is
+    # nan, which no threshold counts
+    ("taildep", NAN_TAILDEP, 3, NAN_TAILDEP_LINE),
+    # G^1000 and Theta^1000 overflow to inf or underflow to 0: inf * 0 again
+    ("taildep", NAN_TAILDEP.replace("model.p = 0.0001,0.0001", "model.p = 1,1")
+     .replace("model.a = 1,1", "model.a = 0.001,0.001"), 3, NAN_TAILDEP_LINE),
+    # Theta = inf times W > 0: every X is inf, which exceeds every threshold
+    ("taildep", NAN_TAILDEP.replace("model.p = 0.0001,0.0001", "model.p = 1,1"), 0, ""),
+    # numpy warns as the model checks form the non-finite sum they refuse
+    ("premium", SCALAR_PREMIUM.replace("model.sigma = 1", "model.sigma = 1e308")
+     .replace("model.sigma0 = 3", "model.sigma0 = 1e308"), 2,
+     "riskscale: config error: model: sigma + sigma0 contains non-finite entries\n"),
+    ("premium", "command = premium\nseed = 1\nmodel.kind = elliptical_shift\n"
+     "model.c = 1e308,1e308;1e308,1e308\nmodel.nu = 0,0\nx = 1.5\n", 2,
+     "riskscale: config error: model: matrix contains non-finite entries\n"),
+]
+
+
+@pytest.mark.parametrize("command, text, status, err", OVERFLOWING_CONFIGS,
+                         ids=["taildep-nan", "taildep-overflow", "taildep-inf",
+                              "gaussian-sum", "elliptical-sum"])
+def test_overflowing_configs_print_their_line_only(tmp_path, command, text, status, err):
+    # numpy's warnings print to no one: stderr is the one line of the
+    # refusal, or empty on exit 0
+    config = _write(tmp_path, "run.cfg", text)
+    out = tmp_path / "run.csv"
+    assert _main_in_fresh_python("1", command, "--config", config, "--out", str(out)) \
+        == (status, err)
+    assert out.exists() == (status == 0)
 
 
 def test_a_library_call_still_warns_of_its_non_finite_rows():

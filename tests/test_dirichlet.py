@@ -350,13 +350,13 @@ def _bit_alphas(d):
     return tuple(0.5 + 0.5 * i for i in range(d))  # shapes < 1 and >= 1
 
 
-def _ref_simplex(alphas, rate, gen, m):
-    g = np.column_stack([gen.standard_gamma(a, size=m) / rate for a in alphas])
+def _ref_simplex(alphas, gen, m):
+    g = np.column_stack([gen.standard_gamma(a, size=m) for a in alphas])
     return g / g.sum(axis=1, keepdims=True)
 
 
 def _ref_angular(spec, gen, m):
-    return _ref_simplex(spec.alphas, 1.0 / spec.p, gen, m) ** (1.0 / spec.p)
+    return _ref_simplex(spec.alphas, gen, m) ** (1.0 / spec.p)
 
 
 def _ref_radius(law, stream, m):
@@ -424,7 +424,7 @@ class TestOperatorFormBits:
         def fill(block, lo, hi):
             m = hi - lo
             p = law.sample(block.child(0).generator(), size=m)
-            w = _ref_simplex(spec.alphas, 1.0, block.child(1).generator(), m)
+            w = _ref_simplex(spec.alphas, block.child(1).generator(), m)
             o = w ** (1.0 / p[:, None])
             r = _ref_radius(radial, block.child(2), m)
             return np.hstack([r[:, None] * o, p[:, None]])

@@ -371,9 +371,10 @@ def test_limit_regime_error_is_named(model, param):
 
 # -- bit identity with the operator forms -----------------------------------
 #
-# The references below are the plain operator forms the block code used to
-# run (a broadcast theta[:, None] ** powers, stacked W columns, strided
-# column reads, out-of-place squares), drawing from the same block streams.
+# The references below are the plain operator forms the block code stands
+# for (theta ** (1/a_i) per column with a scalar exponent, stacked W columns,
+# strided column reads, out-of-place squares), drawing from the same block
+# streams.
 # The per-block code must reproduce them bit for bit. Nothing here pins
 # absolute bits: numpy's pow differs between CPUs (SVML on AVX-512 hosts).
 
@@ -401,8 +402,7 @@ def _ref_w(model, gen, m):
 def _ref_rows(model, block, m):
     theta = _ref_theta(model.theta_law, block.child(0), m)
     w = _ref_w(model, block.child(1).generator(), m)
-    powers = np.array([1.0 / ai for ai in model.a])
-    return theta[:, None] ** powers[None, :] * w
+    return np.column_stack([theta ** (1.0 / ai) for ai in model.a]) * w
 
 
 def _ref_moments(u, v):

@@ -276,13 +276,13 @@ def test_seed_outside_64_bits_is_rejected_not_aliased(seed):
 
 def _swapped_alphas(monkeypatch):
     simplex = dirichlet._gamma_simplex
-    monkeypatch.setattr(dirichlet, "_gamma_simplex", lambda alphas, rate, gen, m:
-                        simplex((alphas[1], alphas[0], *alphas[2:]), rate, gen, m))
+    monkeypatch.setattr(dirichlet, "_gamma_simplex", lambda alphas, gen, m:
+                        simplex((alphas[1], alphas[0], *alphas[2:]), gen, m))
 
 
 def _power_p_for_one_over_p(monkeypatch):
     def angular_sample(spec, gen, size):
-        w = dirichlet._gamma_simplex(spec.alphas, 1.0 / spec.p, gen, size)
+        w = dirichlet._gamma_simplex(spec.alphas, gen, size)
         w **= spec.p  # not 1 / p
         return w
 
