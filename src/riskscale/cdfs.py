@@ -2,8 +2,8 @@
 
 These are the *checking* side of every sampler/CDF pair: variates come from
 numpy ``Generator`` kernels, while the CDFs lean on ``scipy.special``'s
-incomplete beta routine and error function, so the two routes stay
-independent. :func:`breiman_limit` is the exact joint-tail limit that the
+incomplete beta and Gamma routines and error function, so the two routes
+stay independent. :func:`breiman_limit` is the exact joint-tail limit that the
 Monte Carlo estimates of ``tails`` are checked against; it integrates
 ``scipy.special``'s incomplete Gamma function by a trapezoid rule in numpy,
 without ``scipy.integrate``.
@@ -73,6 +73,27 @@ def angular_marginal_cdf(spec: LpSpec, i: int, x):
     inside = np.clip(x, 0.0, 1.0) ** spec.p
     return np.where(x <= 0.0, 0.0, np.where(x >= 1.0, 1.0,
                     beta_cdf(inside, spec.alphas[i], rest)))
+
+
+def y_marginal_cdf(alpha, p, x):
+    """P(Y <= x) for the Y marginal, Y^p ~ Gamma(alpha, rate 1/p), whose
+    density is p^(1-alpha)/Gamma(alpha) x^(p alpha - 1) e^(-x^p/p): the
+    regularized lower incomplete Gamma function at x^p / p. It is the law of
+    each X_i of an L_p-Dirichlet row with the GammaPower(sum alpha, 1/p, 1/p)
+    radius, of the Beta-Gamma product (T E)^(1/p), and of each factor of a
+    random-scale sequence before its scale."""
+    x = np.clip(np.asarray(x, dtype=float), 0.0, None)
+    return special.gammainc(alpha, x ** p / p)
+
+
+def beta_prime_cdf(a, b, z):
+    """P(Z <= z) for the Beta-prime law of Z = G_a / G_b, independent Gammas of
+    shapes a and b and one rate: the Beta(a, b) CDF at z / (1 + z). It is the
+    law of (X_1/X_2)^p for two factors of a random-scale sequence, whatever
+    the scale, and of each MGB2 margin (X_i/b_i)^(a_i) under an InvGamma(b)
+    mixer."""
+    z = np.clip(np.asarray(z, dtype=float), 0.0, None)
+    return special.betainc(a, b, z / (1.0 + z))
 
 
 #: Trapezoid step of :func:`breiman_limit` in t = log(s / lam), for

@@ -172,7 +172,10 @@ def mgb2_conditional_sample(model: MGB2Model, n: int, stream: RngStream,
                             workers=None) -> np.ndarray:
     """Conditional route: draw theta, then X_i = b_i U_i^(1/a_i) with
     U_i | theta ~ Gamma(p_i, 1/theta), realized as theta times a unit-rate
-    Gamma draw. Same law as :func:`mgb2_sample`; used as its oracle."""
+    Gamma draw. The paper's second representation of the law of
+    :func:`mgb2_sample`, and under test beside it: ``verify`` judges each
+    margin of both against the exact Beta-prime law and compares their row
+    minima."""
 
     def fill(block, lo, hi):
         m = hi - lo

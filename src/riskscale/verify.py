@@ -19,22 +19,30 @@ tolerances: ``gaussian_premium_forms`` (1e-10), ``elliptical_reduction``
 1e-12) and ``determinism`` (bit equality). Their worst values are taken by
 numpy's max, which is nan when any sub-statistic is nan.
 
-Most Monte Carlo estimates are checked against references that share no
-code with their samplers: the ``cdfs`` distribution functions, the
-closed-form premiums, and, for ``breiman_tail_limit``, the exact joint-tail
-limit :func:`cdfs.breiman_limit` and the exact prelimit at its exponential
-point. Four checks do not, as things stand:
-``gamma_dirichlet_factorization``, ``beta_gamma_algebra``,
-``scale_cancellation`` and ``mgb2_equivalence`` each compare two samplers
-that both draw through the one Gamma kernel, ``samplers._std_gamma``. A
-fault in that kernel can pass them. With the kernel drawing
-Gamma(1.15 shape), three still pass at their false-alarm rate:
-``gamma_dirichlet_factorization``, ``scale_cancellation`` and
-``mgb2_equivalence``. ``beta_gamma_algebra`` fails, because its exponential
-factor is not drawn through the kernel. Until these four test against exact
-laws, the kernel is guarded by the other checks (``beta_marginals``,
-``weighted_gaussian``, ``clayton_identity`` and ``breiman_tail_limit`` fail
-under that mutation).
+Every Monte Carlo sub-test compares one sample with an exact law that
+shares no code with its sampler, through the ``cdfs`` distribution
+functions and the closed-form premiums:
+
+- ``scalar_premium_mc``: :func:`credibility.premium_scalar`;
+- ``beta_marginals``: :func:`cdfs.angular_marginal_cdf`;
+- ``gamma_dirichlet_factorization`` and ``beta_gamma_algebra``: the Y
+  marginal :func:`cdfs.y_marginal_cdf` (and zero correlation);
+- ``scale_cancellation``: :func:`cdfs.beta_prime_cdf` for the ratio law;
+- ``weighted_gaussian``: :func:`cdfs.normal_cdf` (and zero correlation);
+- ``mgb2_equivalence``: :func:`cdfs.beta_prime_cdf` for each margin of
+  both representations;
+- ``clayton_identity``: :func:`tails.archimedean_survival`;
+- ``breiman_tail_limit``: the exact joint-tail limit
+  :func:`cdfs.breiman_limit` and the exact prelimit at its exponential
+  point.
+
+The one exception is the row minimum of ``mgb2_equivalence``, the only
+joint-law test of the paper's two MGB2 representations: it compares the two
+samplers by a two-sample KS. Since no other reference draws through the one
+Gamma kernel, ``samplers._std_gamma``, a fault there cannot cancel between
+a sample and its reference: with the kernel drawing Gamma(1.15 shape),
+each of the eight Gamma-based checks (all but ``scalar_premium_mc``)
+fails.
 
 The checks take no worker count: the samplers they call take it from
 RISKSCALE_THREADS, and the bytes of a report do not depend on it.
@@ -49,14 +57,18 @@ whole.
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 
 from .cdfs import (
     angular_marginal_cdf,
+    beta_prime_cdf,
     breiman_limit,
     ks_pvalue,
     normal_cdf,
     normal_pvalue,
+    y_marginal_cdf,
 )
 from .credibility import (
     EllipticalShiftModel,
@@ -84,7 +96,6 @@ from .gof import GofReport, ks_one_sample, ks_two_sample
 from .linalg import mat_inverse
 from .radial import GammaPower, InvGamma, Pareto, PointMass
 from .rng import BLOCK_ROWS, RngStream, reduce_blocks
-from .samplers import y_marginal_sample
 from .tails import (
     ClaytonSpec,
     MGB2Model,
@@ -252,25 +263,23 @@ def check_beta_marginals(seed: int) -> GofReport:
 
 def check_factorization(seed: int) -> GofReport:
     """With the Gamma-power radius, scaled angular components are independent
-    with the Y marginals: per-margin KS plus the correlation of each pair of
-    p-powers, 15 sub-tests."""
+    with the Y marginals: KS of each X_i against :func:`cdfs.y_marginal_cdf`
+    plus the correlation of each pair of p-powers, 15 sub-tests."""
     n = 10**4
     p = 3.0
     spec = LpSpec(alphas=_ALPHAS, p=p)
     radial = GammaPower(sum(_ALPHAS), 1.0 / p, 1.0 / p)
-    stream = _stream(seed, 6)
-    x = lp_dirichlet_sample(spec, radial, n, stream.child(20))
-    pvalues = []
-    for i, alpha in enumerate(_ALPHAS):
-        y = y_marginal_sample(alpha, p, stream.child(i + 10).generator(), size=n)
-        pvalues.append(ks_pvalue(ks_two_sample(x[:, i], y)))
+    x = lp_dirichlet_sample(spec, radial, n, _stream(seed, 6).child(20))
+    pvalues = [ks_pvalue(ks_one_sample(x[:, i], partial(y_marginal_cdf, alpha, p)))
+               for i, alpha in enumerate(_ALPHAS)]
     pvalues.extend(_corr_pvalues(x ** p))
     return _verdict("gamma_dirichlet_factorization", pvalues)
 
 
 def check_scale_cancellation(seed: int) -> GofReport:
-    """The law of X_1/X_2 does not depend on the common scale law: two-sample
-    KS of the ratio with no scale against the ratio under a Pareto(1) scale.
+    """The law of X_1/X_2 does not depend on the common scale law: KS of
+    (X_1/X_2)^p against Beta-prime(alpha, alpha), :func:`cdfs.beta_prime_cdf`,
+    with no scale and under a Pareto(1) scale, 2 sub-tests.
 
     The scale is heavy so that a scale drawn per component would show: log S
     then has variance 1 per component, beside ~2.5 for log(Y_1/Y_2), and the
@@ -278,22 +287,25 @@ def check_scale_cancellation(seed: int) -> GofReport:
     Pareto(3) scale (variance 1/9) such a fault usually passed.
     """
     n = 10**4
+    alpha, p = 0.5, 2.0
     stream = _stream(seed, 7)
-    a = random_scale_sequence_sample(0.5, 2.0, PointMass(1.0), 2, n, stream.child(0))
-    b = random_scale_sequence_sample(0.5, 2.0, Pareto(1.0), 2, n, stream.child(1))
-    rep = ks_two_sample(a[:, 0] / a[:, 1], b[:, 0] / b[:, 1])
-    return _verdict("scale_cancellation", ks_pvalue(rep))
+    pvalues = []
+    for k, scale in enumerate((PointMass(1.0), Pareto(1.0))):
+        x = random_scale_sequence_sample(alpha, p, scale, 2, n, stream.child(k))
+        pvalues.append(ks_pvalue(ks_one_sample((x[:, 0] / x[:, 1]) ** p,
+                                               partial(beta_prime_cdf, alpha, alpha))))
+    return _verdict("scale_cancellation", pvalues)
 
 
 def check_beta_gamma_algebra(seed: int) -> GofReport:
-    """(T E)^(1/p) with Beta/exponential factors matches the Y marginal."""
+    """(T E)^(1/p) with Beta/exponential factors follows the Y marginal: KS
+    against :func:`cdfs.y_marginal_cdf` at three (alpha, p), 3 sub-tests."""
     n = 10**4
     stream = _stream(seed, 8)
     pvalues = []
     for k, (alpha, p) in enumerate(((0.5, 1.0), (0.5, 2.0), (0.2, 3.0))):
         x = beta_gamma_sample(alpha, p, n, stream.child(2 * k))
-        y = y_marginal_sample(alpha, p, stream.child(2 * k + 1).generator(), size=n)
-        pvalues.append(ks_pvalue(ks_two_sample(x, y)))
+        pvalues.append(ks_pvalue(ks_one_sample(x, partial(y_marginal_cdf, alpha, p))))
     return _verdict("beta_gamma_algebra", pvalues)
 
 
@@ -327,17 +339,27 @@ def check_random_p_sphere(seed: int) -> GofReport:
 
 
 def check_mgb2_equivalence(seed: int) -> GofReport:
-    """Scale-mixture and conditional MGB2 samplers agree in law: two-sample
-    KS of each margin and of the minimum, 3 sub-tests."""
+    """The paper's two MGB2 representations, the scale mixture
+    :func:`tails.mgb2_sample` and the conditional
+    :func:`tails.mgb2_conditional_sample`, each have the exact margins: with
+    an InvGamma(q) mixer, (X_i/b_i)^(a_i) = G_i / G_q is Beta-prime(p_i, q),
+    :func:`cdfs.beta_prime_cdf`. Each margin of each sampler is KS-tested
+    against it (4 sub-tests), and the two samplers' row minima against each
+    other by two-sample KS, the one joint-law sub-test: 5 sub-tests. The
+    margins alone cannot see a conditional sampler that draws a fresh Theta
+    per column; the minimum does."""
     n = 10**4
+    q = 2.0
     model = MGB2Model(a=(2.0, 3.0), b=(1.0, 2.0), p=(1.5, 0.5),
-                      theta_law=InvGamma(2.0))
+                      theta_law=InvGamma(q))
     stream = _stream(seed, 11)
     x = mgb2_sample(model, n, stream.child(0))
     y = mgb2_conditional_sample(model, n, stream.child(1))
-    pairs = [(x[:, i], y[:, i]) for i in range(model.dim)]
-    pairs.append((x.min(axis=1), y.min(axis=1)))
-    return _verdict("mgb2_equivalence", [ks_pvalue(ks_two_sample(*xy)) for xy in pairs])
+    pvalues = [ks_pvalue(ks_one_sample((rows[:, i] / model.b[i]) ** model.a[i],
+                                       partial(beta_prime_cdf, model.p[i], q)))
+               for rows in (x, y) for i in range(model.dim)]
+    pvalues.append(ks_pvalue(ks_two_sample(x.min(axis=1), y.min(axis=1))))
+    return _verdict("mgb2_equivalence", pvalues)
 
 
 def check_clayton_identity(seed: int) -> GofReport:

@@ -1,7 +1,11 @@
-"""The exact Breiman limit ``cdfs.breiman_limit``: its closed form, its
-homogeneity, the convergence of its trapezoid rule, an independent
-quadrature, and agreement with the Monte Carlo estimate it checks; and the
-exact prelimit that ``verify`` judges its table rows against."""
+"""The exact laws of ``cdfs`` that ``verify`` judges samples against.
+
+The Y marginal ``y_marginal_cdf`` and the Beta-prime ``beta_prime_cdf``
+against an adaptive quadrature of their densities. The exact Breiman limit
+``cdfs.breiman_limit``: its closed form, its homogeneity, the convergence
+of its trapezoid rule, an independent quadrature, and agreement with the
+Monte Carlo estimate it checks; and the exact prelimit that ``verify``
+judges its table rows against."""
 
 import math
 
@@ -9,12 +13,75 @@ import numpy as np
 import pytest
 
 from riskscale import cdfs
-from riskscale.cdfs import LIMIT_STEP, breiman_limit
+from riskscale.cdfs import LIMIT_STEP, beta_prime_cdf, breiman_limit, y_marginal_cdf
 from riskscale.errors import ParameterError, UnsupportedModelError
 from riskscale.radial import InvGamma, Pareto, PointMass, regular_variation_index
 from riskscale.rng import RngStream
 from riskscale.tails import MGB2Model, tail_dependence_limit
 from riskscale.verify import _TAIL_POINTS, _exponential_prelimit
+
+def _quad(density, lo, hi):
+    from scipy import integrate
+
+    return integrate.quad(density, lo, hi, epsabs=0.0, epsrel=1e-12, limit=500)[0]
+
+
+def _y_marginal_density(alpha, p):
+    return lambda x: (p ** (1.0 - alpha) / math.gamma(alpha)
+                      * x ** (p * alpha - 1.0) * math.exp(-x ** p / p))
+
+
+def _beta_prime_density(a, b):
+    return lambda z: z ** (a - 1.0) * (1.0 + z) ** (-a - b) / math.exp(
+        math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b))
+
+
+#: The Y-marginal points, as u = x^p / p: two in the body, one in the tail.
+Y_BODY, Y_TAIL = (0.05, 1.0), 8.0
+
+
+@pytest.mark.parametrize("p", [1.0, 2.0, 3.0])
+@pytest.mark.parametrize("alpha", [0.2, 0.5, 2.5])
+def test_y_marginal_cdf_agrees_with_adaptive_quadrature(alpha, p):
+    # the CDF in the body and the survival in the tail, each by quad of the
+    # density p^(1-alpha)/Gamma(alpha) x^(p alpha - 1) e^(-x^p/p)
+    density = _y_marginal_density(alpha, p)
+    for u in Y_BODY:
+        x = (p * u) ** (1.0 / p)
+        assert y_marginal_cdf(alpha, p, x) == pytest.approx(
+            _quad(density, 0.0, x), rel=1e-9, abs=0)
+    x = (p * Y_TAIL) ** (1.0 / p)
+    assert 1.0 - y_marginal_cdf(alpha, p, x) == pytest.approx(
+        _quad(density, x, np.inf), rel=1e-7, abs=0)
+
+
+@pytest.mark.parametrize("a, b", [(0.5, 0.5), (1.5, 2.0)])
+def test_beta_prime_cdf_agrees_with_adaptive_quadrature(a, b):
+    # density z^(a-1) (1+z)^(-a-b) / B(a, b): the CDF in the body, the
+    # survival in the tail
+    density = _beta_prime_density(a, b)
+    for z in (0.1, 1.0):
+        assert beta_prime_cdf(a, b, z) == pytest.approx(
+            _quad(density, 0.0, z), rel=1e-9, abs=0)
+    assert 1.0 - beta_prime_cdf(a, b, 50.0) == pytest.approx(
+        _quad(density, 50.0, np.inf), rel=1e-7, abs=0)
+
+
+@pytest.mark.parametrize("cdf", [
+    lambda x: y_marginal_cdf(0.2, 3.0, x),
+    lambda x: y_marginal_cdf(2.5, 1.0, x),
+    lambda x: beta_prime_cdf(0.5, 0.5, x),
+    lambda x: beta_prime_cdf(1.5, 2.0, x),
+], ids=["y(0.2,3)", "y(2.5,1)", "beta_prime(0.5,0.5)", "beta_prime(1.5,2)"])
+def test_exact_law_is_zero_at_zero_and_monotone(cdf):
+    # the argument is clipped at 0, and the CDF takes and returns arrays
+    grid = np.concatenate([[-1.0, 0.0], np.geomspace(1e-6, 1e3, 400)])
+    values = cdf(grid)
+    assert values.shape == grid.shape
+    assert values[0] == values[1] == 0.0 and cdf(0.0) == 0.0
+    assert (np.diff(values) >= 0.0).all()
+    assert 0.0 < values[-200] < values[-1] <= 1.0 and values[-1] > 0.95
+
 
 #: Models away from the exponential case: a != 1, b and p unequal, both
 #: regularly varying mixers.

@@ -3,7 +3,14 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from riskscale.cdfs import angular_marginal_cdf, beta_cdf, ks_pvalue, normal_cdf
+from riskscale.cdfs import (
+    angular_marginal_cdf,
+    beta_cdf,
+    beta_prime_cdf,
+    ks_pvalue,
+    normal_cdf,
+    y_marginal_cdf,
+)
 from riskscale.dirichlet import (
     SPHERE_TOL,
     LpSpec,
@@ -21,7 +28,7 @@ from riskscale.errors import ParameterError
 from riskscale.gof import ks_one_sample, ks_two_sample
 from riskscale.radial import GammaPower, Pareto, PointMass
 from riskscale.rng import BLOCK_ROWS, RngStream, map_blocks
-from riskscale.samplers import gamma_sample, y_marginal_sample
+from riskscale.samplers import gamma_sample
 from riskscale.verify import _ALPHAS
 
 N = 10**4
@@ -140,16 +147,15 @@ class TestLpDirichlet:
         assert np.abs(x[:, 1] - (1.0 - x[:, 0])).max() < 1e-12
 
     def test_gamma_power_radius_factorizes(self):
-        # independence radius: the scaled components match the unnormalized
-        # factors drawn directly (Gamma-Dirichlet factorization oracle)
+        # independence radius: the scaled components follow the exact law of
+        # the unnormalized factors (Gamma-Dirichlet factorization oracle)
         alphas, p = (0.5, 1.0, 1.5), 2.0
         spec = LpSpec(alphas, p)
         radial = GammaPower(sum(alphas), 1.0 / p, 1.0 / p)
         s = RngStream(9)
         x = lp_dirichlet_sample(spec, radial, N, s.child(0))
         for i, a in enumerate(alphas):
-            y = y_marginal_sample(a, p, s.child(i + 1).generator(), size=N)
-            assert ks_pvalue(ks_two_sample(x[:, i], y)) > 0.01
+            assert ks_pvalue(ks_one_sample(x[:, i], lambda v: y_marginal_cdf(a, p, v))) > 0.01
         corr = np.corrcoef(x ** p, rowvar=False)
         off = np.abs(corr - np.diag(np.diag(corr))).max()
         assert off < 3.0 / np.sqrt(N)
@@ -245,16 +251,17 @@ class TestRandomP:
 class TestRandomScaleSequence:
     def test_degenerate_scale_recovers_marginals(self):
         x = random_scale_sequence_sample(0.5, 2.0, PointMass(1.0), 2, N, RngStream(18))
-        y = y_marginal_sample(0.5, 2.0, RngStream(19).generator(), size=N)
         for i in range(2):
-            assert ks_pvalue(ks_two_sample(x[:, i], y)) > 0.01
+            assert ks_pvalue(ks_one_sample(x[:, i], lambda v: y_marginal_cdf(0.5, 2.0, v))) > 0.01
 
     def test_ratio_law_ignores_scale(self):
         s = RngStream(20)
-        a = random_scale_sequence_sample(0.5, 2.0, PointMass(1.0), 2, N, s.child(0))
-        b = random_scale_sequence_sample(0.5, 2.0, Pareto(3.0), 2, N, s.child(1))
-        rep = ks_two_sample(a[:, 0] / a[:, 1], b[:, 0] / b[:, 1])
-        assert ks_pvalue(rep) > 0.01
+        # (X_1/X_2)^p is Beta-prime(alpha, alpha) under either scale law
+        for k, scale in enumerate((PointMass(1.0), Pareto(3.0))):
+            x = random_scale_sequence_sample(0.5, 2.0, scale, 2, N, s.child(k))
+            rep = ks_one_sample((x[:, 0] / x[:, 1]) ** 2.0,
+                                lambda z: beta_prime_cdf(0.5, 0.5, z))
+            assert ks_pvalue(rep) > 0.01
 
     def test_shared_scale_within_row(self):
         # ratios computed two ways agree draw for draw: scale cancels exactly
@@ -271,9 +278,8 @@ class TestRandomScaleSequence:
         x = lp_dirichlet_sample(LpSpec((alpha,) * d, p),
                                 GammaPower(d * alpha, 1.0 / p, 1.0 / p),
                                 N, s.child(0))
-        y = y_marginal_sample(alpha, p, s.child(1).generator(), size=N)
         for i in range(d):
-            assert ks_pvalue(ks_two_sample(x[:, i], y)) > 0.01
+            assert ks_pvalue(ks_one_sample(x[:, i], lambda v: y_marginal_cdf(alpha, p, v))) > 0.01
 
     def test_needs_at_least_one_component(self):
         with pytest.raises(ParameterError, match="d must be >= 1, got 0"):
@@ -285,8 +291,7 @@ class TestBetaGamma:
     def test_matches_y_marginal(self, alpha, p):
         s = RngStream(22, int(10 * alpha + p))
         x = beta_gamma_sample(alpha, p, N, s.child(0))
-        y = y_marginal_sample(alpha, p, s.child(1).generator(), size=N)
-        assert ks_pvalue(ks_two_sample(x, y)) > 0.01
+        assert ks_pvalue(ks_one_sample(x, lambda v: y_marginal_cdf(alpha, p, v))) > 0.01
 
     def test_alpha_near_one_still_valid(self):
         x = beta_gamma_sample(0.999, 2.0, 2000, RngStream(23))

@@ -8,13 +8,17 @@ the address ``(seed, stream_id, path)`` of every generator the run asks
 for. Two tables hold what each config must give:
 
 - ``tests/golden/digests.json``, the SHA-256 of the output under the
-  running key, ``"<numpy version> <machine> <SIMD targets>"``. numpy may
-  change a Generator stream between releases, and its ``pow`` and ``exp``
-  give other last bits on the SIMD kernels it picks at run time (its
-  AVX-512 ones, say), so the key names the dispatch targets this CPU
-  enables: ``np.show_runtime()``'s ``simd_extensions.found``. Under a key
-  with no entry only the 1-versus-2-worker equality is checked, and the
-  test skips the digest with a reason that names the key.
+  running key, ``"<numpy version> <scipy version> <machine> <SIMD
+  targets>"``. numpy may change a Generator stream between releases, and
+  its ``pow`` and ``exp`` give other last bits on the SIMD kernels it picks
+  at run time (its AVX-512 ones, say), so the key names the dispatch
+  targets this CPU enables: ``np.show_runtime()``'s
+  ``simd_extensions.found``. The verify reports print p-values from
+  ``scipy.special`` (``kolmogorov``, ``ndtr``, ``betainc``, ``gammainc``
+  and ``gammaincc``), whose last bits another scipy release may change, so
+  the key names scipy's version too. Under a key with no entry only the
+  1-versus-2-worker equality is checked, and the test skips the digest
+  with a reason that names the key.
 - ``tests/golden/addresses.json``, the sorted list of the addresses drawn
   from, with no key. The table is portable: an address is numpy's spawn
   path, and which addresses a run draws from does not depend on the
@@ -48,6 +52,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy
 
 try:
     from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
@@ -62,7 +67,7 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 DIGESTS = GOLDEN / "digests.json"
 ADDRESSES = GOLDEN / "addresses.json"
 CONFIGS = sorted(path.stem for path in GOLDEN.glob("*.cfg"))
-KEY = " ".join([np.__version__, platform.machine(),
+KEY = " ".join([np.__version__, scipy.__version__, platform.machine(),
                 *(target for target in __cpu_dispatch__ if __cpu_features__.get(target))])
 
 

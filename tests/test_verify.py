@@ -271,8 +271,9 @@ def test_seed_outside_64_bits_is_rejected_not_aliased(seed):
 
 
 # One mutation per statistical check, each of which must fail at every
-# seed of POWER_SEEDS. The breiman_tail_limit ones are the limit-numerator
-# mutations above.
+# seed of POWER_SEEDS, and the kernel-shape fault for every check that draws
+# through the Gamma kernel. The breiman_tail_limit ones of its own are the
+# limit-numerator mutations above.
 
 def _swapped_alphas(monkeypatch):
     simplex = dirichlet._gamma_simplex
@@ -355,11 +356,46 @@ def _theta_shape_times_1_1(monkeypatch):
         ClaytonSpec(theta_shape=1.1 * spec.theta_shape, d=spec.d), n, stream))
 
 
+def _theta_per_column(monkeypatch):
+    # the conditional route with a fresh Theta for each column: every margin
+    # keeps its exact law, and only the joint law, through the row minimum,
+    # can show the fault
+    def conditional(model, n, stream):
+        def fill(block, lo, hi):
+            m = hi - lo
+            thetas = block.child(0).generator()
+            gen = block.child(1).generator()
+            return np.column_stack([
+                model.b[i] * (model.theta_law.sample(thetas, size=m)  # not one per row
+                              * samplers.gamma_sample(model.p[i], 1.0, gen, size=m))
+                ** (1.0 / model.a[i])
+                for i in range(model.dim)])
+
+        return rng.map_blocks(stream, n, fill, ncols=model.dim)
+
+    monkeypatch.setattr(verify, "mgb2_conditional_sample", conditional)
+
+
+def _kernel_shape_times_1_15(monkeypatch):
+    # every reference is an exact law that draws nothing, so a fault in the
+    # one kernel cannot cancel between a sample and its reference
+    monkeypatch.setattr(samplers, "_std_gamma", lambda shape, gen, size:
+                        gen.standard_gamma(shape * 1.15, size=size))  # not shape
+
+
+#: The statistical checks whose samples draw through the one Gamma kernel,
+#: ``samplers._std_gamma``: all but ``scalar_premium_mc``.
+GAMMA_CHECKS = tuple(check for check in STATISTICAL_CHECKS
+                     if check is not check_scalar_premium_mc)
+
+
 @pytest.mark.parametrize("check, mutate", [
+    *[(check, _kernel_shape_times_1_15) for check in GAMMA_CHECKS],
     (check_beta_marginals, _swapped_alphas),
     (check_factorization, _power_p_for_one_over_p),
     (check_weighted_gaussian, _all_signs_plus),
     (check_mgb2_equivalence, _power_a_for_one_over_a),
+    (check_mgb2_equivalence, _theta_per_column),
     (check_scale_cancellation, _scale_per_component),
     (check_beta_gamma_algebra, _exponential_mean_one),
     (check_scalar_premium_mc, _prior_weight_at_x_plus_y),
@@ -370,6 +406,24 @@ def test_mutation_fails_its_check_at_every_power_seed(monkeypatch, check, mutate
     mutate(monkeypatch)
     passed = [seed for seed in POWER_SEEDS if check(seed).passed]
     assert passed == []
+
+
+def test_suite_draws_no_reference_sample(monkeypatch):
+    # every reference is an exact law but the MGB2 row minimum, the one
+    # sub-test that compares two samples
+    calls = Counter()
+
+    def spy(module, name, function):
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return function(*args, **kwargs)
+        monkeypatch.setattr(module, name, call, raising=False)
+
+    for module in (samplers, verify):
+        spy(module, "y_marginal_sample", samplers.y_marginal_sample)
+    spy(verify, "ks_two_sample", verify.ks_two_sample)
+    assert all(report.passed for report in builtin_verify_suite(42))
+    assert calls == {"ks_two_sample": 1}
 
 
 #: The seed range reserved for the false-alarm sweep.
