@@ -34,6 +34,9 @@ Exit status: 0 ok, 1 verification check failed, 2 usage or parse error
 (including a RISKSCALE_THREADS that is not an integer) or an output that
 cannot be written, 3 numeric/model error, out of memory, or any other
 exception (an internal error, reported on one line without a traceback).
+On exit 1 the whole report is written, then one stderr line names each
+failing check with the labels of its failing sub-tests
+(``GofReport.failing``); on exit 0 stderr stays empty.
 """
 
 from __future__ import annotations
@@ -115,7 +118,10 @@ def run(config: RunConfig) -> int:
         checks = verify.builtin_verify_suite(config.seed)
         with _output(config.output_path) as write:
             write(verify.render_report(checks).encode("ascii"))
-        return 0 if all(c.passed for c in checks) else 1
+        failed = [f"{c.test_name} ({', '.join(c.failing)})" for c in checks if not c.passed]
+        if failed:
+            print("riskscale: verify failed: " + "; ".join(failed), file=sys.stderr)
+        return 1 if failed else 0
     sphere = None
     # a nan or inf is reported by the checks below (or by the tail table's
     # own refusal), and a power of the sphere check that overflows reads as

@@ -5,13 +5,15 @@ The KS functions return the statistic D with its effective sample size
 n_eff (n for one sample, nm/(n + m) for two) and carry no level. Their
 p-value is ``cdfs.ks_pvalue``, the asymptotic Kolmogorov survival function
 at D sqrt(n_eff); exact small-sample tables are out of scope since every
-verification run here uses n >= 10^3. Whether a p-value fails is decided
-in one place, by the one rule of ``verify``.
+verification run here uses n >= 10^3. How a p-value becomes a score is
+decided in one place, by the one rule of ``verify``; a :class:`GofReport`
+judges the scores of one check against its threshold.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import NamedTuple
 
 import numpy as np
@@ -21,20 +23,33 @@ from .errors import ParameterError
 
 @dataclass(frozen=True)
 class GofReport:
-    """Outcome of a single goodness-of-fit or identity check."""
+    """Outcome of one check: a score per named sub-test against one threshold.
+
+    ``scores`` maps each sub-test's label to its score and cannot be changed.
+    ``statistic`` is numpy's max of the scores, so a nan score makes it nan.
+    """
 
     test_name: str
-    statistic: float
+    scores: MappingProxyType
     threshold: float
+    statistic: float = field(init=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "statistic", float(self.statistic))
+        scores = MappingProxyType({label: float(v) for label, v in self.scores.items()})
+        object.__setattr__(self, "scores", scores)
         object.__setattr__(self, "threshold", float(self.threshold))
+        object.__setattr__(self, "statistic", float(np.max(list(scores.values()))))
 
     @property
     def passed(self) -> bool:
         """statistic <= threshold; a nan statistic fails."""
         return self.statistic <= self.threshold
+
+    @property
+    def failing(self) -> tuple[str, ...]:
+        """The labels whose score is above the threshold or nan, in order;
+        empty exactly when the check passes."""
+        return tuple(label for label, s in self.scores.items() if not s <= self.threshold)
 
 
 class KsStatistic(NamedTuple):

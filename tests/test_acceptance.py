@@ -116,7 +116,8 @@ def test_c14_verify_suite_determinism(verify_seed42, monkeypatch):
     monkeypatch.setenv("RISKSCALE_THREADS", "4")
     threaded = render_report(builtin_verify_suite(SEED))
     identical = first == second == threaded
-    report = GofReport("verify_suite_determinism", 0.0 if identical else 1.0, 0.0)
+    report = GofReport("verify_suite_determinism",
+                       {"1 run vs repeat vs 4 workers": 0.0 if identical else 1.0}, 0.0)
     assert first.encode() == second.encode() == threaded.encode()
     _conclude(14, "verify reports byte-identical across runs and workers", report)
 

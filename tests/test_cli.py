@@ -3,6 +3,7 @@ import contextlib
 import dataclasses
 import io
 import json
+import math
 
 import numpy as np
 import pytest
@@ -19,7 +20,8 @@ from riskscale.credibility import (EllipticalShiftModel, GaussianShiftModel,
 from riskscale.csvfmt import format_rows
 from riskscale.dirichlet import (SPHERE_TOL, LpSpec, RandomPSpec, WeightedSpec,
                                  lp_dirichlet_sample, random_p_sample, weighted_sample)
-from riskscale.gof import GofReport
+from riskscale.errors import ParameterError
+from riskscale.gof import GofReport, ks_one_sample
 from riskscale.radial import GammaPower, InvGamma, Pareto, PointMass
 from riskscale.rng import BLOCK_ROWS, RngStream
 from riskscale.tails import (ClaytonSpec, MGB2Model, TailQuery, mgb2_sample,
@@ -312,15 +314,15 @@ def test_config_not_utf8_exits_2(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_verify_command_reports_and_exit_codes(tmp_path, monkeypatch):
+def test_verify_command_reports_and_exit_codes(tmp_path, monkeypatch, capsys):
     calls = {}
 
     def fake_pass(seed):
         calls["seed"] = seed
-        return GofReport("stub_pass", 0.0, 1.0)
+        return GofReport("stub_pass", {"a": 0.0}, 1.0)
 
     def fake_fail(seed):
-        return GofReport("stub_fail", 2.0, 1.0)
+        return GofReport("stub_fail", {"m1": 0.5, "m2": 2.0, "m3": math.nan}, 1.0)
 
     config = _write(tmp_path, "verify.cfg", "command = verify\nseed = 42\n")
     out = tmp_path / "report.txt"
@@ -329,10 +331,40 @@ def test_verify_command_reports_and_exit_codes(tmp_path, monkeypatch):
     assert main(["verify", "--config", config, "--out", str(out)]) == 0
     assert calls["seed"] == 42
     assert out.read_text() == "stub_pass,0,1,true\nstub_pass,0,1,true\n"
+    assert capsys.readouterr().err == ""
 
-    monkeypatch.setattr(verify, "CHECKS", (fake_pass, fake_fail))
+    monkeypatch.setattr(verify, "CHECKS", (fake_fail, fake_pass, fake_fail))
     assert main(["verify", "--config", config, "--out", str(out)]) == 1
-    assert "stub_fail,2,1,false" in out.read_text()
+    assert out.read_text().count("stub_fail,nan,1,false\n") == 2
+    # one line after the report names each failing check and its sub-tests
+    assert capsys.readouterr().err == ("riskscale: verify failed: stub_fail (m2, m3); "
+                                       "stub_fail (m2, m3)\n")
+
+
+def test_nan_in_a_ks_sample_fails_its_sub_test_not_the_run(tmp_path, monkeypatch, capsys):
+    # gof refuses a non-finite sample; verify scores that KS sub-test nan,
+    # so its check fails, names it, and the whole report is still written
+    sample = verify.beta_gamma_sample
+
+    def with_nan(alpha, p, n, stream):  # the second of the check's three samples
+        x = sample(alpha, p, n, stream)
+        if (alpha, p) == (0.5, 2.0):
+            x[n // 2] = math.nan
+        return x
+
+    monkeypatch.setattr(verify, "beta_gamma_sample", with_nan)
+    rep = verify.check_beta_gamma_algebra(42)
+    assert math.isnan(rep.statistic) and rep.failing == ("alpha=0.5 p=2",)
+    config = _write(tmp_path, "verify.cfg", "command = verify\nseed = 42\n")
+    out = tmp_path / "report.txt"
+    assert main(["verify", "--config", config, "--out", str(out)]) == 1
+    lines = out.read_text().splitlines()
+    assert len(lines) == 14 and "beta_gamma_algebra,nan," in lines[7]
+    assert [line for line in lines if line.endswith(",false")] == [lines[7]]
+    err = capsys.readouterr().err
+    assert err == "riskscale: verify failed: beta_gamma_algebra (alpha=0.5 p=2)\n"
+    with pytest.raises(ParameterError, match="non-finite"):
+        ks_one_sample(np.array([math.nan] + [0.5] * 20), lambda v: v)
 
 
 def test_csv_writer_matches_per_value_format(tmp_path):
@@ -605,7 +637,7 @@ def test_out_of_memory_exit_code(tmp_path, monkeypatch, capsys):
 ])
 def test_unwritable_output_exit_code(tmp_path, capsys, monkeypatch, command, text):
     monkeypatch.setattr(verify, "CHECKS",
-                        (lambda seed: GofReport("stub", 0.0, 1.0),))
+                        (lambda seed: GofReport("stub", {"a": 0.0}, 1.0),))
     config = _write(tmp_path, "run.cfg", text)
     out = tmp_path / "missing" / "out.csv"
     assert main([command, "--config", config, "--out", str(out)]) == 2
@@ -723,7 +755,7 @@ def test_unexpected_exception_in_check_exits_3_not_1(tmp_path, monkeypatch, caps
         raise KeyError("missing\nkey")
 
     monkeypatch.setattr(verify, "CHECKS",
-                        (lambda seed: GofReport("stub", 0.0, 1.0),
+                        (lambda seed: GofReport("stub", {"a": 0.0}, 1.0),
                          broken))
     config = _write(tmp_path, "verify.cfg", "command = verify\nseed = 42\n")
     out = tmp_path / "report.txt"

@@ -1,7 +1,8 @@
+import dataclasses
+import math
+
 import numpy as np
 import pytest
-
-import math
 
 from riskscale.cdfs import ks_pvalue, normal_cdf, normal_pvalue
 from riskscale.errors import ParameterError
@@ -58,8 +59,9 @@ def test_two_sample_detects_shift():
 
 
 def test_report_invariant():
-    rep = GofReport("x", 0.5, 0.5)
+    rep = GofReport("x", {"a": 0.5}, 0.5)
     assert rep.passed == (rep.statistic <= rep.threshold)
+    assert rep.failing == ()
     # a KS result is a bare distance and its size, with no level to pass
     for r in (ks_two_sample(np.arange(100.0), np.arange(100.0) + 0.01),
               ks_one_sample(np.linspace(0.01, 0.99, 50), uniform_cdf)):
@@ -69,14 +71,43 @@ def test_report_invariant():
 
 
 def test_pass_is_derived_from_statistic_and_threshold():
-    assert not GofReport("x", 2.0, 1.0).passed
-    assert not GofReport("x", np.nan, 1.0).passed
-    rep = GofReport("x", np.float64(1), 1)
+    assert not GofReport("x", {"a": 2.0}, 1.0).passed
+    assert not GofReport("x", {"a": np.nan}, 1.0).passed
+    rep = GofReport("x", {"a": np.float64(1)}, 1)
     assert rep.passed and type(rep.statistic) is float and type(rep.threshold) is float
+    assert type(rep.scores["a"]) is float
     with pytest.raises(TypeError):
-        GofReport("x", 0.0, 1.0, True)
+        GofReport("x", {"a": 0.0}, 1.0, True)
     with pytest.raises(TypeError):
-        GofReport("x", 0.0, 1.0, passed=True)
+        GofReport("x", {"a": 0.0}, 1.0, passed=True)
+    with pytest.raises(TypeError):
+        GofReport("x", {"a": 0.0}, 1.0, statistic=0.0)
+
+
+def test_statistic_is_the_worst_score_and_failing_names_it():
+    rep = GofReport("x", {"a": 0.5, "b": 3.0, "c": 1.0, "d": 2.0}, 1.0)
+    assert rep.statistic == 3.0 and not rep.passed
+    assert rep.failing == ("b", "d")  # in label order; a score at the threshold passes
+    # a nan anywhere is the statistic, which Python's max would drop when it
+    # does not come first, and it is named
+    rep = GofReport("x", {"a": 0.0, "b": np.nan, "c": 5.0}, 1.0)
+    assert math.isnan(rep.statistic) and not rep.passed
+    assert rep.failing == ("b", "c")
+    with pytest.raises(ValueError):
+        GofReport("x", {}, 1.0)  # no sub-test, no verdict
+
+
+def test_report_is_frozen():
+    labelled = {"a": 0.0}
+    rep = GofReport("x", labelled, 1.0)
+    labelled["a"] = 5.0  # the report keeps its own copy
+    assert rep.passed and rep.scores == {"a": 0.0}
+    with pytest.raises(TypeError):
+        rep.scores["a"] = 5.0
+    for name, value in (("test_name", "y"), ("scores", {"a": 5.0}), ("threshold", 0.0),
+                        ("statistic", 5.0)):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(rep, name, value)
 
 
 def test_parameter_errors():

@@ -57,19 +57,56 @@ def test_nine_statistical_checks_share_the_suite_budget(verify_seed42):
             assert report.threshold < 1e-8
 
 
+def _judge(pvalues):
+    """verify's rule on p-values labelled s0, s1, ... in order."""
+    return verify._bonferroni("x", {f"s{i}": p for i, p in enumerate(pvalues)})
+
+
 def test_verdict_is_bonferroni_on_the_smallest_pvalue():
-    rep = verify._verdict("x", [0.5, 0.01, 0.2])
+    rep = _judge([0.5, 0.01, 0.2])
     assert rep.statistic == pytest.approx(-math.log10(0.03), rel=1e-15)
     assert rep.threshold == -math.log10(ALPHA_CHECK) and rep.passed
-    assert not verify._verdict("x", [0.5] * 9 + [ALPHA_CHECK / 10.1]).passed
-    assert verify._verdict("x", [0.5] * 9 + [ALPHA_CHECK / 9.9]).passed
+    # each sub-test scores its own adjusted p-value, min(1, k p)
+    assert rep.scores == pytest.approx({"s0": 0.0, "s1": -math.log10(0.03),
+                                        "s2": -math.log10(0.6)}, rel=1e-15)
+    rep = _judge([0.5] * 9 + [ALPHA_CHECK / 10.1])
+    assert not rep.passed and rep.failing == ("s9",)
+    rep = _judge([0.5] * 9 + [ALPHA_CHECK / 9.9])
+    assert rep.passed and rep.failing == ()
     # min(1, k p_min) caps at 1, which reads 0 and never -0
-    assert math.copysign(1.0, verify._verdict("x", [0.9, 0.8]).statistic) == 1.0
+    assert math.copysign(1.0, _judge([0.9, 0.8]).statistic) == 1.0
     # a zero p-value fails at infinity; a nan anywhere fails as nan, which
     # Python's min would drop when it does not come first
-    assert verify._verdict("x", [0.5, 0.0]).statistic == math.inf
-    rep = verify._verdict("x", [0.5, math.nan, 0.7])
-    assert math.isnan(rep.statistic) and not rep.passed
+    rep = _judge([0.5, 0.0])
+    assert rep.statistic == math.inf and rep.failing == ("s1",)
+    rep = _judge([0.5, math.nan, 0.7])
+    assert math.isnan(rep.statistic) and not rep.passed and rep.failing == ("s1",)
+    # the failing set is the per-sub-test Bonferroni set: empty exactly when
+    # the check passes
+    for pvalues in ([0.5, 0.01, 0.2], [0.9, 0.8], [0.5, 0.0], [1e-5, 1e-6, 0.3],
+                    [0.5] * 9 + [ALPHA_CHECK / 10.1], [0.5] * 9 + [ALPHA_CHECK / 9.9]):
+        rep = _judge(pvalues)
+        assert (rep.failing == ()) == rep.passed
+    assert _judge([1e-5, 1e-6, 0.3]).failing == ("s0", "s1")
+
+
+#: The number of sub-tests of each statistical check, as its docstring
+#: states: the k of its Bonferroni correction.
+SUB_TESTS = {
+    "scalar_premium_mc": 1, "beta_marginals": 10, "gamma_dirichlet_factorization": 15,
+    "scale_cancellation": 2, "beta_gamma_algebra": 3, "weighted_gaussian": 10,
+    "mgb2_equivalence": 5, "clayton_identity": 9, "breiman_tail_limit": 6,
+}
+
+
+def test_every_sub_test_has_its_own_label(verify_seed42):
+    # labels are dict keys, so two equal labels would drop a sub-test and
+    # shrink k: the count of each statistical check is pinned
+    for report in verify_seed42:
+        assert report.scores and all(type(label) is str for label in report.scores)
+    statistical = {report.test_name: len(report.scores) for check, report
+                   in zip(CHECKS, verify_seed42) if check in STATISTICAL_CHECKS}
+    assert statistical == SUB_TESTS and sum(statistical.values()) == 61
 
 
 def test_render_format_parses_back(verify_seed42):
@@ -157,10 +194,12 @@ def test_checks_are_deterministic():
 
 def test_nan_correlation_fails_weighted_gaussian(monkeypatch):
     # the KS p-values first, then the correlation p-values
-    monkeypatch.setattr(verify, "_corr_pvalues", lambda columns: np.full(6, math.nan))
+    nan_pairs = {f"corr{k}": math.nan for k in range(6)}
+    monkeypatch.setattr(verify, "_corr_pvalues", lambda columns: nan_pairs)
     rep = check_weighted_gaussian(42)
     assert not rep.passed
     assert math.isnan(rep.statistic)
+    assert rep.failing == tuple(nan_pairs)
 
 
 def _exact_tail_rows(last_ratio=None):
@@ -258,8 +297,12 @@ def test_wrong_limit_numerator_fails_breiman_tail_limit(monkeypatch, numerator):
     # wrong numerator (the exponential point's limit of 1/2 becomes 1 or
     # 3/2) must fail the check at every seed, not at one chosen seed
     monkeypatch.setattr(tails, "_min_ratio_power", numerator)
-    passed = [seed for seed in POWER_SEEDS if check_breiman_limit(seed).passed]
+    reports = [check_breiman_limit(seed) for seed in POWER_SEEDS]
+    passed = [seed for seed, rep in zip(POWER_SEEDS, reports) if rep.passed]
     assert passed == []
+    # the numerator moves the three limits and no prelimit row
+    for rep in reports:
+        assert rep.failing == ("P0 limit", "P1 limit", "P2 limit")
 
 
 @pytest.mark.parametrize("seed", [-1, 2**64])
@@ -383,6 +426,14 @@ def _kernel_shape_times_1_15(monkeypatch):
                         gen.standard_gamma(shape * 1.15, size=size))  # not shape
 
 
+#: The sub-tests that a mutation confined to some of them must name, at
+#: every seed: swapping alpha_1 and alpha_2 moves the O1 and O2 marginals
+#: at both exponents, and no other.
+NAMED_BY_MUTATION = {
+    _swapped_alphas: ("p=1 O1", "p=1 O2", "p=2.7 O1", "p=2.7 O2"),
+}
+
+
 #: The statistical checks whose samples draw through the one Gamma kernel,
 #: ``samplers._std_gamma``: all but ``scalar_premium_mc``.
 GAMMA_CHECKS = tuple(check for check in STATISTICAL_CHECKS
@@ -404,8 +455,12 @@ GAMMA_CHECKS = tuple(check for check in STATISTICAL_CHECKS
 def test_mutation_fails_its_check_at_every_power_seed(monkeypatch, check, mutate):
     assert check(POWER_SEEDS[0]).passed
     mutate(monkeypatch)
-    passed = [seed for seed in POWER_SEEDS if check(seed).passed]
+    reports = [check(seed) for seed in POWER_SEEDS]
+    passed = [seed for seed, rep in zip(POWER_SEEDS, reports) if rep.passed]
     assert passed == []
+    if mutate in NAMED_BY_MUTATION:
+        for rep in reports:
+            assert rep.failing == NAMED_BY_MUTATION[mutate]
 
 
 def test_suite_draws_no_reference_sample(monkeypatch):
