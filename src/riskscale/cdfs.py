@@ -9,7 +9,7 @@ Monte Carlo estimates of ``tails`` are checked against; it integrates
 without ``scipy.integrate``.
 
 Every statistical sub-test of ``verify`` ends in a p-value from one of two
-functions here: :func:`ks_pvalue` for a KS distance of either kind, and
+functions here: :func:`ks_pvalue` for a one-sample KS distance, and
 :func:`normal_pvalue`, the two-sided normal tail, for every z-score (a
 correlation r sqrt(n), a Monte Carlo estimate against its exact value in
 units of its standard error, a binomial frequency against its probability).
@@ -83,17 +83,19 @@ def y_marginal_cdf(alpha, p, x):
     radius, of the Beta-Gamma product (T E)^(1/p), and of each factor of a
     random-scale sequence before its scale."""
     x = np.clip(np.asarray(x, dtype=float), 0.0, None)
-    return special.gammainc(alpha, x ** p / p)
+    with np.errstate(over="ignore"):  # x^p past the float range is inf, where the CDF is 1
+        return special.gammainc(alpha, x ** p / p)
 
 
 def beta_prime_cdf(a, b, z):
     """P(Z <= z) for the Beta-prime law of Z = G_a / G_b, independent Gammas of
     shapes a and b and one rate: the Beta(a, b) CDF at z / (1 + z). It is the
     law of (X_1/X_2)^p for two factors of a random-scale sequence, whatever
-    the scale, and of each MGB2 margin (X_i/b_i)^(a_i) under an InvGamma(b)
-    mixer."""
+    the scale, of each MGB2 margin (X_i/b_i)^(a_i) under an InvGamma(b)
+    mixer, and of the ratio of two such margins, whatever the mixer."""
     z = np.clip(np.asarray(z, dtype=float), 0.0, None)
-    return special.betainc(a, b, z / (1.0 + z))
+    # z / (1 + z) is 1 at z = inf, not inf / inf
+    return special.betainc(a, b, np.divide(z, 1.0 + z, out=np.ones_like(z), where=z != np.inf))
 
 
 #: Trapezoid step of :func:`breiman_limit` in t = log(s / lam), for

@@ -174,8 +174,8 @@ def mgb2_conditional_sample(model: MGB2Model, n: int, stream: RngStream,
     U_i | theta ~ Gamma(p_i, 1/theta), realized as theta times a unit-rate
     Gamma draw. The paper's second representation of the law of
     :func:`mgb2_sample`, and under test beside it: ``verify`` judges each
-    margin of both against the exact Beta-prime law and compares their row
-    minima."""
+    margin of both, and the ratio of the two margins in which Theta cancels,
+    against their exact Beta-prime laws."""
 
     def fill(block, lo, hi):
         m = hi - lo

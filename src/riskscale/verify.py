@@ -35,19 +35,17 @@ functions and the closed-form premiums:
 - ``scale_cancellation``: :func:`cdfs.beta_prime_cdf` for the ratio law;
 - ``weighted_gaussian``: :func:`cdfs.normal_cdf` (and zero correlation);
 - ``mgb2_equivalence``: :func:`cdfs.beta_prime_cdf` for each margin of
-  both representations;
+  both representations, and for the ratio of each one's two margins, whose
+  common scale cancels;
 - ``clayton_identity``: :func:`tails.archimedean_survival`;
 - ``breiman_tail_limit``: the exact joint-tail limit
   :func:`cdfs.breiman_limit` and the exact prelimit at its exponential
   point.
 
-The one exception is the row minimum of ``mgb2_equivalence``, the only
-joint-law test of the paper's two MGB2 representations: it compares the two
-samplers by a two-sample KS. Since no other reference draws through the one
-Gamma kernel, ``samplers._std_gamma``, a fault there cannot cancel between
-a sample and its reference: with the kernel drawing Gamma(1.15 shape),
-each of the eight Gamma-based checks (all but ``scalar_premium_mc``)
-fails.
+Since no reference draws through the one Gamma kernel,
+``samplers._std_gamma``, a fault there cannot cancel between a sample and
+its reference: with the kernel drawing Gamma(1.15 shape), each of the eight
+Gamma-based checks (all but ``scalar_premium_mc``) fails.
 
 The checks take no worker count: the samplers they call take it from
 RISKSCALE_THREADS, and the bytes of a report do not depend on it.
@@ -97,7 +95,7 @@ from .dirichlet import (
     sphere_deviation,
     weighted_sample,
 )
-from .gof import GofReport, ks_one_sample, ks_two_sample
+from .gof import GofReport, ks_one_sample
 from .linalg import mat_inverse
 from .radial import GammaPower, InvGamma, Pareto, PointMass
 from .rng import BLOCK_ROWS, RngStream, reduce_blocks
@@ -138,14 +136,11 @@ def _bonferroni(name: str, pvalues: dict) -> GofReport:
     return GofReport(name, dict(zip(pvalues, scores)), -np.log10(ALPHA_CHECK))
 
 
-def _ks(x, reference) -> float:
-    """The KS p-value of sample ``x`` against ``reference``, an exact CDF, or a
-    second sample by the two-sample test. It is nan, and fails its sub-test,
-    when a sample holds a non-finite value, which the ``gof`` tests refuse."""
-    if callable(reference):
-        return ks_pvalue(ks_one_sample(x, reference)) if np.isfinite(x).all() else np.nan
-    finite = np.isfinite(x).all() and np.isfinite(reference).all()
-    return ks_pvalue(ks_two_sample(x, reference)) if finite else np.nan
+def _ks(x, cdf) -> float:
+    """The KS p-value of sample ``x`` against the exact CDF ``cdf``. It is nan,
+    and fails its sub-test, when the sample holds a non-finite value, which
+    ``gof.ks_one_sample`` refuses."""
+    return ks_pvalue(ks_one_sample(x, cdf)) if np.isfinite(x).all() else np.nan
 
 
 def _z_pvalues(estimate, se, exact) -> np.ndarray:
@@ -360,24 +355,26 @@ def check_random_p_sphere(seed: int) -> GofReport:
 def check_mgb2_equivalence(seed: int) -> GofReport:
     """The paper's two MGB2 representations, the scale mixture
     :func:`tails.mgb2_sample` and the conditional
-    :func:`tails.mgb2_conditional_sample`, each have the exact margins: with
-    an InvGamma(q) mixer, (X_i/b_i)^(a_i) = G_i / G_q is Beta-prime(p_i, q),
-    :func:`cdfs.beta_prime_cdf`. Each margin of each sampler is KS-tested
-    against it (4 sub-tests), and the two samplers' row minima against each
-    other by two-sample KS, the one joint-law sub-test: 5 sub-tests. The
-    margins alone cannot see a conditional sampler that draws a fresh Theta
-    per column; the minimum does."""
+    :func:`tails.mgb2_conditional_sample`, each have the exact law. Both write
+    Z_i = (X_i/b_i)^(a_i) = Theta G_i with G_i ~ Gamma(p_i): with an
+    InvGamma(q) mixer each margin Z_i = G_i / G_q is Beta-prime(p_i, q), and
+    whatever the mixer, Theta cancels in Z_1/Z_2 = G_1/G_2, which is
+    Beta-prime(p_1, p_2), :func:`cdfs.beta_prime_cdf`. Each of the two margins
+    and their ratio is KS-tested for each sampler: 6 sub-tests. The margins
+    alone cannot see a sampler that draws a fresh Theta per column; the ratio
+    does, and names that sampler."""
     n = 10**4
     q = 2.0
     model = MGB2Model(a=(2.0, 3.0), b=(1.0, 2.0), p=(1.5, 0.5),
                       theta_law=InvGamma(q))
     stream = _stream(seed, 11)
-    x = mgb2_sample(model, n, stream.child(0))
-    y = mgb2_conditional_sample(model, n, stream.child(1))
-    pvalues = {f"{name} X{i + 1}": _ks((rows[:, i] / model.b[i]) ** model.a[i],
-                                       partial(beta_prime_cdf, model.p[i], q))
-               for name, rows in (("mixture", x), ("conditional", y)) for i in range(model.dim)}
-    pvalues["min"] = _ks(x.min(axis=1), y.min(axis=1))
+    pvalues = {}
+    for name, rows in (("mixture", mgb2_sample(model, n, stream.child(0))),
+                       ("conditional", mgb2_conditional_sample(model, n, stream.child(1)))):
+        z = [(rows[:, i] / model.b[i]) ** model.a[i] for i in range(model.dim)]
+        pvalues.update({f"{name} X{i + 1}": _ks(z_i, partial(beta_prime_cdf, model.p[i], q))
+                        for i, z_i in enumerate(z)})
+        pvalues[f"{name} X1/X2"] = _ks(z[0] / z[1], partial(beta_prime_cdf, *model.p))
     return _bonferroni("mgb2_equivalence", pvalues)
 
 

@@ -55,10 +55,10 @@ def test_y_marginal_cdf_agrees_with_adaptive_quadrature(alpha, p):
         _quad(density, x, np.inf), rel=1e-7, abs=0)
 
 
-@pytest.mark.parametrize("a, b", [(0.5, 0.5), (1.5, 2.0)])
+@pytest.mark.parametrize("a, b", [(0.5, 0.5), (1.5, 2.0), (1.5, 0.5)])
 def test_beta_prime_cdf_agrees_with_adaptive_quadrature(a, b):
     # density z^(a-1) (1+z)^(-a-b) / B(a, b): the CDF in the body, the
-    # survival in the tail
+    # survival in the tail; (1.5, 0.5) is the law of verify's MGB2 ratio
     density = _beta_prime_density(a, b)
     for z in (0.1, 1.0):
         assert beta_prime_cdf(a, b, z) == pytest.approx(
@@ -74,13 +74,18 @@ def test_beta_prime_cdf_agrees_with_adaptive_quadrature(a, b):
     lambda x: beta_prime_cdf(1.5, 2.0, x),
 ], ids=["y(0.2,3)", "y(2.5,1)", "beta_prime(0.5,0.5)", "beta_prime(1.5,2)"])
 def test_exact_law_is_zero_at_zero_and_monotone(cdf):
-    # the argument is clipped at 0, and the CDF takes and returns arrays
-    grid = np.concatenate([[-1.0, 0.0], np.geomspace(1e-6, 1e3, 400)])
+    # the argument is clipped at 0, and the CDF takes and returns arrays. It
+    # is exactly 1 past the float range of z / (1 + z) or x^p and at inf,
+    # with no numpy warning (the suite turns one into an error)
+    grid = np.concatenate([[-1.0, 0.0], np.geomspace(1e-6, 1e3, 400), [1e300, np.inf]])
     values = cdf(grid)
     assert values.shape == grid.shape
     assert values[0] == values[1] == 0.0 and cdf(0.0) == 0.0
     assert (np.diff(values) >= 0.0).all()
-    assert 0.0 < values[-200] < values[-1] <= 1.0 and values[-1] > 0.95
+    assert 0.0 < values[-200] < values[-3] <= 1.0 and values[-3] > 0.95
+    assert values[-2] == values[-1] == cdf(np.inf) == 1.0
+    # a nan argument stays nan
+    assert np.isnan(cdf(np.nan))
 
 
 #: Models away from the exponential case: a != 1, b and p unequal, both

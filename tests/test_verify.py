@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import riskscale.dirichlet as dirichlet
+import riskscale.gof as gof
 import riskscale.rng as rng
 import riskscale.samplers as samplers
 import riskscale.tails as tails
@@ -95,7 +96,7 @@ def test_verdict_is_bonferroni_on_the_smallest_pvalue():
 SUB_TESTS = {
     "scalar_premium_mc": 1, "beta_marginals": 10, "gamma_dirichlet_factorization": 15,
     "scale_cancellation": 2, "beta_gamma_algebra": 3, "weighted_gaussian": 10,
-    "mgb2_equivalence": 5, "clayton_identity": 9, "breiman_tail_limit": 6,
+    "mgb2_equivalence": 6, "clayton_identity": 9, "breiman_tail_limit": 6,
 }
 
 
@@ -106,7 +107,7 @@ def test_every_sub_test_has_its_own_label(verify_seed42):
         assert report.scores and all(type(label) is str for label in report.scores)
     statistical = {report.test_name: len(report.scores) for check, report
                    in zip(CHECKS, verify_seed42) if check in STATISTICAL_CHECKS}
-    assert statistical == SUB_TESTS and sum(statistical.values()) == 61
+    assert statistical == SUB_TESTS and sum(statistical.values()) == 62
 
 
 def test_render_format_parses_back(verify_seed42):
@@ -401,8 +402,8 @@ def _theta_shape_times_1_1(monkeypatch):
 
 def _theta_per_column(monkeypatch):
     # the conditional route with a fresh Theta for each column: every margin
-    # keeps its exact law, and only the joint law, through the row minimum,
-    # can show the fault
+    # keeps its exact law, and only the joint law, through the ratio
+    # X1/X2 in which one Theta would cancel, can show the fault
     def conditional(model, n, stream):
         def fill(block, lo, hi):
             m = hi - lo
@@ -419,6 +420,23 @@ def _theta_per_column(monkeypatch):
     monkeypatch.setattr(verify, "mgb2_conditional_sample", conditional)
 
 
+def _mixture_theta_per_column(monkeypatch):
+    # the same fault in the scale-mixture route: each column W_i takes its
+    # own Theta^(1/a_i)
+    def mixture(model, n, stream):
+        def fill(block, lo, hi):
+            m = hi - lo
+            thetas = block.child(0).generator()
+            cols = tails._w_factors(model, block.child(1).generator(), m)
+            return np.column_stack([
+                w * model.theta_law.sample(thetas, size=m) ** (1.0 / a_i)  # not one per row
+                for a_i, w in zip(model.a, cols)])
+
+        return rng.map_blocks(stream, n, fill, ncols=model.dim)
+
+    monkeypatch.setattr(verify, "mgb2_sample", mixture)
+
+
 def _kernel_shape_times_1_15(monkeypatch):
     # every reference is an exact law that draws nothing, so a fault in the
     # one kernel cannot cancel between a sample and its reference
@@ -428,9 +446,12 @@ def _kernel_shape_times_1_15(monkeypatch):
 
 #: The sub-tests that a mutation confined to some of them must name, at
 #: every seed: swapping alpha_1 and alpha_2 moves the O1 and O2 marginals
-#: at both exponents, and no other.
+#: at both exponents, and no other; a Theta per column moves the ratio
+#: X1/X2 of the faulty MGB2 route, and nothing of the other.
 NAMED_BY_MUTATION = {
     _swapped_alphas: ("p=1 O1", "p=1 O2", "p=2.7 O1", "p=2.7 O2"),
+    _theta_per_column: ("conditional X1/X2",),
+    _mixture_theta_per_column: ("mixture X1/X2",),
 }
 
 
@@ -447,6 +468,7 @@ GAMMA_CHECKS = tuple(check for check in STATISTICAL_CHECKS
     (check_weighted_gaussian, _all_signs_plus),
     (check_mgb2_equivalence, _power_a_for_one_over_a),
     (check_mgb2_equivalence, _theta_per_column),
+    (check_mgb2_equivalence, _mixture_theta_per_column),
     (check_scale_cancellation, _scale_per_component),
     (check_beta_gamma_algebra, _exponential_mean_one),
     (check_scalar_premium_mc, _prior_weight_at_x_plus_y),
@@ -464,8 +486,8 @@ def test_mutation_fails_its_check_at_every_power_seed(monkeypatch, check, mutate
 
 
 def test_suite_draws_no_reference_sample(monkeypatch):
-    # every reference is an exact law but the MGB2 row minimum, the one
-    # sub-test that compares two samples
+    # every reference is an exact law: no sub-test draws a reference sample
+    # or compares two samples
     calls = Counter()
 
     def spy(module, name, function):
@@ -476,9 +498,11 @@ def test_suite_draws_no_reference_sample(monkeypatch):
 
     for module in (samplers, verify):
         spy(module, "y_marginal_sample", samplers.y_marginal_sample)
-    spy(verify, "ks_two_sample", verify.ks_two_sample)
+    assert not hasattr(verify, "ks_two_sample")
+    for module in (gof, verify):
+        spy(module, "ks_two_sample", gof.ks_two_sample)
     assert all(report.passed for report in builtin_verify_suite(42))
-    assert calls == {"ks_two_sample": 1}
+    assert calls == {}
 
 
 #: The seed range reserved for the false-alarm sweep.
