@@ -2,11 +2,19 @@
 
 A shift model represents the observation as X = Theta + Y with noise Y
 independent of the prior Theta; the premium is the posterior mean
-E[Theta | X = x]. Closed forms are available for Gaussian and elliptical
-specifications; ``premium_mc`` estimates the generic density-weighted form
-by Monte Carlo, reducing per-block ratio-of-means moments so that its
-memory does not grow with the number of draws. Premium formulas follow the
-row-vector convention (row vector times matrix on the right).
+E[Theta | X = x]. The Gaussian and elliptical specifications share one
+closed form, linear in x, computed by one kernel:
+
+    E[Theta | X = x] = mu + (x - mu) S_XX^-1 S_XTheta,
+
+with mu the common mean of Theta and X, S_XX the dispersion matrix of X and
+S_XTheta the cross-dispersion of X and Theta: (mu, sigma + sigma0, sigma0)
+for the Gaussian model, and (nu_J, B_II, B_IJ) with B = (C*)^T C* for the
+elliptical one, whose radial law drops out. ``premium_mc`` estimates the
+generic density-weighted form by Monte Carlo, reducing per-block
+ratio-of-means moments so that its memory does not grow with the number of
+draws. Premium formulas follow the row-vector convention (row vector times
+matrix on the right).
 """
 
 from __future__ import annotations
@@ -85,13 +93,20 @@ def premium_scalar(mu: float, sigma2: float, tau2: float, x: float) -> float:
     return float(x) + sigma2 / (sigma2 + tau2) * (float(mu) - float(x))
 
 
-def premium_gaussian(model: GaussianShiftModel, x) -> np.ndarray:
-    """Posterior mean x + (mu - x) (sigma + sigma0)^-1 sigma for the Gaussian
-    shift model; a singular prior covariance is allowed."""
+def _posterior_mean(mu, s_xx, s_xtheta, x) -> np.ndarray:
+    """The one premium kernel, mu + (x - mu) S_XX^-1 S_XTheta, for a model
+    whose Theta and X share the mean mu."""
     x = as_vector(x, "x")
-    if x.size != model.dim:
-        raise ShapeError(f"x has length {x.size}, expected {model.dim}")
-    return x + (model.mu - x) @ mat_inverse(model.sigma + model.sigma0) @ model.sigma
+    if x.size != mu.size:
+        raise ShapeError(f"x has length {x.size}, expected {mu.size}")
+    return mu + (x - mu) @ mat_inverse(s_xx) @ s_xtheta
+
+
+def premium_gaussian(model: GaussianShiftModel, x) -> np.ndarray:
+    """Posterior mean mu + (x - mu) (sigma + sigma0)^-1 sigma0 for the
+    Gaussian shift model: the kernel with S_XX = sigma + sigma0 and
+    S_XTheta = sigma0. A singular prior covariance is allowed."""
+    return _posterior_mean(model.mu, model.sigma + model.sigma0, model.sigma0, x)
 
 
 def build_cstar(c) -> np.ndarray:
@@ -147,14 +162,11 @@ class EllipticalShiftModel:
 
 def premium_elliptical(model: EllipticalShiftModel, x) -> np.ndarray:
     """Posterior mean mu + (x - mu) B_II^-1 B_IJ with B = (C*)^T C*, mu = nu_J,
-    where I indexes the first d coordinates and J the last d."""
-    x = as_vector(x, "x")
+    where I indexes the first d coordinates and J the last d: the kernel
+    with S_XX = B_II and S_XTheta = B_IJ, the radial law's scale cancelling."""
     d = model.dim
-    if x.size != d:
-        raise ShapeError(f"x has length {x.size}, expected {d}")
     b = model.b_matrix()
-    mu = model.nu[d:]
-    return mu + (x - mu) @ mat_inverse(b[:d, :d]) @ b[:d, d:]
+    return _posterior_mean(model.nu[d:], b[:d, :d], b[:d, d:], x)
 
 
 @dataclass(frozen=True)

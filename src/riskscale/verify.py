@@ -199,9 +199,12 @@ def _premium_gaussian_noise_inverse(model: GaussianShiftModel, x) -> np.ndarray:
 def check_gaussian_premium_forms(seed: int) -> GofReport:
     """Agreement of the two closed-form Gaussian premium expressions.
 
-    The two forms differ only in rounding, ~1e-15 on these well-conditioned
-    3 x 3 models (4.4e-16 at seed 42); the tolerance 1e-10 is wide by five
-    orders of magnitude, so only a wrong formula fails it.
+    :func:`premium_gaussian` goes through the one premium kernel, with
+    S_XX = sigma + sigma0 and S_XTheta = sigma0; the noise-inverse form is
+    the independent reference, sharing no code with the kernel. The two
+    differ only in rounding, ~1e-15 on these well-conditioned 3 x 3 models
+    (8.9e-16 at seed 42); the tolerance 1e-10 is wide by five orders of
+    magnitude, so only a wrong formula fails it.
     """
     gen = _stream(seed, 2).generator()
     d, reps = 3, 20
@@ -220,9 +223,11 @@ def check_gaussian_premium_forms(seed: int) -> GofReport:
 def check_elliptical_reduction(seed: int) -> GofReport:
     """Block-diagonal elliptical model reproduces the Gaussian premium.
 
-    The two premiums differ only in rounding, ~1e-15 (2.0e-15 at seed 42);
-    the tolerance 1e-9 is wide by six orders of magnitude, so only a wrong
-    reduction fails it.
+    Both premiums go through the one premium kernel, so this compares the
+    two models' moment forms, (nu_J, B_II, B_IJ) from the mixing matrix
+    against (mu, sigma + sigma0, sigma0). They differ only in rounding,
+    ~1e-15 (8.9e-16 at seed 42); the tolerance 1e-9 is wide by six orders
+    of magnitude, so only a wrong reduction fails it.
     """
     gen = _stream(seed, 3).generator()
     d, reps = 3, 20

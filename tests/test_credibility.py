@@ -1,10 +1,13 @@
+import functools
 from dataclasses import fields
+from statistics import NormalDist
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import riskscale.credibility as credibility
 from riskscale.credibility import (
     EllipticalShiftModel,
     GaussianShiftModel,
@@ -409,3 +412,133 @@ def test_premium_mc_refuses_a_denominator_that_is_not_positive():
         noise_sampler=lambda gen, m: gen.standard_normal((m, 1)))
     with pytest.raises(DegenerateDenominatorError, match="denominator estimate is not positive"):
         premium_mc(model, [0.0], 1000, RngStream(2), workers=1)
+
+
+# An exact simulation oracle for both closed-form premiums. It draws
+# (Theta, X = Theta + Y) straight from each model's definition with numpy
+# alone, regresses each Theta_k on (1, X) by least squares, and z-scores the
+# fitted value at three points against the premium with a sandwich
+# (heteroskedasticity-robust) standard error. In both models E[Theta | X] is
+# linear in X, so the regression estimates the premium itself. The oracle
+# calls none of build_cstar, b_matrix, mat_inverse or the premium kernel.
+# The two models are those of tests/golden/premium_corr.cfg and
+# elliptical_corr.cfg, every block and off-diagonal entry nonzero.
+
+ORACLE_ROWS = 10**5
+ORACLE_SEEDS = range(13905, 13910)
+ORACLE_MU = np.array([2.0, 1.0])
+ORACLE_SIGMA = np.array([[1.0, 0.3], [0.3, 2.0]])
+ORACLE_SIGMA0 = np.array([[1.5, -0.4], [-0.4, 0.8]])
+ORACLE_C = np.array([[1.0, 0.2, 0.3, -0.1],
+                     [0.1, 1.0, 0.2, 0.4],
+                     [0.3, -0.2, 1.0, 0.2],
+                     [0.25, 0.4, 0.1, 1.0]])
+ORACLE_NU = np.array([0.0, 0.0, 2.0, 1.0])
+#: The radial laws of the elliptical draws; the premium must not depend on
+#: which one R follows. Pareto(6) has the finite fourth moment the sandwich
+#: variance needs; the exponential is light-tailed.
+ORACLE_RADIAL = {
+    "pareto6": lambda gen, n: 1.0 + gen.pareto(6.0, n),
+    "exponential": lambda gen, n: gen.standard_exponential(n),
+}
+ELLIPTICAL_CASES = [f"elliptical {law}" for law in ORACLE_RADIAL]
+ORACLE_CASES = ["gaussian", *ELLIPTICAL_CASES]
+#: The points x0: the mean of X, the golden config's x, and one more.
+ORACLE_POINTS = {
+    "gaussian": np.array([[2.0, 1.0], [3.0, -1.0], [1.0, 2.0]]),
+    "elliptical": np.array([[2.0, 1.0], [1.5, -0.5], [3.0, 2.0]]),
+}
+#: Bonferroni at 1e-4 over every z-score the oracle tests (two-sided): 3
+#: cases x 5 seeds x 3 points x 2 coordinates, so |z| <= 4.87. On seeds
+#: 13705-13904 the largest |z| of any case and seed was 3.47.
+ORACLE_Z = NormalDist().inv_cdf(1.0 - 1e-4 / (2 * 3 * 5 * 3 * 2))
+
+
+def _oracle_model(case: str):
+    if case == "gaussian":
+        return GaussianShiftModel(ORACLE_MU, ORACLE_SIGMA, ORACLE_SIGMA0)
+    return EllipticalShiftModel(c=ORACLE_C, nu=ORACLE_NU)
+
+
+def _oracle_draws(case: str, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """(Theta, X) rows of ``case`` drawn from the model's definition."""
+    gen = np.random.default_rng(seed)
+    n = ORACLE_ROWS
+    if case == "gaussian":
+        theta = ORACLE_MU + gen.standard_normal((n, 2)) @ np.linalg.cholesky(ORACLE_SIGMA0).T
+        y = gen.standard_normal((n, 2)) @ np.linalg.cholesky(ORACLE_SIGMA).T
+        return theta, theta + y
+    # (Y, Theta) = R U C + nu, with U uniform on the unit sphere of R^4
+    u = gen.standard_normal((n, 4))
+    u /= np.linalg.norm(u, axis=1)[:, None]
+    r = ORACLE_RADIAL[case.split()[1]](gen, n)
+    y_theta = r[:, None] * u @ ORACLE_C + ORACLE_NU
+    return y_theta[:, 2:], y_theta[:, :2] + y_theta[:, 2:]
+
+
+@functools.cache
+def _oracle_fit(case: str, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """Least-squares fit of each Theta_k on (1, X) at the case's points, and
+    its sandwich (HC0) standard error, both (points, coordinates)."""
+    theta, x = _oracle_draws(case, seed)
+    design = np.column_stack([np.ones(len(x)), x])
+    beta = np.linalg.lstsq(design, theta, rcond=None)[0]
+    resid = theta - design @ beta
+    at = np.column_stack([np.ones(3), ORACLE_POINTS[case.split()[0]]])
+    # the fitted value at a point is sum_i h_i Theta_i, with h = A (A'A)^-1 a0'
+    h = design @ np.linalg.solve(design.T @ design, at.T)
+    return at @ beta, np.sqrt((h**2).T @ resid**2)
+
+
+def _oracle_max_z(case: str, seed: int, premium) -> float:
+    """Largest |z| of ``premium`` against the oracle's fit over the case's
+    points and coordinates."""
+    model = _oracle_model(case)
+    fitted, se = _oracle_fit(case, seed)
+    exact = np.array([premium(model, x0) for x0 in ORACLE_POINTS[case.split()[0]]])
+    return float(np.abs((fitted - exact) / se).max())
+
+
+@pytest.mark.parametrize("case", ORACLE_CASES)
+def test_the_closed_form_premium_matches_the_simulation_oracle(case):
+    premium = premium_gaussian if case == "gaussian" else premium_elliptical
+    for seed in ORACLE_SEEDS:
+        assert _oracle_max_z(case, seed, premium) <= ORACLE_Z, seed
+
+
+def test_the_oracle_sees_a_cstar_that_drops_the_top_right_block(monkeypatch):
+    build = credibility.build_cstar
+
+    def dropped(c):
+        c = np.array(c, dtype=float)
+        c[:c.shape[0] // 2, c.shape[0] // 2:] = 0.0
+        return build(c)
+
+    monkeypatch.setattr(credibility, "build_cstar", dropped)
+    for case in ELLIPTICAL_CASES:
+        for seed in ORACLE_SEEDS:
+            assert _oracle_max_z(case, seed, premium_elliptical) > ORACLE_Z, (case, seed)
+
+
+def test_the_oracle_sees_b_ji_in_place_of_b_ij(monkeypatch):
+    b_matrix = EllipticalShiftModel.b_matrix
+
+    def transposed(model):
+        b = b_matrix(model)
+        d = model.dim
+        b[:d, d:] = b[d:, :d]
+        return b
+
+    monkeypatch.setattr(EllipticalShiftModel, "b_matrix", transposed)
+    for case in ELLIPTICAL_CASES:
+        for seed in ORACLE_SEEDS:
+            assert _oracle_max_z(case, seed, premium_elliptical) > ORACLE_Z, (case, seed)
+
+
+def test_the_oracle_sees_sigma_in_place_of_sigma0():
+    def swapped(model, x):
+        return credibility._posterior_mean(
+            model.mu, model.sigma + model.sigma0, model.sigma, x)
+
+    for seed in ORACLE_SEEDS:
+        assert _oracle_max_z("gaussian", seed, swapped) > ORACLE_Z, seed

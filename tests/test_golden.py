@@ -132,7 +132,7 @@ def test_stream_addresses_match_the_table(name):
     assert one == _address_table()[name]
 
 
-@pytest.mark.parametrize("name", ["premium", "elliptical"])
+@pytest.mark.parametrize("name", ["premium", "elliptical", "premium_corr", "elliptical_corr"])
 def test_a_change_of_unit_leaves_the_premium_bytes(name):
     assert [digest for digest, _ in _runs(f"{name}_tiny")] == [
         digest for digest, _ in _runs(name)]
