@@ -7,20 +7,21 @@ suite has one verdict rule: a check passes when its worst score, numpy's
 max of the scores, is at most the threshold, so a nan score fails it, and
 ``GofReport.failing`` names the sub-tests above the threshold.
 
-Each sub-test of the nine Monte Carlo checks (``STATISTICAL_CHECKS``)
+Each sub-test of the ten Monte Carlo checks (``STATISTICAL_CHECKS``)
 gives a p-value, from ``cdfs.ks_pvalue`` for a KS distance or
 ``cdfs.normal_pvalue`` for a z-score. In a check with k sub-tests each
-scores -log10(min(1, k p)) against -log10(ALPHA_CHECK) (2.95), so the
+scores -log10(min(1, k p)) against -log10(ALPHA_CHECK) (3), so the
 check fails when min(1, k p_min) falls below ``ALPHA_CHECK`` (Bonferroni
 within the check), and names each sub-test whose own adjusted p-value does.
-``ALPHA_CHECK`` is ``ALPHA_SUITE`` = 0.01 split evenly over the nine
-checks, so on correct code the whole suite fails at one seed in a hundred
-at most. A nan p-value, from a degenerate sub-test or from a KS sample
-that holds a non-finite value, scores nan and fails its check.
+``ALPHA_CHECK`` is ``ALPHA_SUITE`` = 0.01 split evenly over the ten
+checks, 0.01/10, so on correct code the whole suite fails at one seed in
+a hundred at most. A nan p-value, from a degenerate sub-test or from a KS
+sample that holds a non-finite value, scores nan and fails its check.
 
-The other five checks are rounding-level identities, scored by their raw
-deviations against their own tolerances: ``gaussian_premium_forms``
-(1e-10), ``elliptical_reduction`` (1e-9), ``sphere_constraint`` and
+The other four checks are rounding-level identities, scored by their raw
+deviations against their own tolerances: ``premium_forms`` (1e-10, the
+Gaussian premium against its noise-inverse form and against the
+block-diagonal elliptical model, per model), ``sphere_constraint`` and
 ``random_p_sphere`` (``SPHERE_TOL``, 1e-12) and ``determinism`` (0 for
 each comparison whose bits agree, 1 for one whose bits differ, against 0).
 
@@ -29,6 +30,9 @@ shares no code with its sampler, through the ``cdfs`` distribution
 functions and the closed-form premiums:
 
 - ``scalar_premium_mc``: :func:`credibility.premium_scalar`;
+- ``elliptical_premium``: the definition (Y, Theta) = R U C + nu itself,
+  under which the residual Theta - P(X) of the premium P has zero mean and
+  zero product moments with X (the six orthogonality moments);
 - ``beta_marginals``: :func:`cdfs.angular_marginal_cdf`;
 - ``gamma_dirichlet_factorization`` and ``beta_gamma_algebra``: the Y
   marginal :func:`cdfs.y_marginal_cdf` (and zero correlation);
@@ -45,15 +49,17 @@ functions and the closed-form premiums:
 Since no reference draws through the one Gamma kernel,
 ``samplers._std_gamma``, a fault there cannot cancel between a sample and
 its reference: with the kernel drawing Gamma(1.15 shape), each of the eight
-Gamma-based checks (all but ``scalar_premium_mc``) fails.
+Gamma-based checks (all but ``scalar_premium_mc`` and
+``elliptical_premium``, which draw no Gamma) fails.
 
 The checks take no worker count: the samplers they call take it from
 RISKSCALE_THREADS, and the bytes of a report do not depend on it.
 :func:`check_determinism` alone passes explicit counts, to compare them.
 
 Each Monte Carlo check holds at most one ``BLOCK_ROWS`` block of rows per
-worker at a time, beyond its 1e4-row KS samples. Two hold more:
-``clayton_identity`` keeps its 1e5 x 2 sample (1.6 MB), and
+worker at a time, beyond its 1e4-row KS samples. Three hold more:
+``elliptical_premium`` its 2e4 x 4 draws (0.64 MB an array),
+``clayton_identity`` its 1e5 x 2 sample (1.6 MB), and
 ``determinism`` its (3 BLOCK_ROWS + 101)-row samples, which it compares
 whole.
 """
@@ -196,15 +202,19 @@ def _premium_gaussian_noise_inverse(model: GaussianShiftModel, x) -> np.ndarray:
     return x + (model.mu - x) @ mat_inverse(core)
 
 
-def check_gaussian_premium_forms(seed: int) -> GofReport:
-    """Agreement of the two closed-form Gaussian premium expressions.
+def check_premium_forms(seed: int) -> GofReport:
+    """The Gaussian premium against its two independent forms, 40 sub-tests.
 
-    :func:`premium_gaussian` goes through the one premium kernel, with
-    S_XX = sigma + sigma0 and S_XTheta = sigma0; the noise-inverse form is
-    the independent reference, sharing no code with the kernel. The two
-    differ only in rounding, ~1e-15 on these well-conditioned 3 x 3 models
-    (8.9e-16 at seed 42); the tolerance 1e-10 is wide by five orders of
-    magnitude, so only a wrong formula fails it.
+    For each of 20 random 3 x 3 models one :func:`premium_gaussian` call
+    goes through the one premium kernel, with S_XX = sigma + sigma0 and
+    S_XTheta = sigma0. ``model r noise-inverse`` compares it with the
+    noise-inverse form, which shares no code with the kernel;
+    ``model r block-diagonal`` compares it with :func:`premium_elliptical`
+    of the block-diagonal model whose blocks are the Cholesky factors of
+    sigma and sigma0, whose moment form (nu_J, B_II, B_IJ) must reduce to
+    (mu, sigma + sigma0, sigma0). Both differ only in rounding, ~1e-15
+    (1.6e-15 at seed 42); the tolerance 1e-10 is wide by five orders of
+    magnitude, so only a wrong formula or reduction fails it.
     """
     gen = _stream(seed, 2).generator()
     d, reps = 3, 20
@@ -214,37 +224,55 @@ def check_gaussian_premium_forms(seed: int) -> GofReport:
                                    sigma=_random_pd(gen, d),
                                    sigma0=_random_pd(gen, d))
         x = gen.standard_normal(d)
-        one = premium_gaussian(model, x)
-        two = _premium_gaussian_noise_inverse(model, x)
-        diffs[f"model {r + 1}"] = np.abs(one - two).max()
-    return GofReport("gaussian_premium_forms", diffs, 1e-10)
-
-
-def check_elliptical_reduction(seed: int) -> GofReport:
-    """Block-diagonal elliptical model reproduces the Gaussian premium.
-
-    Both premiums go through the one premium kernel, so this compares the
-    two models' moment forms, (nu_J, B_II, B_IJ) from the mixing matrix
-    against (mu, sigma + sigma0, sigma0). They differ only in rounding,
-    ~1e-15 (8.9e-16 at seed 42); the tolerance 1e-9 is wide by six orders
-    of magnitude, so only a wrong reduction fails it.
-    """
-    gen = _stream(seed, 3).generator()
-    d, reps = 3, 20
-    diffs = {}
-    for r in range(reps):
-        sigma = _random_pd(gen, d)
-        sigma0 = _random_pd(gen, d)
-        mu = gen.standard_normal(d)
-        x = gen.standard_normal(d)
+        kernel = premium_gaussian(model, x)
         c = np.zeros((2 * d, 2 * d))
-        c[:d, :d] = np.linalg.cholesky(sigma).T
-        c[d:, d:] = np.linalg.cholesky(sigma0).T
-        elliptical = EllipticalShiftModel(c=c, nu=np.concatenate([np.zeros(d), mu]))
-        gaussian = GaussianShiftModel(mu=mu, sigma=sigma, sigma0=sigma0)
-        diff = premium_elliptical(elliptical, x) - premium_gaussian(gaussian, x)
-        diffs[f"model {r + 1}"] = np.abs(diff).max()
-    return GofReport("elliptical_reduction", diffs, 1e-9)
+        c[:d, :d] = np.linalg.cholesky(model.sigma).T
+        c[d:, d:] = np.linalg.cholesky(model.sigma0).T
+        elliptical = EllipticalShiftModel(c=c, nu=np.concatenate([np.zeros(d), model.mu]))
+        for form, other in (("noise-inverse", _premium_gaussian_noise_inverse(model, x)),
+                            ("block-diagonal", premium_elliptical(elliptical, x))):
+            diffs[f"model {r + 1} {form}"] = np.abs(other - kernel).max()
+    return GofReport("premium_forms", diffs, 1e-10)
+
+
+#: The model of ``elliptical_premium``: the C and nu of the
+#: ``elliptical_corr`` golden config, with every block of C nonzero.
+_ELLIPTICAL = EllipticalShiftModel(c=[[1.0, 0.2, 0.3, -0.1], [0.1, 1.0, 0.2, 0.4],
+                                      [0.3, -0.2, 1.0, 0.2], [0.25, 0.4, 0.1, 1.0]],
+                                   nu=[0.0, 0.0, 2.0, 1.0])
+
+
+def check_elliptical_premium(seed: int) -> GofReport:
+    """The elliptical premium against the model's definition, by orthogonality.
+
+    (Y, Theta) = R U C + nu is drawn straight from ``_ELLIPTICAL.c``, with U
+    a normalized standard normal 4-vector and R ~ Pareto(6), whose finite
+    fourth moment the z-scores need, and X = Y + Theta. The premium is
+    affine, P(x) = P(0) + x M, with M's rows P(e_j) - P(0), so three
+    :func:`premium_elliptical` calls give it at every row. In an elliptical
+    model E[Theta | X] is the linear projection of Theta on (1, X), so the
+    residual e = Theta - P(X) satisfies its normal equations: each of the
+    six moments E[e_k] and E[e_k X_j] is 0, z-scored by its sample standard
+    deviation, 6 sub-tests. Every n-row product is an einsum or an
+    elementwise product, never BLAS, so the bytes do not depend on its
+    thread count.
+    """
+    model, n = _ELLIPTICAL, 2 * 10**4
+    d = model.dim
+    gen = _stream(seed, 3).generator()
+    u = gen.standard_normal((n, 2 * d))
+    u /= np.sqrt(np.einsum("ni,ni->n", u, u))[:, None]
+    r = Pareto(6.0).sample(gen, n)
+    y_theta = r[:, None] * np.einsum("ni,ij->nj", u, model.c) + model.nu
+    theta, x = y_theta[:, d:], y_theta[:, :d] + y_theta[:, d:]
+    p0 = premium_elliptical(model, np.zeros(d))
+    m = np.array([premium_elliptical(model, e_j) - p0 for e_j in np.eye(d)])
+    e = theta - p0 - np.einsum("nj,jk->nk", x, m)
+    # e_k times each of (1, X_1, X_2): the normal equations, row by row
+    moments = np.einsum("nk,nj->nkj", e, np.column_stack([np.ones(n), x])).reshape(n, -1)
+    labels = [f"E[e{k}{v}]" for k in (1, 2) for v in ("", " X1", " X2")]
+    return _bonferroni("elliptical_premium", dict(zip(labels, _z_pvalues(
+        moments.mean(axis=0), moments.std(axis=0) / np.sqrt(n), 0.0))))
 
 
 def check_sphere_constraint(seed: int) -> GofReport:
@@ -484,8 +512,8 @@ def check_determinism(seed: int) -> GofReport:
 
 CHECKS = (
     check_scalar_premium_mc,
-    check_gaussian_premium_forms,
-    check_elliptical_reduction,
+    check_premium_forms,
+    check_elliptical_premium,
     check_sphere_constraint,
     check_beta_marginals,
     check_factorization,
@@ -499,11 +527,11 @@ CHECKS = (
     check_determinism,
 )
 
-#: The nine Monte Carlo checks judged by :func:`_bonferroni`, in report order;
-#: the five left out are rounding-level identities with tolerances of their own.
+#: The ten Monte Carlo checks judged by :func:`_bonferroni`, in report order;
+#: the four left out are rounding-level identities with tolerances of their own.
 STATISTICAL_CHECKS = tuple(check for check in CHECKS if check not in (
-    check_gaussian_premium_forms, check_elliptical_reduction,
-    check_sphere_constraint, check_random_p_sphere, check_determinism))
+    check_premium_forms, check_sphere_constraint, check_random_p_sphere,
+    check_determinism))
 
 #: The false-alarm level of each statistical check: ``ALPHA_SUITE`` split
 #: evenly over them (Bonferroni across the suite).

@@ -15,10 +15,10 @@ from riskscale.verify import (
     check_beta_marginals,
     check_breiman_limit,
     check_clayton_identity,
-    check_elliptical_reduction,
+    check_elliptical_premium,
     check_factorization,
-    check_gaussian_premium_forms,
     check_mgb2_equivalence,
+    check_premium_forms,
     check_random_p_sphere,
     check_scalar_premium_mc,
     check_scale_cancellation,
@@ -43,16 +43,22 @@ def test_c01_scalar_premium_monte_carlo():
     _conclude(1, "scalar credibility premium (MC vs closed form)", report)
 
 
-def test_c02_gaussian_premium_form_equivalence():
-    report = check_gaussian_premium_forms(SEED)
+def _premium_forms(form: str) -> GofReport:
+    """The ``premium_forms`` sub-tests of one comparison, ``model r <form>``."""
+    report = check_premium_forms(SEED)
     assert report.threshold == 1e-10
-    _conclude(2, "gaussian premium closed forms agree", report)
+    scores = {label: score for label, score in report.scores.items()
+              if label.endswith(f" {form}")}
+    assert len(scores) == 20
+    return GofReport(f"premium_forms {form}", scores, report.threshold)
+
+
+def test_c02_gaussian_premium_form_equivalence():
+    _conclude(2, "gaussian premium closed forms agree", _premium_forms("noise-inverse"))
 
 
 def test_c03_elliptical_reduction():
-    report = check_elliptical_reduction(SEED)
-    assert report.threshold == 1e-9
-    _conclude(3, "elliptical premium reduces to gaussian", report)
+    _conclude(3, "elliptical premium reduces to gaussian", _premium_forms("block-diagonal"))
 
 
 def test_c04_sphere_constraint():
@@ -120,6 +126,12 @@ def test_c14_verify_suite_determinism(verify_seed42, monkeypatch):
                        {"1 run vs repeat vs 4 workers": 0.0 if identical else 1.0}, 0.0)
     assert first.encode() == second.encode() == threaded.encode()
     _conclude(14, "verify reports byte-identical across runs and workers", report)
+
+
+def test_c15_elliptical_premium_matches_its_definition():
+    report = check_elliptical_premium(SEED)
+    assert report.threshold == -math.log10(ALPHA_CHECK) == 3.0
+    _conclude(15, "elliptical premium is orthogonal to its residual", report)
 
 
 def test_full_suite_overall_pass(verify_seed42):

@@ -5,6 +5,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+import riskscale.credibility as credibility
 import riskscale.dirichlet as dirichlet
 import riskscale.gof as gof
 import riskscale.rng as rng
@@ -12,7 +13,7 @@ import riskscale.samplers as samplers
 import riskscale.tails as tails
 import riskscale.verify as verify
 from riskscale.cdfs import breiman_limit
-from riskscale.credibility import GenericShiftModel
+from riskscale.credibility import EllipticalShiftModel, GenericShiftModel
 from riskscale.errors import ParameterError
 from riskscale.radial import GammaPower
 from riskscale.tails import ClaytonSpec
@@ -27,8 +28,10 @@ from riskscale.verify import (
     check_breiman_limit,
     check_clayton_identity,
     check_determinism,
+    check_elliptical_premium,
     check_factorization,
     check_mgb2_equivalence,
+    check_premium_forms,
     check_scalar_premium_mc,
     check_scale_cancellation,
     check_sphere_constraint,
@@ -47,10 +50,10 @@ def test_default_seed_passes_every_check(verify_seed42):
     assert failing == []
 
 
-def test_nine_statistical_checks_share_the_suite_budget(verify_seed42):
-    assert len(STATISTICAL_CHECKS) == 9 and set(STATISTICAL_CHECKS) < set(CHECKS)
-    assert ALPHA_SUITE == 0.01 and ALPHA_CHECK == ALPHA_SUITE / 9
-    # the five identity checks keep their rounding-level tolerances
+def test_ten_statistical_checks_share_the_suite_budget(verify_seed42):
+    assert len(STATISTICAL_CHECKS) == 10 and set(STATISTICAL_CHECKS) < set(CHECKS)
+    assert ALPHA_SUITE == 0.01 and ALPHA_CHECK == ALPHA_SUITE / 10
+    # the four identity checks keep their rounding-level tolerances
     for check, report in zip(CHECKS, verify_seed42):
         if check in STATISTICAL_CHECKS:
             assert report.threshold == -math.log10(ALPHA_CHECK)
@@ -94,7 +97,8 @@ def test_verdict_is_bonferroni_on_the_smallest_pvalue():
 #: The number of sub-tests of each statistical check, as its docstring
 #: states: the k of its Bonferroni correction.
 SUB_TESTS = {
-    "scalar_premium_mc": 1, "beta_marginals": 10, "gamma_dirichlet_factorization": 15,
+    "scalar_premium_mc": 1, "elliptical_premium": 6,
+    "beta_marginals": 10, "gamma_dirichlet_factorization": 15,
     "scale_cancellation": 2, "beta_gamma_algebra": 3, "weighted_gaussian": 10,
     "mgb2_equivalence": 6, "clayton_identity": 9, "breiman_tail_limit": 6,
 }
@@ -107,7 +111,7 @@ def test_every_sub_test_has_its_own_label(verify_seed42):
         assert report.scores and all(type(label) is str for label in report.scores)
     statistical = {report.test_name: len(report.scores) for check, report
                    in zip(CHECKS, verify_seed42) if check in STATISTICAL_CHECKS}
-    assert statistical == SUB_TESTS and sum(statistical.values()) == 62
+    assert statistical == SUB_TESTS and sum(statistical.values()) == 68
 
 
 def test_render_format_parses_back(verify_seed42):
@@ -317,7 +321,8 @@ def test_seed_outside_64_bits_is_rejected_not_aliased(seed):
 # One mutation per statistical check, each of which must fail at every
 # seed of POWER_SEEDS, and the kernel-shape fault for every check that draws
 # through the Gamma kernel. The breiman_tail_limit ones of its own are the
-# limit-numerator mutations above.
+# limit-numerator mutations above. The premium_forms identity has two: its
+# kernel and its elliptical reduction.
 
 def _swapped_alphas(monkeypatch):
     simplex = dirichlet._gamma_simplex
@@ -444,21 +449,61 @@ def _kernel_shape_times_1_15(monkeypatch):
                         gen.standard_gamma(shape * 1.15, size=size))  # not shape
 
 
+def _cstar_drops_top_right_block(monkeypatch):
+    # C's top-right block couples the noise to the prior; with it zeroed in
+    # C*, B_IJ and the premium move, but not for a block-diagonal C
+    build = credibility.build_cstar
+
+    def dropped(c):
+        c = np.array(c, dtype=float)
+        c[:c.shape[0] // 2, c.shape[0] // 2:] = 0.0
+        return build(c)
+
+    monkeypatch.setattr(credibility, "build_cstar", dropped)
+
+
+def _b_ji_for_b_ij(monkeypatch):
+    b_matrix = EllipticalShiftModel.b_matrix
+
+    def transposed(model):
+        b = b_matrix(model)
+        d = model.dim
+        b[:d, d:] = b[d:, :d]
+        return b
+
+    monkeypatch.setattr(EllipticalShiftModel, "b_matrix", transposed)
+
+
+def _sigma_for_sigma0(monkeypatch):
+    monkeypatch.setattr(verify, "premium_gaussian", lambda model, x: credibility._posterior_mean(
+        model.mu, model.sigma + model.sigma0, model.sigma, x))  # not sigma0
+
+
+def _cstar_is_c(monkeypatch):
+    monkeypatch.setattr(credibility, "build_cstar", lambda c: np.array(c, dtype=float))
+
+
 #: The sub-tests that a mutation confined to some of them must name, at
 #: every seed: swapping alpha_1 and alpha_2 moves the O1 and O2 marginals
 #: at both exponents, and no other; a Theta per column moves the ratio
-#: X1/X2 of the faulty MGB2 route, and nothing of the other.
+#: X1/X2 of the faulty MGB2 route, and nothing of the other; a C* equal to
+#: C moves the elliptical side of premium_forms, and a kernel fed sigma for
+#: sigma0 moves both of its comparisons.
 NAMED_BY_MUTATION = {
     _swapped_alphas: ("p=1 O1", "p=1 O2", "p=2.7 O1", "p=2.7 O2"),
     _theta_per_column: ("conditional X1/X2",),
     _mixture_theta_per_column: ("mixture X1/X2",),
+    _cstar_is_c: tuple(f"model {r} block-diagonal" for r in range(1, 21)),
+    _sigma_for_sigma0: tuple(f"model {r} {form}" for r in range(1, 21)
+                             for form in ("noise-inverse", "block-diagonal")),
 }
 
 
 #: The statistical checks whose samples draw through the one Gamma kernel,
-#: ``samplers._std_gamma``: all but ``scalar_premium_mc``.
+#: ``samplers._std_gamma``: all but ``scalar_premium_mc`` and
+#: ``elliptical_premium``.
 GAMMA_CHECKS = tuple(check for check in STATISTICAL_CHECKS
-                     if check is not check_scalar_premium_mc)
+                     if check not in (check_scalar_premium_mc, check_elliptical_premium))
 
 
 @pytest.mark.parametrize("check, mutate", [
@@ -473,6 +518,10 @@ GAMMA_CHECKS = tuple(check for check in STATISTICAL_CHECKS
     (check_beta_gamma_algebra, _exponential_mean_one),
     (check_scalar_premium_mc, _prior_weight_at_x_plus_y),
     (check_clayton_identity, _theta_shape_times_1_1),
+    (check_elliptical_premium, _cstar_drops_top_right_block),
+    (check_elliptical_premium, _b_ji_for_b_ij),
+    (check_premium_forms, _sigma_for_sigma0),
+    (check_premium_forms, _cstar_is_c),
 ], ids=lambda value: value.__name__.strip("_"))
 def test_mutation_fails_its_check_at_every_power_seed(monkeypatch, check, mutate):
     assert check(POWER_SEEDS[0]).passed
@@ -503,6 +552,31 @@ def test_suite_draws_no_reference_sample(monkeypatch):
         spy(module, "ks_two_sample", gof.ks_two_sample)
     assert all(report.passed for report in builtin_verify_suite(42))
     assert calls == {}
+
+
+def test_elliptical_premium_calls_the_premium_three_times_and_nothing_else(monkeypatch):
+    # the check draws from C itself: outside the three premium calls under
+    # test it reaches none of build_cstar, b_matrix, mat_inverse or the
+    # kernel, and it draws no Gamma
+    exact = {x: verify.premium_elliptical(verify._ELLIPTICAL, x)
+             for x in ((0.0, 0.0), (1.0, 0.0), (0.0, 1.0))}
+    calls = Counter()
+
+    def spy(owner, name, function):
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return function(*args, **kwargs)
+        monkeypatch.setattr(owner, name, call)
+
+    spy(verify, "premium_elliptical", lambda model, x: exact[tuple(x)])
+    spy(samplers, "_std_gamma", samplers._std_gamma)
+    spy(credibility, "build_cstar", credibility.build_cstar)
+    spy(EllipticalShiftModel, "b_matrix", EllipticalShiftModel.b_matrix)
+    spy(credibility, "_posterior_mean", credibility._posterior_mean)
+    for module in (credibility, verify):
+        spy(module, "mat_inverse", credibility.mat_inverse)
+    assert check_elliptical_premium(42).passed
+    assert calls == {"premium_elliptical": 3}
 
 
 #: The seed range reserved for the false-alarm sweep.
