@@ -6,7 +6,9 @@ incomplete beta and Gamma routines and error function, so the two routes
 stay independent. :func:`breiman_limit` is the exact joint-tail limit that the
 Monte Carlo estimates of ``tails`` are checked against; it integrates
 ``scipy.special``'s incomplete Gamma function by a trapezoid rule in numpy,
-without ``scipy.integrate``.
+without ``scipy.integrate``. It reads the mixer's tail index from the law
+itself and calls no code of ``tails``, so the estimate and its reference
+share no implementation.
 
 Every statistical sub-test of ``verify`` ends in a p-value from one of two
 functions here: :func:`ks_pvalue` for a one-sample KS distance, and
@@ -27,9 +29,9 @@ from typing import TYPE_CHECKING
 import numpy as np
 from scipy import special
 
-from .errors import ParameterError
+from .errors import ParameterError, UnsupportedModelError
+from .radial import InvGamma, Pareto
 from .samplers import _require_positive
-from .tails import _check_limit_regime
 
 if TYPE_CHECKING:
     from .dirichlet import LpSpec
@@ -110,10 +112,15 @@ _LIMIT_TAIL = 1e-18
 def breiman_limit(model: MGB2Model, c1: float, c2: float) -> float:
     """Exact Breiman limit I(c_1, c_2) = E[min(W_1/c_1, W_2/c_2)^(aq)] / E[W_1^(aq)].
 
-    The model is one that ``tails.tail_convergence_table`` accepts: a_1 = a_2
-    = a and a mixer of regular-variation index q. With W_i = b_i G_i^(1/a),
-    G_i ~ Gamma(p_i, 1), the numerator is E[V^q] for V = min(lam_1 G_1,
-    lam_2 G_2), lam_i = (b_i / c_i)^a, so
+    The model is one that ``tails.tail_convergence_table`` accepts: at least
+    two components with a_1 = a_2 = a, and a Pareto(q) or InvGamma(q) mixer;
+    anything else raises UnsupportedModelError. The oracle reads the tail
+    index q from the law itself (its ``index`` or ``shape``), not through
+    ``radial.regular_variation_index``, which the estimators use, so a wrong
+    index there moves the estimate and not its reference.
+
+    With W_i = b_i G_i^(1/a), G_i ~ Gamma(p_i, 1), the numerator is E[V^q]
+    for V = min(lam_1 G_1, lam_2 G_2), lam_i = (b_i / c_i)^a, so
 
         E[V^q] = int_0^inf q s^(q-1) Q(p_1, s/lam_1) Q(p_2, s/lam_2) ds,
 
@@ -134,7 +141,13 @@ def breiman_limit(model: MGB2Model, c1: float, c2: float) -> float:
     ~1e-12 relative for p_i >= 0.01 and 0.06 <= q <= 100; below that range
     e^t underflows before the left end, above it e^(qt) loses the scale.
     """
-    a, q = _check_limit_regime(model)
+    law = model.theta_law
+    if model.dim < 2 or model.a[0] != model.a[1]:
+        raise UnsupportedModelError(f"the limit needs a_1 = a_2, got a = {model.a}", "a")
+    if not isinstance(law, (Pareto, InvGamma)):
+        raise UnsupportedModelError(
+            f"{type(law).__name__} is not a recognized regularly varying law", "theta_law")
+    a, q = model.a[0], law.index if isinstance(law, Pareto) else law.shape
     c = (_require_positive("c1", c1), _require_positive("c2", c2))
     p = model.p[:2]
     lams = [(b / c_i) ** a for b, c_i in zip(model.b, c)]

@@ -175,7 +175,7 @@ def lp_dirichlet_sample(spec: LpSpec, radial: RadialLaw, n: int,
 
 
 def weighted_sample(spec: WeightedSpec, radial: RadialLaw, n: int,
-                    stream: RngStream, workers=None) -> np.ndarray:
+                    stream: RngStream) -> np.ndarray:
     """n rows of (R I_1 O_1, ..., R I_d O_d); signs independent of (R, O)."""
 
     def fill(block, lo, hi):
@@ -184,11 +184,11 @@ def weighted_sample(spec: WeightedSpec, radial: RadialLaw, n: int,
         x *= np.column_stack([bernoulli_pm1(q, sign_gen, size=hi - lo) for q in spec.qs])
         return x
 
-    return map_blocks(stream, n, fill, ncols=spec.base.dim, workers=workers)
+    return map_blocks(stream, n, fill, ncols=spec.base.dim)
 
 
 def random_p_sample(spec: RandomPSpec, radial: RadialLaw, n: int,
-                    stream: RngStream, workers=None) -> tuple[np.ndarray, np.ndarray]:
+                    stream: RngStream) -> tuple[np.ndarray, np.ndarray]:
     """``(rows, exponents)``: n rows of R * O where each row draws its own
     exponent P, and the n values of P.
 
@@ -205,13 +205,12 @@ def random_p_sample(spec: RandomPSpec, radial: RadialLaw, n: int,
         w *= radial.sample(block.child(2).generator(), size=m)[:, None]
         return np.column_stack([w, p])
 
-    packed = map_blocks(stream, n, fill, ncols=spec.dim + 1, workers=workers)
+    packed = map_blocks(stream, n, fill, ncols=spec.dim + 1)
     return packed[:, :spec.dim], packed[:, spec.dim]
 
 
 def random_scale_sequence_sample(alpha: float, p: float, s_law: RadialLaw,
-                                 d: int, n: int, stream: RngStream,
-                                 workers=None) -> np.ndarray:
+                                 d: int, n: int, stream: RngStream) -> np.ndarray:
     """n rows of S * (Y_1, ..., Y_d): common scale times i.i.d. factors.
 
     The Y_i share the single weight ``alpha`` (the exchangeable case) and
@@ -230,11 +229,10 @@ def random_scale_sequence_sample(alpha: float, p: float, s_law: RadialLaw,
         y *= s_law.sample(block.child(1).generator(), size=hi - lo)[:, None]
         return y
 
-    return map_blocks(stream, n, fill, ncols=d, workers=workers)
+    return map_blocks(stream, n, fill, ncols=d)
 
 
-def beta_gamma_sample(alpha: float, p: float, n: int, stream: RngStream,
-                      workers=None) -> np.ndarray:
+def beta_gamma_sample(alpha: float, p: float, n: int, stream: RngStream) -> np.ndarray:
     """Draws of (T * E)^(1/p): T ~ Beta(alpha, 1-alpha), E ~ Exp(mean p).
 
     The Beta-Gamma factorization of the Y marginal, valid only for
@@ -253,4 +251,4 @@ def beta_gamma_sample(alpha: float, p: float, n: int, stream: RngStream,
         t **= 1.0 / p
         return t
 
-    return map_blocks(stream, n, fill, workers=workers)
+    return map_blocks(stream, n, fill)

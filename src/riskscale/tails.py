@@ -73,8 +73,7 @@ class ClaytonSpec:
         object.__setattr__(self, "d", d)
 
 
-def scale_mixture_exp_sample(spec: ClaytonSpec, n: int, stream: RngStream,
-                             workers=None) -> np.ndarray:
+def scale_mixture_exp_sample(spec: ClaytonSpec, n: int, stream: RngStream) -> np.ndarray:
     """n rows of (Y_1/Theta, ..., Y_d/Theta), Y_i i.i.d. Exp(1), Theta Gamma."""
 
     def fill(block, lo, hi):
@@ -84,7 +83,7 @@ def scale_mixture_exp_sample(spec: ClaytonSpec, n: int, stream: RngStream,
         theta = gamma_sample(spec.theta_shape, 1.0, gen, size=m)
         return y / theta[:, None]
 
-    return map_blocks(stream, n, fill, ncols=spec.d, workers=workers)
+    return map_blocks(stream, n, fill, ncols=spec.d)
 
 
 def archimedean_survival(spec: ClaytonSpec, x) -> float:
@@ -157,19 +156,17 @@ def _scale_by_theta(model: MGB2Model, theta: np.ndarray,
     return cols
 
 
-def mgb2_sample(model: MGB2Model, n: int, stream: RngStream,
-                workers=None) -> np.ndarray:
+def mgb2_sample(model: MGB2Model, n: int, stream: RngStream) -> np.ndarray:
     """Scale-mixture route: rows (Theta^(1/a_1) W_1, ..., Theta^(1/a_k) W_k)."""
 
     def fill(block, lo, hi):
         return np.column_stack(
             _scale_by_theta(model, *_mgb2_draws(model, block, hi - lo)))
 
-    return map_blocks(stream, n, fill, ncols=model.dim, workers=workers)
+    return map_blocks(stream, n, fill, ncols=model.dim)
 
 
-def mgb2_conditional_sample(model: MGB2Model, n: int, stream: RngStream,
-                            workers=None) -> np.ndarray:
+def mgb2_conditional_sample(model: MGB2Model, n: int, stream: RngStream) -> np.ndarray:
     """Conditional route: draw theta, then X_i = b_i U_i^(1/a_i) with
     U_i | theta ~ Gamma(p_i, 1/theta), realized as theta times a unit-rate
     Gamma draw. The paper's second representation of the law of
@@ -187,7 +184,7 @@ def mgb2_conditional_sample(model: MGB2Model, n: int, stream: RngStream,
             cols.append(model.b[i] * u ** (1.0 / model.a[i]))
         return np.column_stack(cols)
 
-    return map_blocks(stream, n, fill, ncols=model.dim, workers=workers)
+    return map_blocks(stream, n, fill, ncols=model.dim)
 
 
 @dataclass(frozen=True)
@@ -299,7 +296,7 @@ def _limit_moments(w1, w2, c1: float, c2: float, aq: float) -> RatioMoments:
 
 
 def tail_dependence_limit(model: MGB2Model, c1: float, c2: float, n: int,
-                          stream: RngStream, workers=None) -> tuple[float, float]:
+                          stream: RngStream) -> tuple[float, float]:
     """Monte Carlo estimate of I(c_1, c_2) = E[min(W_1/c_1, W_2/c_2)^(aq)] / E[W_1^(aq)]
     and its standard error, from n draws of (W_1, W_2), drawn from
     ``block.child(1)`` of each block of ``stream`` as in :func:`mgb2_sample`.
@@ -319,7 +316,7 @@ def tail_dependence_limit(model: MGB2Model, c1: float, c2: float, n: int,
         w1, w2 = _w_factors(model, block.child(1).generator(), hi - lo, 2)
         return _limit_moments(w1, w2, c1, c2, aq)
 
-    moments = reduce_blocks(stream, int(n), fill, RatioMoments.merge, workers=workers)
+    moments = reduce_blocks(stream, int(n), fill, RatioMoments.merge)
     return tuple(float(v) for v in moments.estimate())
 
 
@@ -328,8 +325,7 @@ def _merge_table(left: tuple, right: tuple) -> tuple:
     return left[0] + right[0], left[1].merge(right[1])
 
 
-def tail_convergence_table(model: MGB2Model, query: TailQuery, stream: RngStream,
-                           workers=None) -> list[dict]:
+def tail_convergence_table(model: MGB2Model, query: TailQuery, stream: RngStream) -> list[dict]:
     """Per-threshold comparison rows of empirical ratio vs the limit estimate.
 
     One pass over ``stream.child(0)`` gives both columns; nothing else is
@@ -359,8 +355,7 @@ def tail_convergence_table(model: MGB2Model, query: TailQuery, stream: RngStream
                                  "* W is inf * 0); no tail ratio is formed")
         return _exceedance_counts(x1, x2, query.c1, query.c2, query.t_grid), moments
 
-    counts, moments = reduce_blocks(stream.child(0), query.n, fill, _merge_table,
-                                    workers=workers)
+    counts, moments = reduce_blocks(stream.child(0), query.n, fill, _merge_table)
     limit, limit_se = (float(v) for v in moments.estimate())
     rows = []
     for t, row_counts in zip(query.t_grid, counts):

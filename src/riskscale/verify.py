@@ -43,8 +43,9 @@ functions and the closed-form premiums:
   common scale cancels;
 - ``clayton_identity``: :func:`tails.archimedean_survival`;
 - ``breiman_tail_limit``: the exact joint-tail limit
-  :func:`cdfs.breiman_limit` and the exact prelimit at its exponential
-  point.
+  :func:`cdfs.breiman_limit`, which reads the mixer's tail index from the
+  law itself and not through ``radial.regular_variation_index`` as the
+  estimators do, and the exact prelimit at its exponential point.
 
 Since no reference draws through the one Gamma kernel,
 ``samplers._std_gamma``, a fault there cannot cancel between a sample and

@@ -399,7 +399,7 @@ class TestOperatorFormBits:
                                        workers=workers).tobytes() == ref.tobytes()
 
     @pytest.mark.parametrize("d,p", _BIT_DP)
-    def test_weighted_sample(self, d, p):
+    def test_weighted_sample(self, monkeypatch, d, p):
         spec = WeightedSpec(LpSpec(_bit_alphas(d), p),
                             qs=((0.5, 1.0, 0.25) * 3)[:d])
         radial = _bit_radius(spec.base)
@@ -415,12 +415,13 @@ class TestOperatorFormBits:
 
         ref = map_blocks(RngStream(343), _BIT_N, fill, ncols=d, workers=1)
         for workers in (1, 2):
-            assert weighted_sample(spec, radial, _BIT_N, RngStream(343),
-                                   workers=workers).tobytes() == ref.tobytes()
+            monkeypatch.setenv("RISKSCALE_THREADS", str(workers))
+            assert weighted_sample(spec, radial, _BIT_N, RngStream(343)).tobytes() \
+                == ref.tobytes()
 
     @pytest.mark.parametrize("d,law", [(d, Pareto(2.0)) for d in _BIT_D]
                              + [(3, PointMass(p)) for p in _BIT_P], ids=str)
-    def test_random_p_sample(self, d, law):
+    def test_random_p_sample(self, monkeypatch, d, law):
         # PointMass(p) gives every row the exponent p; the exponent is an
         # array in both forms, so numpy takes its general pow
         spec = RandomPSpec(_bit_alphas(d), law)
@@ -436,13 +437,13 @@ class TestOperatorFormBits:
 
         ref = map_blocks(RngStream(344), _BIT_N, fill, ncols=d + 1, workers=1)
         for workers in (1, 2):
-            rows, expo = random_p_sample(spec, radial, _BIT_N, RngStream(344),
-                                         workers=workers)
+            monkeypatch.setenv("RISKSCALE_THREADS", str(workers))
+            rows, expo = random_p_sample(spec, radial, _BIT_N, RngStream(344))
             assert rows.tobytes() == np.ascontiguousarray(ref[:, :d]).tobytes()
             assert expo.tobytes() == np.ascontiguousarray(ref[:, d]).tobytes()
 
     @pytest.mark.parametrize("p", _BIT_P)
-    def test_random_scale_sequence_sample(self, p):
+    def test_random_scale_sequence_sample(self, monkeypatch, p):
         law = Pareto(2.0)
 
         def fill(block, lo, hi):
@@ -453,12 +454,12 @@ class TestOperatorFormBits:
 
         ref = map_blocks(RngStream(345), _BIT_N, fill, ncols=3, workers=1)
         for workers in (1, 2):
-            assert random_scale_sequence_sample(
-                0.7, p, law, 3, _BIT_N, RngStream(345), workers=workers
-            ).tobytes() == ref.tobytes()
+            monkeypatch.setenv("RISKSCALE_THREADS", str(workers))
+            assert random_scale_sequence_sample(0.7, p, law, 3, _BIT_N, RngStream(345)) \
+                .tobytes() == ref.tobytes()
 
     @pytest.mark.parametrize("p", _BIT_P)
-    def test_beta_gamma_sample(self, p):
+    def test_beta_gamma_sample(self, monkeypatch, p):
         def fill(block, lo, hi):
             m = hi - lo
             gen = block.child(0).generator()
@@ -469,5 +470,6 @@ class TestOperatorFormBits:
 
         ref = map_blocks(RngStream(346), _BIT_N, fill, workers=1)
         for workers in (1, 2):
-            assert beta_gamma_sample(0.4, p, _BIT_N, RngStream(346),
-                                     workers=workers).tobytes() == ref.tobytes()
+            monkeypatch.setenv("RISKSCALE_THREADS", str(workers))
+            assert beta_gamma_sample(0.4, p, _BIT_N, RngStream(346)).tobytes() \
+                == ref.tobytes()

@@ -174,12 +174,14 @@ def test_bitwise_reproducibility():
     assert np.array_equal(pair[0], pair[1])
 
 
-def test_mgb2_bytes_independent_of_worker_count():
+def test_mgb2_bytes_independent_of_worker_count(monkeypatch):
     # 3 full blocks + 1 row, with one Gamma shape below 1 and one above
     model = MGB2Model(a=(2.0, 1.5), b=(1.0, 2.0), p=(0.7, 1.5), theta_law=InvGamma(2.0))
     n = 3 * BLOCK_ROWS + 1
-    one = mgb2_sample(model, n, RngStream(81), workers=1)
-    two = mgb2_sample(model, n, RngStream(81), workers=2)
+    monkeypatch.setenv("RISKSCALE_THREADS", "1")
+    one = mgb2_sample(model, n, RngStream(81))
+    monkeypatch.setenv("RISKSCALE_THREADS", "2")
+    two = mgb2_sample(model, n, RngStream(81))
     assert one.shape == (n, 2)
     assert one.tobytes() == two.tobytes()
 

@@ -203,7 +203,7 @@ class TestTailDependenceLimit:
         est, se = tail_dependence_limit(_exp_model(), 2.0, 0.5, 10**5, RngStream(317))
         assert est - 3.0 * se <= 2.0 ** -1.0
 
-    def test_streamed_moments_match_two_pass_formula(self):
+    def test_streamed_moments_match_two_pass_formula(self, monkeypatch):
         # reference: hold every (num, den) pair (map_blocks, same block
         # streams) and apply the delta method with two-pass central moments
         model = MGB2Model(a=(2.0, 2.0), b=(1.0, 1.5), p=(1.5, 0.7),
@@ -223,8 +223,8 @@ class TestTailDependenceLimit:
         var = ((du**2).mean() - 2 * ratio * (du * dv).mean()
                + ratio**2 * (dv**2).mean()) / (n * v.mean() ** 2)
         for workers in (1, 2):
-            est, se = tail_dependence_limit(model, c1, c2, n, RngStream(325),
-                                            workers=workers)
+            monkeypatch.setenv("RISKSCALE_THREADS", str(workers))
+            est, se = tail_dependence_limit(model, c1, c2, n, RngStream(325))
             assert est == pytest.approx(ratio, rel=1e-12)
             assert se == pytest.approx(math.sqrt(var), rel=1e-12)
 
@@ -314,7 +314,7 @@ class TestConvergenceCheck:
         rep = check_breiman_limit(42)
         assert not rep.passed and math.isnan(rep.statistic)
 
-    def test_streamed_table_matches_materialised_sample(self):
+    def test_streamed_table_matches_materialised_sample(self, monkeypatch):
         # the table never holds the sample; its counts must be those of the
         # rows mgb2_sample draws on stream.child(0), block for block
         n = 3 * BLOCK_ROWS + 5000
@@ -322,7 +322,8 @@ class TestConvergenceCheck:
         s = RngStream(326)
         samples = mgb2_sample(_exp_model(), n, s.child(0))
         for workers in (1, 2):
-            rows = tail_convergence_table(_exp_model(), query, s, workers=workers)
+            monkeypatch.setenv("RISKSCALE_THREADS", str(workers))
+            rows = tail_convergence_table(_exp_model(), query, s)
             assert [r["t"] for r in rows] == list(query.t_grid)
             for row in rows:
                 ratio, se = tail_ratio_empirical(samples, query.c1, query.c2, row["t"])
@@ -330,12 +331,13 @@ class TestConvergenceCheck:
                 assert row["stderr"] == se
                 assert row["exceedances"] == int((samples[:, 0] > row["t"]).sum())
 
-    def test_table_memory_is_bounded_in_n(self):
+    def test_table_memory_is_bounded_in_n(self, monkeypatch):
         # a materialised 2e6-row run holds two 2e6 x 2 float matrices (64 MB)
         query = TailQuery(c1=1.0, c2=1.0, t_grid=(5.0, 10.0, 20.0), n=2 * 10**6)
+        monkeypatch.setenv("RISKSCALE_THREADS", "1")
         tracemalloc.start()
         try:
-            tail_convergence_table(_exp_model(), query, RngStream(327), workers=1)
+            tail_convergence_table(_exp_model(), query, RngStream(327))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -429,13 +431,13 @@ def _ref_limit(model, c1, c2, n, stream):
 class TestOperatorFormBits:
     @pytest.mark.parametrize("model", _BIT_MODELS, ids=lambda m: (
         f"a={m.a[0]:g},{m.a[1]:g}-{type(m.theta_law).__name__}"))
-    def test_mgb2_sample_matches_broadcast_power(self, model):
+    def test_mgb2_sample_matches_broadcast_power(self, monkeypatch, model):
         s = RngStream(331)
         ref = map_blocks(s, _BIT_N, lambda b, lo, hi: _ref_rows(model, b, hi - lo),
                          ncols=2, workers=1)
         for workers in (1, 2):
-            assert mgb2_sample(model, _BIT_N, s, workers=workers).tobytes() \
-                == ref.tobytes()
+            monkeypatch.setenv("RISKSCALE_THREADS", str(workers))
+            assert mgb2_sample(model, _BIT_N, s).tobytes() == ref.tobytes()
 
     @pytest.mark.parametrize("a,law,c1,c2", [
         ((1.0, 1.0), Pareto(1.0), 1.0, 1.0),      # aq = 1, the verify case
@@ -443,19 +445,19 @@ class TestOperatorFormBits:
         ((0.5, 0.5), Pareto(1.0), 1.0, 0.5),      # aq = 0.5
         ((1.0, 1.0), InvGamma(2.0), 2.0, 1.0),    # aq = 2
     ])
-    def test_tail_dependence_limit_matches_operator_form(self, a, law, c1, c2):
+    def test_tail_dependence_limit_matches_operator_form(self, monkeypatch, a, law, c1, c2):
         model = MGB2Model(a=a + (3.0,), b=(1.0, 1.5, 2.0), p=(1.5, 0.7, 2.0),
                           theta_law=law)
         ref = _ref_limit(model, c1, c2, _BIT_N, RngStream(332))
         for workers in (1, 2):
-            assert tail_dependence_limit(model, c1, c2, _BIT_N, RngStream(332),
-                                         workers=workers) == ref
+            monkeypatch.setenv("RISKSCALE_THREADS", str(workers))
+            assert tail_dependence_limit(model, c1, c2, _BIT_N, RngStream(332)) == ref
 
     @pytest.mark.parametrize("model", [_exp_model(), MGB2Model(
         a=(2.0, 2.0), b=(1.0, 1.5), p=(1.5, 0.7), theta_law=InvGamma(1.5)),
         MGB2Model(a=(2.0, 2.0, 3.0), b=(1.0, 1.5, 2.0), p=(1.5, 0.7, 2.0),
                   theta_law=InvGamma(1.5))])  # d = 3: W_3 is never drawn
-    def test_tail_convergence_table_matches_operator_form(self, model):
+    def test_tail_convergence_table_matches_operator_form(self, monkeypatch, model):
         # c1 < 1 counts joint & base; c1 = 1 reuses the base event; c1 > 1
         # takes the joint count for both
         s = RngStream(333)
@@ -481,20 +483,20 @@ class TestOperatorFormBits:
                                  "exceedances": int(base.sum())})
             assert expected
             for workers in (1, 2):
-                assert tail_convergence_table(model, query, s, workers=workers) \
-                    == expected
+                monkeypatch.setenv("RISKSCALE_THREADS", str(workers))
+                assert tail_convergence_table(model, query, s) == expected
 
     @pytest.mark.parametrize("model", [_exp_model(), MGB2Model(
         a=(2.0, 2.0), b=(1.0, 1.5), p=(1.5, 0.7), theta_law=InvGamma(1.5))])
-    def test_tail_dependence_limit_is_the_tables_limit_columns(self, model):
+    def test_tail_dependence_limit_is_the_tables_limit_columns(self, monkeypatch, model):
         # the W address is the table's, so the limit-only pass on the
         # table's stream.child(0) gives its limit columns bit for bit
         s = RngStream(336)
         query = TailQuery(c1=1.5, c2=0.8, t_grid=(0.5, 1.0), n=_BIT_N)
         for workers in (1, 2):
-            row = tail_convergence_table(model, query, s, workers=workers)[0]
-            assert tail_dependence_limit(model, query.c1, query.c2, query.n,
-                                         s.child(0), workers=workers) \
+            monkeypatch.setenv("RISKSCALE_THREADS", str(workers))
+            row = tail_convergence_table(model, query, s)[0]
+            assert tail_dependence_limit(model, query.c1, query.c2, query.n, s.child(0)) \
                 == (row["limit_estimate"], row["limit_stderr"])
 
     @pytest.mark.parametrize("b", [(1.0, 1.0), (0.5, 2.0)])

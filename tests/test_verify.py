@@ -1,6 +1,6 @@
 import math
 import tracemalloc
-from collections import Counter
+from collections import Counter, defaultdict
 
 import numpy as np
 import pytest
@@ -321,8 +321,8 @@ def test_seed_outside_64_bits_is_rejected_not_aliased(seed):
 # One mutation per statistical check, each of which must fail at every
 # seed of POWER_SEEDS, and the kernel-shape fault for every check that draws
 # through the Gamma kernel. The breiman_tail_limit ones of its own are the
-# limit-numerator mutations above. The premium_forms identity has two: its
-# kernel and its elliptical reduction.
+# limit-numerator mutations above and a wrong tail index below. The
+# premium_forms identity has two: its kernel and its elliptical reduction.
 
 def _swapped_alphas(monkeypatch):
     simplex = dirichlet._gamma_simplex
@@ -483,12 +483,21 @@ def _cstar_is_c(monkeypatch):
     monkeypatch.setattr(credibility, "build_cstar", lambda c: np.array(c, dtype=float))
 
 
+def _tail_index_times_1_1(monkeypatch):
+    # the estimators take the mixer's index q through regular_variation_index,
+    # while the exact limit reads it from the law: the limit estimates move
+    # (aq becomes 1.1 aq) and the prelimit rows, which count exceedances, do not
+    index = tails.regular_variation_index
+    monkeypatch.setattr(tails, "regular_variation_index", lambda law: 1.1 * index(law))
+
+
 #: The sub-tests that a mutation confined to some of them must name, at
 #: every seed: swapping alpha_1 and alpha_2 moves the O1 and O2 marginals
 #: at both exponents, and no other; a Theta per column moves the ratio
 #: X1/X2 of the faulty MGB2 route, and nothing of the other; a C* equal to
 #: C moves the elliptical side of premium_forms, and a kernel fed sigma for
-#: sigma0 moves both of its comparisons.
+#: sigma0 moves both of its comparisons; a wrong tail index in the
+#: estimators moves the three limits of breiman_tail_limit and no prelimit.
 NAMED_BY_MUTATION = {
     _swapped_alphas: ("p=1 O1", "p=1 O2", "p=2.7 O1", "p=2.7 O2"),
     _theta_per_column: ("conditional X1/X2",),
@@ -496,6 +505,7 @@ NAMED_BY_MUTATION = {
     _cstar_is_c: tuple(f"model {r} block-diagonal" for r in range(1, 21)),
     _sigma_for_sigma0: tuple(f"model {r} {form}" for r in range(1, 21)
                              for form in ("noise-inverse", "block-diagonal")),
+    _tail_index_times_1_1: ("P0 limit", "P1 limit", "P2 limit"),
 }
 
 
@@ -522,6 +532,7 @@ GAMMA_CHECKS = tuple(check for check in STATISTICAL_CHECKS
     (check_elliptical_premium, _b_ji_for_b_ij),
     (check_premium_forms, _sigma_for_sigma0),
     (check_premium_forms, _cstar_is_c),
+    (check_breiman_limit, _tail_index_times_1_1),
 ], ids=lambda value: value.__name__.strip("_"))
 def test_mutation_fails_its_check_at_every_power_seed(monkeypatch, check, mutate):
     assert check(POWER_SEEDS[0]).passed
@@ -582,16 +593,95 @@ def test_elliptical_premium_calls_the_premium_three_times_and_nothing_else(monke
 #: The seed range reserved for the false-alarm sweep.
 SWEEP_SEEDS = range(5000, 5100)
 
+#: The level of the calibration gate: per statistical check, a KS test of
+#: its sub-test p-values, pooled over the seeds of a sweep, against U(0, 1)
+#: must not fall below it. Pooling treats a seed's sub-tests as independent.
+#: clayton_identity's nine nested survival events are not: their z-scores
+#: correlate at 0.5-0.9, so its pooled p-value is small far more often than
+#: a uniform one (below 1e-4 in 4.5% of 100-seed sweeps, below 1e-8 in 0.2%,
+#: under a normal model with the exact correlations). On correct code, at
+#: seeds 14710-14909, the smallest was 1.0e-4 (clayton_identity at
+#: 14810-14909) per 100 seeds, and 2.9e-3 over all 200.
+CALIBRATION_LEVEL = 1e-8
+
+
+def _sweep(seeds, checks):
+    """Run ``checks`` at every seed, with a spy on verify's one rule: the
+    number of seeds at which some check fails, the failures per check, and
+    every sub-test p-value, pooled per check."""
+    pooled, rule = defaultdict(list), verify._bonferroni
+
+    def spy(name, pvalues):
+        pooled[name].extend(pvalues.values())
+        return rule(name, pvalues)
+
+    failing_seeds, per_check = 0, Counter()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(verify, "_bonferroni", spy)
+        for seed in seeds:
+            failed = [rep.test_name for rep in (check(seed) for check in checks)
+                      if not rep.passed]
+            failing_seeds += bool(failed)
+            per_check.update(failed)
+    return failing_seeds, per_check, pooled
+
+
+def _miscalibrated(pooled) -> dict:
+    """The checks whose pooled p-values a KS test against U(0, 1) rejects
+    below ``CALIBRATION_LEVEL``, with that KS p-value; a nan rejects."""
+    from scipy import stats
+
+    ks = {name: stats.kstest(p, "uniform").pvalue for name, p in pooled.items()}
+    return {name: p for name, p in ks.items() if not p >= CALIBRATION_LEVEL}
+
 
 def test_false_alarms_over_a_hundred_seeds_stay_within_the_budget(monkeypatch):
     # Each seed fails some statistical check with probability at most
     # ALPHA_SUITE = 0.01, so over 100 seeds the failing seeds are at most
-    # Bin(100, 0.01), whose 1 - 1e-3 quantile is 5. ~30 s on one worker.
+    # Bin(100, 0.01), whose 1 - 1e-3 quantile is 5. That bound sees a check
+    # that alarms too often; the calibration gate, on the same p-values,
+    # also sees one that alarms too rarely. ~30 s on one worker.
     monkeypatch.setenv("RISKSCALE_THREADS", "1")
-    failing_seeds, per_check = 0, Counter()
-    for seed in SWEEP_SEEDS:
-        failed = [rep.test_name for rep in (check(seed) for check in STATISTICAL_CHECKS)
-                  if not rep.passed]
-        failing_seeds += bool(failed)
-        per_check.update(failed)
+    failing_seeds, per_check, pooled = _sweep(SWEEP_SEEDS, STATISTICAL_CHECKS)
     assert failing_seeds <= 5, f"{failing_seeds} failing seeds; per check {dict(per_check)}"
+    assert {name: len(p) for name, p in pooled.items()} \
+        == {name: k * len(SWEEP_SEEDS) for name, k in SUB_TESTS.items()}
+    assert _miscalibrated(pooled) == {}
+
+
+def _standard_errors_times_1_5(monkeypatch):
+    z_pvalues = verify._z_pvalues
+    monkeypatch.setattr(verify, "_z_pvalues", lambda estimate, se, exact: z_pvalues(
+        estimate, 1.5 * np.asarray(se), exact))
+
+
+def _ks_n_eff_halved(monkeypatch):
+    ks_pvalue = verify.ks_pvalue
+    monkeypatch.setattr(verify, "ks_pvalue", lambda ks: ks_pvalue(
+        ks._replace(n_eff=ks.n_eff / 2)))
+
+
+#: The statistical checks with KS sub-tests, which take ``ks_pvalue``.
+KS_CHECKS = (check_beta_marginals, check_factorization, check_scale_cancellation,
+             check_beta_gamma_algebra, check_weighted_gaussian, check_mgb2_equivalence)
+
+
+@pytest.mark.parametrize("mutate, checks, seeds", [
+    # two of the four checks with z-scored sub-tests; breiman_tail_limit
+    # costs ~10 times as much a seed, and scalar_premium_mc's one sub-test
+    # a seed gives the gate no power at 50 seeds
+    (_standard_errors_times_1_5, (check_elliptical_premium, check_clayton_identity),
+     SWEEP_SEEDS[:50]),
+    (_ks_n_eff_halved, KS_CHECKS, SWEEP_SEEDS[:10]),
+], ids=["standard_errors_times_1_5", "ks_n_eff_halved"])
+def test_conservative_fault_fails_the_calibration_gate(monkeypatch, mutate, checks, seeds):
+    # a fault that shrinks every z-score or KS distance gives away power: no
+    # seed fails, so the failing-seed bound cannot see it, but the p-values
+    # pile up toward 1 and the gate rejects their uniformity, which it
+    # accepts on the same seeds and checks without the fault
+    monkeypatch.setenv("RISKSCALE_THREADS", "1")
+    assert _miscalibrated(_sweep(seeds, checks)[2]) == {}
+    mutate(monkeypatch)
+    failing_seeds, _, pooled = _sweep(seeds, checks)
+    assert failing_seeds == 0
+    assert _miscalibrated(pooled)
