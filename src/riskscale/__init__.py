@@ -8,7 +8,6 @@ from .credibility import (
     premium_elliptical,
     premium_gaussian,
     premium_mc,
-    premium_scalar,
 )
 from .dirichlet import (
     LpSpec,

@@ -10,10 +10,12 @@ closed form, linear in x, computed by one kernel:
 with mu the common mean of Theta and X, S_XX the dispersion matrix of X and
 S_XTheta the cross-dispersion of X and Theta: (mu, sigma + sigma0, sigma0)
 for the Gaussian model, and (nu_J, B_II, B_IJ) with B = (C*)^T C* for the
-elliptical one, whose radial law drops out. ``premium_mc`` estimates the
-generic density-weighted form by Monte Carlo, reducing per-block
-ratio-of-means moments so that its memory does not grow with the number of
-draws. Premium formulas follow the row-vector convention (row vector times
+elliptical one, whose radial law drops out. The scalar credibility premium
+x + sigma^2 / (sigma^2 + tau^2) (mu - x) is the Gaussian case at d = 1,
+with noise variance sigma^2 and prior variance tau^2. ``premium_mc``
+estimates the generic density-weighted form by Monte Carlo, reducing
+per-block ratio-of-means moments so that its memory does not grow with the
+number of draws. Premium formulas follow the row-vector convention (row vector times
 matrix on the right).
 """
 
@@ -33,7 +35,6 @@ from .errors import (
 from .linalg import as_matrix, as_vector, assert_positive_semidefinite, mat_inverse
 from .moments import RatioMoments
 from .rng import RngStream, reduce_blocks
-from .samplers import _require_positive
 
 
 def _frozen_array(obj, field: str, value: np.ndarray) -> None:
@@ -84,13 +85,6 @@ class GaussianShiftModel:
     @property
     def dim(self) -> int:
         return self.mu.size
-
-
-def premium_scalar(mu: float, sigma2: float, tau2: float, x: float) -> float:
-    """Scalar credibility premium x + sigma^2/(sigma^2 + tau^2) * (mu - x)."""
-    sigma2 = _require_positive("sigma2", sigma2)
-    tau2 = _require_positive("tau2", tau2)
-    return float(x) + sigma2 / (sigma2 + tau2) * (float(mu) - float(x))
 
 
 def _posterior_mean(mu, s_xx, s_xtheta, x) -> np.ndarray:

@@ -18,7 +18,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import ParameterError, ShapeError
 
 
 @dataclass(frozen=True)
@@ -71,11 +71,19 @@ def as_sample(values, name: str = "sample") -> np.ndarray:
 
 
 def ks_one_sample(x, cdf) -> KsStatistic:
-    """One-sample KS distance of ``x`` from a vectorized CDF callable; n_eff = n."""
+    """One-sample KS distance of ``x`` from a vectorized CDF callable; n_eff = n.
+
+    ``cdf`` maps the sorted sample to an array of its own shape, one value
+    per point; any other shape raises ShapeError, since a broadcast one
+    would give a wrong distance.
+    """
     x = as_sample(x)
     n = x.size
     xs = np.sort(x)
     f = np.asarray(cdf(xs), dtype=float)
+    if f.shape != xs.shape:
+        raise ShapeError(f"cdf returned shape {f.shape} for a sample of shape {xs.shape}",
+                         "cdf")
     grid = np.arange(1, n + 1) / n
     d_plus = np.max(grid - f)
     d_minus = np.max(f - (grid - 1.0 / n))

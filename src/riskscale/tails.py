@@ -1,12 +1,13 @@
 """Random-scale dependence models and their joint-tail behavior.
 
-Covers the Gamma-mixed exponential scale mixture (whose survival copula is
-the Clayton/Archimedean family), the MGB2-type positive risk vector
-Theta^(1/a_i) * W_i with its conditional-density sampling route, and the
-empirical/limit comparison of the joint tail ratio
-P(X_1 > c_1 t, X_2 > c_2 t) / P(X_1 > t), whose limit under a regularly
-varying mixer is I(c_1, c_2) = E[min(W_1/c_1, W_2/c_2)^(aq)] / E[W_1^(aq)]
-(Breiman's lemma).
+Covers the MGB2-type positive risk vector Theta^(1/a_i) * W_i with its
+conditional-density sampling route; the Gamma-mixed exponential scale
+mixture (whose survival copula is the Clayton/Archimedean family), which is
+that vector at a = b = p = 1 with an InvGamma(theta_shape) mixer and is
+drawn by ``mgb2_sample``; and the empirical/limit comparison of the joint
+tail ratio P(X_1 > c_1 t, X_2 > c_2 t) / P(X_1 > t), whose limit under a
+regularly varying mixer is
+I(c_1, c_2) = E[min(W_1/c_1, W_2/c_2)^(aq)] / E[W_1^(aq)] (Breiman's lemma).
 
 The tail estimators stream through ``rng.reduce_blocks``, so their memory
 is bounded at any sample size n. ``tail_dependence_limit`` reduces
@@ -52,7 +53,7 @@ from .errors import (
     UnsupportedModelError,
 )
 from .moments import RatioMoments
-from .radial import RadialLaw, regular_variation_index
+from .radial import InvGamma, RadialLaw, regular_variation_index
 from .rng import RngStream, map_blocks, reduce_blocks
 from .samplers import _positive_tuple, _power, _require_positive, _scale, gamma_sample
 
@@ -71,19 +72,6 @@ class ClaytonSpec:
         if d < 1:
             raise ParameterError(f"d must be >= 1, got {d}", "d")
         object.__setattr__(self, "d", d)
-
-
-def scale_mixture_exp_sample(spec: ClaytonSpec, n: int, stream: RngStream) -> np.ndarray:
-    """n rows of (Y_1/Theta, ..., Y_d/Theta), Y_i i.i.d. Exp(1), Theta Gamma."""
-
-    def fill(block, lo, hi):
-        m = hi - lo
-        gen = block.generator()
-        y = gen.exponential(size=(m, spec.d))
-        theta = gamma_sample(spec.theta_shape, 1.0, gen, size=m)
-        return y / theta[:, None]
-
-    return map_blocks(stream, n, fill, ncols=spec.d)
 
 
 def archimedean_survival(spec: ClaytonSpec, x) -> float:
@@ -164,6 +152,19 @@ def mgb2_sample(model: MGB2Model, n: int, stream: RngStream) -> np.ndarray:
             _scale_by_theta(model, *_mgb2_draws(model, block, hi - lo)))
 
     return map_blocks(stream, n, fill, ncols=model.dim)
+
+
+def scale_mixture_exp_sample(spec: ClaytonSpec, n: int, stream: RngStream) -> np.ndarray:
+    """n rows of (Y_1/G, ..., Y_d/G), Y_i i.i.d. Exp(1), G ~ Gamma(theta_shape, 1).
+
+    This is the MGB2 vector Theta * W_i at a = b = p = 1, with W_i ~
+    Gamma(1, 1) = Exp(1) and Theta = 1/G ~ InvGamma(theta_shape), so the rows
+    are those of :func:`mgb2_sample` on that model: Theta from
+    ``block.child(0)`` and the W_i from ``block.child(1)`` of each block.
+    """
+    ones = (1.0,) * spec.d
+    return mgb2_sample(MGB2Model(a=ones, b=ones, p=ones,
+                                 theta_law=InvGamma(spec.theta_shape)), n, stream)
 
 
 def mgb2_conditional_sample(model: MGB2Model, n: int, stream: RngStream) -> np.ndarray:

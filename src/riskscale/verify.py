@@ -29,7 +29,9 @@ Every Monte Carlo sub-test compares one sample with an exact law that
 shares no code with its sampler, through the ``cdfs`` distribution
 functions and the closed-form premiums:
 
-- ``scalar_premium_mc``: :func:`credibility.premium_scalar`;
+- ``scalar_premium_mc``: :func:`credibility.premium_gaussian` of the d = 1
+  Gaussian model that :func:`credibility.premium_mc` samples, the kernel
+  that ``premium_forms`` holds to two independent forms;
 - ``elliptical_premium``: the definition (Y, Theta) = R U C + nu itself,
   under which the residual Theta - P(X) of the premium P has zero mean and
   zero product moments with X (the six orthogonality moments);
@@ -41,7 +43,9 @@ functions and the closed-form premiums:
 - ``mgb2_equivalence``: :func:`cdfs.beta_prime_cdf` for each margin of
   both representations, and for the ratio of each one's two margins, whose
   common scale cancels;
-- ``clayton_identity``: :func:`tails.archimedean_survival`;
+- ``clayton_identity``: :func:`tails.archimedean_survival`, the closed-form
+  survival of the Clayton rows, which :func:`tails.mgb2_sample` draws at
+  a = b = p = 1;
 - ``breiman_tail_limit``: the exact joint-tail limit
   :func:`cdfs.breiman_limit`, which reads the mixer's tail index from the
   law itself and not through ``radial.regular_variation_index`` as the
@@ -87,7 +91,6 @@ from .credibility import (
     premium_elliptical,
     premium_gaussian,
     premium_mc,
-    premium_scalar,
 )
 from .dirichlet import (
     SPHERE_TOL,
@@ -176,14 +179,18 @@ _SCALAR_SHIFT = GenericShiftModel(
                                   / np.sqrt(2.0 * np.pi * _TAU2)),
     noise_sampler=lambda gen, m: gen.standard_normal((m, 1)),
 )
+#: ``_SCALAR_SHIFT`` as a Gaussian shift model, whose closed-form premium is
+#: the exact value of ``scalar_premium_mc``.
+_SCALAR_GAUSSIAN = GaussianShiftModel(mu=[0.0], sigma=[[1.0]], sigma0=[[_TAU2]])
 
 
 def check_scalar_premium_mc(seed: int) -> GofReport:
-    """Monte Carlo premium against the scalar closed form (d = 1 Gaussian):
-    one sub-test, the estimate z-scored by its delta-method standard error."""
+    """Monte Carlo premium against the closed form of the d = 1 Gaussian
+    model, x + (mu - x) / (1 + _TAU2) = 3 at x = 4: one sub-test, the
+    estimate z-scored by its delta-method standard error."""
     x = 4.0
     est, se = premium_mc(_SCALAR_SHIFT, [x], 10**6, _stream(seed, 1))
-    exact = premium_scalar(0.0, 1.0, _TAU2, x)
+    exact = premium_gaussian(_SCALAR_GAUSSIAN, [x])[0]
     return _bonferroni("scalar_premium_mc", {f"x={x:g}": _z_pvalues(est[0], se[0], exact)})
 
 
@@ -417,6 +424,11 @@ def check_clayton_identity(seed: int) -> GofReport:
     (1 + x_1 + x_2)^(-a) on a 3 x 3 grid: 9 sub-tests, each frequency
     z-scored by its binomial standard deviation sqrt(s (1 - s) / n) at the
     exact survival s.
+
+    The sample is :func:`tails.mgb2_sample` at a = b = p = 1 with an
+    InvGamma(a) mixer, the Clayton case of the MGB2 vector; the exact
+    survival, :func:`tails.archimedean_survival`, is a closed form that
+    draws nothing.
     """
     n = 10**5
     spec = ClaytonSpec(theta_shape=1.0, d=2)

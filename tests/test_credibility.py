@@ -16,7 +16,6 @@ from riskscale.credibility import (
     premium_elliptical,
     premium_gaussian,
     premium_mc,
-    premium_scalar,
 )
 from riskscale.errors import (
     DegenerateDenominatorError,
@@ -26,7 +25,7 @@ from riskscale.errors import (
 )
 from riskscale.radial import PointMass
 from riskscale.rng import BLOCK_ROWS, RngStream, map_blocks
-from riskscale.verify import _premium_gaussian_noise_inverse
+from riskscale.verify import _SCALAR_GAUSSIAN, _premium_gaussian_noise_inverse
 
 
 def _gaussian_density(mu, tau2):
@@ -35,22 +34,34 @@ def _gaussian_density(mu, tau2):
     return h
 
 
+def _scalar_premium(mu, sigma2, tau2, x) -> float:
+    """The scalar credibility premium x + sigma2 / (sigma2 + tau2) (mu - x):
+    the Gaussian premium at d = 1, noise variance sigma2, prior variance tau2."""
+    model = GaussianShiftModel(mu=[mu], sigma=[[sigma2]], sigma0=[[tau2]])
+    value = premium_gaussian(model, [x])
+    assert value.shape == (1,)
+    return float(value[0])
+
+
 class TestScalarPremium:
     def test_reference_value(self):
-        # frozen from the Monte Carlo posterior-mean oracle (see TestPremiumMC)
-        assert premium_scalar(0.0, 1.0, 3.0, 4.0) == 3.0
+        # frozen from the Monte Carlo posterior-mean oracle (see TestPremiumMC);
+        # verify's scalar_premium_mc takes its exact value from this model
+        assert _scalar_premium(0.0, 1.0, 3.0, 4.0) == 3.0
+        assert premium_gaussian(_SCALAR_GAUSSIAN, [4.0]).tolist() == [3.0]
 
     def test_fixed_point_at_prior_mean(self):
-        assert premium_scalar(5.0, 2.0, 7.0, 5.0) == 5.0
+        assert _scalar_premium(5.0, 2.0, 7.0, 5.0) == 5.0
 
     def test_vanishing_credibility_weight(self):
-        assert abs(premium_scalar(5.0, 1.0, 1e12, 2.0) - 2.0) < 1e-9
+        assert abs(_scalar_premium(5.0, 1.0, 1e12, 2.0) - 2.0) < 1e-9
 
     def test_parameter_errors(self):
-        with pytest.raises(ParameterError):
-            premium_scalar(0.0, -1.0, 1.0, 0.0)
-        with pytest.raises(ParameterError):
-            premium_scalar(0.0, 1.0, 0.0, 0.0)
+        # a negative noise or prior variance is refused
+        with pytest.raises(ParameterError, match="^sigma must be positive semidefinite"):
+            _scalar_premium(0.0, -1.0, 1.0, 0.0)
+        with pytest.raises(ParameterError, match="^sigma0 must be positive semidefinite"):
+            _scalar_premium(0.0, 1.0, -1.0, 0.0)
 
 
 class TestGaussianModel:
@@ -114,8 +125,8 @@ class TestGaussianPremium:
         model = GaussianShiftModel(mu=[0.0, 0.0], sigma=[[1.0, 0.0], [0.0, 2.0]],
                                    sigma0=[[2.0, 0.0], [0.0, 1.0]])
         value = premium_gaussian(model, [3.0, 3.0])
-        expected = [premium_scalar(0.0, 1.0, 2.0, 3.0),
-                    premium_scalar(0.0, 2.0, 1.0, 3.0)]
+        expected = [_scalar_premium(0.0, 1.0, 2.0, 3.0),
+                    _scalar_premium(0.0, 2.0, 1.0, 3.0)]
         assert np.allclose(value, expected, atol=1e-12)
         assert np.allclose(value, [2.0, 1.0], atol=1e-12)
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from riskscale.cdfs import ks_pvalue, normal_cdf, normal_pvalue
-from riskscale.errors import ParameterError
+from riskscale.errors import ParameterError, ShapeError
 from riskscale.gof import GofReport, KsStatistic, ks_one_sample, ks_two_sample
 from riskscale.rng import RngStream
 
@@ -117,6 +117,19 @@ def test_parameter_errors():
         ks_one_sample(np.ones(5), uniform_cdf)  # n < 10
     with pytest.raises(ParameterError):
         ks_one_sample(np.array([0.5, np.nan]), uniform_cdf)
+
+
+@pytest.mark.parametrize("cdf", [
+    lambda v: 0.5,  # one value, which numpy would broadcast to every point
+    lambda v: np.vstack([uniform_cdf(v), np.full(v.shape, 0.5)]),  # one row too many
+    lambda v: uniform_cdf(v)[1:],  # one value short: numpy's bare ValueError
+], ids=["scalar", "two-rows", "one-short"])
+def test_cdf_output_of_another_shape_is_refused(cdf):
+    # only one CDF value per sorted point gives the KS distance; any other
+    # shape is refused by name, before numpy broadcasts it or fails on it
+    x = RngStream(6).generator().random(100)
+    with pytest.raises(ShapeError, match=r"cdf returned shape .* sample of shape \(100,\)"):
+        ks_one_sample(x, cdf)
 
 
 def test_null_calibration_rejection_rate():

@@ -31,6 +31,9 @@ Both tables must also agree between 1 and 2 workers.
 A ``<name>_tiny`` config is ``<name>`` with every covariance or mixing entry
 times 2^-40, written exactly: a change of monetary unit, which leaves the
 premium as it is. Under any key its output must equal its sibling's.
+``clayton_mgb2`` is ``clayton`` written as the MGB2 model it is, a = b =
+p = 1 with an InvGamma(theta_shape) mixer: under any key it must give
+``clayton``'s bytes, drawn from the same addresses.
 
 The tests never write the tables. A change that is meant to change bytes
 or addresses regenerates the running key's digests and the whole address
@@ -136,6 +139,10 @@ def test_stream_addresses_match_the_table(name):
 def test_a_change_of_unit_leaves_the_premium_bytes(name):
     assert [digest for digest, _ in _runs(f"{name}_tiny")] == [
         digest for digest, _ in _runs(name)]
+
+
+def test_the_clayton_sample_is_the_mgb2_sample_at_unit_parameters():
+    assert _runs("clayton_mgb2") == _runs("clayton")
 
 
 def _dump_addresses(table: dict) -> str:

@@ -59,6 +59,20 @@ class TestScaleMixture:
         x = a * scale_mixture_exp_sample(spec, 10**4, RngStream(303))[:, 0]
         assert ks_pvalue(ks_one_sample(x, exponential_cdf)) > 0.01
 
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    @pytest.mark.parametrize("theta_shape", [0.5, 1.0, 2.5])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_is_mgb2_sample_at_unit_parameters(self, monkeypatch, d, theta_shape, threads):
+        # the Clayton rows are the MGB2 rows at a = b = p = 1 with an
+        # InvGamma(theta_shape) mixer, bit for bit, over several blocks
+        monkeypatch.setenv("RISKSCALE_THREADS", threads)
+        n = 3 * BLOCK_ROWS + 101
+        ones = (1.0,) * d
+        model = MGB2Model(a=ones, b=ones, p=ones, theta_law=InvGamma(theta_shape))
+        x = scale_mixture_exp_sample(ClaytonSpec(theta_shape, d), n, RngStream(310))
+        assert x.shape == (n, d)
+        assert x.tobytes() == mgb2_sample(model, n, RngStream(310)).tobytes()
+
     def test_unit_survival_value(self):
         # d = 1, a = 1: P(X > 1) = E[e^(-Theta)] = 1/2
         spec = ClaytonSpec(theta_shape=1.0, d=1)
