@@ -44,7 +44,6 @@ from .samplers import (
     gamma_sample,
     inv_gamma_sample,
     pareto_sample,
-    y_marginal_sample,
 )
 from .tails import (
     ClaytonSpec,

@@ -19,8 +19,9 @@ import numpy as np
 from . import credibility, dirichlet, tails
 from .credibility import EllipticalShiftModel, GaussianShiftModel
 from .dirichlet import LpSpec, RandomPSpec, WeightedSpec
-from .errors import ConfigError, RiskscaleError
+from .errors import ConfigError, ParameterError, RiskscaleError
 from .radial import GammaPower, InvGamma, Pareto, PointMass, RadialLaw
+from .rng import _address_part
 from .samplers import _require_positive
 from .tails import ClaytonSpec, MGB2Model, TailQuery, _check_limit_regime
 
@@ -291,7 +292,8 @@ def parse_config(text: str, command: str | None = None,
 
     ``command``, ``seed``, and ``output_path`` may be supplied by the caller
     (the command line); file keys must agree with a caller-supplied command.
-    A seed from either source must lie in [0, 2**64).
+    A seed from either source must be a stream address, an integer in
+    [0, 2**64) (``rng``'s rule).
     """
     doc = _Doc(text)
 
@@ -307,14 +309,18 @@ def parse_config(text: str, command: str | None = None,
         raise ConfigError(f"unknown command {command!r}; choose from {COMMANDS}")
 
     file_seed = _parse_int(doc, "seed", required=False)
-    if file_seed is not None and not 0 <= file_seed < 2**64:
-        doc.fail("seed", f"must lie in [0, 2**64), got {file_seed}")
-    if seed is None:
-        seed = file_seed
-    elif not 0 <= seed < 2**64:
-        raise ConfigError(f"seed must lie in [0, 2**64), got {seed}")
+    if file_seed is not None:
+        try:
+            _address_part("seed", file_seed)
+        except ParameterError as exc:
+            doc.fail("seed", str(exc))
+    seed = file_seed if seed is None else seed
     if seed is None:
         raise ConfigError("missing required key 'seed'")
+    try:
+        seed = _address_part("seed", seed)
+    except ParameterError as exc:
+        raise ConfigError(str(exc), "seed") from None
 
     out = doc.take("out", required=False)
     if output_path is not None:

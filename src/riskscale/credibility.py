@@ -34,7 +34,7 @@ from .errors import (
 )
 from .linalg import as_matrix, as_vector, assert_positive_semidefinite, mat_inverse
 from .moments import RatioMoments
-from .rng import RngStream, reduce_blocks
+from .rng import RngStream, _require_int, reduce_blocks
 
 
 def _frozen_array(obj, field: str, value: np.ndarray) -> None:
@@ -196,9 +196,7 @@ def premium_mc(model: GenericShiftModel, x, n: int, stream: RngStream,
     prior density exceeds 1e-300 (x far in the prior's tail).
     """
     x = as_vector(x, "x")
-    n = int(n)
-    if n < 1000:
-        raise ParameterError(f"premium_mc needs n >= 1000, got {n}")
+    n = _require_int("n", n, 1000)
     d = x.size
 
     def fill(block, lo, hi):

@@ -52,7 +52,7 @@ import numpy as np
 
 from .errors import ParameterError
 from .radial import GammaPower, RadialLaw
-from .rng import BLOCK_ROWS, RngStream, map_blocks
+from .rng import BLOCK_ROWS, RngStream, _require_int, map_blocks
 from .samplers import (
     _positive_tuple,
     _require_positive,
@@ -219,9 +219,7 @@ def random_scale_sequence_sample(alpha: float, p: float, s_law: RadialLaw,
     """
     alpha = _require_positive("alpha", alpha)
     p = _require_positive("p", p)
-    d = int(d)
-    if d < 1:
-        raise ParameterError(f"d must be >= 1, got {d}")
+    d = _require_int("d", d, 1)
     factor = GammaPower(alpha, 1.0 / p, 1.0 / p)
 
     def fill(block, lo, hi):

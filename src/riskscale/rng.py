@@ -18,6 +18,13 @@ keeps only a small partial result per block (moments, counts) and combines
 the partials in block order, so its memory is bounded at any row count.
 Both run on :func:`ordered_map`, the package's one thread-pool driver,
 which the CSV writer also uses to format its chunks.
+
+Counts and worker counts are integers: the row count n of every row
+sampler and estimator, a dimension d, an explicit ``workers`` and every
+part of a stream address go through one check, :func:`_require_int`. A
+Python or numpy integer passes; a float (however whole), nan or string
+raises ``ParameterError`` whose ``param`` names the argument, as does an
+integer below the argument's bound. No count is rounded or truncated.
 """
 
 from __future__ import annotations
@@ -47,13 +54,29 @@ THREADS_ENV = "RISKSCALE_THREADS"
 MAX_WORKERS = 64
 
 
+def _require_int(name: str, value, low: int | None = None, bits: int | None = None) -> int:
+    """``value`` as a Python int, by the package's one integer rule.
+
+    ``value`` must be an integer to ``operator.index`` (a Python or numpy
+    integer, never a float however whole, nor nan, nor a string), at least
+    ``low`` when ``low`` is given and below 2**bits when ``bits`` is.
+    Anything else raises ParameterError whose ``param`` is ``name``.
+    """
+    index = operator.index(value) if hasattr(type(value), "__index__") else None
+    if index is not None and (low is None or low <= index) and (bits is None or index < 1 << bits):
+        return index
+    if low is None:
+        rule = "be an integer"
+    else:
+        rule = f"be >= {low}" if bits is None else f"lie in [{low}, 2**{bits})"
+        if index is None:
+            rule += " as an integer"
+    raise ParameterError(f"{name} must {rule}, got {value if index is None else index!r}", name)
+
+
 def _address_part(name: str, value) -> int:
-    """``value`` as a Python int, refused unless it is an integer in [0, 2**64)."""
-    index = operator.index(value) if hasattr(type(value), "__index__") else -1
-    if not 0 <= index < 1 << 64:
-        raise ParameterError(f"{name} must lie in [0, 2**64) as an integer, got {value!r}",
-                             name)
-    return index
+    """``value`` as one part of a stream address, an integer in [0, 2**64)."""
+    return _require_int(name, value, 0, 64)
 
 
 @dataclass(frozen=True)
@@ -91,18 +114,19 @@ class RngStream:
 
 def resolve_workers(workers: int | None = None) -> int:
     """Worker-thread count: explicit argument, else RISKSCALE_THREADS, else the
-    CPUs this process may run on (its affinity mask, where the platform has one)."""
-    if workers is None:
-        env = os.environ.get(THREADS_ENV)
-        if env is not None:
-            try:
-                workers = int(env)
-            except ValueError:
-                raise ConfigError(
-                    f"{THREADS_ENV} must be an integer, got {env!r}") from None
-        else:
-            workers = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-                       else (os.cpu_count() or 1))
+    CPUs this process may run on (its affinity mask, where the platform has one).
+    A count <= 0 means 1; an explicit ``workers`` that is no integer raises
+    ParameterError on ``workers``."""
+    if workers is not None:
+        workers = _require_int("workers", workers)
+    elif (env := os.environ.get(THREADS_ENV)) is not None:
+        try:
+            workers = int(env)
+        except ValueError:
+            raise ConfigError(f"{THREADS_ENV} must be an integer, got {env!r}") from None
+    else:
+        workers = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                   else (os.cpu_count() or 1))
     return max(1, workers)
 
 
@@ -163,8 +187,7 @@ def map_blocks(stream: RngStream, n: int, fill, ncols: int | None = None,
     on ``stream.child(b)``, so the assembled output is a pure function of
     (stream, n) regardless of the worker count.
     """
-    if n < 0:
-        raise ParameterError("n must be nonnegative", "n")
+    n = _require_int("n", n, 0)
     out = np.empty((n,) if ncols is None else (n, ncols))
 
     def put(block, lo, hi):
@@ -186,7 +209,5 @@ def reduce_blocks(stream: RngStream, n: int, fill, combine,
     pure function of (stream, n) at any worker count even when ``combine``
     is not associative in floating point. Needs n >= 1.
     """
-    if n < 1:
-        raise ParameterError("reduce_blocks needs n >= 1", "n")
-    partials = _run_blocks(stream, n, fill, workers)
+    partials = _run_blocks(stream, _require_int("n", n, 1), fill, workers)
     return functools.reduce(combine, partials)

@@ -54,7 +54,7 @@ from .errors import (
 )
 from .moments import RatioMoments
 from .radial import InvGamma, RadialLaw, regular_variation_index
-from .rng import RngStream, map_blocks, reduce_blocks
+from .rng import RngStream, _require_int, map_blocks, reduce_blocks
 from .samplers import _positive_tuple, _power, _require_positive, _scale, gamma_sample
 
 
@@ -68,10 +68,7 @@ class ClaytonSpec:
     def __post_init__(self):
         object.__setattr__(self, "theta_shape",
                            _require_positive("theta_shape", self.theta_shape))
-        d = int(self.d)
-        if d < 1:
-            raise ParameterError(f"d must be >= 1, got {d}", "d")
-        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "d", _require_int("d", self.d, 1))
 
 
 def archimedean_survival(spec: ClaytonSpec, x) -> float:
@@ -204,10 +201,7 @@ class TailQuery:
         if any(b <= a for a, b in zip(grid, grid[1:])):
             raise ParameterError("t_grid must be strictly increasing", "t_grid")
         object.__setattr__(self, "t_grid", grid)
-        n = int(self.n)
-        if n < 1:
-            raise ParameterError(f"n must be >= 1, got {n}", "n")
-        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "n", _require_int("n", self.n, 1))
 
 
 #: Minimum exceedances of {X_1 > t} for any ratio estimate.
@@ -317,7 +311,7 @@ def tail_dependence_limit(model: MGB2Model, c1: float, c2: float, n: int,
         w1, w2 = _w_factors(model, block.child(1).generator(), hi - lo, 2)
         return _limit_moments(w1, w2, c1, c2, aq)
 
-    moments = reduce_blocks(stream, int(n), fill, RatioMoments.merge)
+    moments = reduce_blocks(stream, n, fill, RatioMoments.merge)
     return tuple(float(v) for v in moments.estimate())
 
 

@@ -80,6 +80,20 @@ def test_missing_seed():
     assert parse_config(text, seed=11).seed == 11
 
 
+@pytest.mark.parametrize("seed", [2.7, 3.0, float("nan"), "5", -1, 2**64], ids=repr)
+def test_a_caller_seed_that_is_no_stream_address_is_a_config_error_on_seed(seed):
+    # the command line's exit 2, by the integer rule of stream addresses
+    with pytest.raises(ConfigError, match=r"seed must lie in \[0, 2\*\*64\)") as excinfo:
+        parse_config(MINIMAL_SAMPLE, seed=seed)
+    assert excinfo.value.param == "seed"
+
+
+def test_a_numpy_integer_caller_seed_is_that_integer():
+    assert parse_config(MINIMAL_SAMPLE, seed=np.uint64(2**64 - 1)) == parse_config(
+        MINIMAL_SAMPLE, seed=2**64 - 1)
+    assert type(parse_config(MINIMAL_SAMPLE, seed=np.int64(5)).seed) is int
+
+
 def test_command_override_must_agree():
     assert parse_config(MINIMAL_SAMPLE, command="sample").command == "sample"
     with pytest.raises(ConfigError, match="command"):

@@ -282,8 +282,9 @@ class TestRandomScaleSequence:
             assert ks_pvalue(ks_one_sample(x[:, i], lambda v: y_marginal_cdf(alpha, p, v))) > 0.01
 
     def test_needs_at_least_one_component(self):
-        with pytest.raises(ParameterError, match="d must be >= 1, got 0"):
+        with pytest.raises(ParameterError, match="d must be >= 1, got 0") as excinfo:
             random_scale_sequence_sample(0.5, 2.0, PointMass(1.0), 0, 10, RngStream(0))
+        assert excinfo.value.param == "d"
 
 
 class TestBetaGamma:

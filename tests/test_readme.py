@@ -188,10 +188,11 @@ assert marginal > 0.01
 
 def test_tracer_only_names_are_module_attributes_not_package_exports():
     # no command, check or README example reaches these through the package;
-    # the tracer looks the three functions up in their modules
-    for name in ("normal_sample", "tail_ratio_empirical", "tail_dependence_limit",
-                 "ChiSquareSqrt"):
+    # the tracer looks the four functions up in their modules
+    for name in ("normal_sample", "y_marginal_sample", "tail_ratio_empirical",
+                 "tail_dependence_limit", "ChiSquareSqrt"):
         assert not hasattr(riskscale, name), name
     assert callable(riskscale.samplers.normal_sample)
+    assert callable(riskscale.samplers.y_marginal_sample)
     assert callable(riskscale.tails.tail_ratio_empirical)
     assert callable(riskscale.tails.tail_dependence_limit)

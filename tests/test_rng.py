@@ -1,4 +1,5 @@
 import operator
+import pickle
 import sys
 import time
 import tracemalloc
@@ -7,12 +8,14 @@ import numpy as np
 import pytest
 
 from riskscale import rng
-from riskscale.dirichlet import LpSpec, lp_dirichlet_sample
+from riskscale.credibility import GenericShiftModel, premium_mc
+from riskscale.dirichlet import LpSpec, lp_dirichlet_sample, random_scale_sequence_sample
 from riskscale.errors import ParameterError
 from riskscale.radial import Pareto, PointMass
 from riskscale.rng import (BLOCK_ROWS, MAX_WORKERS, RngStream, map_blocks,
                            ordered_map, pool_size, reduce_blocks, resolve_workers)
-from riskscale.tails import MGB2Model, mgb2_sample, tail_dependence_limit
+from riskscale.tails import (ClaytonSpec, MGB2Model, TailQuery, mgb2_sample,
+                             tail_dependence_limit)
 
 
 def test_same_address_replays_identical_sequence():
@@ -280,7 +283,7 @@ def test_ordered_map_raises_the_call_error():
 
 
 def test_map_blocks_rejects_a_negative_row_count():
-    with pytest.raises(ValueError, match="n must be nonnegative"):
+    with pytest.raises(ValueError, match="n must be >= 0, got -1"):
         map_blocks(RngStream(0), -1, lambda block, lo, hi: np.zeros(hi - lo))
 
 
@@ -289,15 +292,57 @@ _MGB2 = MGB2Model(a=(1.0, 1.0), b=(1.0, 1.0), p=(1.0, 1.0), theta_law=Pareto(2.0
 
 @pytest.mark.parametrize("call, message", [
     (lambda: lp_dirichlet_sample(LpSpec((1.0, 1.0), 2.0), PointMass(1.0), -1, RngStream(0)),
-     "n must be nonnegative"),
-    (lambda: mgb2_sample(_MGB2, -5, RngStream(0)), "n must be nonnegative"),
+     "n must be >= 0, got -1"),
+    (lambda: mgb2_sample(_MGB2, -5, RngStream(0)), "n must be >= 0, got -5"),
     (lambda: tail_dependence_limit(_MGB2, 1.0, 1.0, 0, RngStream(0)),
-     "reduce_blocks needs n >= 1"),
+     "n must be >= 1, got 0"),
 ], ids=["lp_dirichlet_sample", "mgb2_sample", "tail_dependence_limit"])
 def test_a_bad_row_count_is_a_parameter_error_on_n(call, message):
     with pytest.raises(ParameterError, match=message) as excinfo:
         call()
     assert excinfo.value.param == "n"
+
+
+_SHIFT = GenericShiftModel(prior_density=lambda points: np.exp(-0.5 * points[:, 0] ** 2),
+                           noise_sampler=lambda gen, m: gen.standard_normal((m, 1)))
+
+# Every count of the package, with the argument it names and a valid value
+# of it: one integer rule (rng._require_int) decides each of them.
+_COUNT_SITES = {
+    "map_blocks": (lambda v: map_blocks(RngStream(1), v, lambda block, lo, hi:
+                                        block.generator().random(hi - lo)), "n", 5),
+    "reduce_blocks": (lambda v: reduce_blocks(RngStream(1), v, lambda block, lo, hi: hi - lo,
+                                              operator.add), "n", 5),
+    "TailQuery.n": (lambda v: TailQuery(c1=1.0, c2=1.0, t_grid=(1.0,), n=v), "n", 5),
+    "ClaytonSpec.d": (lambda v: ClaytonSpec(theta_shape=1.5, d=v), "d", 3),
+    "random_scale_sequence_sample": (lambda v: random_scale_sequence_sample(
+        0.5, 2.0, PointMass(1.0), v, 5, RngStream(1)), "d", 3),
+    "premium_mc": (lambda v: premium_mc(_SHIFT, [0.5], v, RngStream(1)), "n", 2000),
+    "tail_dependence_limit": (lambda v: tail_dependence_limit(_MGB2, 1.0, 1.0, v, RngStream(1)),
+                              "n", 50),
+    "resolve_workers": (resolve_workers, "workers", 3),
+    "ordered_map workers": (lambda v: list(ordered_map(abs, [-1, 2], workers=v)),
+                            "workers", 2),
+}
+
+
+@pytest.mark.parametrize("site", _COUNT_SITES)
+@pytest.mark.parametrize("value", [2.7, 3.0, float("nan"), "5"], ids=repr)
+def test_a_count_that_is_no_integer_is_a_parameter_error_naming_it(site, value):
+    call, param, _ = _COUNT_SITES[site]
+    with pytest.raises(ParameterError) as excinfo:
+        call(value)
+    assert excinfo.value.param == param
+
+
+@pytest.mark.parametrize("site", _COUNT_SITES)
+def test_a_numpy_integer_count_is_that_integer(site):
+    call, _, k = _COUNT_SITES[site]
+    assert pickle.dumps(call(np.int64(k))) == pickle.dumps(call(k))
+
+
+def test_a_worker_count_of_at_most_0_means_1():
+    assert resolve_workers(0) == resolve_workers(-2) == resolve_workers(np.int64(0)) == 1
 
 
 @pytest.mark.parametrize("workers", [1, 2])
