@@ -10,12 +10,13 @@ without ``scipy.integrate``. It reads the mixer's tail index from the law
 itself and calls no code of ``tails``, so the estimate and its reference
 share no implementation.
 
-Every statistical sub-test of ``verify`` ends in a p-value from one of two
-functions here: :func:`ks_pvalue` for a one-sample KS distance, and
+Every statistical sub-test of ``verify`` ends in a p-value from one of three
+functions here: :func:`ks_pvalue` for a one-sample KS distance,
 :func:`normal_pvalue`, the two-sided normal tail, for every z-score (a
-correlation r sqrt(n), a Monte Carlo estimate against its exact value in
-units of its standard error, a binomial frequency against its probability).
-``verify`` turns them into verdicts by its one rule.
+correlation r sqrt(n), or a Monte Carlo estimate against its exact value in
+units of its standard error), and :func:`chi2_pvalue` for a Pearson
+statistic over disjoint cells. ``verify`` turns them into verdicts by its
+one rule.
 
 This is the one module of the package that imports scipy, and within the
 package only ``verify`` imports it: the simulation side (the samplers, and
@@ -49,6 +50,12 @@ def normal_pvalue(z):
     """Two-sided normal p-value 2 Phi(-|z|), elementwise: 0 at |z| = inf and
     nan at a nan z."""
     return 2.0 * special.ndtr(-np.abs(z))
+
+
+def chi2_pvalue(stat, df):
+    """Upper tail P(chi^2_df > stat) of a Pearson statistic with ``df``
+    degrees of freedom, elementwise: 1 at stat = 0 and nan at a nan stat."""
+    return special.chdtrc(df, stat)
 
 
 def normal_cdf(x):

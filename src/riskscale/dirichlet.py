@@ -116,7 +116,7 @@ class RandomPSpec:
     def __post_init__(self):
         object.__setattr__(self, "alphas", _positive_tuple(self.alphas, "alphas"))
         if not isinstance(self.p_law, RadialLaw):
-            raise ParameterError("p_law must be a RadialLaw")
+            raise ParameterError("p_law must be a RadialLaw", "p_law")
 
     @property
     def dim(self) -> int:
@@ -238,7 +238,7 @@ def beta_gamma_sample(alpha: float, p: float, n: int, stream: RngStream) -> np.n
     """
     alpha = float(alpha)
     if not 0.0 < alpha < 1.0:
-        raise ParameterError(f"alpha must lie in (0, 1), got {alpha}")
+        raise ParameterError(f"alpha must lie in (0, 1), got {alpha}", "alpha")
     p = _require_positive("p", p)
 
     def fill(block, lo, hi):

@@ -64,9 +64,9 @@ def as_sample(values, name: str = "sample") -> np.ndarray:
     a KS test needs."""
     arr = np.asarray(values, dtype=float).reshape(-1)
     if not np.isfinite(arr).all():
-        raise ParameterError(f"{name} contains non-finite values")
+        raise ParameterError(f"{name} contains non-finite values", name)
     if arr.size < 10:
-        raise ParameterError(f"KS test needs n >= 10, got n={arr.size}")
+        raise ParameterError(f"KS test needs n >= 10, got n={arr.size}", name)
     return arr
 
 

@@ -123,5 +123,5 @@ def bernoulli_pm1(q, gen, size):
     """Sign draw in {-1, +1} with P(+1) = q, q in (0, 1]."""
     q = float(q)
     if not 0.0 < q <= 1.0:
-        raise ParameterError(f"q must lie in (0, 1], got {q}")
+        raise ParameterError(f"q must lie in (0, 1], got {q}", "q")
     return np.where(gen.random(size) < q, 1.0, -1.0)

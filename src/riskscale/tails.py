@@ -75,9 +75,9 @@ def archimedean_survival(spec: ClaytonSpec, x) -> float:
     """Joint survival P(X_1 > x_1, ..., X_d > x_d) = (1 + sum x_i)^(-a)."""
     x = np.asarray(x, dtype=float).reshape(-1)
     if x.size != spec.d:
-        raise ParameterError(f"x has length {x.size}, expected {spec.d}")
+        raise ParameterError(f"x has length {x.size}, expected {spec.d}", "x")
     if np.any(x < 0.0) or not np.isfinite(x).all():
-        raise ParameterError("coordinates must be finite and nonnegative")
+        raise ParameterError("coordinates must be finite and nonnegative", "x")
     return float((1.0 + x.sum()) ** (-spec.theta_shape))
 
 

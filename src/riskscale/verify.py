@@ -8,8 +8,9 @@ max of the scores, is at most the threshold, so a nan score fails it, and
 ``GofReport.failing`` names the sub-tests above the threshold.
 
 Each sub-test of the ten Monte Carlo checks (``STATISTICAL_CHECKS``)
-gives a p-value, from ``cdfs.ks_pvalue`` for a KS distance or
-``cdfs.normal_pvalue`` for a z-score. In a check with k sub-tests each
+gives a p-value, from ``cdfs.ks_pvalue`` for a KS distance,
+``cdfs.normal_pvalue`` for a z-score or ``cdfs.chi2_pvalue`` for a Pearson
+statistic over disjoint cells. In a check with k sub-tests each
 scores -log10(min(1, k p)) against -log10(ALPHA_CHECK) (3), so the
 check fails when min(1, k p_min) falls below ``ALPHA_CHECK`` (Bonferroni
 within the check), and names each sub-test whose own adjusted p-value does.
@@ -45,7 +46,8 @@ functions and the closed-form premiums:
   common scale cancels;
 - ``clayton_identity``: :func:`tails.archimedean_survival`, the closed-form
   survival of the Clayton rows, which :func:`tails.mgb2_sample` draws at
-  a = b = p = 1;
+  a = b = p = 1, turned by inclusion-exclusion into the probabilities of 16
+  disjoint cells, whose counts one chi-square judges at ``theta_shape`` = 2;
 - ``breiman_tail_limit``: the exact joint-tail limit
   :func:`cdfs.breiman_limit`, which reads the mixer's tail index from the
   law itself and not through ``radial.regular_variation_index`` as the
@@ -79,6 +81,7 @@ from .cdfs import (
     angular_marginal_cdf,
     beta_prime_cdf,
     breiman_limit,
+    chi2_pvalue,
     ks_pvalue,
     normal_cdf,
     normal_pvalue,
@@ -419,26 +422,42 @@ def check_mgb2_equivalence(seed: int) -> GofReport:
     return _bonferroni("mgb2_equivalence", pvalues)
 
 
+#: The cuts of ``clayton_identity`` on each axis: the cells (a_i, a_(i+1)] of
+#: 0 < 0.25 < 0.5 < 1 < inf, 4 x 4 = 16 disjoint cells.
+_CLAYTON_CUTS = (0.25, 0.5, 1.0)
+
+
+def _clayton_cell_probabilities(spec: ClaytonSpec) -> np.ndarray:
+    """The 16 cell probabilities of ``_CLAYTON_CUTS`` in row-major order, by
+    inclusion-exclusion on the exact survival S(x_1, x_2) =
+    P(X_1 > x_1, X_2 > x_2) at the cell corners, with S = 0 at inf."""
+    edges = (0.0, *_CLAYTON_CUTS)
+    surv = np.zeros((len(edges) + 1,) * 2)
+    surv[:-1, :-1] = [[archimedean_survival(spec, (x1, x2)) for x2 in edges] for x1 in edges]
+    return np.diff(np.diff(surv, axis=0), axis=1).ravel()
+
+
 def check_clayton_identity(seed: int) -> GofReport:
-    """Empirical joint survival of the exponential scale mixture matches
-    (1 + x_1 + x_2)^(-a) on a 3 x 3 grid: 9 sub-tests, each frequency
-    z-scored by its binomial standard deviation sqrt(s (1 - s) / n) at the
-    exact survival s.
+    """The Clayton rows have the joint survival (1 + x_1 + x_2)^(-a) at
+    a = 2: one sub-test, the Pearson chi-square of the 1e5 rows' counts in
+    the 16 disjoint cells of ``_CLAYTON_CUTS`` against their exact
+    probabilities, on 15 degrees of freedom.
 
     The sample is :func:`tails.mgb2_sample` at a = b = p = 1 with an
     InvGamma(a) mixer, the Clayton case of the MGB2 vector; the exact
     survival, :func:`tails.archimedean_survival`, is a closed form that
-    draws nothing.
+    draws nothing. At a = 2 the mixer's shape shows: one drawn as
+    InvGamma(1) whatever a says fails. The smallest cell probability is
+    3.75%, so every expected count is above 3700.
     """
-    n = 10**5
-    spec = ClaytonSpec(theta_shape=1.0, d=2)
-    sample = scale_mixture_exp_sample(spec, n, _stream(seed, 12))
-    grid = {f"S({x1:g},{x2:g})": (x1, x2) for x1 in (0.25, 0.5, 1.0) for x2 in (0.25, 0.5, 1.0)}
-    emp = [np.count_nonzero((sample[:, 0] > x1) & (sample[:, 1] > x2)) / n
-           for x1, x2 in grid.values()]
-    exact = np.array([archimedean_survival(spec, x) for x in grid.values()])
-    return _bonferroni("clayton_identity", dict(zip(grid, _z_pvalues(
-        emp, np.sqrt(exact * (1.0 - exact) / n), exact))))
+    n, side = 10**5, len(_CLAYTON_CUTS) + 1
+    spec = ClaytonSpec(theta_shape=2.0, d=2)
+    # cut index i on each axis: a_(i-1) < x <= a_i, the strict events of S
+    cells = np.searchsorted(_CLAYTON_CUTS, scale_mixture_exp_sample(spec, n, _stream(seed, 12)))
+    counts = np.bincount(cells @ (side, 1), minlength=side**2)  # row-major, as the probabilities
+    expected = n * _clayton_cell_probabilities(spec)
+    stat = np.sum((counts - expected) ** 2 / expected)
+    return _bonferroni("clayton_identity", {"chi2 16 cells": chi2_pvalue(stat, side**2 - 1)})
 
 
 #: The model points of ``breiman_tail_limit``, 1e6 rows each, with

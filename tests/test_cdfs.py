@@ -1,7 +1,8 @@
 """The exact laws of ``cdfs`` that ``verify`` judges samples against.
 
 The Y marginal ``y_marginal_cdf`` and the Beta-prime ``beta_prime_cdf``
-against an adaptive quadrature of their densities. The exact Breiman limit
+against an adaptive quadrature of their densities, and the chi-square tail
+``chi2_pvalue`` against ``scipy.stats``. The exact Breiman limit
 ``cdfs.breiman_limit``: its closed form, its homogeneity, the convergence
 of its trapezoid rule, an independent quadrature, and agreement with the
 Monte Carlo estimate it checks; and the exact prelimit that ``verify``
@@ -13,7 +14,13 @@ import numpy as np
 import pytest
 
 from riskscale import cdfs
-from riskscale.cdfs import LIMIT_STEP, beta_prime_cdf, breiman_limit, y_marginal_cdf
+from riskscale.cdfs import (
+    LIMIT_STEP,
+    beta_prime_cdf,
+    breiman_limit,
+    chi2_pvalue,
+    y_marginal_cdf,
+)
 from riskscale.errors import ParameterError, UnsupportedModelError
 from riskscale.radial import InvGamma, Pareto, PointMass, regular_variation_index
 from riskscale.rng import RngStream
@@ -65,6 +72,14 @@ def test_beta_prime_cdf_agrees_with_adaptive_quadrature(a, b):
             _quad(density, 0.0, z), rel=1e-9, abs=0)
     assert 1.0 - beta_prime_cdf(a, b, 50.0) == pytest.approx(
         _quad(density, 50.0, np.inf), rel=1e-7, abs=0)
+
+
+@pytest.mark.parametrize("stat, df", [(0.0, 15), (3.2, 1), (15.0, 15), (40.0, 15),
+                                      (150.0, 15), (7.5, 4)])
+def test_chi2_pvalue_is_the_chi_square_upper_tail(stat, df):
+    from scipy import stats
+
+    assert chi2_pvalue(stat, df) == pytest.approx(stats.chi2.sf(stat, df), rel=1e-12, abs=0)
 
 
 @pytest.mark.parametrize("cdf", [

@@ -3,6 +3,7 @@ import pytest
 from scipy import special
 
 from riskscale.cdfs import ks_pvalue
+from riskscale.dirichlet import RandomPSpec, beta_gamma_sample
 from riskscale.errors import ParameterError
 from riskscale.gof import ks_one_sample
 from riskscale.radial import InvGamma
@@ -16,7 +17,7 @@ from riskscale.samplers import (
     pareto_sample,
     y_marginal_sample,
 )
-from riskscale.tails import MGB2Model, mgb2_sample
+from riskscale.tails import ClaytonSpec, MGB2Model, archimedean_survival, mgb2_sample
 
 
 def halfnormal_cdf(x):
@@ -217,3 +218,23 @@ class TestOperatorFormBits:
         old = (RngStream(94).generator().standard_gamma(0.7, size=self.M) * p) \
             ** (1.0 / p)
         assert new.tobytes() == old.tobytes()
+
+
+_CLAYTON = ClaytonSpec(theta_shape=2.0, d=2)
+
+
+@pytest.mark.parametrize("call, param", [
+    (lambda: beta_gamma_sample(1.5, 2.0, 10, RngStream(0)), "alpha"),
+    (lambda: RandomPSpec(alphas=(1.0, 1.0), p_law=2.0), "p_law"),
+    (lambda: ks_one_sample([0.1, 0.2, 0.3], exponential_cdf), "sample"),
+    (lambda: ks_one_sample([0.1] * 9 + [np.nan], exponential_cdf), "sample"),
+    (lambda: archimedean_survival(_CLAYTON, (1.0, 1.0, 1.0)), "x"),
+    (lambda: archimedean_survival(_CLAYTON, (1.0, -0.5)), "x"),
+    (lambda: bernoulli_pm1(1.5, RngStream(0).generator(), 10), "q"),
+], ids=["beta_gamma_sample alpha", "RandomPSpec p_law", "ks_one_sample n",
+        "ks_one_sample nan", "archimedean_survival length", "archimedean_survival sign",
+        "bernoulli_pm1 q"])
+def test_a_parameter_error_names_the_argument_at_fault(call, param):
+    with pytest.raises(ParameterError) as excinfo:
+        call()
+    assert excinfo.value.param == param
