@@ -74,7 +74,7 @@ def angular_marginal_cdf(spec: LpSpec, i: int, x):
     constant 1 and the CDF is a step there.
     """
     if not 0 <= i < spec.dim:
-        raise ParameterError(f"component index {i} out of range for d={spec.dim}")
+        raise ParameterError(f"component index {i} out of range for d={spec.dim}", "i")
     x = np.asarray(x, dtype=float)
     if spec.dim == 1:
         return np.where(x >= 1.0, 1.0, 0.0)

@@ -74,7 +74,7 @@ class LpSpec:
     p: float
 
     def __post_init__(self):
-        object.__setattr__(self, "alphas", _positive_tuple(self.alphas, "alphas"))
+        object.__setattr__(self, "alphas", _positive_tuple("alphas", self.alphas))
         object.__setattr__(self, "p", _require_positive("p", self.p))
 
     @property
@@ -90,14 +90,13 @@ class WeightedSpec:
     qs: tuple[float, ...]
 
     def __post_init__(self):
-        qs = tuple(float(q) for q in self.qs)
+        if not isinstance(self.base, LpSpec):
+            raise ParameterError("base must be an LpSpec", "base")
+        qs = _positive_tuple("qs", self.qs, at_most=1.0)
         if len(qs) != self.base.dim:
             raise ParameterError(
                 f"qs has length {len(qs)}, expected {self.base.dim}", "qs"
             )
-        for i, q in enumerate(qs):
-            if not 0.0 < q <= 1.0:
-                raise ParameterError(f"qs[{i}] must lie in (0, 1], got {q}", "qs")
         object.__setattr__(self, "qs", qs)
 
     @property
@@ -114,7 +113,7 @@ class RandomPSpec:
     p_law: RadialLaw
 
     def __post_init__(self):
-        object.__setattr__(self, "alphas", _positive_tuple(self.alphas, "alphas"))
+        object.__setattr__(self, "alphas", _positive_tuple("alphas", self.alphas))
         if not isinstance(self.p_law, RadialLaw):
             raise ParameterError("p_law must be a RadialLaw", "p_law")
 
@@ -236,9 +235,7 @@ def beta_gamma_sample(alpha: float, p: float, n: int, stream: RngStream) -> np.n
     The Beta-Gamma factorization of the Y marginal, valid only for
     alpha in (0, 1).
     """
-    alpha = float(alpha)
-    if not 0.0 < alpha < 1.0:
-        raise ParameterError(f"alpha must lie in (0, 1), got {alpha}", "alpha")
+    alpha = _require_positive("alpha", alpha, below=1.0)
     p = _require_positive("p", p)
 
     def fill(block, lo, hi):

@@ -8,7 +8,7 @@ independent as well as the chi(df) radius, ``GammaPower(df / 2, 1/2, 1/2)``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -31,16 +31,22 @@ class RadialLaw:
         raise NotImplementedError
 
 
+class _PositiveFields:
+    """Base of the built-in laws: every dataclass field is a positive real
+    parameter, checked by ``samplers._require_positive`` and stored as the
+    float it returns. It is no RadialLaw itself, so custom laws, and the
+    benchmark tracer's walk over RadialLaw subclasses, never meet it."""
+
+    def __post_init__(self):
+        for f in fields(self):
+            object.__setattr__(self, f.name, _require_positive(f.name, getattr(self, f.name)))
+
+
 @dataclass(frozen=True)
-class GammaPower(RadialLaw):
+class GammaPower(_PositiveFields, RadialLaw):
     shape: float
     rate: float
     power: float
-
-    def __post_init__(self):
-        _require_positive("shape", self.shape)
-        _require_positive("rate", self.rate)
-        _require_positive("power", self.power)
 
     def sample(self, gen, size):
         g = gamma_sample(self.shape, self.rate, gen, size=size)
@@ -49,37 +55,28 @@ class GammaPower(RadialLaw):
 
 
 @dataclass(frozen=True)
-class Pareto(RadialLaw):
+class Pareto(_PositiveFields, RadialLaw):
     """Survival x^(-index) on [1, inf); regularly varying with that index."""
 
     index: float
-
-    def __post_init__(self):
-        _require_positive("index", self.index)
 
     def sample(self, gen, size):
         return pareto_sample(self.index, gen, size=size)
 
 
 @dataclass(frozen=True)
-class InvGamma(RadialLaw):
+class InvGamma(_PositiveFields, RadialLaw):
     """Reciprocal of a Gamma(shape, 1) variable; regularly varying with index shape."""
 
     shape: float
-
-    def __post_init__(self):
-        _require_positive("shape", self.shape)
 
     def sample(self, gen, size):
         return inv_gamma_sample(self.shape, gen, size=size)
 
 
 @dataclass(frozen=True)
-class PointMass(RadialLaw):
+class PointMass(_PositiveFields, RadialLaw):
     value: float
-
-    def __post_init__(self):
-        _require_positive("value", self.value)
 
     def sample(self, gen, size):
         return np.full(size, self.value)
@@ -92,5 +89,5 @@ def regular_variation_index(law: RadialLaw) -> float:
     if isinstance(law, InvGamma):
         return law.shape
     raise ParameterError(
-        f"{type(law).__name__} is not a recognized regularly varying law"
+        f"{type(law).__name__} is not a recognized regularly varying law", "law"
     )

@@ -23,30 +23,73 @@ divisor of exactly 1 and :func:`_power` none for an exponent of exactly 1
 (so ``gamma_sample`` at rate 1 returns the kernel's draws as they are).
 x * 1, x / 1 and pow(x, 1) are x bit for bit, so the output bits are
 those of the operator forms either way.
+
+Every real model parameter of the package enters through one of two rules
+here: :func:`_require_positive` for a scalar (a Dirichlet exponent p, a
+law's shape, rate, power, index or value, a mixer's theta_shape, a tail
+constant c_i or threshold t) and :func:`_positive_tuple` for a sequence of
+them (the weights alphas, the MGB2 triple a, b, p, the sign probabilities
+qs, the threshold grid), which checks each element by the first. A value
+passes if it is a real number (``numbers.Real``: a Python or numpy int or
+float), finite and > 0, and comes back as a Python float. The cases are
+(0, inf), (0, 1] (a sign probability q) and (0, 1) (the Beta-Gamma alpha).
+A string, bytes, None, a complex or an array where a number belongs raises
+``ParameterError`` whose ``param`` names the argument, as does a value out
+of its case; none is converted or iterated. Arrays of data (the rows a
+check reads, a premium's x) are not model parameters and keep their own
+checks.
 """
 
 from __future__ import annotations
+
+import numbers
+from collections.abc import Sequence
 
 import numpy as np
 
 from .errors import ParameterError
 
 
-def _require_positive(name: str, value) -> float:
-    value = float(value)
-    if not np.isfinite(value) or value <= 0.0:
-        raise ParameterError(f"{name} must be a positive finite number, got {value}", name)
-    return value
+def _require_positive(name: str, value, below: float = np.inf,
+                      at_most: float | None = None, param: str | None = None) -> float:
+    """``value`` as a Python float, by the package's one real-number rule.
+
+    ``value`` must be a real number (a ``numbers.Real``: a Python or numpy
+    int or float, never a string, bytes, None, a complex or an array), > 0,
+    below ``below`` (finite by default) and at most ``at_most`` when that is
+    given. Anything else raises ParameterError whose ``param`` is ``param``,
+    else ``name``. ``name`` labels the message; an element of a sequence is
+    labelled ``alphas[0]`` with ``param`` ``alphas``, and reads ``must be > 0``
+    where a lone parameter reads ``must be a positive finite number``.
+    """
+    if not isinstance(value, numbers.Real):
+        raise ParameterError(f"{name} must be a real number, got {value!r}", param or name)
+    try:
+        number = float(value)
+    except OverflowError:  # an int past the float range
+        number = np.inf
+    if 0.0 < number < below and (at_most is None or number <= at_most):
+        return number
+    rule = (f"lie in (0, {at_most:g}]" if at_most is not None
+            else f"lie in (0, {below:g})" if below < np.inf
+            else "be > 0" if param else "be a positive finite number")
+    raise ParameterError(f"{name} must {rule}, got {number}", param or name)
 
 
-def _positive_tuple(values, name: str) -> tuple[float, ...]:
-    out = tuple(float(v) for v in values)
-    if len(out) < 1:
-        raise ParameterError(f"{name} must be non-empty", name)
-    for i, v in enumerate(out):
-        if not np.isfinite(v) or v <= 0.0:
-            raise ParameterError(f"{name}[{i}] must be > 0, got {v}", name)
-    return out
+def _positive_tuple(name: str, values, below: float = np.inf,
+                    at_most: float | None = None) -> tuple[float, ...]:
+    """``values`` as a tuple of Python floats, by the one sequence rule.
+
+    ``values`` must be a non-empty sequence (a list, tuple or 1-d array, never
+    a string, bytes, None or a bare number, none of which is iterated); each
+    element ``values[i]`` goes through :func:`_require_positive` with the
+    same bounds, labelled ``name[i]``. Every error's ``param`` is ``name``.
+    """
+    if (isinstance(values, (str, bytes, bytearray)) or getattr(values, "ndim", 1) == 0
+            or not isinstance(values, (Sequence, np.ndarray)) or not len(values)):
+        raise ParameterError(f"{name} must be a non-empty sequence, got {values!r}", name)
+    return tuple(_require_positive(f"{name}[{i}]", v, below, at_most, name)
+                 for i, v in enumerate(values))
 
 
 def _scale(x: np.ndarray, factor: float, op=np.multiply) -> np.ndarray:
@@ -121,7 +164,5 @@ def normal_sample(gen, size):
 
 def bernoulli_pm1(q, gen, size):
     """Sign draw in {-1, +1} with P(+1) = q, q in (0, 1]."""
-    q = float(q)
-    if not 0.0 < q <= 1.0:
-        raise ParameterError(f"q must lie in (0, 1], got {q}", "q")
+    q = _require_positive("q", q, at_most=1.0)
     return np.where(gen.random(size) < q, 1.0, -1.0)

@@ -97,16 +97,12 @@ class MGB2Model:
     theta_law: RadialLaw
 
     def __post_init__(self):
-        a = _positive_tuple(self.a, "a")
-        b = _positive_tuple(self.b, "b")
-        p = _positive_tuple(self.p, "p")
-        if not len(a) == len(b) == len(p):
-            raise ParameterError("a, b, p must be lists of equal length")
+        for name in ("a", "b", "p"):
+            object.__setattr__(self, name, _positive_tuple(name, getattr(self, name)))
+            if len(getattr(self, name)) != len(self.a):
+                raise ParameterError("a, b, p must be lists of equal length", name)
         if not isinstance(self.theta_law, RadialLaw):
             raise ParameterError("theta_law must be a RadialLaw", "theta_law")
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "p", p)
 
     @property
     def dim(self) -> int:
@@ -197,7 +193,7 @@ class TailQuery:
     def __post_init__(self):
         object.__setattr__(self, "c1", _require_positive("c1", self.c1))
         object.__setattr__(self, "c2", _require_positive("c2", self.c2))
-        grid = _positive_tuple(self.t_grid, "t_grid")
+        grid = _positive_tuple("t_grid", self.t_grid)
         if any(b <= a for a, b in zip(grid, grid[1:])):
             raise ParameterError("t_grid must be strictly increasing", "t_grid")
         object.__setattr__(self, "t_grid", grid)
@@ -249,7 +245,7 @@ def tail_ratio_empirical(samples, c1: float, c2: float, t: float
     """
     samples = np.asarray(samples, dtype=float)
     if samples.ndim != 2 or samples.shape[1] < 2:
-        raise ParameterError("samples must be an n x 2 (or wider) matrix")
+        raise ParameterError("samples must be an n x 2 (or wider) matrix", "samples")
     c1 = _require_positive("c1", c1)
     c2 = _require_positive("c2", c2)
     t = _require_positive("t", t)

@@ -873,6 +873,9 @@ _BAD_MODEL_VALUES = [
     ("mgb2", "model.a", "2,0,1"),
     ("mgb2", "model.b", "1,-2,1"),
     ("mgb2", "model.p", "1,nan,0.5"),
+    # a, b and p of unequal lengths fail on the first of b and p unlike a
+    ("mgb2", "model.b", "1"),
+    ("mgb2", "model.p", "1,1"),
     ("clayton", "model.theta_shape", "0"),
     ("clayton", "model.d", "0"),
     ("gaussian_shift", "model.mu", "0,nan"),
@@ -928,7 +931,6 @@ def test_config_error_exits_2_with_one_line_naming_its_line(tmp_path, capsys, co
     ("gaussian_shift", {"model.sigma = 1,0.3;0.3,2": "model.sigma = 1,0;0,0",
                         "model.sigma0 = 2,0.5;0.5,1": "model.sigma0 = 1,0;0,0"},
      "sigma + sigma0 must be positive definite"),
-    ("mgb2", {"model.b = 1,2,1": "model.b = 1,2"}, "a, b, p must be lists of equal length"),
 ])
 def test_model_error_of_no_single_key_keeps_model_prefix(tmp_path, capsys, kind, edits,
                                                          message):

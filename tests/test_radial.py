@@ -1,3 +1,5 @@
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 
@@ -48,6 +50,34 @@ def test_regular_variation_indices():
     for law in (PointMass(1.0), GammaPower(1.0, 0.5, 0.5), GammaPower(1.0, 1.0, 1.0)):
         with pytest.raises(ParameterError):
             regular_variation_index(law)
+
+
+def test_built_in_laws_store_python_floats():
+    law = GammaPower(2, 1, np.int64(1))
+    assert [type(v) for v in (law.shape, law.rate, law.power)] == [float] * 3
+    assert law == GammaPower(2.0, 1.0, 1.0)
+    # an int or bool point mass draws floats, not ints or booleans
+    for value in (1, True):
+        draws = PointMass(value).sample(RngStream(0).generator(), size=3)
+        assert draws.dtype == np.float64 and np.array_equal(draws, np.ones(3))
+
+
+@dataclass(frozen=True)
+class _Scaled(RadialLaw):
+    """A custom dataclass law whose field is no number: the built-in laws'
+    real-number check is theirs alone."""
+
+    label: str
+    scale: float = 1.0
+
+    def sample(self, gen, size):
+        return self.scale * gen.uniform(1.0, 2.0, size)
+
+
+def test_a_custom_dataclass_law_keeps_its_fields():
+    law = _Scaled("unit", 2)
+    assert law.label == "unit" and type(law.scale) is int
+    assert (law.sample(RngStream(0).generator(), size=3) >= 2.0).all()
 
 
 def test_the_base_law_draws_nothing():

@@ -2,11 +2,18 @@ import numpy as np
 import pytest
 from scipy import special
 
-from riskscale.cdfs import ks_pvalue
-from riskscale.dirichlet import RandomPSpec, beta_gamma_sample
+from riskscale.cdfs import angular_marginal_cdf, breiman_limit, ks_pvalue
+from riskscale.config import _LAW_ARITY
+from riskscale.dirichlet import (
+    LpSpec,
+    RandomPSpec,
+    WeightedSpec,
+    beta_gamma_sample,
+    random_scale_sequence_sample,
+)
 from riskscale.errors import ParameterError
 from riskscale.gof import ks_one_sample
-from riskscale.radial import InvGamma
+from riskscale.radial import GammaPower, InvGamma, Pareto, PointMass, regular_variation_index
 from riskscale.rng import BLOCK_ROWS, RngStream
 from riskscale.samplers import (
     bernoulli_pm1,
@@ -17,7 +24,15 @@ from riskscale.samplers import (
     pareto_sample,
     y_marginal_sample,
 )
-from riskscale.tails import ClaytonSpec, MGB2Model, archimedean_survival, mgb2_sample
+from riskscale.tails import (
+    ClaytonSpec,
+    MGB2Model,
+    TailQuery,
+    archimedean_survival,
+    mgb2_sample,
+    tail_dependence_limit,
+    tail_ratio_empirical,
+)
 
 
 def halfnormal_cdf(x):
@@ -231,10 +246,143 @@ _CLAYTON = ClaytonSpec(theta_shape=2.0, d=2)
     (lambda: archimedean_survival(_CLAYTON, (1.0, 1.0, 1.0)), "x"),
     (lambda: archimedean_survival(_CLAYTON, (1.0, -0.5)), "x"),
     (lambda: bernoulli_pm1(1.5, RngStream(0).generator(), 10), "q"),
+    (lambda: angular_marginal_cdf(LpSpec((1.0, 1.0), 2.0), 5, 0.5), "i"),
+    (lambda: tail_ratio_empirical([1.0, 2.0], 1.0, 1.0, 1.0), "samples"),
+    (lambda: regular_variation_index(PointMass(1.0)), "law"),
+    (lambda: MGB2Model((1.0, 1.0), (1.0,), (1.0, 1.0), InvGamma(2.0)), "b"),
+    (lambda: WeightedSpec(base=(1.0, 1.0), qs=(0.5, 0.5)), "base"),
 ], ids=["beta_gamma_sample alpha", "RandomPSpec p_law", "ks_one_sample n",
         "ks_one_sample nan", "archimedean_survival length", "archimedean_survival sign",
-        "bernoulli_pm1 q"])
+        "bernoulli_pm1 q", "angular_marginal_cdf i", "tail_ratio_empirical samples",
+        "regular_variation_index law", "MGB2Model b length", "WeightedSpec base"])
 def test_a_parameter_error_names_the_argument_at_fault(call, param):
     with pytest.raises(ParameterError) as excinfo:
         call()
     assert excinfo.value.param == param
+
+
+def _gen():
+    return RngStream(0).generator()
+
+
+_LP = LpSpec((1.0, 1.0), 2.0)
+_MGB2 = MGB2Model((1.0, 1.0), (1.0, 1.0), (1.0, 1.0), InvGamma(2.0))
+_ROWS = np.ones((30, 2))
+
+# Every real parameter of the package, one site per argument: call(v) passes
+# v as that argument alone. A stored site returns what its object keeps.
+# Each entry is (call, param, good, over): good passes the rule; over, when
+# not None, is past the site's upper bound.
+_STORED_REALS = {
+    "LpSpec p": (lambda v: LpSpec((1.0,), v).p, "p", 2, None),
+    "GammaPower shape": (lambda v: GammaPower(v, 1.0, 1.0).shape, "shape", 2, None),
+    "GammaPower rate": (lambda v: GammaPower(1.0, v, 1.0).rate, "rate", 2, None),
+    "GammaPower power": (lambda v: GammaPower(1.0, 1.0, v).power, "power", 2, None),
+    "Pareto index": (lambda v: Pareto(v).index, "index", 2, None),
+    "InvGamma shape": (lambda v: InvGamma(v).shape, "shape", 2, None),
+    "PointMass value": (lambda v: PointMass(v).value, "value", 2, None),
+    "ClaytonSpec theta_shape": (lambda v: ClaytonSpec(v, 2).theta_shape, "theta_shape", 2,
+                                None),
+    "TailQuery c1": (lambda v: TailQuery(v, 1.0, (1.0,), 10).c1, "c1", 2, None),
+    "TailQuery c2": (lambda v: TailQuery(1.0, v, (1.0,), 10).c2, "c2", 2, None),
+}
+_CALLED_REALS = {
+    "gamma_sample shape": (lambda v: gamma_sample(v, 1.0, _gen(), 2), "shape", 2, None),
+    "gamma_sample rate": (lambda v: gamma_sample(1.0, v, _gen(), 2), "rate", 2, None),
+    "beta_sample a": (lambda v: beta_sample(v, 1.0, _gen(), 2), "a", 2, None),
+    "beta_sample b": (lambda v: beta_sample(1.0, v, _gen(), 2), "b", 2, None),
+    "pareto_sample index": (lambda v: pareto_sample(v, _gen(), 2), "index", 2, None),
+    "inv_gamma_sample shape": (lambda v: inv_gamma_sample(v, _gen(), 2), "shape", 2, None),
+    "y_marginal_sample alpha": (lambda v: y_marginal_sample(v, 1.0, _gen(), 2), "alpha", 2,
+                                None),
+    "y_marginal_sample p": (lambda v: y_marginal_sample(1.0, v, _gen(), 2), "p", 2, None),
+    "bernoulli_pm1 q": (lambda v: bernoulli_pm1(v, _gen(), 2), "q", 1, 1.5),
+    "beta_gamma_sample alpha": (lambda v: beta_gamma_sample(v, 1.0, 2, RngStream(0)),
+                                "alpha", 0.5, 1),
+    "beta_gamma_sample p": (lambda v: beta_gamma_sample(0.5, v, 2, RngStream(0)), "p", 2,
+                            None),
+    "random_scale_sequence_sample alpha": (
+        lambda v: random_scale_sequence_sample(v, 1.0, PointMass(1.0), 2, 2, RngStream(0)),
+        "alpha", 2, None),
+    "random_scale_sequence_sample p": (
+        lambda v: random_scale_sequence_sample(1.0, v, PointMass(1.0), 2, 2, RngStream(0)),
+        "p", 2, None),
+    "tail_ratio_empirical c1": (lambda v: tail_ratio_empirical(_ROWS, v, 1.0, 0.5), "c1", 2,
+                                None),
+    "tail_ratio_empirical c2": (lambda v: tail_ratio_empirical(_ROWS, 1.0, v, 0.5), "c2", 2,
+                                None),
+    "tail_ratio_empirical t": (lambda v: tail_ratio_empirical(_ROWS, 1.0, 1.0, v), "t", 2,
+                               None),
+    "tail_dependence_limit c1": (
+        lambda v: tail_dependence_limit(_MGB2, v, 1.0, 10, RngStream(0)), "c1", 2, None),
+    "tail_dependence_limit c2": (
+        lambda v: tail_dependence_limit(_MGB2, 1.0, v, 10, RngStream(0)), "c2", 2, None),
+    "breiman_limit c1": (lambda v: breiman_limit(_MGB2, v, 1.0), "c1", 2, None),
+    "breiman_limit c2": (lambda v: breiman_limit(_MGB2, 1.0, v), "c2", 2, None),
+    "config chi_square_sqrt df": (lambda v: _LAW_ARITY["chi_square_sqrt"][0](v), "df", 2,
+                                  None),
+}
+# (call, param, good, over) as above, for the sequence parameters: good is
+# a pair of one-digit ints, over an element past the upper bound
+_SEQUENCE_REALS = {
+    "LpSpec alphas": (lambda v: LpSpec(v, 2.0).alphas, "alphas", (1, 2), None),
+    "RandomPSpec alphas": (lambda v: RandomPSpec(v, Pareto(2.0)).alphas, "alphas", (1, 2),
+                           None),
+    "WeightedSpec qs": (lambda v: WeightedSpec(_LP, v).qs, "qs", (1, 1), 1.5),
+    "MGB2Model a": (lambda v: MGB2Model(v, (1.0, 1.0), (1.0, 1.0), InvGamma(2.0)).a, "a",
+                    (1, 2), None),
+    "MGB2Model b": (lambda v: MGB2Model((1.0, 1.0), v, (1.0, 1.0), InvGamma(2.0)).b, "b",
+                    (1, 2), None),
+    "MGB2Model p": (lambda v: MGB2Model((1.0, 1.0), (1.0, 1.0), v, InvGamma(2.0)).p, "p",
+                    (1, 2), None),
+    "TailQuery t_grid": (lambda v: TailQuery(1.0, 1.0, v, 10).t_grid, "t_grid", (1, 2), None),
+}
+
+
+def _bad_reals(good, over):
+    """(label, value) of every value the real rule refuses at a site whose
+    ``good`` value passes: ``good`` as a string and in an array, None, a
+    complex, nan, inf, 0, -1 and ``over``."""
+    bad = [("str", str(good)), ("None", None), ("complex", 1j),
+           ("array", np.array([float(good)])), ("nan", np.nan), ("inf", np.inf),
+           ("0", 0), ("-1", -1)]
+    return bad if over is None else bad + [("over", over)]
+
+
+def _rejected_reals():
+    for site, (call, param, good, over) in {**_STORED_REALS, **_CALLED_REALS}.items():
+        for label, value in _bad_reals(good, over):
+            yield pytest.param(call, param, value, id=f"{site} {label}")
+    for site, (call, param, good, over) in _SEQUENCE_REALS.items():
+        digits = "".join(map(str, good))
+        bare = [("str", digits), ("bytes", digits.encode()), ("None", None),
+                ("bare", good[0]), ("empty", ())]
+        for label, value in bare:
+            yield pytest.param(call, param, value, id=f"{site} {label}")
+        for label, value in _bad_reals(good[1], over):
+            yield pytest.param(call, param, (good[0], value), id=f"{site} element {label}")
+
+
+def _accepted_reals():
+    for site, (call, _, good, _) in _STORED_REALS.items():
+        for value in (good, np.float64(good), np.int64(good)):
+            yield pytest.param(call, value, float(good), id=f"{site} {type(value).__name__}")
+    for site, (call, _, good, _) in _SEQUENCE_REALS.items():
+        expected = tuple(map(float, good))
+        for label, value in [("list", list(good)), ("array", np.array(good, dtype=float)),
+                             ("numpy scalars", (np.int64(good[0]), np.float64(good[1])))]:
+            yield pytest.param(call, value, expected, id=f"{site} {label}")
+
+
+@pytest.mark.parametrize("call, param, value", _rejected_reals())
+def test_the_real_rule_refuses_and_names_the_argument(call, param, value):
+    with pytest.raises(ParameterError) as excinfo:
+        call(value)
+    assert excinfo.value.param == param
+
+
+@pytest.mark.parametrize("call, value, expected", _accepted_reals())
+def test_the_real_rule_stores_python_floats(call, value, expected):
+    stored = call(value)
+    assert stored == expected
+    assert {type(v) for v in (stored if isinstance(stored, tuple) else (stored,))} == {float}
