@@ -32,6 +32,7 @@ from scipy import special
 
 from .errors import ParameterError, UnsupportedModelError
 from .radial import InvGamma, Pareto
+from .rng import _require_int
 from .samplers import _require_positive
 
 if TYPE_CHECKING:
@@ -70,10 +71,12 @@ def beta_cdf(x, a, b):
 def angular_marginal_cdf(spec: LpSpec, i: int, x):
     """P(O_i <= x): Beta CDF of x^p with parameters (alpha_i, sum of the rest).
 
-    ``i`` is a 0-based component index. For d = 1 the component is the
+    ``i`` is a 0-based component index, an integer by the package's one
+    integer rule (``rng._require_int``). For d = 1 the component is the
     constant 1 and the CDF is a step there.
     """
-    if not 0 <= i < spec.dim:
+    i = _require_int("i", i, 0)
+    if i >= spec.dim:
         raise ParameterError(f"component index {i} out of range for d={spec.dim}", "i")
     x = np.asarray(x, dtype=float)
     if spec.dim == 1:

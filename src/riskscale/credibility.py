@@ -34,7 +34,7 @@ from .errors import (
 )
 from .linalg import as_matrix, as_vector, assert_positive_semidefinite, mat_inverse
 from .moments import RatioMoments
-from .rng import RngStream, _require_int, reduce_blocks
+from .rng import RngStream, Workspaces, _require_int, reduce_blocks
 
 
 def _frozen_array(obj, field: str, value: np.ndarray) -> None:
@@ -191,13 +191,17 @@ def premium_mc(model: GenericShiftModel, x, n: int, stream: RngStream,
     draws, which correlates them and reduces variance). Standard errors
     come from the delta method on the ratio. The draws are never held: each
     block is reduced to its ratio-of-means moments and its count of
-    mass-carrying draws, merged in block order. Raises
+    mass-carrying draws, merged in block order; the weighted draws and the
+    moments' deviations are formed in a work array that the call lends to
+    one block task at a time (``rng.Workspaces``). Raises
     DegenerateDenominatorError when fewer than 50 draws land where the
     prior density exceeds 1e-300 (x far in the prior's tail).
     """
     x = as_vector(x, "x")
     n = _require_int("n", n, 1000)
     d = x.size
+    # the weighted draws y h, then RatioMoments.of's deviations and products
+    workspaces = Workspaces(n, 4, width=d)
 
     def fill(block, lo, hi):
         m = hi - lo
@@ -205,7 +209,11 @@ def premium_mc(model: GenericShiftModel, x, n: int, stream: RngStream,
         if y.shape != (m, d):
             raise ShapeError(f"noise_sampler returned {y.shape}, expected ({m}, {d})")
         h = np.asarray(model.prior_density(x[None, :] - y), dtype=float)
-        return RatioMoments.of(y * h[:, None], h), np.count_nonzero(h > _DENSITY_FLOOR)
+        with workspaces.borrow(m) as work:
+            yh, du, prod = (a.reshape(m, d) for a in work[:3])
+            np.multiply(y, h[:, None], out=yh)
+            moments = RatioMoments.of(yh, h, (du, prod, work[3][:m]))
+        return moments, np.count_nonzero(h > _DENSITY_FLOOR)
 
     def combine(left, right):
         return left[0].merge(right[0]), left[1] + right[1]

@@ -28,17 +28,25 @@ class RatioMoments:
     c_uv: np.ndarray | float
 
     @classmethod
-    def of(cls, u, v) -> "RatioMoments":
-        """Statistics of draws u (shape (m,) or (m, d)) and v (shape (m,))."""
+    def of(cls, u, v, scratch=None) -> "RatioMoments":
+        """Statistics of draws u (shape (m,) or (m, d)) and v (shape (m,)).
+
+        The deviations of u and v and their cross products are formed in
+        ``scratch`` when it is given: three arrays, of u's, u's and v's
+        shapes, in that order. Otherwise they are new arrays. u and v are
+        never written; the statistics hold no view of ``scratch``, and their
+        bits are those of the out-of-place forms.
+        """
         u = np.asarray(u, dtype=float)
         v = np.asarray(v, dtype=float)
+        du_out, prod_out, dv_out = (None,) * 3 if scratch is None else scratch
         mean_u = u.mean(axis=0)
         mean_v = v.mean()
-        du = u - mean_u
-        dv = (v - mean_v).reshape((-1,) + (1,) * (u.ndim - 1))
+        du = np.subtract(u, mean_u, out=du_out)
+        dv = np.subtract(v, mean_v, out=dv_out).reshape((-1,) + (1,) * (u.ndim - 1))
         # elementwise products: a BLAS dot here would start its own threads;
         # the squares go in place into du and dv once the cross term is done
-        c_uv = (du * dv).sum(axis=0)
+        c_uv = np.multiply(du, dv, out=prod_out).sum(axis=0)
         m2_u = np.multiply(du, du, out=du).sum(axis=0)
         m2_v = np.multiply(dv, dv, out=dv).sum()
         return cls(v.size, mean_u, mean_v, m2_u, m2_v, c_uv)

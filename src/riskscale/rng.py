@@ -17,7 +17,9 @@ worker threads happened to process the blocks.
 keeps only a small partial result per block (moments, counts) and combines
 the partials in block order, so its memory is bounded at any row count.
 Both run on :func:`ordered_map`, the package's one thread-pool driver,
-which the CSV writer also uses to format its chunks.
+which the CSV writer also uses to format its chunks. A reducing kernel
+forms each block's temporaries in work arrays borrowed from a
+:class:`Workspaces` that the call owns, so no block allocates them afresh.
 
 Counts and worker counts are integers: the row count n of every row
 sampler and estimator, a dimension d, an explicit ``workers`` and every
@@ -30,6 +32,7 @@ integer below the argument's bound. No count is rounded or truncated.
 from __future__ import annotations
 
 import collections
+import contextlib
 import contextvars
 import functools
 import operator
@@ -211,3 +214,38 @@ def reduce_blocks(stream: RngStream, n: int, fill, combine,
     """
     partials = _run_blocks(stream, _require_int("n", n, 1), fill, workers)
     return functools.reduce(combine, partials)
+
+
+class Workspaces:
+    """Work arrays for the blocks of one reducing call, lent one set per task.
+
+    A set is ``count`` float arrays of ``min(n, BLOCK_ROWS) * width``
+    elements, each its own allocation of one block's column (``width``
+    columns for an (m, width) temporary), so freeing them moves glibc's
+    mmap threshold no further than the per-block temporaries they replace.
+    ``borrow(m)`` lends a free set, or makes one when none is free, as
+    ``count`` contiguous 1-d views of m * width elements, and takes it back
+    when the ``with`` block ends. A task holds one set at a time and
+    returns it before its partial result is combined, so a call whose
+    blocks run on k threads makes at most k sets at any n, and no two
+    running tasks share one. The free list belongs to the object, which the
+    call creates and drops: there is no module or thread-local state.
+    Nothing a task returns may be a view of its set, since the next task
+    writes over it.
+    """
+
+    def __init__(self, n: int, count: int, width: int = 1):
+        self._count, self._width = count, width
+        self._rows = min(_require_int("n", n, 1), BLOCK_ROWS)
+        self._free = []
+
+    @contextlib.contextmanager
+    def borrow(self, m: int):
+        try:
+            arrays = self._free.pop()  # one call, so no two tasks get the same set
+        except IndexError:
+            arrays = [np.empty(self._rows * self._width) for _ in range(self._count)]
+        try:
+            yield [a[:m * self._width] for a in arrays]
+        finally:
+            self._free.append(arrays)

@@ -3,15 +3,21 @@
 Variates come from numpy ``Generator`` kernels: every Gamma-based law
 (Gamma, Beta, inverse Gamma, the Y marginal, and through them the Dirichlet,
 radial and MGB2 samplers) draws through the single :func:`_std_gamma`
-kernel, ``Generator.standard_gamma``. The goodness-of-fit oracles in
+kernel, ``Generator.standard_gamma``, which at shape 1 is numpy's
+``Generator.standard_exponential`` (the same ziggurat draws, bit for bit,
+without standard_gamma's per-draw dispatch). The goodness-of-fit oracles in
 :mod:`riskscale.cdfs` use ``scipy.special`` instead, so samplers and oracles
 share no implementation.
 
 All samplers are pure functions of (parameters, generator state). ``gen``
 is a live ``numpy.random.Generator``; a caller holding an
 :class:`~riskscale.rng.RngStream` address passes ``stream.generator()``.
-``size``, an int or a tuple, is the shape of the array returned. In-place
-ufuncs write only into the array the sampler has just drawn, with the bits
+``size``, an int or a tuple, is the shape of the array returned.
+``gamma_sample`` and the kernel also take ``out=``, an array of shape
+``size`` that the draws are written into and that is returned, so a block
+kernel can draw into a work array it reuses (see ``rng.Workspaces``); the
+values are those of a fresh array. In-place ufuncs write only into the
+array the sampler has just drawn or was given as ``out``, with the bits
 of the operator forms (``x / rate``, ``u ** e``). Every power in the
 samplers, here and in :mod:`riskscale.dirichlet`, :mod:`riskscale.radial`
 and :mod:`riskscale.tails`, takes a scalar exponent, so numpy may take its
@@ -108,16 +114,24 @@ def _power(x: np.ndarray, exponent: float) -> np.ndarray:
     return x
 
 
-def _std_gamma(shape: float, gen: np.random.Generator, size) -> np.ndarray:
-    """Standard Gamma(shape, 1) draws: the one Gamma kernel behind every sampler."""
-    return gen.standard_gamma(shape, size=size)
+def _std_gamma(shape: float, gen: np.random.Generator, size, out=None) -> np.ndarray:
+    """Standard Gamma(shape, 1) draws: the one Gamma kernel behind every sampler.
+
+    Written into ``out`` (of shape ``size``) when it is given. numpy draws
+    Gamma(1, 1) as a standard exponential, so shape 1 goes to
+    ``standard_exponential``, which gives the same bits and generator state.
+    """
+    if shape == 1.0:
+        return gen.standard_exponential(size=size, out=out)
+    return gen.standard_gamma(shape, size=size, out=out)
 
 
-def gamma_sample(shape, rate, gen, size):
-    """Gamma draw with density rate^shape x^(shape-1) e^(-rate x) / Gamma(shape)."""
+def gamma_sample(shape, rate, gen, size, out=None):
+    """Gamma draw with density rate^shape x^(shape-1) e^(-rate x) / Gamma(shape),
+    written into ``out`` (of shape ``size``) when it is given."""
     shape = _require_positive("shape", shape)
     rate = _require_positive("rate", rate)
-    return _scale(_std_gamma(shape, gen, size), rate, np.divide)
+    return _scale(_std_gamma(shape, gen, size, out), rate, np.divide)
 
 
 def beta_sample(a, b, gen, size):

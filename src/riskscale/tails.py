@@ -32,8 +32,15 @@ Every elementwise step applies the same floating-point operation to the
 same operands as the plain operator form (``theta ** (1 / a_i) * w_i`` and
 so on), so the output bits are those of that form. Theta and W_i are raised
 to the one power 1/a_i, each with a scalar exponent (see
-:func:`_scale_by_theta`), and in-place ufuncs write only into arrays the
-function has just allocated. Steps by a factor, divisor or exponent of
+:func:`_scale_by_theta`). The two estimators draw W_1 and W_2 into work
+arrays, and form every temporary of the limit's moments and Theta^(1/a_i)
+in others, with ``out=``: each call owns an ``rng.Workspaces`` that lends
+one set of work arrays to each running block task and takes it back when
+the block's partial result is formed, so a block allocates no block-sized
+temporary beside the Theta draws of its law. A ufunc with ``out=`` gives
+the bits of the form that allocates; in-place ufuncs write only into
+arrays the function has just allocated or borrowed, never into an array a
+caller passed in. Steps by a factor, divisor or exponent of
 exactly 1 (b_i = 1, a_i = 1, c = 1, aq = 1, a unit Gamma rate) are skipped
 through ``samplers._scale`` and ``samplers._power``, and Theta multiplies
 W_i directly at a_i = 1: x * 1, x / 1 and pow(x, 1) are x bit for bit, so
@@ -54,7 +61,7 @@ from .errors import (
 )
 from .moments import RatioMoments
 from .radial import InvGamma, RadialLaw, regular_variation_index
-from .rng import RngStream, _require_int, map_blocks, reduce_blocks
+from .rng import RngStream, Workspaces, _require_int, map_blocks, reduce_blocks
 from .samplers import _positive_tuple, _power, _require_positive, _scale, gamma_sample
 
 
@@ -109,31 +116,35 @@ class MGB2Model:
         return len(self.a)
 
 
-def _w_factors(model: MGB2Model, gen, m, count=None) -> list[np.ndarray]:
+def _w_factors(model: MGB2Model, gen, m, count=None, out=None) -> list[np.ndarray]:
     """The first ``count`` (default: all d) columns W_i = b_i * G_i^(1/a_i),
     G_i ~ Gamma(p_i, 1), drawn in component order from ``gen``; each is a
-    new contiguous array."""
+    new contiguous array, or ``out[i]`` (an array of m elements) when
+    ``out`` is given."""
     cols = []
     for i in range(model.dim if count is None else count):
-        w = gamma_sample(model.p[i], 1.0, gen, size=m)
+        w = gamma_sample(model.p[i], 1.0, gen, size=m,
+                         out=None if out is None else out[i])
         cols.append(_scale(_power(w, 1.0 / model.a[i]), model.b[i]))
     return cols
 
 
 def _mgb2_draws(model: MGB2Model, block: RngStream, m: int,
-                count=None) -> tuple[np.ndarray, list[np.ndarray]]:
+                count=None, out=None) -> tuple[np.ndarray, list[np.ndarray]]:
     """Theta and the first ``count`` (default: all d) unscaled columns W_i
-    of the m rows that block stream ``block`` gives in :func:`mgb2_sample`."""
+    of the m rows that block stream ``block`` gives in :func:`mgb2_sample`;
+    the W_i go into the arrays of ``out`` when it is given."""
     theta = model.theta_law.sample(block.child(0).generator(), size=m)
-    return theta, _w_factors(model, block.child(1).generator(), m, count)
+    return theta, _w_factors(model, block.child(1).generator(), m, count, out)
 
 
 def _scale_by_theta(model: MGB2Model, theta: np.ndarray,
-                    cols: list[np.ndarray]) -> list[np.ndarray]:
+                    cols: list[np.ndarray], scratch=None) -> list[np.ndarray]:
     """Write Theta^(1/a_i) * W_i over each column W_i of ``cols``; at
-    a_i = 1 the factor is theta itself."""
+    a_i = 1 the factor is theta itself, and otherwise it is formed in
+    ``scratch`` (an array of theta's shape) when that is given."""
     for a_i, w in zip(model.a, cols):
-        w *= theta if a_i == 1.0 else theta ** (1.0 / a_i)
+        w *= theta if a_i == 1.0 else np.power(theta, 1.0 / a_i, out=scratch)
     return cols
 
 
@@ -271,19 +282,26 @@ def _check_limit_regime(model: MGB2Model) -> tuple[float, float]:
     return model.a[0], q
 
 
-def _min_ratio_power(w1, w2, c1: float, c2: float, aq: float) -> np.ndarray:
-    """min(w1 / c1, w2 / c2) ** aq as a new array; w1 and w2 are not written."""
-    q1 = w1 / c1 if c1 != 1.0 else w1
-    q2 = w2 / c2 if c2 != 1.0 else w2
-    out = q1 if c1 != 1.0 else q2 if c2 != 1.0 else None
-    return _power(np.minimum(q1, q2, out=out), aq)
+def _min_ratio_power(w1, w2, c1: float, c2: float, aq: float, work) -> np.ndarray:
+    """min(w1 / c1, w2 / c2) ** aq, formed in ``work[0]`` with w2 / c2 in
+    ``work[1]`` (arrays of w1's shape); w1 and w2 are not written."""
+    q1 = np.divide(w1, c1, out=work[0]) if c1 != 1.0 else w1
+    q2 = np.divide(w2, c2, out=work[1]) if c2 != 1.0 else w2
+    return _power(np.minimum(q1, q2, out=work[0]), aq)
 
 
-def _limit_moments(w1, w2, c1: float, c2: float, aq: float) -> RatioMoments:
-    """The ratio moments of min(w1 / c1, w2 / c2) ** aq over w1 ** aq; w1 and
-    w2 are not written (at aq = 1 the denominator is w1 itself)."""
-    den = w1 if aq == 1.0 else w1 ** aq
-    return RatioMoments.of(_min_ratio_power(w1, w2, c1, c2, aq), den)
+#: Work arrays of :func:`_limit_moments`: the numerator and w2 / c2, the
+#: denominator, and RatioMoments.of's deviations and cross products.
+_LIMIT_ARRAYS = 6
+
+
+def _limit_moments(w1, w2, c1: float, c2: float, aq: float, work) -> RatioMoments:
+    """The ratio moments of min(w1 / c1, w2 / c2) ** aq over w1 ** aq, every
+    temporary formed in ``work``, ``_LIMIT_ARRAYS`` arrays of w1's shape; w1
+    and w2 are not written (at aq = 1 the denominator is w1 itself)."""
+    den = w1 if aq == 1.0 else np.power(w1, aq, out=work[2])
+    return RatioMoments.of(_min_ratio_power(w1, w2, c1, c2, aq, work), den,
+                           work[3:_LIMIT_ARRAYS])
 
 
 def tail_dependence_limit(model: MGB2Model, c1: float, c2: float, n: int,
@@ -302,10 +320,13 @@ def tail_dependence_limit(model: MGB2Model, c1: float, c2: float, n: int,
     c1 = _require_positive("c1", c1)
     c2 = _require_positive("c2", c2)
     aq = a * q
+    workspaces = Workspaces(n, 2 + _LIMIT_ARRAYS)  # W_1, W_2, then the moments'
 
     def fill(block, lo, hi):
-        w1, w2 = _w_factors(model, block.child(1).generator(), hi - lo, 2)
-        return _limit_moments(w1, w2, c1, c2, aq)
+        m = hi - lo
+        with workspaces.borrow(m) as work:
+            w1, w2 = _w_factors(model, block.child(1).generator(), m, 2, work)
+            return _limit_moments(w1, w2, c1, c2, aq, work[2:])
 
     moments = reduce_blocks(stream, n, fill, RatioMoments.merge)
     return tuple(float(v) for v in moments.estimate())
@@ -335,16 +356,20 @@ def tail_convergence_table(model: MGB2Model, query: TailQuery, stream: RngStream
     biasing the ratios.
     """
     a, q = _check_limit_regime(model)
+    workspaces = Workspaces(query.n, 2 + _LIMIT_ARRAYS)  # W_1, W_2, then the moments'
 
     def fill(block, lo, hi):
-        theta, (w1, w2) = _mgb2_draws(model, block, hi - lo, 2)
-        # the moments read W before the Theta step below writes over it
-        moments = _limit_moments(w1, w2, query.c1, query.c2, a * q)
-        x1, x2 = _scale_by_theta(model, theta, [w1, w2])
-        if np.isnan(x1.min()) or np.isnan(x2.min()):  # min carries a nan
-            raise RiskscaleError("the MGB2 sample holds nan values (Theta^(1/a) "
-                                 "* W is inf * 0); no tail ratio is formed")
-        return _exceedance_counts(x1, x2, query.c1, query.c2, query.t_grid), moments
+        m = hi - lo
+        with workspaces.borrow(m) as work:
+            theta, (w1, w2) = _mgb2_draws(model, block, m, 2, work)
+            # the moments read W before the Theta step below writes over it,
+            # and Theta^(1/a) then takes the moments' first array
+            moments = _limit_moments(w1, w2, query.c1, query.c2, a * q, work[2:])
+            x1, x2 = _scale_by_theta(model, theta, [w1, w2], work[2])
+            if np.isnan(x1.min()) or np.isnan(x2.min()):  # min carries a nan
+                raise RiskscaleError("the MGB2 sample holds nan values (Theta^(1/a) "
+                                     "* W is inf * 0); no tail ratio is formed")
+            return _exceedance_counts(x1, x2, query.c1, query.c2, query.t_grid), moments
 
     counts, moments = reduce_blocks(stream.child(0), query.n, fill, _merge_table)
     limit, limit_se = (float(v) for v in moments.estimate())

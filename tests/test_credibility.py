@@ -23,8 +23,9 @@ from riskscale.errors import (
     ShapeError,
     SingularMatrixError,
 )
+from riskscale.moments import RatioMoments
 from riskscale.radial import PointMass
-from riskscale.rng import BLOCK_ROWS, RngStream, map_blocks
+from riskscale.rng import BLOCK_ROWS, RngStream, map_blocks, reduce_blocks
 from riskscale.verify import _SCALAR_GAUSSIAN, _premium_gaussian_noise_inverse
 
 
@@ -395,6 +396,35 @@ class TestPremiumMC:
             np.testing.assert_allclose(est, x - ratio, rtol=1e-12)
             np.testing.assert_allclose(se, np.sqrt(var), rtol=1e-12)
 
+
+    def test_workers_give_the_out_of_place_bytes(self):
+        # each block's weighted draws and deviations are formed in a work
+        # array lent to one task at a time; at 1, 2 and 4 workers the
+        # estimate and its standard error must have the bits of the
+        # out-of-place moments merged in block order
+        chol = np.array([[1.0, 0.0], [0.5, 1.2]])
+        h = _gaussian_density(0.5, 2.0)
+        model = GenericShiftModel(
+            prior_density=h,
+            noise_sampler=lambda gen, m: gen.standard_normal((m, 2)) @ chol.T,
+        )
+        x = np.array([2.0, -1.0])
+        n = 3 * BLOCK_ROWS + 5000
+
+        def fill(block, lo, hi):
+            y = model.noise_sampler(block.generator(), hi - lo)
+            hy = h(x[None, :] - y)
+            u = y * hy[:, None]
+            du, dv = u - u.mean(axis=0), (hy - hy.mean())[:, None]
+            return RatioMoments(hy.size, u.mean(axis=0), hy.mean(), (du * du).sum(axis=0),
+                                (dv * dv).sum(), (du * dv).sum(axis=0))
+
+        ratio, se = reduce_blocks(RngStream(216), n, fill, RatioMoments.merge,
+                                  workers=1).estimate()
+        for workers in (1, 2, 4):
+            est, est_se = premium_mc(model, x, n, RngStream(216), workers=workers)
+            assert est.tobytes() == (x - ratio).tobytes()
+            assert est_se.tobytes() == se.tobytes()
 
 
 def test_elliptical_model_rejects_nu_of_the_wrong_length():

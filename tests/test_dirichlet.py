@@ -103,6 +103,17 @@ class TestAngularMarginalCdf:
         with pytest.raises(ParameterError):
             angular_marginal_cdf(LpSpec((1.0, 1.0), 1.0), 2, 0.5)
 
+    @pytest.mark.parametrize("i", [1.5, "1", -1])
+    def test_index_outside_the_integer_rule_is_named(self, i):
+        # a float, however whole, or a string used to fail with a bare TypeError
+        with pytest.raises(ParameterError) as info:
+            angular_marginal_cdf(LpSpec((1.0, 1.0, 2.0), 2.0), i, 0.5)
+        assert info.value.param == "i"
+
+    def test_numpy_integer_index_passes(self):
+        spec = LpSpec((1.0, 1.0, 2.0), 2.0)
+        assert angular_marginal_cdf(spec, np.int64(1), 0.5) == angular_marginal_cdf(spec, 1, 0.5)
+
     def test_empirical_component_matches_cdf(self):
         spec = LpSpec((0.7, 1.3, 2.0), 2.2)
         o = angular_sample(spec, RngStream(6).generator(), size=N)

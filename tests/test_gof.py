@@ -3,10 +3,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import special
 
+from riskscale import verify
 from riskscale.cdfs import ks_pvalue, normal_cdf, normal_pvalue
 from riskscale.errors import ParameterError, ShapeError
-from riskscale.gof import GofReport, KsStatistic, ks_one_sample, ks_two_sample
+from riskscale.gof import KS_BLOCK, GofReport, KsStatistic, ks_one_sample, ks_two_sample
 from riskscale.rng import RngStream
 
 
@@ -141,3 +145,114 @@ def test_null_calibration_rejection_rate():
         if ks_pvalue(ks_one_sample(u, uniform_cdf)) <= 0.01:
             rejections += 1
     assert 0 <= rejections / runs <= 0.05
+
+
+# -- the pruned KS search against the dense one -------------------------------
+#
+# ks_one_sample evaluates the CDF only at block ends and in the blocks whose
+# bound can hold the supremum. The reference below evaluates it at every
+# sorted point; D must be the same float.
+
+
+def _dense_ks(x, cdf) -> float:
+    xs = np.sort(np.asarray(x, dtype=float))
+    n = xs.size
+    f = np.asarray(cdf(xs), dtype=float)
+    grid = np.arange(1, n + 1) / n
+    return max(float(np.max(grid - f)), float(np.max(f - (grid - 1.0 / n))))
+
+
+def _same_float(a: float, b: float) -> bool:
+    return (math.isnan(a) and math.isnan(b)) or np.float64(a).tobytes() == np.float64(b).tobytes()
+
+
+def _flat_cdf(x):
+    # uniform on [0, 0.3] and [0.6, 1], flat at 3/7 in between
+    x = np.asarray(x, dtype=float)
+    return (np.clip(x, 0.0, 0.3) + np.clip(x - 0.6, 0.0, 0.4)) / 0.7
+
+
+def _step_cdf(x, steps=7):
+    return np.clip(np.floor(np.asarray(x, dtype=float) * steps) / steps, 0.0, 1.0)
+
+
+_KS_SIZES = st.one_of(st.sampled_from([10, 15, 16, 17, 31, 32, 33, 47, 4095, 4999, 5000]),
+                      st.integers(10, 5000))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(n=_KS_SIZES, seed=st.integers(0, 2**32 - 1),
+       decimals=st.sampled_from([None, 1, 2, 3]),
+       kind=st.sampled_from(["beta", "flat", "step", "nan"]),
+       shape=st.tuples(st.floats(0.3, 4.0), st.floats(0.3, 4.0)))
+def test_pruned_ks_distance_is_the_dense_one(n, seed, decimals, kind, shape):
+    # samples from Beta laws near and far from the CDF, with ties when
+    # rounded; CDFs with flat stretches, a step CDF and a CDF that is nan at
+    # one sample point
+    gen = RngStream(seed).generator()
+    x = gen.beta(*shape, size=n)
+    if decimals is not None:
+        x = np.round(x, decimals)
+    a, b = shape if gen.random() < 0.5 else (1.0, 1.0)
+    cdf = {"beta": lambda v: special.betainc(a, b, np.clip(v, 0.0, 1.0)),
+           "nan": lambda v: special.betainc(a, b, np.clip(v, 0.0, 1.0)),
+           "flat": _flat_cdf, "step": _step_cdf}[kind]
+    if kind != "nan":
+        assert _same_float(ks_one_sample(x, cdf).statistic, _dense_ks(x, cdf))
+        return
+    # the nan sits at the j-th sorted point; a nan at an evaluated point
+    # makes D nan, and a point never evaluated leaves D as it was without it
+    j = int(gen.integers(n))
+    bad = np.sort(x)[j]
+    seen = []
+
+    def nan_cdf(v):
+        seen.append(np.array(v))
+        return np.where(v == bad, np.nan, cdf(v))
+
+    d = ks_one_sample(x, nan_cdf).statistic
+    evaluated = bool((np.concatenate(seen) == bad).any())
+    assert math.isnan(d) == evaluated
+    if j % KS_BLOCK in (0, KS_BLOCK - 1) or j == n - 1:  # a block end: always evaluated
+        assert _same_float(d, _dense_ks(x, nan_cdf))
+    if not evaluated:
+        assert _same_float(d, _dense_ks(x, cdf))
+
+
+def test_the_cdf_sees_sorted_subsets_and_few_points():
+    # each call gets ascending points of the sorted sample; on a null sample
+    # nearly all blocks are pruned
+    x = RngStream(7).generator().random(5000)
+    calls = []
+
+    def cdf(v):
+        calls.append(np.array(v))
+        return uniform_cdf(v)
+
+    assert ks_one_sample(x, cdf).statistic == _dense_ks(x, uniform_cdf)
+    assert len(calls) == 2
+    for points in calls:
+        assert np.all(np.diff(points) >= 0) and np.isin(points, x).all()
+    assert sum(points.size for points in calls) < x.size / 2
+
+
+#: Fresh seeds at which every KS sample of the suite is checked.
+KS_SUITE_SEEDS = (17600, 17601, 17602, 17603, 17604)
+
+
+@pytest.mark.parametrize("seed", KS_SUITE_SEEDS)
+def test_every_ks_sample_of_the_suite_gives_the_dense_distance(monkeypatch, seed):
+    seen = []
+
+    def both(x, cdf):
+        ks = ks_one_sample(x, cdf)
+        seen.append(_same_float(ks.statistic, _dense_ks(x, cdf)))
+        return ks
+
+    monkeypatch.setattr(verify, "ks_one_sample", both)
+    monkeypatch.setenv("RISKSCALE_THREADS", "1")
+    for check in (verify.check_beta_marginals, verify.check_factorization,
+                  verify.check_scale_cancellation, verify.check_beta_gamma_algebra,
+                  verify.check_weighted_gaussian, verify.check_mgb2_equivalence):
+        check(seed)
+    assert len(seen) >= 20 and all(seen)

@@ -145,6 +145,22 @@ def test_the_clayton_sample_is_the_mgb2_sample_at_unit_parameters():
     assert _runs("clayton_mgb2") == _runs("clayton")
 
 
+@pytest.mark.parametrize("name", ["taildep", "taildep_c2", "verify_seed42"])
+def test_four_workers_give_the_golden_bytes(name, monkeypatch, tmp_path):
+    # the tail estimators and premium_mc (in verify) lend one work array to
+    # each running block task: at 4 workers the call holds up to 4 of them
+    out = tmp_path / f"{name}.out"
+    monkeypatch.setenv("RISKSCALE_THREADS", "4")
+    text = (GOLDEN / f"{name}.cfg").read_text(encoding="utf-8")
+    assert run(parse_config(text, output_path=str(out))) in (0, 1)
+    digest = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert digest == _runs(name)[0][0]
+    table = _digest_table()
+    if table is None:
+        pytest.skip(f"digests.json has no entry for {KEY!r}; 1 and 4 workers gave the same bytes")
+    assert digest == table[name]
+
+
 def _dump_addresses(table: dict) -> str:
     """The address table as JSON, one address to a line."""
     entries = []

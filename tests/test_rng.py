@@ -12,7 +12,7 @@ from riskscale.credibility import GenericShiftModel, premium_mc
 from riskscale.dirichlet import LpSpec, lp_dirichlet_sample, random_scale_sequence_sample
 from riskscale.errors import ParameterError
 from riskscale.radial import Pareto, PointMass
-from riskscale.rng import (BLOCK_ROWS, MAX_WORKERS, RngStream, map_blocks,
+from riskscale.rng import (BLOCK_ROWS, MAX_WORKERS, RngStream, Workspaces, map_blocks,
                            ordered_map, pool_size, reduce_blocks, resolve_workers)
 from riskscale.tails import (ClaytonSpec, MGB2Model, TailQuery, mgb2_sample,
                              tail_dependence_limit)
@@ -270,6 +270,29 @@ def test_ordered_map_keeps_order_on_real_threads():
         assert list(ordered_map(slow_first, range(200), workers=8)) == list(range(200))
     finally:
         sys.setswitchinterval(interval)
+
+
+def test_workspaces_lend_each_running_task_its_own_array():
+    # more workers than cores and frequent thread switches: a task that
+    # shared its work array with another would read back the other's mark
+    workspaces = Workspaces(64 * BLOCK_ROWS, 2)
+    made = set()
+
+    def fill(block, lo, hi):
+        with workspaces.borrow(hi - lo) as work:
+            made.add(work[0].base.ctypes.data)
+            for a in work:
+                a[:] = lo
+            time.sleep(0)  # let another task run mid-block
+            return all(bool((a == lo).all()) for a in work)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        assert reduce_blocks(RngStream(2), 64 * BLOCK_ROWS, fill, operator.and_, workers=8)
+    finally:
+        sys.setswitchinterval(interval)
+    assert 1 <= len(made) <= 8  # at most one per thread, at any n
 
 
 def test_ordered_map_raises_the_call_error():

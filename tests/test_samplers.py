@@ -16,6 +16,7 @@ from riskscale.gof import ks_one_sample
 from riskscale.radial import GammaPower, InvGamma, Pareto, PointMass, regular_variation_index
 from riskscale.rng import BLOCK_ROWS, RngStream
 from riskscale.samplers import (
+    _std_gamma,
     bernoulli_pm1,
     beta_sample,
     gamma_sample,
@@ -188,6 +189,22 @@ def test_bitwise_reproducibility():
     assert np.array_equal(draws[0], draws[1])
     pair = [y_marginal_sample(0.4, 1.5, RngStream(72).generator(), size=64) for _ in range(2)]
     assert np.array_equal(pair[0], pair[1])
+
+
+@pytest.mark.parametrize("size", [1, 7, BLOCK_ROWS + 7, (3, 5)])
+@pytest.mark.parametrize("shape", [1.0, 0.4, 2.5])
+def test_gamma_kernel_gives_the_standard_gamma_bits(shape, size):
+    # shape 1 goes to standard_exponential, with or without out=: the bits
+    # and the generator state after the draws are those of standard_gamma
+    ref_gen = RngStream(73).generator()
+    ref = ref_gen.standard_gamma(shape, size=size)
+    after = ref_gen.random()
+    for out in (None, np.full(size, np.nan)):
+        gen = RngStream(73).generator()
+        draws = _std_gamma(shape, gen, size, out)
+        assert draws.tobytes() == ref.tobytes()
+        assert out is None or draws is out
+        assert gen.random() == after
 
 
 def test_mgb2_bytes_independent_of_worker_count(monkeypatch):

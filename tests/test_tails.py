@@ -1,4 +1,6 @@
 import math
+import resource
+import sys
 import tracemalloc
 from dataclasses import astuple
 
@@ -299,8 +301,8 @@ class TestConvergenceCheck:
             tail_convergence_table(_exp_model(PointMass(2.0)), query, RngStream(323))
 
     @pytest.mark.parametrize("numerator", [
-        lambda w1, w2, c1, c2, aq: (w1 / c1) ** aq,
-        lambda w1, w2, c1, c2, aq: np.maximum(w1 / c1, w2 / c2) ** aq,
+        lambda w1, w2, c1, c2, aq, work: (w1 / c1) ** aq,
+        lambda w1, w2, c1, c2, aq, work: np.maximum(w1 / c1, w2 / c2) ** aq,
     ], ids=["min-dropped", "max-for-min"])
     def test_judgment_trips_on_a_wrong_limit_numerator(self, monkeypatch,
                                                        numerator):
@@ -356,6 +358,18 @@ class TestConvergenceCheck:
         finally:
             tracemalloc.stop()
         assert peak < 8 * 2**20
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"),
+                        reason="minor page faults are counted as on Linux")
+    def test_table_blocks_do_not_fault_in_fresh_memory(self, monkeypatch):
+        # each block's W columns and temporaries live in a work array the
+        # call reuses; allocating them afresh per block faulted ~12,700
+        # pages on 1e6 rows (about 400 per 32768-row block)
+        query = TailQuery(c1=1.0, c2=1.0, t_grid=(5.0, 10.0, 20.0), n=10**6)
+        monkeypatch.setenv("RISKSCALE_THREADS", "1")
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        tail_convergence_table(_exp_model(), query, RngStream(327))
+        assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 2000
 
 
 _QUERY = {"c1": 1.0, "c2": 1.0, "t_grid": (1.0, 2.0), "n": 100}
@@ -463,7 +477,7 @@ class TestOperatorFormBits:
         model = MGB2Model(a=a + (3.0,), b=(1.0, 1.5, 2.0), p=(1.5, 0.7, 2.0),
                           theta_law=law)
         ref = _ref_limit(model, c1, c2, _BIT_N, RngStream(332))
-        for workers in (1, 2):
+        for workers in (1, 2, 4):
             monkeypatch.setenv("RISKSCALE_THREADS", str(workers))
             assert tail_dependence_limit(model, c1, c2, _BIT_N, RngStream(332)) == ref
 
@@ -496,7 +510,7 @@ class TestOperatorFormBits:
                                  "limit_stderr": limit[1],
                                  "exceedances": int(base.sum())})
             assert expected
-            for workers in (1, 2):
+            for workers in (1, 2, 4):
                 monkeypatch.setenv("RISKSCALE_THREADS", str(workers))
                 assert tail_convergence_table(model, query, s) == expected
 

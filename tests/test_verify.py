@@ -128,10 +128,10 @@ def test_corrupted_small_shape_gamma_trips_beta_marginal_check(monkeypatch):
     # U^(1/shape) boost and the Beta-marginal verification must catch it
     original = samplers._std_gamma
 
-    def corrupted(shape, gen, count):
+    def corrupted(shape, gen, count, out=None):
         if shape < 1.0:
-            return gen.standard_gamma(shape + 1.0, size=count)  # no boost
-        return original(shape, gen, count)
+            return gen.standard_gamma(shape + 1.0, size=count, out=out)  # no boost
+        return original(shape, gen, count, out)
 
     monkeypatch.setattr(samplers, "_std_gamma", corrupted)
     rep = check_beta_marginals(42)
@@ -330,8 +330,8 @@ POWER_SEEDS = (5000, 5020, 5040, 5060, 5080)
 
 
 @pytest.mark.parametrize("numerator", [
-    lambda w1, w2, c1, c2, aq: (w1 / c1) ** aq,
-    lambda w1, w2, c1, c2, aq: np.maximum(w1 / c1, w2 / c2) ** aq,
+    lambda w1, w2, c1, c2, aq, work: (w1 / c1) ** aq,
+    lambda w1, w2, c1, c2, aq, work: np.maximum(w1 / c1, w2 / c2) ** aq,
 ], ids=["min-dropped", "max-for-min"])
 def test_wrong_limit_numerator_fails_breiman_tail_limit(monkeypatch, numerator):
     # each table's limit estimate is z-scored against the exact limit: a
@@ -493,8 +493,8 @@ def _mixture_theta_per_column(monkeypatch):
 def _kernel_shape_times_1_15(monkeypatch):
     # every reference is an exact law that draws nothing, so a fault in the
     # one kernel cannot cancel between a sample and its reference
-    monkeypatch.setattr(samplers, "_std_gamma", lambda shape, gen, size:
-                        gen.standard_gamma(shape * 1.15, size=size))  # not shape
+    monkeypatch.setattr(samplers, "_std_gamma", lambda shape, gen, size, out=None:
+                        gen.standard_gamma(shape * 1.15, size=size, out=out))  # not shape
 
 
 def _cstar_drops_top_right_block(monkeypatch):
